@@ -1,11 +1,13 @@
 //! `sgxs-ipa` — interprocedural provenance summaries over the call graph.
 //!
-//! [`build_call_graph`] resolves `Call` edges directly, and both
-//! `CallIndirect` targets and `spawn` intrinsic targets through the
-//! value-range provenance (a `FuncAddr` value reaching the call target),
-//! condenses the graph into SCCs (iterative Tarjan), and orders them
-//! bottom-up (callees before callers). [`summarize`] then
-//! computes one [`FuncSummary`] per function to fixpoint over each SCC:
+//! [`build_call_graph`] reads `Call` edges off the reachable blocks, and
+//! resolves both `CallIndirect` targets and `spawn` intrinsic targets
+//! through the value-range provenance (a `FuncAddr` value reaching the
+//! call target) — the only case that runs a solve. It condenses the graph
+//! into SCCs (iterative Tarjan) and orders them bottom-up (callees before
+//! callers). [`summarize`] then computes one [`FuncSummary`] per function,
+//! in one round for an SCC that is a single function without a self edge
+//! and to fixpoint for a recursive SCC:
 //!
 //! - **return value**: interval, parameter + offset, global + offset, or a
 //!   fresh allocation of known size (which becomes a numbered allocation
@@ -19,15 +21,21 @@
 //! `prov.rs` consults the summaries at call sites, so provenance facts
 //! survive calls into effect-free callees instead of dying at the blanket
 //! call-kill — the basis of the interprocedural flow elision and of the
-//! cross-call temporal lints.
+//! cross-call temporal lints. Each function's facts come from the same
+//! solve as its summary, in its SCC's final round, and travel in
+//! [`Summaries::facts`]: the flow elision and the lint read them there
+//! and never solve again.
 //!
 //! Everything is deterministic: functions iterate in index order,
 //! neighbour lists are sorted and deduplicated, and SCC members are
 //! processed in ascending index order.
 
-use crate::dataflow;
 use crate::interval::Interval;
-use crate::prov::{frees_first_arg, preserves_heap, AbsVal, ProvAnalysis, Referent, SiteLive};
+use crate::prov::{
+    facts_of, frees_first_arg, preserves_heap, AbsVal, FnFacts, PState, ProvAnalysis, Referent,
+    SiteLive,
+};
+use sgxs_mir::analysis::cfg;
 use sgxs_mir::ir::{Inst, Module, Term};
 
 /// The module call graph with SCC condensation.
@@ -120,50 +128,48 @@ impl FuncSummary {
     }
 }
 
-/// Call graph plus one summary per function.
+/// Call graph plus one summary and one set of facts per function.
 #[derive(Debug, Clone)]
 pub struct Summaries {
     /// The condensed call graph.
     pub graph: CallGraph,
     /// Per-function summaries, indexed by function index.
     pub funcs: Vec<FuncSummary>,
+    /// Per-function facts with these summaries attached, indexed by
+    /// function index: equal to `function_facts(m, fi, Some(self))`.
+    pub facts: Vec<FnFacts>,
 }
 
-/// Builds the call graph of `m`, resolving indirect calls through the
-/// intraprocedural provenance analysis.
+/// Builds the call graph of `m`. Direct `Call` edges are read off the
+/// reachable blocks; only a function that contains an indirect call or a
+/// `spawn` runs the intraprocedural provenance analysis, to resolve those
+/// targets.
 pub fn build_call_graph(m: &Module) -> CallGraph {
     let n = m.funcs.len();
     let mut callees: Vec<Vec<u32>> = vec![Vec::new(); n];
     let mut unresolved = vec![false; n];
     for fi in 0..n {
-        let analysis = ProvAnalysis::new(m, fi);
         let f = &m.funcs[fi];
-        let states = dataflow::solve(&analysis, f);
-        for (bi, blk) in f.blocks.iter().enumerate() {
-            let Some(mut st) = states[bi].clone() else {
-                continue;
-            };
-            for (ii, inst) in blk.insts.iter().enumerate() {
-                match inst {
-                    Inst::Call { func, .. } => callees[fi].push(func.0),
-                    Inst::CallIndirect { target, .. } => match analysis.eval(target, &st) {
-                        AbsVal::Code { func } => callees[fi].push(func),
-                        _ => unresolved[fi] = true,
-                    },
-                    // A spawn transfers control to the spawned function
-                    // (concurrently): it is a call edge, resolved through
-                    // the same `Code` provenance as an indirect call.
-                    Inst::CallIntrinsic {
-                        intrinsic, args, ..
-                    } if analysis.intr_name(*intrinsic) == "spawn" => {
-                        match args.first().map(|a| analysis.eval(a, &st)) {
-                            Some(AbsVal::Code { func }) => callees[fi].push(func),
-                            _ => unresolved[fi] = true,
-                        }
-                    }
-                    _ => {}
+        let resolves = f
+            .blocks
+            .iter()
+            .flat_map(|b| &b.insts)
+            .any(|inst| match inst {
+                Inst::CallIndirect { .. } => true,
+                Inst::CallIntrinsic { intrinsic, .. } => {
+                    m.intrinsics[intrinsic.0 as usize] == "spawn"
                 }
-                analysis.step(bi as u32, ii as u32, inst, &mut st);
+                _ => false,
+            });
+        if resolves {
+            unresolved[fi] = resolve_calls(m, fi, &mut callees[fi]);
+        } else {
+            for b in cfg::reverse_postorder(f) {
+                for inst in &f.blocks[b.0 as usize].insts {
+                    if let Inst::Call { func, .. } = inst {
+                        callees[fi].push(func.0);
+                    }
+                }
             }
         }
         callees[fi].sort_unstable();
@@ -176,6 +182,43 @@ pub fn build_call_graph(m: &Module) -> CallGraph {
         sccs,
         scc_of,
     }
+}
+
+/// Pushes every call edge of function `fi`'s reachable blocks, resolving
+/// indirect and `spawn` targets through the intraprocedural provenance;
+/// returns whether some target stayed unresolved.
+fn resolve_calls(m: &Module, fi: usize, callees: &mut Vec<u32>) -> bool {
+    let analysis = ProvAnalysis::new(m, fi);
+    let states = analysis.solve();
+    let mut unresolved = false;
+    for (bi, blk) in m.funcs[fi].blocks.iter().enumerate() {
+        let Some(mut st) = states[bi].clone() else {
+            continue;
+        };
+        for (ii, inst) in blk.insts.iter().enumerate() {
+            match inst {
+                Inst::Call { func, .. } => callees.push(func.0),
+                Inst::CallIndirect { target, .. } => match analysis.eval(target, &st) {
+                    AbsVal::Code { func } => callees.push(func),
+                    _ => unresolved = true,
+                },
+                // A spawn transfers control to the spawned function
+                // (concurrently): it is a call edge, resolved through the
+                // same `Code` provenance as an indirect call.
+                Inst::CallIntrinsic {
+                    intrinsic, args, ..
+                } if analysis.intr_name(*intrinsic) == "spawn" => {
+                    match args.first().map(|a| analysis.eval(a, &st)) {
+                        Some(AbsVal::Code { func }) => callees.push(func),
+                        _ => unresolved = true,
+                    }
+                }
+                _ => {}
+            }
+            analysis.step(bi as u32, ii as u32, inst, &mut st);
+        }
+    }
+    unresolved
 }
 
 /// Iterative Tarjan SCC. Components are emitted callees-first (reverse
@@ -242,13 +285,22 @@ fn tarjan(callees: &[Vec<u32>]) -> (Vec<Vec<u32>>, Vec<u32>) {
 }
 
 /// Computes interprocedural summaries for every function of `m`,
-/// bottom-up over the SCC condensation, iterating each SCC to fixpoint.
+/// bottom-up over the SCC condensation, together with every function's
+/// facts. Each round solves each member's provenance problem once and
+/// takes both its summary and its facts from that solve.
+///
+/// A summary reads only the summaries of its callees. An SCC that is one
+/// function without a self edge therefore takes one round: its callees'
+/// summaries are final and it never reads its own. A recursive SCC
+/// iterates until a round changes no member; that round ran against the
+/// final table, so its facts are the ones kept.
 pub fn summarize(m: &Module) -> Summaries {
     let graph = build_call_graph(m);
     let n = m.funcs.len();
     let mut funcs: Vec<FuncSummary> = (0..n)
         .map(|fi| FuncSummary::bottom(m.funcs[fi].params.len()))
         .collect();
+    let mut facts = vec![FnFacts::default(); n];
     for scc in &graph.sccs {
         let recursive = scc.len() > 1 || graph.recursive(scc[0]);
         // Effects grow monotonically from no-effect; a recursive return
@@ -259,21 +311,47 @@ pub fn summarize(m: &Module) -> Summaries {
             assert!(round < limit, "ipa summary fixpoint diverged");
             let mut changed = false;
             for &fi in scc {
-                let mut s = summarize_one(m, fi as usize, &graph, &funcs);
+                let fi = fi as usize;
+                let analysis = ProvAnalysis::with_parts(m, fi, Some((&graph, &funcs)));
+                // The per-block states live only until this member's
+                // summary and facts are taken.
+                let states = analysis.solve();
+                let mut s = summary_of(&analysis, &states, &funcs);
+                facts[fi] = facts_of(&analysis, &states);
                 if recursive {
                     s.ret = RetSummary::Top;
                 }
-                if s != funcs[fi as usize] {
-                    funcs[fi as usize] = s;
+                if s != funcs[fi] {
+                    funcs[fi] = s;
                     changed = true;
                 }
             }
-            if !changed {
+            if !recursive || !changed {
                 break;
             }
         }
     }
-    Summaries { graph, funcs }
+    // A direct call in an unreachable block is no call-graph edge, yet it
+    // numbers an allocation site when its callee returns a fresh
+    // allocation. If that callee was summarized after the caller, the
+    // caller's facts are retaken against the final table.
+    for (fi, f) in m.funcs.iter().enumerate() {
+        let stale = f.blocks.iter().flat_map(|b| &b.insts).any(|inst| {
+            matches!(inst, Inst::Call { func, .. }
+                if (graph.scc_of[func.0 as usize] > graph.scc_of[fi]
+                    || (func.0 as usize == fi && !graph.recursive(func.0)))
+                    && matches!(funcs[func.0 as usize].ret, RetSummary::FreshAlloc { .. }))
+        });
+        if stale {
+            let analysis = ProvAnalysis::with_parts(m, fi, Some((&graph, &funcs)));
+            facts[fi] = facts_of(&analysis, &analysis.solve());
+        }
+    }
+    Summaries {
+        graph,
+        funcs,
+        facts,
+    }
 }
 
 fn join_ret(a: RetSummary, b: RetSummary) -> RetSummary {
@@ -313,12 +391,14 @@ fn join_ret(a: RetSummary, b: RetSummary) -> RetSummary {
     }
 }
 
-/// One pass of summary extraction for function `fi` against the current
-/// summary table.
-fn summarize_one(m: &Module, fi: usize, graph: &CallGraph, funcs: &[FuncSummary]) -> FuncSummary {
-    let analysis = ProvAnalysis::with_parts(m, fi, Some((graph, funcs)));
-    let f = &m.funcs[fi];
-    let states = dataflow::solve(&analysis, f);
+/// Walks a solved function once and extracts its summary: `states` is
+/// `analysis.solve()` against the summary table `funcs`.
+fn summary_of(
+    analysis: &ProvAnalysis<'_>,
+    states: &[Option<PState>],
+    funcs: &[FuncSummary],
+) -> FuncSummary {
+    let f = analysis.func();
     let nparams = f.params.len();
     let mut s = FuncSummary::bottom(nparams);
     let mut ret: Option<RetSummary> = None;

@@ -22,7 +22,8 @@
 //! - [`ipa`]: the interprocedural tier — call graph with SCC condensation
 //!   (indirect targets resolved through provenance), and per-function
 //!   summaries (return provenance, parameter free/capture effect sets)
-//!   computed to fixpoint bottom-up over the condensation.
+//!   computed to fixpoint bottom-up over the condensation, each carrying
+//!   the function's facts from the same solve.
 //! - [`lint`]: the static OOB lint classifying every access site as
 //!   proved-safe / proved-oob / unknown, with check-site-registered
 //!   diagnostics, plus (with summaries) proved temporal violations —

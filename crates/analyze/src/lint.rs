@@ -15,7 +15,7 @@
 //! instead of double-registering them.
 
 use crate::ipa::{self, Summaries};
-use crate::prov::{function_facts, Class, Referent, TemporalKind};
+use crate::prov::{facts_for, Class, Referent, TemporalKind};
 use sgxs_mir::display::print_inst;
 use sgxs_mir::ir::Module;
 use std::collections::{HashMap, VecDeque};
@@ -144,11 +144,12 @@ pub fn lint_module(m: &mut Module) -> LintReport {
     lint_impl(m, None)
 }
 
-/// Interprocedural lint: computes call-graph summaries, classifies every
-/// access with them attached, and reports proved temporal violations
-/// (kinds `lint_uaf`/`lint_df`/`lint_leak`). Leaks in `main` are not
-/// reported — a top-level entry point's live-at-exit objects are
-/// reclaimed wholesale. Returns the report plus the summaries.
+/// Interprocedural lint: computes call-graph summaries, takes every
+/// access classification from the facts they carry, and reports proved
+/// temporal violations (kinds `lint_uaf`/`lint_df`/`lint_leak`). Leaks in
+/// `main` are not reported — a top-level entry point's live-at-exit
+/// objects are reclaimed wholesale. Returns the report plus the
+/// summaries.
 pub fn lint_module_ipa(m: &mut Module) -> (LintReport, Summaries) {
     let summaries = ipa::summarize(m);
     let report = lint_impl(m, Some(&summaries));
@@ -162,7 +163,7 @@ fn lint_impl(m: &mut Module, summaries: Option<&Summaries>) -> LintReport {
     };
     let mut pool = SitePool::new(m, &LINT_KINDS);
     for fi in 0..m.funcs.len() {
-        let facts = function_facts(m, fi, summaries);
+        let facts = facts_for(m, fi, summaries);
         for fact in &facts.access {
             match fact.class {
                 Class::Safe => report.proved_safe += 1,

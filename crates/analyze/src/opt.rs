@@ -18,7 +18,7 @@
 
 use crate::dataflow::{self, Analysis};
 use crate::ipa::Summaries;
-use crate::prov::{function_facts, preserves_heap, Class};
+use crate::prov::{facts_for, preserves_heap, Class};
 use sgxs_mir::ir::{def_of, BinOp, BlockId, Function, Inst, Module, Operand, Reg};
 use sgxs_mir::ty::Ty;
 use std::collections::HashMap;
@@ -31,13 +31,17 @@ pub fn mark_safe_flow(m: &mut Module) -> usize {
 
 /// [`mark_safe_flow`] with optional interprocedural summaries: facts then
 /// survive calls to callees whose summaries prove them heap-benign, and
-/// summarized return values carry provenance across the call.
+/// summarized return values carry provenance across the call. The
+/// summaries must be `summarize(m)` of this module: their facts are read
+/// as they are, with no solve of its own. Without summaries every function
+/// is solved intraprocedurally.
 pub fn mark_safe_flow_with(m: &mut Module, summaries: Option<&Summaries>) -> usize {
     let mut marked = 0;
     for fi in 0..m.funcs.len() {
-        let safe: Vec<(u32, u32)> = function_facts(m, fi, summaries)
+        let facts = facts_for(m, fi, summaries);
+        let safe: Vec<(u32, u32)> = facts
             .access
-            .into_iter()
+            .iter()
             .filter(|a| a.class == Class::Safe)
             .map(|a| (a.block, a.inst))
             .collect();

@@ -31,6 +31,7 @@ use sgxs_mir::ir::{
     Reg, Term,
 };
 use sgxs_mir::ty::Ty;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// What an abstract pointer refers to.
@@ -361,8 +362,14 @@ impl<'a> ProvAnalysis<'a> {
         ProvAnalysis { m, fi, sites, ipa }
     }
 
-    fn func(&self) -> &Function {
+    pub(crate) fn func(&self) -> &Function {
         &self.m.funcs[self.fi]
+    }
+
+    /// Solves the dataflow problem: the state at entry to each block
+    /// (`None` for blocks unreachable from the entry).
+    pub(crate) fn solve(&self) -> Vec<Option<PState>> {
+        dataflow::solve(self, self.func())
     }
 
     pub(crate) fn intr_name(&self, id: IntrinsicId) -> &str {
@@ -1048,7 +1055,7 @@ impl Class {
 }
 
 /// One classified memory-access site.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccessFact {
     /// Block index within the function.
     pub block: u32,
@@ -1090,7 +1097,7 @@ impl TemporalKind {
 
 /// One proved temporal violation. For `uaf` the position is the access,
 /// for `df` the second free, for `leak` the allocation instruction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TemporalFact {
     /// Block index within the function.
     pub block: u32,
@@ -1105,7 +1112,7 @@ pub struct TemporalFact {
 }
 
 /// Spatial and temporal facts for one function.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FnFacts {
     /// Every classified access site.
     pub access: Vec<AccessFact>,
@@ -1175,18 +1182,34 @@ pub fn access_facts(m: &Module, fi: usize) -> Vec<AccessFact> {
 
 /// Runs the analysis over function `fi` — with interprocedural summaries
 /// when provided — and produces every spatial access fact plus every
-/// proved temporal violation.
+/// proved temporal violation. [`crate::ipa::summarize`] already returns
+/// these facts for every function (`Summaries::facts`); a caller holding
+/// the summaries reads them there instead of solving again.
 pub fn function_facts(m: &Module, fi: usize, ipa: Option<&Summaries>) -> FnFacts {
     let analysis = match ipa {
         Some(s) => ProvAnalysis::with_summaries(m, fi, s),
         None => ProvAnalysis::new(m, fi),
     };
-    facts_of_analysis(&analysis)
+    facts_of(&analysis, &analysis.solve())
 }
 
-pub(crate) fn facts_of_analysis(analysis: &ProvAnalysis<'_>) -> FnFacts {
-    let f = &analysis.m.funcs[analysis.fi];
-    let states = dataflow::solve(analysis, f);
+/// The facts of function `fi`: read from `summaries` when given (which
+/// must be `summarize(m)`), else solved intraprocedurally.
+pub(crate) fn facts_for<'a>(
+    m: &Module,
+    fi: usize,
+    summaries: Option<&'a Summaries>,
+) -> Cow<'a, FnFacts> {
+    match summaries {
+        Some(s) => Cow::Borrowed(&s.facts[fi]),
+        None => Cow::Owned(function_facts(m, fi, None)),
+    }
+}
+
+/// Walks a solved function once and collects its facts: `states` is
+/// `analysis.solve()`.
+pub(crate) fn facts_of(analysis: &ProvAnalysis<'_>, states: &[Option<PState>]) -> FnFacts {
+    let f = analysis.func();
     let mut out = FnFacts::default();
     // site -> size, first observed leak anchor resolved after the walk.
     let mut leaks: BTreeMap<u32, u64> = BTreeMap::new();

@@ -240,11 +240,12 @@ impl Json {
         }
     }
 
-    /// Parses a JSON document, rejecting trailing garbage.
+    /// Parses a JSON document, rejecting trailing garbage and nesting
+    /// deeper than [`MAX_DEPTH`] arrays/objects.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -268,8 +269,16 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so a bound keeps hostile input from
+/// overflowing the stack; committed artifacts nest under 10 levels.
+pub const MAX_DEPTH: usize = 128;
+
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => parse_lit(b, pos, "null", Json::Null),
@@ -285,7 +294,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -310,7 +319,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 fields.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -476,6 +485,41 @@ mod tests {
         assert!(Json::parse("[1,").is_err());
         assert!(Json::parse("\"abc").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        let err = Json::parse(&deep).expect_err("100 000 open brackets");
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let objs = "{\"a\":".repeat(100_000);
+        assert!(Json::parse(&objs).is_err());
+        // The limit itself parses; one level more does not.
+        let at = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&over).is_err());
+    }
+
+    #[test]
+    fn committed_artifacts_parse_within_the_depth_limit() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+        let mut docs = 0;
+        for entry in std::fs::read_dir(dir).expect("results/ readable") {
+            let path = entry.expect("dir entry").path();
+            let name = path.to_string_lossy().into_owned();
+            let text = std::fs::read_to_string(&path).expect("artifact readable");
+            if name.ends_with(".json") {
+                Json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+                docs += 1;
+            } else if name.ends_with(".jsonl") {
+                for (i, line) in text.lines().filter(|l| !l.trim().is_empty()).enumerate() {
+                    Json::parse(line).unwrap_or_else(|e| panic!("{name} line {i}: {e}"));
+                    docs += 1;
+                }
+            }
+        }
+        assert!(docs > 1, "no committed artifacts found in {dir}");
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! seed range — and every following line is one completed seed: either
 //! `done` with a campaign-specific payload (enough to rebuild that seed's
 //! contribution to the final artifact without re-running it) or
-//! `quarantined` with the failure class and detail. Lines are flushed as
-//! seeds finish, so a campaign killed mid-flight leaves a valid journal
-//! and `--resume` picks up exactly where it stopped. The validating
-//! parser lives in [`sgxs_obs::read::parse_journal`]; this module wraps it
-//! with the writer and the fingerprint handshake.
+//! `quarantined` with the failure class and detail. Each line goes to the
+//! file in one `write_all` as its seed finishes. A kill can still cut the
+//! last line short; [`JournalWriter::resume`] drops such a torn tail, so
+//! `--resume` re-runs that one seed and picks up where the run stopped.
+//! The validating parser lives in [`sgxs_obs::read::parse_journal`]; this
+//! module wraps it with the writer and the fingerprint handshake.
 
 use sgxs_obs::json::Json;
 use sgxs_obs::read::{parse_journal, JournalEntry, CAMPAIGN_SCHEMA};
@@ -53,8 +54,11 @@ pub fn fingerprint(canonical: &str) -> String {
     format!("{h:016x}")
 }
 
-/// Append-only journal writer. Every [`JournalWriter::append`] writes one
-/// line and flushes it, so the journal is valid after any kill point.
+/// Append-only journal writer. Every [`JournalWriter::append`] hands one
+/// whole line, `\n` included, to a single `write_all`. A kill mid-write
+/// can leave at most that line torn, which [`JournalWriter::resume`]
+/// removes. Lines are not synced to disk: this covers a killed process,
+/// not a lost machine.
 #[derive(Debug)]
 pub struct JournalWriter {
     file: Mutex<std::fs::File>,
@@ -71,8 +75,7 @@ impl JournalWriter {
         }
         let mut file = std::fs::File::create(path)
             .map_err(|e| format!("cannot create journal {path}: {e}"))?;
-        writeln!(file, "{}", header.to_json().to_compact())
-            .and_then(|_| file.flush())
+        file.write_all(journal_line(&header.to_json()).as_bytes())
             .map_err(|e| format!("cannot write journal header to {path}: {e}"))?;
         Ok(JournalWriter {
             file: Mutex::new(file),
@@ -82,14 +85,18 @@ impl JournalWriter {
 
     /// Reopens an existing journal for appending (resume mode). The
     /// header must match `header` exactly; returns the already-journaled
-    /// entries.
+    /// entries. A trailing line without its `\n` is a write cut short by
+    /// a kill: it is truncated from the file, so its seed runs again. Any
+    /// other malformed line rejects the journal and leaves it untouched.
     pub fn resume(
         path: &str,
         header: &JournalHeader,
     ) -> Result<(JournalWriter, Vec<JournalEntry>), String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read journal {path}: {e}"))?;
-        let doc = parse_journal(&text).map_err(|e| format!("{path}: {e}"))?;
+        let bytes = std::fs::read(path).map_err(|e| format!("cannot read journal {path}: {e}"))?;
+        let complete = bytes.iter().rposition(|b| *b == b'\n').map_or(0, |i| i + 1);
+        let text = std::str::from_utf8(&bytes[..complete])
+            .map_err(|e| format!("{path}: journal is not UTF-8: {e}"))?;
+        let doc = parse_journal(text).map_err(|e| format!("{path}: {e}"))?;
         let found = JournalHeader {
             campaign: doc.campaign,
             fingerprint: doc.fingerprint,
@@ -106,6 +113,10 @@ impl JournalWriter {
             .append(true)
             .open(path)
             .map_err(|e| format!("cannot append to journal {path}: {e}"))?;
+        if complete < bytes.len() {
+            file.set_len(complete as u64)
+                .map_err(|e| format!("cannot truncate the torn tail of journal {path}: {e}"))?;
+        }
         Ok((
             JournalWriter {
                 file: Mutex::new(file),
@@ -115,13 +126,19 @@ impl JournalWriter {
         ))
     }
 
-    /// Appends one completed-seed line and flushes it.
+    /// Appends one completed-seed line with a single `write_all`.
     pub fn append(&self, line: &Json) -> Result<(), String> {
         let mut file = self.file.lock().expect("journal writer poisoned");
-        writeln!(file, "{}", line.to_compact())
-            .and_then(|_| file.flush())
+        file.write_all(journal_line(line).as_bytes())
             .map_err(|e| format!("cannot append to journal {}: {e}", self.path))
     }
+}
+
+/// One journal line, terminated, ready for a single write.
+fn journal_line(line: &Json) -> String {
+    let mut text = line.to_compact();
+    text.push('\n');
+    text
 }
 
 /// Serializes a `done` entry.
@@ -194,6 +211,70 @@ mod tests {
         };
         let err = JournalWriter::resume(&path, &other).expect_err("handshake must fail");
         assert!(err.contains("different campaign"), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A kill can cut the journal at any byte. Resuming must keep every
+    /// complete line, drop the torn one from the file (its seed re-runs),
+    /// and append cleanly after it; a cut inside the header is an error.
+    #[test]
+    fn resume_drops_a_torn_tail_at_every_cut_point() {
+        let path = tmp("torn");
+        let header = JournalHeader {
+            campaign: "fuzz".into(),
+            fingerprint: fingerprint("opts torn"),
+            seed0: 0,
+            seeds: 8,
+        };
+        let w = JournalWriter::create(&path, &header).expect("create");
+        w.append(&done_line(0, 1, Json::obj(vec![("runs", 16u64.into())])))
+            .expect("append");
+        w.append(&quarantined_line(1, 2, "panic", "demo: torn — journal"))
+            .expect("append");
+        w.append(&done_line(2, 1, Json::Null)).expect("append");
+        drop(w);
+        let full = std::fs::read(&path).expect("journal bytes");
+        let header_len = full.iter().position(|b| *b == b'\n').expect("header line") + 1;
+
+        for cut in 0..=full.len() {
+            std::fs::write(&path, &full[..cut]).expect("write cut journal");
+            let result = JournalWriter::resume(&path, &header);
+            if cut < header_len {
+                assert!(result.is_err(), "cut {cut} inside the header resumed");
+                continue;
+            }
+            let (w, entries) = result.unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+            let kept = full[..cut]
+                .iter()
+                .rposition(|b| *b == b'\n')
+                .expect("header")
+                + 1;
+            let lines = full[header_len..kept]
+                .iter()
+                .filter(|b| **b == b'\n')
+                .count();
+            assert_eq!(entries.len(), lines, "cut {cut}");
+            let seeds: Vec<u64> = entries.iter().map(|e| e.seed).collect();
+            assert_eq!(seeds, (0..lines as u64).collect::<Vec<_>>(), "cut {cut}");
+            assert_eq!(
+                std::fs::read(&path).expect("reread"),
+                &full[..kept],
+                "cut {cut}: file not truncated to its complete lines"
+            );
+            // The re-run seed appends onto a clean line boundary.
+            w.append(&done_line(7, 1, Json::Null))
+                .expect("append after resume");
+            drop(w);
+            let (_w, again) = JournalWriter::resume(&path, &header).expect("second resume");
+            assert_eq!(again.len(), lines + 1, "cut {cut}");
+        }
+
+        // Interior corruption is still rejected, and the file is left as is.
+        let mut bad = full.clone();
+        bad[header_len] = b'#';
+        std::fs::write(&path, &bad).expect("write corrupt journal");
+        assert!(JournalWriter::resume(&path, &header).is_err());
+        assert_eq!(std::fs::read(&path).expect("reread"), bad);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -18,10 +18,12 @@
 //!   cycles* (`backoff_cycles << (attempt-1)`), then quarantined as
 //!   [`SeedFailure::Transient`].
 //!
-//! Every terminal verdict is appended to the `sgxs-campaign-v1` journal
-//! and flushed before the worker moves on, so a campaign killed at any
-//! point leaves a valid checkpoint; `--resume` replays journaled verdicts
-//! through [`Campaign::restore`] and runs only the remainder. Because
+//! Every terminal verdict is appended to the `sgxs-campaign-v1` journal,
+//! one whole line per write, before the worker moves on. A campaign
+//! killed at any point leaves every settled seed's line intact plus at
+//! most one torn last line, which resume drops; `--resume` replays
+//! journaled verdicts through [`Campaign::restore`] and runs only the
+//! remainder. Because
 //! `run_seed` is deterministic and per-seed results are merged in seed
 //! order, the final artifact is byte-identical for every worker count and
 //! for resumed-vs-uninterrupted runs.
