@@ -7,12 +7,17 @@
 //! Both are faithful *mechanism* models — they pay their costs through the
 //! same machine model as SGXBounds, so the comparative results (Figs. 1,
 //! 7–13; Tables 3–4) emerge from behaviour, not curve fitting.
+//!
+//! [`Hardening`] puts both next to SGXBounds behind one instrument +
+//! install path, which every scheme key in the workspace maps onto.
 
 pub mod asan;
 pub mod mpx;
+pub mod scheme;
 
 pub use asan::{install_asan, instrument_asan, instrument_asan_with, AsanConfig, AsanRuntime};
 pub use mpx::{install_mpx, instrument_mpx, instrument_mpx_with, MpxConfig, MpxRuntime};
+pub use scheme::{Hardening, Installed, ADDRESS_SPACE_CAP};
 
 #[cfg(test)]
 mod e2e {
@@ -40,30 +45,24 @@ mod e2e {
         mb.finish()
     }
 
-    fn run_asan(module: &mut Module, args: &[u64]) -> RunOutcome {
-        instrument_asan(module).expect("asan instrumentation");
-        verify(module).expect("asan IR verifies");
+    fn run(module: &mut Module, h: Hardening, args: &[u64]) -> (RunOutcome, Installed) {
+        h.instrument(module, false).expect("instrumentation");
+        verify(module).expect("instrumented IR verifies");
         let mut vm = Vm::new(
             module,
             VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave)),
         );
-        let cfg = AsanConfig::for_scale(SCALE);
-        let heap = install_base(&mut vm, asan_alloc_opts(&cfg, u32::MAX as u64));
-        install_asan(&mut vm, heap, &cfg);
-        vm.run("main", args)
+        let rt = h.install(&mut vm, SCALE, ADDRESS_SPACE_CAP);
+        (vm.run("main", args), rt)
+    }
+
+    fn run_asan(module: &mut Module, args: &[u64]) -> RunOutcome {
+        run(module, Hardening::Asan, args).0
     }
 
     fn run_mpx(module: &mut Module, args: &[u64]) -> (RunOutcome, MpxRuntime) {
-        instrument_mpx(module).expect("mpx instrumentation");
-        verify(module).expect("mpx IR verifies");
-        let mut vm = Vm::new(
-            module,
-            VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave)),
-        );
-        let heap = install_base(&mut vm, AllocOpts::default());
-        let rt = install_mpx(&mut vm, heap, MpxConfig::for_scale(SCALE));
-        let out = vm.run("main", args);
-        (out, rt)
+        let (out, rt) = run(module, Hardening::Mpx, args);
+        (out, rt.mpx.expect("mpx runtime"))
     }
 
     // ---- ASan -------------------------------------------------------------

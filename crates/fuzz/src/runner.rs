@@ -6,12 +6,9 @@ use crate::gen::{self, Prog};
 use crate::inject::{Fault, FaultKind};
 use sgxbounds::SbConfig;
 use sgxs_audit::LedgerRecorder;
-use sgxs_baselines::asan::runtime::asan_alloc_opts;
-use sgxs_baselines::{
-    install_asan, install_mpx, instrument_asan_with, instrument_mpx_with, AsanConfig, MpxConfig,
-};
+use sgxs_baselines::{Hardening, ADDRESS_SPACE_CAP};
 use sgxs_mir::{verify, GlobalId, PolicySet, RecoveryPolicy, Trap, TrapClass, Vm, VmConfig};
-use sgxs_rt::{install_base, AllocFaultPlan, AllocOpts};
+use sgxs_rt::AllocFaultPlan;
 use sgxs_sim::obs::{Recorder, TraceRecorder};
 use sgxs_sim::{ExecTier, MachineConfig, Mode, Preset};
 use std::cell::RefCell;
@@ -66,30 +63,31 @@ impl FScheme {
         }
     }
 
-    fn sb_config(&self) -> Option<SbConfig> {
+    /// What this scheme does to a module and a VM.
+    pub fn hardening(&self) -> Hardening {
+        let d = SbConfig::default();
         match self {
-            FScheme::SgxBounds => Some(SbConfig::default()),
-            FScheme::SgxBoundsNoOpt => Some(SbConfig {
+            FScheme::Native => Hardening::None,
+            FScheme::SgxBounds => Hardening::SgxBounds(d),
+            FScheme::SgxBoundsNoOpt => Hardening::SgxBounds(SbConfig {
                 safe_access_opt: false,
                 hoist_opt: false,
-                boundless: false,
-                narrow_bounds: false,
-                site_markers: false,
-                flow_elide: false,
+                ..d
             }),
-            FScheme::SgxBoundsFlow => Some(SbConfig {
+            FScheme::SgxBoundsFlow => Hardening::SgxBounds(SbConfig {
                 flow_elide: true,
-                ..SbConfig::default()
+                ..d
             }),
-            FScheme::SgxBoundsNarrow => Some(SbConfig {
+            FScheme::SgxBoundsNarrow => Hardening::SgxBounds(SbConfig {
                 narrow_bounds: true,
-                ..SbConfig::default()
+                ..d
             }),
-            FScheme::SgxBoundsBoundless => Some(SbConfig {
+            FScheme::SgxBoundsBoundless => Hardening::SgxBounds(SbConfig {
                 boundless: true,
-                ..SbConfig::default()
+                ..d
             }),
-            _ => None,
+            FScheme::Asan => Hardening::Asan,
+            FScheme::Mpx => Hardening::Mpx,
         }
     }
 }
@@ -290,22 +288,11 @@ fn exec_uncaught(
     spans: bool,
     budget: u64,
 ) -> Exec {
-    let markers = rec.is_some();
+    let hardening = scheme.hardening();
     let mut module = gen::build(prog);
-    match scheme {
-        FScheme::Native => {}
-        FScheme::Asan => {
-            instrument_asan_with(&mut module, markers).expect("asan instrumentation");
-        }
-        FScheme::Mpx => {
-            instrument_mpx_with(&mut module, markers).expect("mpx instrumentation");
-        }
-        _ => {
-            let mut cfg = scheme.sb_config().expect("sb scheme");
-            cfg.site_markers = markers;
-            sgxbounds::instrument(&mut module, &cfg).expect("sgxbounds instrumentation");
-        }
-    }
+    hardening
+        .instrument(&mut module, rec.is_some())
+        .expect("fuzz module instruments");
     verify(&module).expect("instrumented fuzz module verifies");
 
     let mut machine_cfg = MachineConfig::preset(Preset::Tiny, Mode::Enclave);
@@ -317,34 +304,15 @@ fn exec_uncaught(
     if spans {
         vm.machine.set_span_mode(true);
     }
-    let asan_cfg = AsanConfig::for_scale(128);
-    let heap = match scheme {
-        FScheme::Asan => install_base(&mut vm, asan_alloc_opts(&asan_cfg, u32::MAX as u64)),
-        _ => install_base(&mut vm, AllocOpts::default()),
-    };
-    let chaos_heap = heap.clone();
-    let mut sb_rt = None;
-    match scheme {
-        FScheme::Native => {}
-        FScheme::Asan => {
-            install_asan(&mut vm, heap, &asan_cfg);
-        }
-        FScheme::Mpx => {
-            install_mpx(&mut vm, heap, MpxConfig::for_scale(128));
-        }
-        _ => {
-            sb_rt = Some(sgxbounds::install_sgxbounds(
-                &mut vm,
-                heap,
-                &scheme.sb_config().expect("sb scheme"),
-                None,
-            ));
-        }
-    }
+    let rt = hardening.install(
+        &mut vm,
+        MachineConfig::scale_of(Preset::Tiny),
+        ADDRESS_SPACE_CAP,
+    );
     if let Some(seed) = chaos_seed {
         // Chaos campaign mode: the allocator fails intermittently and the
         // interpreter rides the injected OOMs out with bounded retries.
-        chaos_heap
+        rt.heap
             .borrow_mut()
             .set_fault_plan(Some(AllocFaultPlan::new(seed, 96).with_budget(6)));
         vm.set_recovery(PolicySet::uniform(RecoveryPolicy::Abort).with_override(
@@ -366,7 +334,7 @@ fn exec_uncaught(
     Exec {
         result: out.result,
         beacon: u64::from_le_bytes(buf),
-        violations: sb_rt.map(|rt| *rt.violations.borrow()).unwrap_or(0),
+        violations: rt.sgxbounds.map(|sb| *sb.violations.borrow()).unwrap_or(0),
         retries: vm.recovery_stats().attempts,
     }
 }

@@ -15,11 +15,11 @@
 
 use crate::cli::{write_file, Args, USAGE};
 use crate::lint::oob_demo;
-use sgxbounds::SbConfig;
+use crate::scheme::Scheme;
 use sgxs_audit::{Incident, IncidentMeta, LedgerRecorder, DEFAULT_TRACE_WINDOW};
+use sgxs_baselines::ADDRESS_SPACE_CAP;
 use sgxs_mir::{verify, Trap, Vm, VmConfig};
 use sgxs_obs::read::parse_incident;
-use sgxs_rt::{install_base, AllocOpts};
 use sgxs_sim::{ExecTier, MachineConfig, Mode, Preset};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -28,12 +28,11 @@ use std::rc::Rc;
 /// ledger recorder attached; returns the outcome and the recovered
 /// recorder.
 fn forensic_demo_run(tier: ExecTier, window: usize) -> (Result<u64, Trap>, LedgerRecorder) {
+    let hardening = Scheme::SgxBounds.hardening();
     let mut module = oob_demo();
-    let cfg = SbConfig {
-        site_markers: true,
-        ..SbConfig::default()
-    };
-    sgxbounds::instrument(&mut module, &cfg).expect("demo instrumentation");
+    hardening
+        .instrument(&mut module, true)
+        .expect("demo instrumentation");
     verify(&module).expect("instrumented demo module verifies");
 
     let mut machine_cfg = MachineConfig::preset(Preset::Tiny, Mode::Enclave);
@@ -45,8 +44,11 @@ fn forensic_demo_run(tier: ExecTier, window: usize) -> (Result<u64, Trap>, Ledge
     if tier == ExecTier::Compiled {
         sgxs_exec::attach(&mut vm);
     }
-    let heap = install_base(&mut vm, AllocOpts::default());
-    sgxbounds::install_sgxbounds(&mut vm, heap, &cfg, None);
+    hardening.install(
+        &mut vm,
+        MachineConfig::scale_of(Preset::Tiny),
+        ADDRESS_SPACE_CAP,
+    );
     let out = vm.run("main", &[]);
     drop(vm);
     let rec = Rc::try_unwrap(rec)

@@ -198,6 +198,16 @@ pub(crate) fn tier_value(it: &mut Args<'_>) -> Result<ExecTier, String> {
     ExecTier::parse(&v).ok_or_else(|| it.fail(format!("unknown tier '{v}' (reference|compiled)")))
 }
 
+/// Rejects a seed range `[seed0, seed0 + count)` whose end overflows
+/// `u64`: the supervisor would saturate it to fewer seeds than asked for
+/// (none at all at `u64::MAX`), and a plain loop would wrap or panic.
+fn check_seed_range(it: &Args<'_>, seed0: u64, count: u64, flag: &str) -> Result<(), String> {
+    match seed0.checked_add(count) {
+        Some(_) => Ok(()),
+        None => Err(it.fail(format!("--seed0 {seed0} + {flag} {count} overflows u64"))),
+    }
+}
+
 /// Maps a `--tiny|--mini|--paper` flag to its preset.
 fn preset_flag(arg: &str) -> Option<Preset> {
     match arg {
@@ -424,17 +434,14 @@ pub fn run_profile(args: &[String]) -> Result<i32, String> {
         }
         match a {
             "--scheme" => {
-                scheme = match it.value("--scheme")?.as_str() {
-                    "sgx" | "baseline" => Scheme::Baseline,
-                    "sgxbounds" => Scheme::SgxBounds,
-                    "asan" => Scheme::Asan,
-                    "mpx" => Scheme::Mpx,
-                    other => {
-                        return Err(
-                            it.fail(format!("unknown scheme '{other}' (sgx|sgxbounds|asan|mpx)"))
-                        )
-                    }
-                }
+                let v = it.value("--scheme")?;
+                let label = if v == "baseline" { "sgx" } else { v.as_str() };
+                scheme = std::iter::once(Scheme::Baseline)
+                    .chain(Scheme::all_hardened())
+                    .find(|s| s.label() == label)
+                    .ok_or_else(|| {
+                        it.fail(format!("unknown scheme '{v}' (sgx|sgxbounds|asan|mpx)"))
+                    })?;
             }
             "--trace" => trace = Some(it.value("--trace")?),
             "--json" => json = Some(it.value("--json")?),
@@ -517,6 +524,7 @@ pub fn run_fuzz(args: &[String]) -> Result<i32, String> {
     if opts.budget == 0 {
         return Err(it.fail("--budget must be at least 1"));
     }
+    check_seed_range(&it, opts.seed0, opts.seeds, "--seeds")?;
     if opts.trace_window == 0 {
         return Err(it.fail("--trace-window must be at least 1"));
     }
@@ -599,6 +607,15 @@ pub fn run_chaos(args: &[String]) -> Result<i32, String> {
     if opts.seeds == 0 {
         return Err(it.fail("--seeds must be at least 1"));
     }
+    check_seed_range(&it, opts.seed0, opts.seeds, "--seeds")?;
+    // NaN compares false against every availability, so it would pass the
+    // gate silently; so would any value outside [0, 1].
+    if !(0.0..=1.0).contains(&opts.threshold) {
+        return Err(it.fail(format!(
+            "--threshold must be within [0, 1], got {}",
+            opts.threshold
+        )));
+    }
     let out =
         sgxs_resil::run_chaos_campaign_supervised(&opts, &sup.sup, &sgxs_super::StopFlag::new())
             .map_err(|e| it.fail(e))?;
@@ -664,6 +681,7 @@ pub fn run_bench(args: &[String]) -> Result<i32, String> {
     if replicates == 0 {
         return Err(it.fail("--replicates must be at least 1"));
     }
+    check_seed_range(&it, seed0, replicates, "--replicates")?;
     set_default_tier(tier);
     let rev = rev.unwrap_or_else(git_rev);
     let mut lines = String::new();
@@ -746,6 +764,8 @@ pub fn run_tier(args: &[String]) -> Result<i32, String> {
             other => return Err(it.fail(format!("unknown argument '{other}'\n{USAGE}"))),
         }
     }
+    check_seed_range(&it, seed0, seeds, "--seeds")?;
+    check_seed_range(&it, seed0, chaos_seeds, "--chaos-seeds")?;
 
     let mut divergences = 0u64;
     let mut runs = 0u64;
@@ -1026,6 +1046,7 @@ pub fn run_metrics(args: &[String]) -> Result<i32, String> {
     if opts.seeds == 0 {
         return Err(it.fail("--seeds must be at least 1"));
     }
+    check_seed_range(&it, opts.seed0, opts.seeds, "--seeds")?;
     let out =
         sgxs_resil::run_chaos_campaign_supervised(&opts, &sup.sup, &sgxs_super::StopFlag::new())
             .map_err(|e| it.fail(e))?;
@@ -1076,16 +1097,14 @@ pub fn run_trace(args: &[String]) -> Result<i32, String> {
             }
             "--scheme" => {
                 let v = it.value("--scheme")?;
-                scheme = match v.as_str() {
-                    "native" => sgxs_resil::RScheme::Native,
-                    "sgxbounds" => sgxs_resil::RScheme::SgxBounds,
-                    "sb-boundless" => sgxs_resil::RScheme::Boundless,
-                    _ => {
-                        return Err(it.fail(format!(
+                scheme = sgxs_resil::RScheme::ALL
+                    .into_iter()
+                    .find(|s| s.label() == v)
+                    .ok_or_else(|| {
+                        it.fail(format!(
                             "unknown scheme '{v}' (native|sgxbounds|sb-boundless)"
-                        )))
-                    }
-                };
+                        ))
+                    })?;
             }
             "--policy" => policy = it.value("--policy")?,
             "--seed" => seed = it.parse("--seed")?,

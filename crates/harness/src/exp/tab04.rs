@@ -1,14 +1,9 @@
 //! Table 4: RIPE security benchmark — attacks prevented per scheme.
 
 use crate::report::Table;
-use crate::scheme::RunConfig;
-use sgxs_baselines::asan::runtime::asan_alloc_opts;
-use sgxs_baselines::{
-    install_asan, install_mpx, instrument_asan, instrument_mpx, AsanConfig, MpxConfig,
-};
+use crate::scheme::{RunConfig, Scheme};
 use sgxs_mir::{verify, Module, Trap, Vm, VmConfig};
 use sgxs_obs::json::Json;
-use sgxs_rt::{install_base, AllocOpts};
 use sgxs_sim::{MachineConfig, Preset};
 use sgxs_workloads::apps::ripe::{self, AttackConfig};
 use std::fmt;
@@ -31,42 +26,16 @@ pub struct Tab4 {
     pub matrix: Vec<(AttackConfig, [Outcome; 3])>,
 }
 
-fn run_attack(module: Module, scheme: &str, rc: &RunConfig) -> Outcome {
-    let mut module = module;
-    let scale = rc.scale();
-    match scheme {
-        "sgxbounds" => {
-            sgxbounds::instrument(&mut module, &sgxbounds::SbConfig::default()).unwrap();
-        }
-        "asan" => {
-            instrument_asan(&mut module).unwrap();
-        }
-        "mpx" => {
-            instrument_mpx(&mut module).unwrap();
-        }
-        _ => {}
-    }
+fn run_attack(mut module: Module, scheme: Scheme, rc: &RunConfig) -> Outcome {
+    let hardening = scheme.hardening();
+    hardening
+        .instrument(&mut module, false)
+        .expect("attack module instruments");
     verify(&module).expect("attack module verifies");
     let mut cfg = VmConfig::new(MachineConfig::preset(rc.preset, rc.mode));
     cfg.max_instructions = 50_000_000;
     let mut vm = Vm::new(&module, cfg);
-    let asan_cfg = AsanConfig::for_scale(scale);
-    let heap = match scheme {
-        "asan" => install_base(&mut vm, asan_alloc_opts(&asan_cfg, rc.enclave_cap())),
-        _ => install_base(&mut vm, AllocOpts::default()),
-    };
-    match scheme {
-        "sgxbounds" => {
-            sgxbounds::install_sgxbounds(&mut vm, heap, &sgxbounds::SbConfig::default(), None);
-        }
-        "asan" => {
-            install_asan(&mut vm, heap, &asan_cfg);
-        }
-        "mpx" => {
-            install_mpx(&mut vm, heap, MpxConfig::for_scale(scale));
-        }
-        _ => {}
-    }
+    hardening.install(&mut vm, rc.scale(), rc.enclave_cap());
     match vm.run("main", &[]).result {
         Err(Trap::SafetyViolation { .. }) => Outcome::Prevented,
         Ok(v) if v == ripe::SHELL_MAGIC => Outcome::Succeeded,
@@ -80,8 +49,7 @@ pub fn run(preset: Preset, seed: u64) -> Tab4 {
     rc.params.seed = seed;
     let mut matrix = Vec::new();
     for cfg in ripe::all_attacks() {
-        let outcomes =
-            ["mpx", "asan", "sgxbounds"].map(|s| run_attack(ripe::build_attack(&cfg), s, &rc));
+        let outcomes = Scheme::all_hardened().map(|s| run_attack(ripe::build_attack(&cfg), s, &rc));
         matrix.push((cfg, outcomes));
     }
     Tab4 { matrix }

@@ -2,12 +2,9 @@
 //! measure.
 
 use sgxbounds::SbConfig;
-use sgxs_baselines::asan::runtime::asan_alloc_opts;
-use sgxs_baselines::{
-    install_asan, install_mpx, instrument_asan_with, instrument_mpx_with, AsanConfig, MpxConfig,
-};
+use sgxs_baselines::Hardening;
 use sgxs_mir::{verify, CheckSite, Trap, Vm, VmConfig};
-use sgxs_rt::{install_base, AllocOpts, Stager};
+use sgxs_rt::Stager;
 use sgxs_sim::obs::Recorder;
 use sgxs_sim::{ExecTier, MachineConfig, Mode, Preset, Stats};
 use sgxs_workloads::{Params, Workload};
@@ -77,6 +74,17 @@ impl Scheme {
     /// The three hardening schemes the paper compares (Fig. 7 order).
     pub fn all_hardened() -> [Scheme; 3] {
         [Scheme::Mpx, Scheme::Asan, Scheme::SgxBounds]
+    }
+
+    /// What this scheme does to a module and a VM.
+    pub fn hardening(&self) -> Hardening {
+        match self {
+            Scheme::Baseline => Hardening::None,
+            Scheme::SgxBounds => Hardening::SgxBounds(SbConfig::default()),
+            Scheme::SgxBoundsCustom(c) => Hardening::SgxBounds(*c),
+            Scheme::Asan => Hardening::Asan,
+            Scheme::Mpx => Hardening::Mpx,
+        }
     }
 }
 
@@ -206,31 +214,10 @@ fn run_one_inner(
     rec: Option<Rc<RefCell<dyn Recorder>>>,
     perturb: bool,
 ) -> ObsRun {
-    let markers = rec.is_some();
+    let hardening = scheme.hardening();
     let mut module = workload.build(&rc.params);
-    let sb_cfg = match scheme {
-        Scheme::SgxBounds => Some(SbConfig {
-            site_markers: markers,
-            ..SbConfig::default()
-        }),
-        Scheme::SgxBoundsCustom(c) => Some(SbConfig {
-            site_markers: markers,
-            ..c
-        }),
-        _ => None,
-    };
-    match scheme {
-        Scheme::Baseline => {}
-        Scheme::SgxBounds | Scheme::SgxBoundsCustom(_) => {
-            sgxbounds::instrument(&mut module, sb_cfg.as_ref().expect("set above"))
-                .expect("sgxbounds instrumentation");
-        }
-        Scheme::Asan => {
-            instrument_asan_with(&mut module, markers).expect("asan instrumentation");
-        }
-        Scheme::Mpx => {
-            instrument_mpx_with(&mut module, markers).expect("mpx instrumentation");
-        }
+    if let Err(e) = hardening.instrument(&mut module, rec.is_some()) {
+        panic!("{} under {}: {e}", workload.name(), scheme.label());
     }
     if let Err(e) = verify(&module) {
         panic!(
@@ -252,31 +239,7 @@ fn run_one_inner(
     cfg.stack_size = ((2u64 << 20) / rc.scale()).max(32 << 10) as u32;
     let mut vm = Vm::new(&module, cfg);
     vm.machine.set_recorder(rec);
-    let cap = rc.enclave_cap();
-    let asan_cfg = AsanConfig::for_scale(rc.scale());
-    let heap = match scheme {
-        Scheme::Asan => install_base(&mut vm, asan_alloc_opts(&asan_cfg, cap)),
-        _ => install_base(
-            &mut vm,
-            AllocOpts {
-                reserve_cap: cap,
-                ..AllocOpts::default()
-            },
-        ),
-    };
-    let mut mpx_rt = None;
-    match scheme {
-        Scheme::SgxBounds | Scheme::SgxBoundsCustom(_) => {
-            sgxbounds::install_sgxbounds(&mut vm, heap, &sb_cfg.expect("set above"), None);
-        }
-        Scheme::Asan => {
-            install_asan(&mut vm, heap, &asan_cfg);
-        }
-        Scheme::Mpx => {
-            mpx_rt = Some(install_mpx(&mut vm, heap, MpxConfig::for_scale(rc.scale())));
-        }
-        Scheme::Baseline => {}
-    }
+    let rt = hardening.install(&mut vm, rc.scale(), rc.enclave_cap());
 
     let mut st = Stager::new();
     let args = workload.stage(&mut vm, &mut st, &rc.params);
@@ -294,7 +257,8 @@ fn run_one_inner(
         peak_reserved: out.peak_reserved,
         peak_committed: out.peak_committed,
         stats: out.stats,
-        mpx_bts: mpx_rt
+        mpx_bts: rt
+            .mpx
             .as_ref()
             .map(|r| r.tables.borrow().bt_count())
             .unwrap_or(0),
@@ -347,6 +311,37 @@ mod tests {
         let mut native = RunConfig::new(Preset::Tiny);
         native.mode = Mode::Native;
         assert_eq!(native.enclave_cap(), u64::MAX);
+    }
+
+    #[test]
+    fn keys_that_share_a_label_share_a_hardening() {
+        use sgxs_fuzz::runner::ALL_SCHEMES;
+        use sgxs_resil::RScheme;
+        let harness = std::iter::once(Scheme::Baseline).chain(Scheme::all_hardened());
+        let keys = harness
+            .map(|s| (s.label(), s.hardening()))
+            .chain(ALL_SCHEMES.iter().map(|s| (s.label(), s.hardening())))
+            .chain(RScheme::ALL.iter().map(|s| (s.label(), s.hardening())));
+        let mut by_label = std::collections::BTreeMap::<&str, Vec<Hardening>>::new();
+        for (label, h) in keys {
+            by_label.entry(label).or_default().push(h);
+        }
+        for (label, hs) in &by_label {
+            assert!(hs.iter().all(|h| *h == hs[0]), "{label} maps to {hs:?}");
+        }
+        for (label, count) in [
+            ("sgxbounds", 3),
+            ("asan", 2),
+            ("mpx", 2),
+            ("native", 2),
+            ("sb-boundless", 2),
+        ] {
+            assert_eq!(by_label[label].len(), count, "keys labelled {label}");
+        }
+        // The harness labels its uninstrumented baseline `sgx`; it is the
+        // same run as the two `native` keys.
+        assert_eq!(Scheme::Baseline.hardening(), Hardening::None);
+        assert_eq!(by_label["native"][0], Hardening::None);
     }
 
     #[test]

@@ -162,12 +162,59 @@ fn usage_errors_are_errors_not_exits() {
     assert!(cli::run(&args(&["bench"])).is_err());
     assert!(cli::run(&args(&["profile", "--scheme"])).is_err());
 
+    // Unknown scheme labels are rejected by both label lookups.
+    assert!(cli::run(&args(&["profile", "string_match", "--scheme", "native"])).is_err());
+    assert!(cli::run(&args(&["trace", "export", "--scheme", "asan"])).is_err());
+
+    // A NaN or out-of-range threshold would pass the availability gate
+    // silently.
+    for t in ["nan", "-1", "1.5"] {
+        assert!(
+            cli::run(&args(&["chaos", "--seeds", "1", "--threshold", t])).is_err(),
+            "--threshold {t} accepted"
+        );
+    }
+
+    // A seed range whose end overflows u64 would run no seed at all (or a
+    // wrapped range) and still report success.
+    let max = u64::MAX.to_string();
+    for cmd in [
+        &["fuzz"][..],
+        &["chaos"][..],
+        &["metrics"][..],
+        &["tier", "check"][..],
+    ] {
+        let mut argv = cmd.to_vec();
+        argv.extend(["--seeds", "2", "--seed0", &max]);
+        assert!(
+            cli::run(&args(&argv)).is_err(),
+            "{argv:?} accepted an overflowing seed range"
+        );
+    }
+
     // Malformed inputs surface as errors too.
     let dir = scratch("badinput");
     let bad = dir.join("bad.json");
     std::fs::write(&bad, "{not json").unwrap();
     assert!(cli::run_compare(&args(&[bad.to_str().unwrap(), bad.to_str().unwrap()])).is_err());
     assert!(cli::run_render(&args(&[bad.to_str().unwrap()])).is_err());
+}
+
+#[test]
+fn profile_keeps_the_baseline_alias_of_the_sgx_label() {
+    let dir = scratch("profile-alias");
+    let json = dir.join("p.json");
+    let argv = [
+        "profile",
+        "histogram",
+        "--scheme",
+        "baseline",
+        "--json",
+        json.to_str().unwrap(),
+    ];
+    assert_eq!(cli::run(&args(&argv)).unwrap(), 0);
+    let doc = sgxs_obs::read::parse_profile(&std::fs::read_to_string(&json).unwrap()).unwrap();
+    assert_eq!(doc.scheme, "sgx");
 }
 
 #[test]

@@ -120,6 +120,13 @@ fn u64_field(v: &Json, key: &str, what: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("{what}: missing or non-integer field '{key}'"))
 }
 
+/// The sum of `xs`, or `None` when it overflows `u64`. The ledger
+/// cross-checks add untrusted counts, so a forged document must not be
+/// able to wrap a sum onto the value it is checked against.
+fn checked_sum(xs: impl IntoIterator<Item = u64>) -> Option<u64> {
+    xs.into_iter().try_fold(0u64, u64::checked_add)
+}
+
 fn check_schema(v: &Json, expect: &str, what: &str) -> Result<(), String> {
     let tag = str_field(v, "schema", what)?;
     if tag != expect {
@@ -210,7 +217,7 @@ pub fn profile_from_json(v: &Json) -> Result<ProfileDoc, String> {
         events: u64_field(v, "events", what)?,
         digest: str_field(v, "digest", what)?,
     };
-    if doc.app_cycles + doc.check_cycles != doc.cpu_cycles {
+    if checked_sum([doc.app_cycles, doc.check_cycles]) != Some(doc.cpu_cycles) {
         return Err(format!(
             "{what}: attribution does not sum (app {} + checks {} != cpu {})",
             doc.app_cycles, doc.check_cycles, doc.cpu_cycles
@@ -342,12 +349,15 @@ pub fn metrics_from_json(v: &Json) -> Result<MetricsDoc, String> {
         if h.buckets.iter().any(|&(_, n)| n == 0) {
             return Err(format!("{what}: zero-count bucket serialized"));
         }
-        let bucket_total: u64 = h.buckets.iter().map(|&(_, n)| n).sum();
-        if bucket_total != h.count {
-            return Err(format!(
-                "{what}: bucket counts sum to {bucket_total}, count says {}",
-                h.count
-            ));
+        match checked_sum(h.buckets.iter().map(|&(_, n)| n)) {
+            Some(total) if total == h.count => {}
+            Some(total) => {
+                return Err(format!(
+                    "{what}: bucket counts sum to {total}, count says {}",
+                    h.count
+                ))
+            }
+            None => return Err(format!("{what}: bucket counts overflow u64")),
         }
         if h.min > h.max {
             return Err(format!("{what}: min {} > max {}", h.min, h.max));
@@ -469,7 +479,7 @@ pub fn chaos_from_json(v: &Json) -> Result<ChaosDoc, String> {
             aex_cycles: u64_field(row, "aex_cycles", &what)?,
             availability: f64_field(row, "availability", &what)?,
         };
-        if c.served + c.degraded + c.aborted + c.lost != c.total {
+        if checked_sum([c.served, c.degraded, c.aborted, c.lost]) != Some(c.total) {
             return Err(format!(
                 "{what}: outcomes do not sum ({} + {} + {} + {} != {})",
                 c.served, c.degraded, c.aborted, c.lost, c.total
@@ -527,7 +537,7 @@ pub fn chaos_from_json(v: &Json) -> Result<ChaosDoc, String> {
         let quarantined = u64_field(cov, "quarantined", "chaos coverage")?;
         let skipped = u64_field(cov, "skipped", "chaos coverage")?;
         let seeds = u64_field(cov, "seeds", "chaos coverage")?;
-        if completed + quarantined + skipped != seeds {
+        if checked_sum([completed, quarantined, skipped]) != Some(seeds) {
             return Err(format!(
                 "{what}: coverage does not sum ({completed} + {quarantined} + {skipped} != {seeds})"
             ));
@@ -868,7 +878,7 @@ pub fn incident_from_json(v: &Json) -> Result<IncidentDoc, String> {
             relation: str_field(row, "relation", &what)?,
             distance: u64_field(row, "distance", &what)?,
         };
-        if n.ub != n.base + n.size {
+        if n.base.checked_add(n.size) != Some(n.ub) {
             return Err(format!(
                 "{what}: ub {} != base {} + size {}",
                 n.ub, n.base, n.size
@@ -1267,7 +1277,7 @@ fn lint_module_block(v: &Json, v2: bool, what: &str) -> Result<LintModule, Strin
         call_graph: Vec::new(),
         summaries: Vec::new(),
     };
-    if m.proved_safe + m.unknown + m.proved_oob != m.sites {
+    if checked_sum([m.proved_safe, m.unknown, m.proved_oob]) != Some(m.sites) {
         return Err(format!("{what}: classification counts do not sum to sites"));
     }
     if m.proved_oob as usize != m.findings.len() {
@@ -1284,7 +1294,7 @@ fn lint_module_block(v: &Json, v2: bool, what: &str) -> Result<LintModule, Strin
             .iter()
             .map(|t| lint_temporal(t, what))
             .collect::<Result<_, _>>()?;
-        if (m.proved_uaf + m.proved_df + m.leaks) as usize != m.temporal.len() {
+        if checked_sum([m.proved_uaf, m.proved_df, m.leaks]) != Some(m.temporal.len() as u64) {
             return Err(format!(
                 "{what}: temporal counts disagree with temporal findings length"
             ));
@@ -1354,11 +1364,11 @@ pub fn lint_from_json(v: &Json) -> Result<LintDoc, String> {
         leaks: if v2 { u64_field(v, "leaks", what)? } else { 0 },
         modules,
     };
-    let sum = |f: fn(&LintModule) -> u64| doc.modules.iter().map(f).sum::<u64>();
-    if doc.proved_oob != sum(|m| m.proved_oob)
-        || doc.proved_uaf != sum(|m| m.proved_uaf)
-        || doc.proved_df != sum(|m| m.proved_df)
-        || doc.leaks != sum(|m| m.leaks)
+    let sum = |f: fn(&LintModule) -> u64| checked_sum(doc.modules.iter().map(f));
+    if Some(doc.proved_oob) != sum(|m| m.proved_oob)
+        || Some(doc.proved_uaf) != sum(|m| m.proved_uaf)
+        || Some(doc.proved_df) != sum(|m| m.proved_df)
+        || Some(doc.leaks) != sum(|m| m.leaks)
     {
         return Err(format!("{what}: document totals disagree with module sums"));
     }
@@ -1597,6 +1607,15 @@ mod tests {
         let bad = sample_metrics_text().replace("\"count\": 2", "\"count\": 3");
         let e = parse_metrics(&bad).unwrap_err();
         assert!(e.contains("sum to"), "{e}");
+        // Bucket counts whose sum wraps u64 onto `count` are rejected.
+        let bad = sample_metrics_text()
+            .replace("\"count\": 2", "\"count\": 0")
+            .replace(
+                "[[7, 2]]",
+                "[[1, 9223372036854775808], [2, 9223372036854775808]]",
+            );
+        let e = parse_metrics(&bad).unwrap_err();
+        assert!(e.contains("overflow"), "{e}");
         // The percentile chain must be monotone and bounded by max.
         let bad = sample_metrics_text().replace("\"p999\": 7", "\"p999\": 9");
         let e = parse_metrics(&bad).unwrap_err();
@@ -1664,6 +1683,13 @@ mod tests {
         let bad = sample_chaos_text().replace("\"lost\": 1", "\"lost\": 2");
         let e = parse_chaos(&bad).unwrap_err();
         assert!(e.contains("sum"), "{e}");
+        // ...without wrapping: 2^64 - 1 + 1 is not 0.
+        let bad = sample_chaos_text()
+            .replace("\"total\": 4", "\"total\": 0")
+            .replace("\"served\": 2", "\"served\": 18446744073709551615")
+            .replace("\"lost\": 1", "\"lost\": 0");
+        let e = parse_chaos(&bad).unwrap_err();
+        assert!(e.contains("outcomes do not sum"), "{e}");
         // Availability must match the counts.
         let bad = sample_chaos_text().replace("0.75", "0.9");
         let e = parse_chaos(&bad).unwrap_err();

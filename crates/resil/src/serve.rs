@@ -19,12 +19,14 @@
 //! cross-object corruption that the scheme failed to contain.
 
 use crate::chaos::{ChaosKind, ChaosSchedule};
+use sgxbounds::SbConfig;
+use sgxs_baselines::{Hardening, ADDRESS_SPACE_CAP};
 use sgxs_metrics::Hist;
 use sgxs_mir::{
     verify, GlobalId, PolicySet, RecoveryPolicy, RecoveryStats, TrapClass, Vm, VmConfig,
 };
 use sgxs_obs::{Event, Recorder};
-use sgxs_rt::{install_base, AllocOpts, Stager};
+use sgxs_rt::Stager;
 use sgxs_sim::{ExecTier, MachineConfig, Mode, Preset};
 use sgxs_workloads::apps::server::{
     BENIGN_MAX, CANARY_BYTES, CANARY_PATTERN, EVIL_LEN, INPUT_BYTES, STATE_CANARY_A, STATE_CANARY_B,
@@ -79,6 +81,9 @@ pub enum RScheme {
 }
 
 impl RScheme {
+    /// Every scheme, label-lookup order.
+    pub const ALL: [RScheme; 3] = [RScheme::Native, RScheme::SgxBounds, RScheme::Boundless];
+
     /// Report label.
     pub fn label(&self) -> &'static str {
         match self {
@@ -88,13 +93,14 @@ impl RScheme {
         }
     }
 
-    fn sb_config(&self) -> Option<sgxbounds::SbConfig> {
+    /// What this scheme does to a module and a VM.
+    pub fn hardening(&self) -> Hardening {
         match self {
-            RScheme::Native => None,
-            RScheme::SgxBounds => Some(sgxbounds::SbConfig::default()),
-            RScheme::Boundless => Some(sgxbounds::SbConfig {
+            RScheme::Native => Hardening::None,
+            RScheme::SgxBounds => Hardening::SgxBounds(SbConfig::default()),
+            RScheme::Boundless => Hardening::SgxBounds(SbConfig {
                 boundless: true,
-                ..sgxbounds::SbConfig::default()
+                ..SbConfig::default()
             }),
         }
     }
@@ -235,19 +241,14 @@ fn serve_inner(
     tier: ExecTier,
     rec: Option<Rc<RefCell<dyn Recorder>>>,
 ) -> (AvailabilityReport, Option<u32>) {
+    let hardening = scheme.hardening();
     let mut module = app.module();
     // Tracing turns site markers on so check-region spans exist; markers
-    // never retire instructions or charge cycles (the PR 2 pin), so the
-    // report stays identical either way.
-    let mut sb_cfg = scheme.sb_config();
-    if rec.is_some() {
-        if let Some(c) = &mut sb_cfg {
-            c.site_markers = true;
-        }
-    }
-    if let Some(cfg) = &sb_cfg {
-        sgxbounds::instrument(&mut module, cfg).expect("server instrumentation");
-    }
+    // never retire instructions or charge cycles, so the report stays
+    // identical either way.
+    hardening
+        .instrument(&mut module, rec.is_some())
+        .expect("server instrumentation");
     verify(&module).expect("server module verifies");
 
     let mut machine_cfg = MachineConfig::preset(Preset::Tiny, Mode::Enclave);
@@ -258,10 +259,12 @@ fn serve_inner(
     if tier == ExecTier::Compiled {
         sgxs_exec::attach(&mut vm);
     }
-    let heap = install_base(&mut vm, AllocOpts::default());
-    let sb_rt = sb_cfg
-        .as_ref()
-        .map(|cfg| sgxbounds::install_sgxbounds(&mut vm, heap.clone(), cfg, None));
+    let rt = hardening.install(
+        &mut vm,
+        MachineConfig::scale_of(Preset::Tiny),
+        ADDRESS_SPACE_CAP,
+    );
+    let (heap, sb_rt) = (rt.heap, rt.sgxbounds);
 
     // Stage the request input: INPUT_BYTES of seeded bytes, none zero (so
     // boundless zero-reads are distinguishable) and none the canary pattern.

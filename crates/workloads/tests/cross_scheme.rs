@@ -3,12 +3,10 @@
 //! change program semantics — and the expected pathologies (MPX OOM on
 //! pointer-spread programs) must appear where the paper reports them.
 
-use sgxs_baselines::asan::runtime::asan_alloc_opts;
-use sgxs_baselines::{
-    install_asan, install_mpx, instrument_asan, instrument_mpx, AsanConfig, MpxConfig,
-};
+use sgxs_baselines::ADDRESS_SPACE_CAP;
+use sgxs_harness::Scheme;
 use sgxs_mir::{verify, Trap, Vm, VmConfig};
-use sgxs_rt::{install_base, AllocOpts, Stager};
+use sgxs_rt::Stager;
 use sgxs_sim::{MachineConfig, Mode, Preset};
 use sgxs_workloads::{Params, SizeClass, Workload};
 
@@ -23,57 +21,32 @@ fn params() -> Params {
     }
 }
 
-fn run_scheme(w: &dyn Workload, scheme: &str) -> Result<u64, Trap> {
+fn run_scheme(w: &dyn Workload, scheme: Scheme) -> Result<u64, Trap> {
     let p = params();
+    let hardening = scheme.hardening();
     let mut module = w.build(&p);
-    match scheme {
-        "native" => {}
-        "sgxbounds" => {
-            sgxbounds::instrument(&mut module, &sgxbounds::SbConfig::default()).unwrap();
-        }
-        "asan" => {
-            instrument_asan(&mut module).unwrap();
-        }
-        "mpx" => {
-            instrument_mpx(&mut module).unwrap();
-        }
-        _ => unreachable!(),
-    }
-    verify(&module).unwrap_or_else(|e| panic!("{} under {scheme}: {e}", w.name()));
+    hardening.instrument(&mut module, false).unwrap();
+    verify(&module).unwrap_or_else(|e| panic!("{} under {}: {e}", w.name(), scheme.label()));
     let mut cfg = VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave));
     cfg.max_instructions = 400_000_000;
     let mut vm = Vm::new(&module, cfg);
-    let asan_cfg = AsanConfig::for_scale(SCALE);
-    let heap = match scheme {
-        "asan" => install_base(&mut vm, asan_alloc_opts(&asan_cfg, u32::MAX as u64)),
-        _ => install_base(&mut vm, AllocOpts::default()),
-    };
-    match scheme {
-        "sgxbounds" => {
-            sgxbounds::install_sgxbounds(&mut vm, heap, &sgxbounds::SbConfig::default(), None);
-        }
-        "asan" => {
-            install_asan(&mut vm, heap, &asan_cfg);
-        }
-        "mpx" => {
-            install_mpx(&mut vm, heap, MpxConfig::for_scale(SCALE));
-        }
-        _ => {}
-    }
+    hardening.install(&mut vm, SCALE, ADDRESS_SPACE_CAP);
     let mut st = Stager::new();
     let args = w.stage(&mut vm, &mut st, &p);
     vm.run("main", &args).result
 }
 
 fn check_workload(w: &dyn Workload) {
-    let native = run_scheme(w, "native").unwrap_or_else(|t| panic!("{} native: {t}", w.name()));
-    for scheme in ["sgxbounds", "asan", "mpx"] {
+    let native =
+        run_scheme(w, Scheme::Baseline).unwrap_or_else(|t| panic!("{} native: {t}", w.name()));
+    for scheme in Scheme::all_hardened() {
+        let label = scheme.label();
         match run_scheme(w, scheme) {
-            Ok(v) => assert_eq!(v, native, "{} checksum diverged under {scheme}", w.name()),
+            Ok(v) => assert_eq!(v, native, "{} checksum diverged under {label}", w.name()),
             // MPX may legitimately die of bounds-table OOM on
             // pointer-spread programs — the paper's result.
-            Err(Trap::OutOfMemory { .. }) if scheme == "mpx" => {}
-            Err(t) => panic!("{} under {scheme}: {t}", w.name()),
+            Err(Trap::OutOfMemory { .. }) if scheme == Scheme::Mpx => {}
+            Err(t) => panic!("{} under {label}: {t}", w.name()),
         }
     }
 }

@@ -1,12 +1,11 @@
 //! Security case studies (paper §7 and Table 4): Heartbleed, the Nginx
 //! stack overflow, and the 16-configuration RIPE matrix.
 
-use sgxs_baselines::asan::runtime::asan_alloc_opts;
-use sgxs_baselines::{
-    install_asan, install_mpx, instrument_asan, instrument_mpx, AsanConfig, MpxConfig,
-};
+use sgxbounds::SbConfig;
+use sgxs_baselines::{Hardening, ADDRESS_SPACE_CAP};
+use sgxs_harness::Scheme;
 use sgxs_mir::{verify, Module, Trap, Vm, VmConfig};
-use sgxs_rt::{install_base, AllocOpts, Stager};
+use sgxs_rt::Stager;
 use sgxs_sim::{MachineConfig, Mode, Preset};
 use sgxs_workloads::apps::apache::Heartbleed;
 use sgxs_workloads::apps::nginx::NginxCve2013_2028;
@@ -24,120 +23,50 @@ fn params() -> Params {
     }
 }
 
-/// Runs an already-built module under a scheme; boundless toggles the
-/// SGXBounds §4.2 mode.
-fn run_module(
-    mut module: Module,
-    scheme: &str,
-    boundless: bool,
-    args: &[u64],
-) -> Result<u64, Trap> {
-    let sb_cfg = sgxbounds::SbConfig {
-        boundless,
-        ..sgxbounds::SbConfig::default()
-    };
-    match scheme {
-        "native" => {}
-        "sgxbounds" => {
-            sgxbounds::instrument(&mut module, &sb_cfg).unwrap();
-        }
-        "asan" => {
-            instrument_asan(&mut module).unwrap();
-        }
-        "mpx" => {
-            instrument_mpx(&mut module).unwrap();
-        }
-        _ => unreachable!(),
-    }
-    verify(&module).unwrap();
-    let mut cfg = VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave));
-    cfg.max_instructions = 100_000_000;
-    let mut vm = Vm::new(&module, cfg);
-    let asan_cfg = AsanConfig::for_scale(SCALE);
-    let heap = match scheme {
-        "asan" => install_base(&mut vm, asan_alloc_opts(&asan_cfg, u32::MAX as u64)),
-        _ => install_base(&mut vm, AllocOpts::default()),
-    };
-    match scheme {
-        "sgxbounds" => {
-            sgxbounds::install_sgxbounds(&mut vm, heap, &sb_cfg, None);
-        }
-        "asan" => {
-            install_asan(&mut vm, heap, &asan_cfg);
-        }
-        "mpx" => {
-            install_mpx(&mut vm, heap, MpxConfig::for_scale(SCALE));
-        }
-        _ => {}
-    }
-    vm.run("main", args).result
+/// SGXBounds in the §4.2 boundless-memory mode.
+fn boundless() -> Hardening {
+    Hardening::SgxBounds(SbConfig {
+        boundless: true,
+        ..SbConfig::default()
+    })
 }
 
-fn run_workload(w: &dyn Workload, scheme: &str, boundless: bool) -> Result<u64, Trap> {
-    let p = params();
-    let module = w.build(&p);
-    // Stage against a scratch VM first to learn the args, then rebuild —
-    // staging only touches memory, so stage into the real VM: we need the
-    // VM before staging, so replicate run_module inline.
-    let sb_cfg = sgxbounds::SbConfig {
-        boundless,
-        ..sgxbounds::SbConfig::default()
-    };
-    let mut module = module;
-    match scheme {
-        "native" => {}
-        "sgxbounds" => {
-            sgxbounds::instrument(&mut module, &sb_cfg).unwrap();
-        }
-        "asan" => {
-            instrument_asan(&mut module).unwrap();
-        }
-        "mpx" => {
-            instrument_mpx(&mut module).unwrap();
-        }
-        _ => unreachable!(),
-    }
+/// Runs `module` hardened by `h`. `w`, when given, stages the inputs its
+/// `main` takes; the RIPE attack modules take none.
+fn run(mut module: Module, h: Hardening, w: Option<&dyn Workload>) -> Result<u64, Trap> {
+    h.instrument(&mut module, false).unwrap();
     verify(&module).unwrap();
     let mut cfg = VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave));
     cfg.max_instructions = 100_000_000;
     let mut vm = Vm::new(&module, cfg);
-    let asan_cfg = AsanConfig::for_scale(SCALE);
-    let heap = match scheme {
-        "asan" => install_base(&mut vm, asan_alloc_opts(&asan_cfg, u32::MAX as u64)),
-        _ => install_base(&mut vm, AllocOpts::default()),
+    h.install(&mut vm, SCALE, ADDRESS_SPACE_CAP);
+    let args = match w {
+        Some(w) => w.stage(&mut vm, &mut Stager::new(), &params()),
+        None => Vec::new(),
     };
-    match scheme {
-        "sgxbounds" => {
-            sgxbounds::install_sgxbounds(&mut vm, heap, &sb_cfg, None);
-        }
-        "asan" => {
-            install_asan(&mut vm, heap, &asan_cfg);
-        }
-        "mpx" => {
-            install_mpx(&mut vm, heap, MpxConfig::for_scale(SCALE));
-        }
-        _ => {}
-    }
-    let mut st = Stager::new();
-    let args = w.stage(&mut vm, &mut st, &params());
     vm.run("main", &args).result
+}
+
+fn run_workload(w: &dyn Workload, h: Hardening) -> Result<u64, Trap> {
+    run(w.build(&params()), h, Some(w))
 }
 
 // ---- Heartbleed (§7 Apache) ------------------------------------------
 
 #[test]
 fn heartbleed_leaks_natively() {
-    let r = run_workload(&Heartbleed, "native", false).unwrap();
+    let r = run_workload(&Heartbleed, Hardening::None).unwrap();
     assert_eq!(r, 1, "unprotected server must leak the secret");
 }
 
 #[test]
 fn heartbleed_detected_by_all_schemes() {
-    for scheme in ["sgxbounds", "asan", "mpx"] {
-        let r = run_workload(&Heartbleed, scheme, false);
+    for s in Scheme::all_hardened() {
+        let r = run_workload(&Heartbleed, s.hardening());
         assert!(
             matches!(r, Err(Trap::SafetyViolation { .. })),
-            "{scheme} must detect Heartbleed, got {r:?}"
+            "{} must detect Heartbleed, got {r:?}",
+            s.label()
         );
     }
 }
@@ -146,7 +75,7 @@ fn heartbleed_detected_by_all_schemes() {
 fn heartbleed_boundless_prevents_leak_and_continues() {
     // Paper §7: SGXBounds with boundless memory copies zeroes into the
     // reply and Apache keeps running.
-    let r = run_workload(&Heartbleed, "sgxbounds", true).unwrap();
+    let r = run_workload(&Heartbleed, boundless()).unwrap();
     assert_eq!(r, 0, "no secret bytes may leak under boundless memory");
 }
 
@@ -154,36 +83,38 @@ fn heartbleed_boundless_prevents_leak_and_continues() {
 
 #[test]
 fn nginx_cve_detected_by_all_schemes() {
-    for scheme in ["sgxbounds", "asan", "mpx"] {
-        let r = run_workload(&NginxCve2013_2028, scheme, false);
+    for s in Scheme::all_hardened() {
+        let r = run_workload(&NginxCve2013_2028, s.hardening());
         assert!(
             matches!(r, Err(Trap::SafetyViolation { .. })),
-            "{scheme} must detect the stack overflow, got {r:?}"
+            "{} must detect the stack overflow, got {r:?}",
+            s.label()
         );
     }
 }
 
 #[test]
 fn nginx_cve_boundless_drops_request_and_serves_rest() {
-    let r = run_workload(&NginxCve2013_2028, "sgxbounds", true).unwrap();
+    let r = run_workload(&NginxCve2013_2028, boundless()).unwrap();
     assert_eq!(r, 8, "all requests served after dropping the attack");
 }
 
 // ---- RIPE (Table 4) ----------------------------------------------------
 
-fn ripe_prevented(scheme: &str) -> usize {
+fn ripe_prevented(scheme: Scheme) -> usize {
+    let label = scheme.label();
     let mut prevented = 0;
     for cfg in ripe::all_attacks() {
         let m = ripe::build_attack(&cfg);
-        match run_module(m, scheme, false, &[]) {
+        match run(m, scheme.hardening(), None) {
             Err(Trap::SafetyViolation { .. }) => prevented += 1,
             Ok(v) => assert_eq!(
                 v,
                 ripe::SHELL_MAGIC,
-                "undetected attack must succeed ({}, {scheme})",
+                "undetected attack must succeed ({}, {label})",
                 cfg.label()
             ),
-            Err(t) => panic!("unexpected trap for {} under {scheme}: {t}", cfg.label()),
+            Err(t) => panic!("unexpected trap for {} under {label}: {t}", cfg.label()),
         }
     }
     prevented
@@ -193,7 +124,7 @@ fn ripe_prevented(scheme: &str) -> usize {
 fn ripe_all_attacks_succeed_natively() {
     for cfg in ripe::all_attacks() {
         let m = ripe::build_attack(&cfg);
-        let r = run_module(m, "native", false, &[]).unwrap();
+        let r = run(m, Hardening::None, None).unwrap();
         assert_eq!(
             r,
             ripe::SHELL_MAGIC,
@@ -205,17 +136,17 @@ fn ripe_all_attacks_succeed_natively() {
 
 #[test]
 fn ripe_sgxbounds_prevents_8_of_16() {
-    assert_eq!(ripe_prevented("sgxbounds"), 8);
+    assert_eq!(ripe_prevented(Scheme::SgxBounds), 8);
 }
 
 #[test]
 fn ripe_asan_prevents_8_of_16() {
-    assert_eq!(ripe_prevented("asan"), 8);
+    assert_eq!(ripe_prevented(Scheme::Asan), 8);
 }
 
 #[test]
 fn ripe_mpx_prevents_2_of_16() {
-    assert_eq!(ripe_prevented("mpx"), 2);
+    assert_eq!(ripe_prevented(Scheme::Mpx), 2);
 }
 
 #[test]
@@ -226,14 +157,15 @@ fn ripe_in_struct_overflows_evade_everyone() {
         if cfg.target != ripe::Target::InStructFuncPtr {
             continue;
         }
-        for scheme in ["sgxbounds", "asan", "mpx"] {
+        for s in Scheme::all_hardened() {
             let m = ripe::build_attack(&cfg);
-            let r = run_module(m, scheme, false, &[]);
+            let r = run(m, s.hardening(), None);
             assert_eq!(
                 r.unwrap(),
                 ripe::SHELL_MAGIC,
-                "{} must evade {scheme}",
-                cfg.label()
+                "{} must evade {}",
+                cfg.label(),
+                s.label()
             );
         }
     }
@@ -244,11 +176,12 @@ fn ripe_in_struct_overflows_evade_everyone() {
 #[test]
 fn memcached_cve_detected_by_all_schemes() {
     use sgxs_workloads::apps::memcached::MemcachedCve2011_4971;
-    for scheme in ["sgxbounds", "asan", "mpx"] {
-        let r = run_workload(&MemcachedCve2011_4971, scheme, false);
+    for s in Scheme::all_hardened() {
+        let r = run_workload(&MemcachedCve2011_4971, s.hardening());
         assert!(
             matches!(r, Err(Trap::SafetyViolation { .. })),
-            "{scheme} must detect the CVE overflow, got {r:?}"
+            "{} must detect the CVE overflow, got {r:?}",
+            s.label()
         );
     }
 }
@@ -260,7 +193,7 @@ fn memcached_cve_boundless_hangs_like_the_paper() {
     // subsequent bug in the program's logic" — reproduced as an
     // instruction-budget exhaustion instead of a detection or crash.
     use sgxs_workloads::apps::memcached::MemcachedCve2011_4971;
-    let r = run_workload(&MemcachedCve2011_4971, "sgxbounds", true);
+    let r = run_workload(&MemcachedCve2011_4971, boundless());
     assert!(
         matches!(r, Err(Trap::InstructionLimit)),
         "boundless mode must spin in the retry loop, got {r:?}"

@@ -6,12 +6,9 @@
 
 use proptest::prelude::*;
 use sgxbounds::SbConfig;
-use sgxs_baselines::asan::runtime::asan_alloc_opts;
-use sgxs_baselines::{
-    install_asan, install_mpx, instrument_asan, instrument_mpx, AsanConfig, MpxConfig,
-};
+use sgxs_baselines::{Hardening, ADDRESS_SPACE_CAP};
+use sgxs_harness::Scheme;
 use sgxs_mir::{verify, CmpOp, Module, ModuleBuilder, Operand, Ty, Vm, VmConfig};
-use sgxs_rt::{install_base, AllocOpts};
 use sgxs_sim::{MachineConfig, Mode, Preset};
 
 /// Slots in each of the two arrays random programs operate on.
@@ -182,46 +179,18 @@ fn build(ops: &[Op]) -> Module {
     mb.finish()
 }
 
-fn run(module: &Module, scheme: &str, sb: SbConfig) -> u64 {
+fn run(module: &Module, h: Hardening) -> u64 {
     let mut module = module.clone();
-    match scheme {
-        "native" => {}
-        "sgxbounds" => {
-            sgxbounds::instrument(&mut module, &sb).unwrap();
-        }
-        "asan" => {
-            instrument_asan(&mut module).unwrap();
-        }
-        "mpx" => {
-            instrument_mpx(&mut module).unwrap();
-        }
-        _ => unreachable!(),
-    }
+    h.instrument(&mut module, false).unwrap();
     verify(&module).expect("generated module verifies");
     let mut vm = Vm::new(
         &module,
         VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave)),
     );
-    let asan_cfg = AsanConfig::for_scale(128);
-    let heap = match scheme {
-        "asan" => install_base(&mut vm, asan_alloc_opts(&asan_cfg, u32::MAX as u64)),
-        _ => install_base(&mut vm, AllocOpts::default()),
-    };
-    match scheme {
-        "sgxbounds" => {
-            sgxbounds::install_sgxbounds(&mut vm, heap, &sb, None);
-        }
-        "asan" => {
-            install_asan(&mut vm, heap, &asan_cfg);
-        }
-        "mpx" => {
-            install_mpx(&mut vm, heap, MpxConfig::for_scale(128));
-        }
-        _ => {}
-    }
+    h.install(&mut vm, 128, ADDRESS_SPACE_CAP);
     let out = vm.run("main", &[]);
     out.result
-        .unwrap_or_else(|t| panic!("{scheme} trapped on an in-bounds program: {t}"))
+        .unwrap_or_else(|t| panic!("{h:?} trapped on an in-bounds program: {t}"))
 }
 
 proptest! {
@@ -230,10 +199,10 @@ proptest! {
     #[test]
     fn all_schemes_agree_on_random_programs(ops in prop::collection::vec(op_strategy(), 1..40)) {
         let module = build(&ops);
-        let native = run(&module, "native", SbConfig::default());
-        for scheme in ["sgxbounds", "asan", "mpx"] {
-            let got = run(&module, scheme, SbConfig::default());
-            prop_assert_eq!(got, native, "{} diverged", scheme);
+        let native = run(&module, Hardening::None);
+        for scheme in Scheme::all_hardened() {
+            let got = run(&module, scheme.hardening());
+            prop_assert_eq!(got, native, "{} diverged", scheme.label());
         }
         // Every optimization combination must also agree.
         for (safe, hoist, boundless) in [
@@ -248,7 +217,7 @@ proptest! {
                 boundless,
                 ..SbConfig::default()
             };
-            let got = run(&module, "sgxbounds", cfg);
+            let got = run(&module, Hardening::SgxBounds(cfg));
             prop_assert_eq!(got, native, "sgxbounds {:?} diverged", cfg);
         }
     }
