@@ -5,8 +5,9 @@
 //! The container builds with no crates.io access, so the workspace vendors
 //! this minimal drop-in: `criterion_group!`/`criterion_main!`, benchmark
 //! groups, and a [`Bencher`] that times closures with `std::time::Instant`
-//! and prints min/median/mean per benchmark. No statistical analysis, no
-//! HTML reports — the bench binaries print the paper artifacts themselves.
+//! and prints min/median/mean per benchmark — per element when the group
+//! declares a [`Throughput`]. No statistical analysis, no HTML reports — the
+//! bench binaries print the paper artifacts themselves.
 
 use std::time::Instant;
 
@@ -32,6 +33,7 @@ impl Criterion {
         BenchmarkGroup {
             name: name.into(),
             sample_size: self.sample_size,
+            elements: 1,
             _criterion: self,
         }
     }
@@ -42,15 +44,25 @@ impl Criterion {
         id: impl Into<String>,
         f: impl FnMut(&mut Bencher),
     ) -> &mut Self {
-        run_benchmark(&id.into(), self.sample_size, f);
+        run_benchmark(&id.into(), self.sample_size, 1, f);
         self
     }
+}
+
+/// How much work one call of a timed routine does.
+#[derive(Debug, Clone, Copy)]
+pub enum Throughput {
+    /// The routine processes this many elements; times are reported per
+    /// element.
+    Elements(u64),
 }
 
 /// A named set of related benchmarks.
 pub struct BenchmarkGroup<'a> {
     name: String,
     sample_size: usize,
+    /// Elements per routine call; every reported time is divided by it.
+    elements: u64,
     _criterion: &'a mut Criterion,
 }
 
@@ -61,13 +73,22 @@ impl BenchmarkGroup<'_> {
         self
     }
 
+    /// Sets how much work one routine call of the following benchmarks
+    /// does.
+    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
+        let Throughput::Elements(n) = t;
+        self.elements = n.max(1);
+        self
+    }
+
     /// Times one benchmark within the group.
     pub fn bench_function(
         &mut self,
         id: impl Into<String>,
         f: impl FnMut(&mut Bencher),
     ) -> &mut Self {
-        run_benchmark(&format!("{}/{}", self.name, id.into()), self.sample_size, f);
+        let id = format!("{}/{}", self.name, id.into());
+        run_benchmark(&id, self.sample_size, self.elements, f);
         self
     }
 
@@ -94,7 +115,7 @@ impl Bencher {
     }
 }
 
-fn run_benchmark(id: &str, sample_size: usize, mut f: impl FnMut(&mut Bencher)) {
+fn run_benchmark(id: &str, sample_size: usize, elements: u64, mut f: impl FnMut(&mut Bencher)) {
     let mut b = Bencher {
         samples: Vec::new(),
         sample_size,
@@ -104,13 +125,18 @@ fn run_benchmark(id: &str, sample_size: usize, mut f: impl FnMut(&mut Bencher)) 
         println!("{id:<40} (no samples)");
         return;
     }
-    let mut s = b.samples.clone();
+    let mut s: Vec<f64> = b.samples.iter().map(|t| t / elements as f64).collect();
     s.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     let min = s[0];
     let median = s[s.len() / 2];
     let mean = s.iter().sum::<f64>() / s.len() as f64;
+    let per = if elements > 1 {
+        format!(" per element, {elements} elements/sample")
+    } else {
+        String::new()
+    };
     println!(
-        "{id:<40} min {} median {} mean {} ({} samples)",
+        "{id:<40} min {} median {} mean {} ({} samples{per})",
         fmt_time(min),
         fmt_time(median),
         fmt_time(mean),
@@ -123,8 +149,10 @@ fn fmt_time(secs: f64) -> String {
         format!("{secs:.3} s")
     } else if secs >= 1e-3 {
         format!("{:.3} ms", secs * 1e3)
-    } else {
+    } else if secs >= 1e-6 {
         format!("{:.3} µs", secs * 1e6)
+    } else {
+        format!("{:.2} ns", secs * 1e9)
     }
 }
 
@@ -156,7 +184,7 @@ mod tests {
     #[test]
     fn bencher_collects_requested_samples() {
         let mut ran = 0u32;
-        run_benchmark("t", 5, |b| {
+        run_benchmark("t", 5, 1, |b| {
             b.iter(|| {
                 ran += 1;
             })
@@ -171,6 +199,8 @@ mod tests {
             let mut g = c.benchmark_group("g");
             g.sample_size(2);
             g.bench_function("noop", |b| b.iter(|| black_box(1 + 1)));
+            g.throughput(Throughput::Elements(64));
+            g.bench_function("batch", |b| b.iter(|| black_box(1 + 1)));
             g.finish();
         }
         criterion_group!(benches, bench);
@@ -182,5 +212,6 @@ mod tests {
         assert!(fmt_time(2.0).ends_with(" s"));
         assert!(fmt_time(0.002).ends_with(" ms"));
         assert!(fmt_time(0.000002).ends_with(" µs"));
+        assert!(fmt_time(0.000000002).ends_with(" ns"));
     }
 }

@@ -966,6 +966,17 @@ pub fn run_compare(args: &[String]) -> Result<i32, String> {
             other => return Err(it.fail(format!("unknown argument '{other}'\n{USAGE}"))),
         }
     }
+    // The gate flags a metric only when its shift exceeds
+    // `max(threshold, noise_mult * noise_floor)`: a NaN, infinite or
+    // negative value would switch the gate off or make it meaningless.
+    for (flag, v) in [
+        ("--threshold", opts.rel_threshold),
+        ("--noise-mult", opts.noise_mult),
+    ] {
+        if !(v.is_finite() && v >= 0.0) {
+            return Err(it.fail(format!("{flag} must be finite and >= 0, got {v}")));
+        }
+    }
     let [base_path, new_path] = paths.as_slice() else {
         return Err(it.fail(format!(
             "expected exactly two inputs (got {})\n{USAGE}",

@@ -175,6 +175,30 @@ fn usage_errors_are_errors_not_exits() {
         );
     }
 
+    // A NaN, infinite or negative compare threshold or noise multiplier
+    // would let the +30 % shift below through the gate (or print a
+    // negative threshold).
+    let dir = scratch("gateflags");
+    let (base, new) = (dir.join("base.json"), dir.join("new.json"));
+    std::fs::write(&base, bench_doc(1.17)).unwrap();
+    std::fs::write(&new, bench_doc(1.521)).unwrap();
+    let (base, new) = (base.to_str().unwrap(), new.to_str().unwrap());
+    for flags in [
+        &["--threshold", "nan", "--noise-mult", "nan"][..],
+        &["--threshold", "nan"][..],
+        &["--noise-mult", "nan"][..],
+        &["--threshold", "inf"][..],
+        &["--noise-mult", "inf"][..],
+        &["--threshold", "-5"][..],
+        &["--noise-mult", "-1"][..],
+    ] {
+        let mut argv = vec!["compare", base, new, "--gate"];
+        argv.extend(flags);
+        assert!(cli::run(&args(&argv)).is_err(), "{flags:?} accepted");
+    }
+    let zero = ["compare", base, new, "--gate", "--noise-mult", "0"];
+    assert_eq!(cli::run(&args(&zero)), Ok(1), "zero still gates");
+
     // A seed range whose end overflows u64 would run no seed at all (or a
     // wrapped range) and still report success.
     let max = u64::MAX.to_string();

@@ -13,10 +13,10 @@ const LINE_SHIFT: u32 = 6;
 
 /// One set-associative cache level.
 pub struct Cache {
-    /// Tag per way, `sets * assoc` entries, `u64::MAX` = invalid.
+    /// Tag per way, `sets * assoc` entries, `u64::MAX` = invalid. Each set
+    /// is kept in recency order: way 0 is the most recently used line and
+    /// the last way is the next victim (invalid ways collect at the end).
     tags: Vec<u64>,
-    /// Age per way; 0 = most recently used.
-    ages: Vec<u8>,
     sets: usize,
     assoc: usize,
     hits: u64,
@@ -40,7 +40,6 @@ impl Cache {
         );
         Cache {
             tags: vec![u64::MAX; sets * assoc],
-            ages: vec![u8::MAX; sets * assoc],
             sets,
             assoc,
             hits: 0,
@@ -53,102 +52,24 @@ impl Cache {
     /// Returns `true` on a hit.
     ///
     /// The common associativities are dispatched to a const-generic body so
-    /// the way scan and LRU update fully unroll — this is the innermost loop
-    /// of every simulated memory access. All variants implement the *same*
-    /// policy bit-for-bit (including the evict-the-last-oldest-way tie
-    /// break), so the choice of body never changes simulated behaviour.
+    /// the way scan and the recency shift fully unroll — this is the
+    /// innermost loop of every simulated memory access. Every body keeps the
+    /// same recency order, so the choice of body never changes simulated
+    /// behaviour.
     #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         let line = addr >> LINE_SHIFT;
-        let set = (line as usize) & (self.sets - 1);
-        let base = set * self.assoc;
-        match self.assoc {
-            4 => self.access_ways::<4>(base, line),
-            8 => self.access_ways::<8>(base, line),
-            16 => self.access_ways::<16>(base, line),
-            _ => self.access_ways_dyn(base, line, self.assoc),
-        }
-    }
-
-    #[inline]
-    fn access_ways<const A: usize>(&mut self, base: usize, tag: u64) -> bool {
-        let tags: &mut [u64; A] = (&mut self.tags[base..base + A])
-            .try_into()
-            .expect("geometry");
-        let ages: &mut [u8; A] = (&mut self.ages[base..base + A])
-            .try_into()
-            .expect("geometry");
-        let hit_way = tags.iter().position(|&t| t == tag);
-        let (w, hit) = match hit_way {
-            Some(w) => {
-                self.hits += 1;
-                (w, true)
-            }
-            None => {
-                self.misses += 1;
-                // Evict the oldest way; ties go to the *last* oldest.
-                let mut victim = 0;
-                for w in 1..A {
-                    if ages[w] >= ages[victim] {
-                        victim = w;
-                    }
-                }
-                tags[victim] = tag;
-                (victim, false)
-            }
+        let base = ((line as usize) & (self.sets - 1)) * self.assoc;
+        let set = &mut self.tags[base..base + self.assoc];
+        let hit = match self.assoc {
+            4 => access_set::<4>(set.try_into().expect("geometry"), line),
+            8 => access_set::<8>(set.try_into().expect("geometry"), line),
+            16 => access_set::<16>(set.try_into().expect("geometry"), line),
+            _ => access_set_dyn(set, line),
         };
-        let old = ages[w];
-        for a in ages.iter_mut() {
-            if *a < old {
-                *a = a.saturating_add(1);
-            }
-        }
-        ages[w] = 0;
+        self.hits += hit as u64;
+        self.misses += !hit as u64;
         hit
-    }
-
-    fn access_ways_dyn(&mut self, base: usize, tag: u64, assoc: usize) -> bool {
-        let ways = &mut self.tags[base..base + assoc];
-        let mut hit_way = None;
-        for (w, t) in ways.iter().enumerate() {
-            if *t == tag {
-                hit_way = Some(w);
-                break;
-            }
-        }
-        match hit_way {
-            Some(w) => {
-                self.hits += 1;
-                self.touch(base, w);
-                true
-            }
-            None => {
-                self.misses += 1;
-                // Evict the oldest way.
-                let ages = &self.ages[base..base + assoc];
-                let victim = ages
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(_, a)| **a)
-                    .map(|(w, _)| w)
-                    .expect("assoc > 0");
-                self.tags[base + victim] = tag;
-                self.touch(base, victim);
-                false
-            }
-        }
-    }
-
-    /// Marks way `w` in the set starting at `base` as most recently used.
-    fn touch(&mut self, base: usize, w: usize) {
-        let ages = &mut self.ages[base..base + self.assoc];
-        let old = ages[w];
-        for a in ages.iter_mut() {
-            if *a < old {
-                *a = a.saturating_add(1);
-            }
-        }
-        ages[w] = 0;
     }
 
     /// Hits recorded so far.
@@ -164,10 +85,45 @@ impl Cache {
     /// Invalidates all lines and resets counters.
     pub fn reset(&mut self) {
         self.tags.fill(u64::MAX);
-        self.ages.fill(u8::MAX);
         self.hits = 0;
         self.misses = 0;
     }
+}
+
+/// Moves `tag` to the front of a recency-ordered set, evicting the last way
+/// on a miss. Returns `true` on a hit.
+#[inline(always)]
+fn access_set<const A: usize>(set: &mut [u64; A], tag: u64) -> bool {
+    if set[0] == tag {
+        return true;
+    }
+    // Valid tags in a set are distinct, so at most one way matches; `pos`
+    // is that way, or 0 when none does.
+    let mut pos = 0;
+    for (w, &t) in set.iter().enumerate().skip(1) {
+        pos |= w & ((t == tag) as usize).wrapping_neg();
+    }
+    let hit = pos != 0;
+    let pos = if hit { pos } else { A - 1 };
+    // Shift ways `0..pos` back by one; the tag at `pos` (the hit line, or
+    // the victim) is overwritten by the new most recently used line. Every
+    // way is written from a copy, so the shift compiles to selects rather
+    // than a jump on `pos`.
+    let old = *set;
+    for w in 1..A {
+        set[w] = if w <= pos { old[w - 1] } else { old[w] };
+    }
+    set[0] = tag;
+    hit
+}
+
+/// [`access_set`] for an associativity without a const-generic body.
+fn access_set_dyn(set: &mut [u64], tag: u64) -> bool {
+    let found = set.iter().position(|&t| t == tag);
+    let pos = found.unwrap_or(set.len() - 1);
+    set[..=pos].rotate_right(1);
+    set[0] = tag;
+    found.is_some()
 }
 
 /// Splits an access `[addr, addr+len)` into the distinct cache lines it

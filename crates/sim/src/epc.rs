@@ -11,12 +11,36 @@
 //! of the Linux SGX driver's behaviour with O(1) amortized cost.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Multiplicative (Fibonacci) hash of a page number. The keys are simulated
+/// page numbers, not outside input, so SipHash's flooding resistance buys
+/// nothing on this per-LLC-miss lookup. The product's well-mixed high half
+/// is rotated into the low bits the table indexes with.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the page map hashes only u32 keys")
+    }
+
+    fn write_u32(&mut self, page: u32) {
+        self.0 = (page as u64)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// EPC residency tracker.
 pub struct Epc {
     capacity: usize,
     /// page -> slot index.
-    map: HashMap<u32, usize>,
+    map: HashMap<u32, usize, BuildHasherDefault<PageHasher>>,
     /// (page, referenced bit) per occupied slot.
     slots: Vec<(u32, bool)>,
     hand: usize,
@@ -34,7 +58,7 @@ impl Epc {
         assert!(capacity_pages > 0, "EPC must hold at least one page");
         Epc {
             capacity: capacity_pages,
-            map: HashMap::new(),
+            map: HashMap::default(),
             slots: Vec::with_capacity(capacity_pages),
             hand: 0,
             faults: 0,
