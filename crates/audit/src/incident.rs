@@ -2,8 +2,20 @@
 //! the ASCII rendering every surfacing path shares.
 
 use crate::ledger::{FaultRecord, LedgerRecorder, ObjectRecord, RecoveryTrail};
-use crate::{fnv, FNV_OFFSET, NEIGHBOR_K};
+use crate::NEIGHBOR_K;
+use sgxs_obs::codec::Field;
 use sgxs_obs::json::Json;
+use sgxs_obs::read::{
+    IncidentDoc, IncidentFault, IncidentHeap, IncidentNeighbor, IncidentRecovery, IncidentTrace,
+    SpanStep, TraceLine,
+};
+
+/// The injected fault's ground truth, when the incident came from the
+/// differential fuzzer (which knows exactly which op it planted).
+pub use sgxs_obs::read::IncidentTruth as TruthInfo;
+
+/// The ddmin-shrunk minimal reproducer, when the shrinker ran.
+pub use sgxs_obs::read::IncidentRepro as ReproInfo;
 
 /// A neighbor object's position relative to the faulting address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,27 +113,6 @@ impl FaultInfo {
             "load"
         }
     }
-}
-
-/// The injected fault's ground truth, when the incident came from the
-/// differential fuzzer (which knows exactly which op it planted).
-#[derive(Debug, Clone)]
-pub struct TruthInfo {
-    /// Injected fault-kind label (e.g. `oob-store`, `heap-underflow`).
-    pub kind: String,
-    /// Debug rendering of the injected victim op.
-    pub op: String,
-    /// Index of the victim op in the program's op list.
-    pub op_index: u64,
-}
-
-/// The ddmin-shrunk minimal reproducer, when the shrinker ran.
-#[derive(Debug, Clone)]
-pub struct ReproInfo {
-    /// Instructions the shrunk program executes.
-    pub insts: u64,
-    /// Debug renderings of the surviving ops, in order.
-    pub ops: Vec<String>,
 }
 
 /// Identity of an incident: who detected what, where.
@@ -243,139 +234,86 @@ impl Incident {
         }
     }
 
-    /// The content-derived incident id: 16 hex digits of an FNV-1a hash
-    /// over the compact serialization with the `id` field blanked. The
-    /// reader recomputes it the same way, so any mutation invalidates.
+    /// The content-derived incident id ([`IncidentDoc::content_id`]).
     pub fn id(&self) -> String {
-        let blank = self.doc_with_id("");
-        format!("{:016x}", fnv(FNV_OFFSET, blank.to_compact().as_bytes()))
+        self.doc().id
     }
 
     /// Serializes to the `sgxs-incident-v1` document.
     pub fn to_json(&self) -> Json {
-        self.doc_with_id(&self.id())
+        self.doc().put()
     }
 
-    fn doc_with_id(&self, id: &str) -> Json {
-        let fault = match &self.fault {
-            None => Json::Null,
-            Some(f) => Json::obj(vec![
-                ("at", f.at.into()),
-                ("index", f.index.into()),
-                ("site", f.site.map(Json::from).unwrap_or(Json::Null)),
-                ("raw_addr", f.raw_addr.into()),
-                ("ptr", f.ptr.into()),
-                ("tag_ub", f.tag_ub.into()),
-                ("size", f.size.into()),
-                ("kind", f.kind().into()),
-            ]),
+    /// The `sgxs-incident-v1` document, its id computed over its content.
+    pub fn doc(&self) -> IncidentDoc {
+        let mut doc = IncidentDoc {
+            id: String::new(),
+            origin: self.meta.origin.clone(),
+            workload: self.meta.workload.clone(),
+            scheme: self.meta.scheme.clone(),
+            tier: self.meta.tier.clone(),
+            verdict: self.meta.verdict.clone(),
+            fault: self.fault.map(|f| IncidentFault {
+                at: f.at,
+                index: f.index,
+                site: f.site.map(u64::from),
+                raw_addr: f.raw_addr,
+                ptr: f.ptr,
+                tag_ub: f.tag_ub,
+                size: f.size.into(),
+                kind: f.kind().into(),
+            }),
+            truth: self.truth.clone(),
+            span_path: self
+                .span_path
+                .iter()
+                .map(|(name, arg)| SpanStep {
+                    name: name.clone(),
+                    arg: *arg,
+                })
+                .collect(),
+            recovery: IncidentRecovery {
+                attempts: self.recovery.attempts,
+                degraded: self.recovery.degraded,
+                gave_up: self.recovery.gave_up,
+                decision: self.recovery.decision().into(),
+            },
+            heap: IncidentHeap {
+                objects_total: self.objects_total,
+                objects_live: self.objects_live,
+                neighborhood: self
+                    .neighborhood
+                    .iter()
+                    .map(|n| IncidentNeighbor {
+                        id: n.object.id.into(),
+                        base: n.object.lb(),
+                        size: n.object.size.into(),
+                        ub: n.object.ub(),
+                        birth_at: n.object.birth_at,
+                        free_at: n.object.free_at,
+                        relation: n.relation.label().into(),
+                        distance: n.distance,
+                    })
+                    .collect(),
+            },
+            derivation: self.derivation.clone(),
+            trace: IncidentTrace {
+                window: self.trace_window,
+                total: self.trace_total,
+                events: self
+                    .trace
+                    .iter()
+                    .map(|(index, line)| TraceLine {
+                        index: *index,
+                        line: line.clone(),
+                    })
+                    .collect(),
+            },
+            repro: self.repro.clone(),
+            digest: format!("{:016x}", self.digest),
         };
-        let truth = match &self.truth {
-            None => Json::Null,
-            Some(t) => Json::obj(vec![
-                ("kind", t.kind.clone().into()),
-                ("op", t.op.clone().into()),
-                ("op_index", t.op_index.into()),
-            ]),
-        };
-        let repro = match &self.repro {
-            None => Json::Null,
-            Some(r) => Json::obj(vec![
-                ("insts", r.insts.into()),
-                (
-                    "ops",
-                    Json::Arr(r.ops.iter().map(|o| o.clone().into()).collect()),
-                ),
-            ]),
-        };
-        Json::obj(vec![
-            ("schema", "sgxs-incident-v1".into()),
-            ("id", id.into()),
-            ("origin", self.meta.origin.clone().into()),
-            ("workload", self.meta.workload.clone().into()),
-            ("scheme", self.meta.scheme.clone().into()),
-            ("tier", self.meta.tier.clone().into()),
-            ("verdict", self.meta.verdict.clone().into()),
-            ("fault", fault),
-            ("truth", truth),
-            (
-                "span_path",
-                Json::Arr(
-                    self.span_path
-                        .iter()
-                        .map(|(n, a)| {
-                            Json::obj(vec![("name", n.clone().into()), ("arg", (*a).into())])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "recovery",
-                Json::obj(vec![
-                    ("attempts", self.recovery.attempts.into()),
-                    ("degraded", self.recovery.degraded.into()),
-                    ("gave_up", self.recovery.gave_up.into()),
-                    ("decision", self.recovery.decision().into()),
-                ]),
-            ),
-            (
-                "heap",
-                Json::obj(vec![
-                    ("objects_total", self.objects_total.into()),
-                    ("objects_live", self.objects_live.into()),
-                    (
-                        "neighborhood",
-                        Json::Arr(
-                            self.neighborhood
-                                .iter()
-                                .map(|n| {
-                                    Json::obj(vec![
-                                        ("id", n.object.id.into()),
-                                        ("base", n.object.lb().into()),
-                                        ("size", n.object.size.into()),
-                                        ("ub", n.object.ub().into()),
-                                        ("birth_at", n.object.birth_at.into()),
-                                        (
-                                            "free_at",
-                                            n.object.free_at.map(Json::from).unwrap_or(Json::Null),
-                                        ),
-                                        ("relation", n.relation.label().into()),
-                                        ("distance", n.distance.into()),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "derivation",
-                Json::Arr(self.derivation.iter().map(|d| d.clone().into()).collect()),
-            ),
-            (
-                "trace",
-                Json::obj(vec![
-                    ("window", self.trace_window.into()),
-                    ("total", self.trace_total.into()),
-                    (
-                        "events",
-                        Json::Arr(
-                            self.trace
-                                .iter()
-                                .map(|(i, line)| {
-                                    Json::obj(vec![
-                                        ("index", (*i).into()),
-                                        ("line", line.clone().into()),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-            ("repro", repro),
-            ("digest", format!("{:016x}", self.digest).into()),
-        ])
+        doc.id = doc.content_id();
+        doc
     }
 
     /// Human-readable ASCII report — the single rendering every surface

@@ -158,15 +158,7 @@ impl RecoveryTrail {
     /// Label of the policy decision the counts imply: `gave-up` >
     /// `degraded` > `retried` > `trapped` (no recovery ran at all).
     pub fn decision(&self) -> &'static str {
-        if self.gave_up > 0 {
-            "gave-up"
-        } else if self.degraded > 0 {
-            "degraded"
-        } else if self.attempts > 0 {
-            "retried"
-        } else {
-            "trapped"
-        }
+        sgxs_obs::read::recovery_decision(self.attempts, self.degraded, self.gave_up)
     }
 }
 

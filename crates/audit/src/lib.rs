@@ -51,13 +51,3 @@ pub const NEIGHBOR_K: usize = 5;
 /// Default bounded-window size for the incident trace tail — the same
 /// 32-event window the differential fuzzer historically rendered.
 pub const DEFAULT_TRACE_WINDOW: usize = 32;
-
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-pub(crate) const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-pub(crate) fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}

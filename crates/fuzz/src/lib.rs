@@ -35,6 +35,7 @@ use runner::{
     is_oom_trap, verdict_ok, FScheme, Verdict, ALL_SCHEMES, DEFAULT_BUDGET,
 };
 use sgxs_audit::{Incident, IncidentMeta, ReproInfo, TruthInfo};
+use sgxs_sim::obs::codec::Field;
 use sgxs_sim::obs::json::Json;
 use sgxs_sim::ExecTier;
 use sgxs_super::{
@@ -90,6 +91,12 @@ impl Default for FuzzOpts {
         }
     }
 }
+
+/// The largest `max_ops` a campaign or corpus line may ask for. The
+/// generator allocates every op up front, so an unbounded request aborts
+/// the process; real uses stay far below (defaults 16 and 20, the corpus
+/// at most 20, the largest test 300).
+pub const MAX_OPS: usize = 4096;
 
 /// The budget a `--demo-budget` seed runs under: smaller than even program
 /// setup (the 16-slot init loop alone exceeds it), so the watchdog fires
@@ -506,24 +513,10 @@ impl Report {
                         .collect(),
                 ),
             ),
-            ("coverage", self.coverage().to_json()),
-            (
-                "quarantine",
-                Json::Arr(self.quarantine.iter().map(quarantine_json).collect()),
-            ),
+            ("coverage", self.coverage().put()),
+            ("quarantine", self.quarantine.put()),
         ])
     }
-}
-
-/// Serializes one quarantine-ledger entry (shared by the fuzz and
-/// chaos-fuzz documents).
-fn quarantine_json(q: &Quarantined) -> Json {
-    Json::obj(vec![
-        ("seed", q.seed.into()),
-        ("attempts", (q.attempts as u64).into()),
-        ("class", q.class.as_str().into()),
-        ("detail", q.detail.as_str().into()),
-    ])
 }
 
 /// Runs one seed of the differential campaign: the safe program across
@@ -1225,6 +1218,13 @@ pub fn parse_corpus(text: &str) -> Result<Vec<CorpusEntry>, String> {
             continue;
         }
         match CorpusEntry::parse(t) {
+            Some(e) if e.max_ops > MAX_OPS => {
+                return Err(format!(
+                    "corpus line {}: max_ops {} exceeds the cap {MAX_OPS}",
+                    n + 1,
+                    e.max_ops
+                ))
+            }
             Some(e) => entries.push(e),
             None => return Err(format!("corpus line {}: cannot parse '{t}'", n + 1)),
         }
@@ -1255,6 +1255,18 @@ mod tests {
         }
         assert_eq!(CorpusEntry::parse("# comment"), None);
         assert_eq!(CorpusEntry::parse(""), None);
+    }
+
+    #[test]
+    fn corpus_max_ops_beyond_the_cap_is_a_line_error() {
+        let at_cap = format!("1 {MAX_OPS} safe\n");
+        assert_eq!(parse_corpus(&at_cap).map(|e| e[0].max_ops), Ok(MAX_OPS));
+        let text = "# header\n1 20 safe\n1 18446744073709551615 safe\n";
+        let e = parse_corpus(text).unwrap_err();
+        assert!(
+            e.contains("corpus line 3") && e.contains("exceeds the cap"),
+            "{e}"
+        );
     }
 
     #[test]

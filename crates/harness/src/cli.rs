@@ -45,8 +45,9 @@
 use crate::exp::{self, Effort, DEFAULT_SEED};
 use crate::profile::{profile_one, render as render_profile, DEFAULT_RING, DEFAULT_TOP};
 use crate::scheme::{run_one, run_one_perturbed, set_default_tier, RunConfig, Scheme};
+use sgxs_obs::codec::Field;
 use sgxs_obs::json::Json;
-use sgxs_obs::read::{metrics_from_json, parse_bench, parse_profile, METRICS_SCHEMA};
+use sgxs_obs::read::{metrics_from_json, parse_bench, parse_profile, BenchDoc, METRICS_SCHEMA};
 use sgxs_perf::{
     compare, flatten, flatten_metrics, parse_history, render, CompareOpts, HistoryRecord, Metric,
 };
@@ -126,6 +127,19 @@ impl<'a> Args<'a> {
     /// An error message prefixed with this subcommand's name.
     pub fn fail(&self, msg: impl std::fmt::Display) -> String {
         format!("{}: {msg}", self.cmd)
+    }
+}
+
+/// `--max-ops N`, at most [`sgxs_fuzz::MAX_OPS`]: the generator allocates
+/// every op up front, so a larger value would abort the process.
+fn max_ops_value(it: &mut Args<'_>) -> Result<usize, String> {
+    let n: u64 = it.parse("--max-ops")?;
+    match usize::try_from(n) {
+        Ok(n) if n <= sgxs_fuzz::MAX_OPS => Ok(n),
+        _ => Err(it.fail(format!(
+            "--max-ops {n} exceeds the cap {}",
+            sgxs_fuzz::MAX_OPS
+        ))),
     }
 }
 
@@ -347,12 +361,14 @@ pub fn run_suite(
         experiments.push(("cases", c.to_json()));
     }
 
-    Ok(Json::obj(vec![
-        ("schema", "sgxs-bench-v1".into()),
-        ("preset", format!("{preset:?}").into()),
-        ("effort", format!("{effort:?}").into()),
-        ("experiments", Json::obj(experiments)),
-    ]))
+    let experiments = experiments.into_iter().map(|(k, v)| (k.to_owned(), v));
+    Ok(BenchDoc {
+        preset: format!("{preset:?}"),
+        effort: format!("{effort:?}"),
+        experiments: experiments.collect(),
+        host: None,
+    }
+    .put())
 }
 
 /// The experiment suite (`repro fig7 --quick`, `repro all --json f`).
@@ -508,7 +524,7 @@ pub fn run_fuzz(args: &[String]) -> Result<i32, String> {
                 ran_seeds = true;
             }
             "--seed0" => opts.seed0 = it.parse("--seed0")?,
-            "--max-ops" => opts.max_ops = it.parse::<u64>("--max-ops")? as usize,
+            "--max-ops" => opts.max_ops = max_ops_value(&mut it)?,
             "--no-shrink" => opts.shrink = false,
             "--corpus" => corpus = Some(it.value("--corpus")?),
             "--chaos" => chaos = true,
@@ -758,7 +774,7 @@ pub fn run_tier(args: &[String]) -> Result<i32, String> {
         match a {
             "--seeds" => seeds = it.parse("--seeds")?,
             "--seed0" => seed0 = it.parse("--seed0")?,
-            "--max-ops" => max_ops = it.parse::<u64>("--max-ops")? as usize,
+            "--max-ops" => max_ops = max_ops_value(&mut it)?,
             "--chaos-seeds" => chaos_seeds = it.parse("--chaos-seeds")?,
             "--perturb" => perturb = true,
             other => return Err(it.fail(format!("unknown argument '{other}'\n{USAGE}"))),

@@ -21,7 +21,12 @@ use crate::cli::Args;
 use crate::scheme::RunConfig;
 use sgxs_analyze::{lint_module, lint_module_ipa, LintReport, RetSummary, Summaries};
 use sgxs_mir::{Module, ModuleBuilder, Operand, Ty};
+use sgxs_obs::codec::Field;
 use sgxs_obs::json::Json;
+use sgxs_obs::read::{
+    LintCgNode, LintDoc, LintFinding, LintModule, LintSummary, LintTemporal, LINT_SCHEMA,
+    LINT_SCHEMA_V2,
+};
 use sgxs_sim::Preset;
 use sgxs_workloads::SizeClass;
 
@@ -68,36 +73,32 @@ pub fn uaf_demo() -> Module {
     mb.finish()
 }
 
-fn opt_u64(v: Option<u64>) -> Json {
-    v.map(Json::U64).unwrap_or(Json::Null)
+fn finding_doc(f: &sgxs_analyze::Finding) -> LintFinding {
+    LintFinding {
+        function: f.function.clone(),
+        block: f.block.into(),
+        inst: f.inst.into(),
+        site: f.site.into(),
+        kind: f.kind.into(),
+        width: f.width.into(),
+        object: f.object.clone(),
+        offset_lo: f.offset.map(|o| o.0),
+        offset_hi: f.offset.map(|o| o.1),
+        ir: f.ir.clone(),
+    }
 }
 
-fn finding_json(f: &sgxs_analyze::Finding) -> Json {
-    Json::obj(vec![
-        ("function", f.function.as_str().into()),
-        ("block", (f.block as u64).into()),
-        ("inst", (f.inst as u64).into()),
-        ("site", (f.site as u64).into()),
-        ("kind", f.kind.into()),
-        ("width", (f.width as u64).into()),
-        ("object", f.object.as_str().into()),
-        ("offset_lo", opt_u64(f.offset.map(|o| o.0))),
-        ("offset_hi", opt_u64(f.offset.map(|o| o.1))),
-        ("ir", f.ir.as_str().into()),
-    ])
-}
-
-fn temporal_json(t: &sgxs_analyze::TemporalFinding) -> Json {
-    Json::obj(vec![
-        ("function", t.function.as_str().into()),
-        ("block", (t.block as u64).into()),
-        ("inst", (t.inst as u64).into()),
-        ("site", (t.site as u64).into()),
-        ("kind", t.kind.into()),
-        ("alloc_site", (t.alloc_site as u64).into()),
-        ("object", t.object.as_str().into()),
-        ("ir", t.ir.as_str().into()),
-    ])
+fn temporal_doc(t: &sgxs_analyze::TemporalFinding) -> LintTemporal {
+    LintTemporal {
+        function: t.function.clone(),
+        block: t.block.into(),
+        inst: t.inst.into(),
+        site: t.site.into(),
+        kind: t.kind.into(),
+        alloc_site: t.alloc_site.into(),
+        object: t.object.clone(),
+        ir: t.ir.clone(),
+    }
 }
 
 fn interval_str(iv: &sgxs_analyze::Interval) -> String {
@@ -124,62 +125,51 @@ fn ret_str(r: &RetSummary) -> String {
     }
 }
 
-fn ipa_json(m: &Module, s: &Summaries) -> (Json, Json) {
-    let name = |f: u32| m.funcs[f as usize].name.as_str();
+fn ipa_docs(m: &Module, s: &Summaries) -> (Vec<LintCgNode>, Vec<LintSummary>) {
+    let name = |f: u32| m.funcs[f as usize].name.clone();
     let mut nodes = Vec::new();
     let mut sums = Vec::new();
     for fi in 0..m.funcs.len() {
-        let callees: Vec<Json> = s.graph.callees[fi]
-            .iter()
-            .map(|c| Json::from(name(*c)))
-            .collect();
-        nodes.push(Json::obj(vec![
-            ("func", name(fi as u32).into()),
-            ("callees", Json::Arr(callees)),
-            ("scc", (s.graph.scc_of[fi] as u64).into()),
-            ("unresolved", s.graph.unresolved[fi].into()),
-        ]));
+        nodes.push(LintCgNode {
+            func: name(fi as u32),
+            callees: s.graph.callees[fi].iter().map(|c| name(*c)).collect(),
+            scc: s.graph.scc_of[fi] as u64,
+            unresolved: s.graph.unresolved[fi],
+        });
         let f = &s.funcs[fi];
-        let bools = |v: &[bool]| Json::Arr(v.iter().map(|b| Json::from(*b)).collect());
-        sums.push(Json::obj(vec![
-            ("func", name(fi as u32).into()),
-            ("ret", ret_str(&f.ret).into()),
-            ("frees_params", bools(&f.frees_params)),
-            ("must_frees_params", bools(&f.must_frees_params)),
-            ("captures_params", bools(&f.captures_params)),
-            ("frees_unknown", f.frees_unknown.into()),
-            ("heap_benign", f.heap_benign().into()),
-        ]));
+        sums.push(LintSummary {
+            func: name(fi as u32),
+            ret: ret_str(&f.ret),
+            frees_params: f.frees_params.clone(),
+            must_frees_params: f.must_frees_params.clone(),
+            captures_params: f.captures_params.clone(),
+            frees_unknown: f.frees_unknown,
+            heap_benign: f.heap_benign(),
+        });
     }
-    (Json::Arr(nodes), Json::Arr(sums))
+    (nodes, sums)
 }
 
-fn report_json(r: &LintReport, ipa: Option<(Json, Json)>) -> Json {
-    let mut fields = vec![
-        ("module", Json::from(r.module.as_str())),
-        ("sites", (r.sites() as u64).into()),
-        ("proved_safe", (r.proved_safe as u64).into()),
-        ("unknown", (r.unknown as u64).into()),
-        ("proved_oob", (r.proved_oob as u64).into()),
-    ];
-    if ipa.is_some() {
-        fields.push(("proved_uaf", (r.proved_uaf as u64).into()));
-        fields.push(("proved_df", (r.proved_df as u64).into()));
-        fields.push(("leaks", (r.leaks as u64).into()));
+/// One module block; `ipa` carries the v2 call graph and summaries.
+fn module_doc(r: &LintReport, ipa: Option<(Vec<LintCgNode>, Vec<LintSummary>)>) -> LintModule {
+    let is_v2 = ipa.is_some();
+    let v2 = |n: usize| is_v2.then_some(n as u64);
+    let temporal = is_v2.then(|| r.temporal.iter().map(temporal_doc).collect());
+    let (call_graph, summaries) = ipa.unzip();
+    LintModule {
+        module: r.module.clone(),
+        sites: r.sites() as u64,
+        proved_safe: r.proved_safe as u64,
+        unknown: r.unknown as u64,
+        proved_oob: r.proved_oob as u64,
+        proved_uaf: v2(r.proved_uaf),
+        proved_df: v2(r.proved_df),
+        leaks: v2(r.leaks),
+        findings: r.findings.iter().map(finding_doc).collect(),
+        temporal,
+        call_graph,
+        summaries,
     }
-    fields.push((
-        "findings",
-        Json::Arr(r.findings.iter().map(finding_json).collect()),
-    ));
-    if let Some((cg, sums)) = ipa {
-        fields.push((
-            "temporal",
-            Json::Arr(r.temporal.iter().map(temporal_json).collect()),
-        ));
-        fields.push(("call_graph", cg));
-        fields.push(("summaries", sums));
-    }
-    Json::obj(fields)
 }
 
 fn render(r: &LintReport, ipa: bool) -> String {
@@ -262,13 +252,13 @@ pub fn lint_modules(modules: Vec<Module>, seed: u64, ipa: bool) -> LintOutcome {
     for mut m in modules {
         let (r, extra) = if ipa {
             let (r, summaries) = lint_module_ipa(&mut m);
-            let extra = ipa_json(&m, &summaries);
+            let extra = ipa_docs(&m, &summaries);
             (r, Some(extra))
         } else {
             (lint_module(&mut m), None)
         };
         human.push_str(&render(&r, ipa));
-        blocks.push(report_json(&r, extra));
+        blocks.push(module_doc(&r, extra));
         reports.push(r);
     }
     let sum = |f: fn(&LintReport) -> usize| reports.iter().map(f).sum::<usize>();
@@ -294,24 +284,20 @@ pub fn lint_modules(modules: Vec<Module>, seed: u64, ipa: bool) -> LintOutcome {
         );
     }
     human.push('\n');
-    let mut fields = vec![(
-        "schema",
-        Json::from(if ipa { "sgxs-lint-v2" } else { "sgxs-lint-v1" }),
-    )];
-    fields.push(("seed", seed.into()));
-    if ipa {
-        fields.push(("ipa", true.into()));
-    }
-    fields.push(("proved_oob", (oob as u64).into()));
-    if ipa {
-        fields.push(("proved_uaf", (uaf as u64).into()));
-        fields.push(("proved_df", (df as u64).into()));
-        fields.push(("leaks", (leaks as u64).into()));
-    }
-    fields.push(("modules", Json::Arr(blocks)));
+    let v2 = |n: usize| ipa.then_some(n as u64);
+    let doc = LintDoc {
+        schema: if ipa { LINT_SCHEMA_V2 } else { LINT_SCHEMA }.into(),
+        seed,
+        ipa: ipa.then_some(true),
+        proved_oob: oob as u64,
+        proved_uaf: v2(uaf),
+        proved_df: v2(df),
+        leaks: v2(leaks),
+        modules: blocks,
+    };
     LintOutcome {
         human,
-        doc: Json::obj(fields),
+        doc: doc.put(),
         oob,
         uaf,
         df,
@@ -444,11 +430,13 @@ mod tests {
         // carries the summary that proved the violation.
         let doc = sgxs_obs::read::lint_from_json(&out.doc).expect("v2 validates");
         assert_eq!(doc.schema, "sgxs-lint-v2");
-        assert_eq!(doc.proved_uaf, 1);
+        assert_eq!(doc.proved_uaf, Some(1));
         let m = &doc.modules[0];
-        let release = m.summaries.iter().find(|s| s.func == "release").unwrap();
+        let summaries = m.summaries.as_ref().unwrap();
+        let release = summaries.iter().find(|s| s.func == "release").unwrap();
         assert_eq!(release.must_frees_params, vec![true]);
-        let main = m.call_graph.iter().find(|n| n.func == "main").unwrap();
+        let call_graph = m.call_graph.as_ref().unwrap();
+        let main = call_graph.iter().find(|n| n.func == "main").unwrap();
         assert_eq!(main.callees, vec!["release".to_owned()]);
         // Without the interprocedural tier the violation is invisible.
         let intra = lint_modules(vec![uaf_demo()], 42, false);
@@ -472,7 +460,7 @@ mod tests {
             offset: None,
             ir: "r0 = load.i64 [r1]".into(),
         };
-        let j = finding_json(&f);
+        let j = finding_doc(&f).put();
         assert!(j.get("offset_lo").unwrap().as_u64().is_none());
         assert!(j.to_compact().contains("\"offset_lo\":null"));
     }

@@ -66,30 +66,23 @@ pub fn render(p: &Profile) -> String {
         "profile: {} under {} — {} events ({} check execs, {} fails)\n",
         p.workload, p.scheme, p.events, p.check_execs, p.check_fails
     );
+    let a = &p.attribution;
     out.push_str(&format!(
         "cycles: wall {} | cpu {} = app {} + checks {} ({:.1}% instrumentation)\n",
-        p.wall_cycles,
-        p.cpu_cycles,
-        p.app_cycles,
-        p.check_cycles,
-        p.check_pct()
+        p.wall_cycles, p.cpu_cycles, a.app_cycles, a.check_cycles, a.check_pct
     ));
     out.push_str(&format!(
         "alloc: {} allocs / {} frees, {} bytes | epc: {} faults, {} evictions\n",
-        p.allocs, p.frees, p.alloc_bytes, p.epc_faults, p.epc_evicts
+        p.alloc.allocs, p.alloc.frees, p.alloc.bytes, p.epc.faults, p.epc.evictions
     ));
-    if p.epc_faults + p.epc_evicts > 0 {
-        let peak = p
-            .timeline
-            .iter()
-            .map(|b| b.faults + b.evicts)
-            .max()
-            .unwrap_or(0);
+    if p.epc.faults + p.epc.evictions > 0 {
+        let t = &p.epc_timeline;
+        let per_bucket = t.faults.iter().zip(&t.evictions).map(|(f, e)| f + e);
         out.push_str(&format!(
             "epc timeline: {} buckets x {} instructions, peak {} events/bucket\n",
-            p.timeline.len(),
-            p.timeline_width,
-            peak
+            t.faults.len(),
+            t.bucket_instructions,
+            per_bucket.max().unwrap_or(0)
         ));
     }
     out.push_str(&format!(
@@ -142,10 +135,11 @@ mod tests {
         let p = &pr.profile;
         assert!(!p.top_sites.is_empty(), "instrumented run must hit sites");
         assert!(p.check_execs > 0);
-        assert!(p.check_cycles > 0);
-        assert!(p.check_cycles < p.cpu_cycles, "checks are a strict subset");
-        assert_eq!(p.app_cycles, p.cpu_cycles - p.check_cycles);
-        assert!(p.allocs >= 1, "simple mallocs its buffer");
+        let a = &p.attribution;
+        assert!(a.check_cycles > 0);
+        assert!(a.check_cycles < p.cpu_cycles, "checks are a strict subset");
+        assert_eq!(a.app_cycles, p.cpu_cycles - a.check_cycles);
+        assert!(p.alloc.allocs >= 1, "simple mallocs its buffer");
         assert!(p.sites_active <= p.sites_total);
         // The rendered form and the JSON form both carry the top table.
         assert!(render(p).contains("site"));

@@ -216,6 +216,21 @@ fn usage_errors_are_errors_not_exits() {
         );
     }
 
+    // A --max-ops beyond the generator's cap would abort the process on
+    // its first allocation instead of failing cleanly.
+    for cmd in [&["fuzz"][..], &["tier", "check"][..]] {
+        let mut argv = cmd.to_vec();
+        argv.extend(["--seeds", "1", "--max-ops", &max]);
+        let e = cli::run(&args(&argv)).expect_err("oversized --max-ops accepted");
+        assert!(e.contains("exceeds the cap"), "{argv:?}: {e}");
+    }
+    let dir = scratch("maxops");
+    let corpus = dir.join("corpus.txt");
+    std::fs::write(&corpus, "1 18446744073709551615 safe\n").unwrap();
+    let argv = ["fuzz", "--corpus", corpus.to_str().unwrap()];
+    let e = cli::run(&args(&argv)).expect_err("oversized corpus max_ops accepted");
+    assert!(e.contains("corpus line 1"), "{e}");
+
     // Malformed inputs surface as errors too.
     let dir = scratch("badinput");
     let bad = dir.join("bad.json");
@@ -401,4 +416,72 @@ fn supervised_chaos_cli_round_trips_through_the_validating_reader() {
     assert_eq!(doc.seeds, 4);
     assert_eq!(doc.combos[0].runs, 3, "one seed quarantined, three ran");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `cmd --journal J --json A` once, then cuts `J` at every line
+/// boundary (and, with `either_side`, one byte either side of it) and
+/// resumes each truncated copy with `cmd --resume J' --json B`. A kill
+/// can leave exactly such a file. A cut inside the header line must be an
+/// error (exit 2); every other cut must resume to an artifact
+/// byte-identical to `A`.
+fn resume_every_cut(test: &str, cmd: &[&str], either_side: bool) {
+    let dir = scratch(test);
+    let p = |name: String| dir.join(name).to_string_lossy().into_owned();
+    let (journal, full) = (p("j.jsonl".into()), p("full.json".into()));
+    let run = |extra: &[&str]| cli::run(&args(&[cmd, extra].concat()));
+    let code = run(&["--journal", &journal, "--json", &full]).unwrap();
+    let want = std::fs::read_to_string(&full).unwrap();
+    let bytes = std::fs::read(&journal).unwrap();
+    let header = bytes.iter().position(|b| *b == b'\n').unwrap() + 1;
+    let boundaries = std::iter::once(0).chain(
+        (0..bytes.len())
+            .filter(|&i| bytes[i] == b'\n')
+            .map(|i| i + 1),
+    );
+    let mut cuts: Vec<usize> = boundaries
+        .flat_map(|b| match either_side {
+            true => vec![b.saturating_sub(1), b, b + 1],
+            false => vec![b],
+        })
+        .filter(|&c| c <= bytes.len())
+        .collect();
+    cuts.dedup();
+    assert!(cuts.len() > 4, "{test}: journal too short to sweep");
+    for cut in cuts {
+        let (cut_journal, out) = (p(format!("cut{cut}.jsonl")), p(format!("cut{cut}.json")));
+        std::fs::write(&cut_journal, &bytes[..cut]).unwrap();
+        let resumed = run(&["--resume", &cut_journal, "--json", &out]);
+        if cut < header {
+            let e = resumed.expect_err("a cut inside the header resumed");
+            assert!(e.contains("journal"), "{test} cut {cut}: {e}");
+            continue;
+        }
+        assert_eq!(resumed, Ok(code), "{test} cut {cut}");
+        let got = std::fs::read_to_string(&out).unwrap();
+        assert!(got == want, "{test} cut {cut}: resumed artifact differs");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fuzz_resume_from_any_cut_journal_is_byte_identical() {
+    resume_every_cut(
+        "cut-fuzz",
+        &["fuzz", "--seeds", "12", "--workers", "2"],
+        true,
+    );
+}
+
+#[test]
+fn chaos_resume_from_any_cut_journal_is_byte_identical() {
+    let cmd = [
+        "chaos",
+        "--seeds",
+        "4",
+        "--requests",
+        "16",
+        "--workers",
+        "2",
+    ];
+    resume_every_cut("cut-chaos", &cmd, false);
 }

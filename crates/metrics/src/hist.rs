@@ -11,6 +11,10 @@
 //! what lets campaign artifacts stay byte-identical across execution tiers
 //! and (later) across parallel shard pools.
 
+use sgxs_obs::codec::Field;
+use sgxs_obs::json::Json;
+use sgxs_obs::read::check_hist_parts;
+
 /// A log-linear histogram of `u64` samples (simulated cycles).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Hist {
@@ -103,15 +107,21 @@ impl Hist {
     /// re-running its seeds; the reconstruction is exact (the dense bucket
     /// vector always ends on a non-empty bucket, which the nonzero list
     /// preserves), so a restored histogram is `==` to the original and
-    /// merges byte-identically.
-    pub fn from_parts(count: u64, sum: u64, min: u64, max: u64, buckets: &[(usize, u64)]) -> Hist {
+    /// merges byte-identically. The parts are trusted: the bucket vector
+    /// is as long as the largest index, so parts read from a file go
+    /// through [`Hist::take`](Field::take), which checks them first.
+    pub fn from_parts(count: u64, sum: u64, min: u64, max: u64, buckets: &[(u64, u64)]) -> Hist {
         if count == 0 {
             return Hist::default();
         }
-        let len = buckets.iter().map(|&(i, _)| i + 1).max().unwrap_or(0);
+        let len = buckets
+            .iter()
+            .map(|&(i, _)| i as usize + 1)
+            .max()
+            .unwrap_or(0);
         let mut dense = vec![0u64; len];
         for &(i, c) in buckets {
-            dense[i] = c;
+            dense[i as usize] = c;
         }
         Hist {
             count,
@@ -151,12 +161,12 @@ impl Hist {
     }
 
     /// Non-empty buckets as `(index, count)`, ascending by index.
-    pub fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
+    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
         self.buckets
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i, c))
+            .map(|(i, &c)| (i as u64, c))
             .collect()
     }
 
@@ -197,6 +207,39 @@ impl Hist {
     /// 99.9th percentile.
     pub fn p999(&self) -> u64 {
         self.percentile_permille(999)
+    }
+}
+
+sgxs_obs::document! {
+    /// The exact parts of a [`Hist`], as a campaign journal checkpoints it.
+    struct HistParts {
+        count: u64,
+        sum: u64,
+        min: u64,
+        max: u64,
+        buckets: Vec<(u64, u64)>,
+    }
+}
+
+/// A histogram serializes as its exact parts; reading them back checks
+/// them with [`check_hist_parts`] (the metrics reader's checks) before
+/// [`Hist::from_parts`] sizes a bucket vector by the largest index.
+impl Field for Hist {
+    fn put(&self) -> Json {
+        HistParts {
+            count: self.count(),
+            sum: self.sum(),
+            min: self.min(),
+            max: self.max(),
+            buckets: self.nonzero_buckets(),
+        }
+        .put()
+    }
+
+    fn take(v: &Json, path: &str) -> Result<Hist, String> {
+        let p = HistParts::take(v, path)?;
+        check_hist_parts(p.count, p.min, p.max, &p.buckets).map_err(|e| format!("{path}: {e}"))?;
+        Ok(Hist::from_parts(p.count, p.sum, p.min, p.max, &p.buckets))
     }
 }
 
@@ -312,6 +355,25 @@ mod tests {
                 merged.percentile_permille(pm),
                 whole.percentile_permille(pm)
             );
+        }
+    }
+
+    #[test]
+    fn the_reader_bound_is_the_last_bucket() {
+        let last = Hist::bucket_index(u64::MAX);
+        assert_eq!(last as u64, sgxs_obs::read::MAX_BUCKET_INDEX);
+        let mut h = Hist::new();
+        h.record(u64::MAX);
+        assert_eq!(Hist::take(&h.put(), "h"), Ok(h));
+        let forged = |idx: u64| {
+            Json::parse(&format!(
+                "{{\"count\":1,\"sum\":1,\"min\":1,\"max\":1,\"buckets\":[[{idx},1]]}}"
+            ))
+            .unwrap()
+        };
+        for idx in [last as u64 + 1, 1 << 30, 1 << 62, u64::MAX] {
+            let e = Hist::take(&forged(idx), "h").unwrap_err();
+            assert!(e.contains("past the last bucket"), "{e}");
         }
     }
 

@@ -1,11 +1,12 @@
 //! Named metrics with deterministic serialization and merge.
 
 use crate::hist::Hist;
+use sgxs_obs::codec::Field;
 use sgxs_obs::json::Json;
+use sgxs_obs::read::{MetricsDoc, MetricsHist};
 use std::collections::BTreeMap;
 
-/// The `sgxs-metrics-v1` schema tag.
-pub const METRICS_SCHEMA: &str = "sgxs-metrics-v1";
+pub use sgxs_obs::read::METRICS_SCHEMA;
 
 /// A registry of named counters, gauges, and histograms.
 ///
@@ -93,59 +94,32 @@ impl Registry {
     /// Serializes as a `sgxs-metrics-v1` document. Deterministic: sorted
     /// names, sparse `[index, count]` bucket pairs, integer percentiles.
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema", METRICS_SCHEMA.into()),
-            (
-                "counters",
-                Json::obj(
-                    self.counters
-                        .iter()
-                        .map(|(k, v)| (k.as_str(), (*v).into()))
-                        .collect(),
-                ),
-            ),
-            (
-                "gauges",
-                Json::obj(
-                    self.gauges
-                        .iter()
-                        .map(|(k, v)| (k.as_str(), (*v).into()))
-                        .collect(),
-                ),
-            ),
-            (
-                "hists",
-                Json::Arr(
-                    self.hists
-                        .iter()
-                        .map(|(name, h)| {
-                            Json::obj(vec![
-                                ("name", name.clone().into()),
-                                ("count", h.count().into()),
-                                ("sum", h.sum().into()),
-                                ("min", h.min().into()),
-                                ("max", h.max().into()),
-                                ("p50", h.p50().into()),
-                                ("p90", h.p90().into()),
-                                ("p99", h.p99().into()),
-                                ("p999", h.p999().into()),
-                                (
-                                    "buckets",
-                                    Json::Arr(
-                                        h.nonzero_buckets()
-                                            .into_iter()
-                                            .map(|(i, c)| {
-                                                Json::Arr(vec![(i as u64).into(), c.into()])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        self.doc().put()
+    }
+
+    /// The registry as its `sgxs-metrics-v1` document.
+    pub fn doc(&self) -> MetricsDoc {
+        let named = |m: &BTreeMap<String, u64>| m.iter().map(|(k, v)| (k.clone(), *v)).collect();
+        MetricsDoc {
+            counters: named(&self.counters),
+            gauges: named(&self.gauges),
+            hists: self
+                .hists
+                .iter()
+                .map(|(name, h)| MetricsHist {
+                    name: name.clone(),
+                    count: h.count(),
+                    sum: h.sum(),
+                    min: h.min(),
+                    max: h.max(),
+                    p50: h.p50(),
+                    p90: h.p90(),
+                    p99: h.p99(),
+                    p999: h.p999(),
+                    buckets: h.nonzero_buckets(),
+                })
+                .collect(),
+        }
     }
 }
 

@@ -14,7 +14,7 @@ fn record_all(vals: &[u64]) -> Hist {
     h
 }
 
-fn canon(h: &Hist) -> (u64, u64, u64, u64, Vec<(usize, u64)>) {
+fn canon(h: &Hist) -> (u64, u64, u64, u64, Vec<(u64, u64)>) {
     (h.count(), h.sum(), h.min(), h.max(), h.nonzero_buckets())
 }
 

@@ -25,9 +25,15 @@
 //! records a label per site so profiles can name the function and check
 //! kind.
 
+#[macro_use]
+pub mod codec;
 pub mod json;
 pub mod read;
+pub mod schema;
 
+pub use schema::{AllocCounts, Attribution, EpcCounts, Profile, SiteRow, Timeline};
+
+use codec::Field;
 use json::Json;
 use std::collections::VecDeque;
 
@@ -599,68 +605,6 @@ impl Recorder for TraceRecorder {
     }
 }
 
-/// One row of a per-check-site profile.
-#[derive(Debug, Clone)]
-pub struct SiteRow {
-    /// Check-site ID.
-    pub site: u32,
-    /// Function the check was inserted into.
-    pub func: String,
-    /// Check kind label (e.g. `sb_full`, `sb_safe`, `asan`).
-    pub kind: String,
-    /// Completed executions.
-    pub execs: u64,
-    /// Cycles spent in the check sequence.
-    pub cycles: u64,
-    /// Violations at this site.
-    pub fails: u64,
-}
-
-/// Aggregated per-run profile: what `repro profile` prints and serializes.
-#[derive(Debug, Clone)]
-pub struct Profile {
-    /// Workload name.
-    pub workload: String,
-    /// Scheme label.
-    pub scheme: String,
-    /// Simulated wall-clock cycles (max over threads).
-    pub wall_cycles: u64,
-    /// Summed thread cycles (the attribution denominator).
-    pub cpu_cycles: u64,
-    /// Cycles attributed to check sequences (instrumentation cost).
-    pub check_cycles: u64,
-    /// CPU cycles minus check cycles (application cost).
-    pub app_cycles: u64,
-    /// Completed check executions.
-    pub check_execs: u64,
-    /// Violations recorded.
-    pub check_fails: u64,
-    /// Allocations served.
-    pub allocs: u64,
-    /// Frees served.
-    pub frees: u64,
-    /// Total bytes allocated.
-    pub alloc_bytes: u64,
-    /// EPC faults seen by the recorder.
-    pub epc_faults: u64,
-    /// EPC evictions seen by the recorder.
-    pub epc_evicts: u64,
-    /// Bucket width of the timeline, in instructions.
-    pub timeline_width: u64,
-    /// The EPC-pressure timeline buckets.
-    pub timeline: Vec<TimelineBucket>,
-    /// Hottest sites, by check cycles, descending (at most `top_n`).
-    pub top_sites: Vec<SiteRow>,
-    /// Sites with at least one execution or failure.
-    pub sites_active: usize,
-    /// Total check sites the pass inserted.
-    pub sites_total: usize,
-    /// FNV digest over the full event stream.
-    pub digest: u64,
-    /// Total events recorded.
-    pub events: u64,
-}
-
 impl Profile {
     /// Builds a profile from a finished recorder.
     ///
@@ -699,111 +643,55 @@ impl Profile {
         let sites_active = rows.len();
         rows.sort_by(|a, b| b.cycles.cmp(&a.cycles).then(a.site.cmp(&b.site)));
         rows.truncate(top_n);
-        let (allocs, frees, alloc_bytes) = rec.alloc_counts();
-        let (epc_faults, epc_evicts) = rec.epc_counts();
-        Profile {
+        let (allocs, frees, bytes) = rec.alloc_counts();
+        let (faults, evictions) = rec.epc_counts();
+        let timeline = rec.timeline().buckets();
+        let mut p = Profile {
             workload: workload.to_owned(),
             scheme: scheme.to_owned(),
             wall_cycles,
             cpu_cycles,
-            check_cycles: rec.check_cycles(),
-            app_cycles: cpu_cycles.saturating_sub(rec.check_cycles()),
+            attribution: Attribution {
+                app_cycles: cpu_cycles.saturating_sub(rec.check_cycles()),
+                check_cycles: rec.check_cycles(),
+                check_pct: 0.0,
+            },
             check_execs: rec.check_execs(),
             check_fails: rec.check_fails(),
-            allocs,
-            frees,
-            alloc_bytes,
-            epc_faults,
-            epc_evicts,
-            timeline_width: rec.timeline().width(),
-            timeline: rec.timeline().buckets().to_vec(),
-            top_sites: rows,
-            sites_active,
+            alloc: AllocCounts {
+                allocs,
+                frees,
+                bytes,
+            },
+            epc: EpcCounts { faults, evictions },
+            epc_timeline: Timeline {
+                bucket_instructions: rec.timeline().width(),
+                faults: timeline.iter().map(|b| b.faults).collect(),
+                evictions: timeline.iter().map(|b| b.evicts).collect(),
+            },
             sites_total: site_labels.len(),
-            digest: rec.digest(),
+            sites_active,
+            top_sites: rows,
             events: rec.events(),
-        }
+            digest: format!("{:016x}", rec.digest()),
+        };
+        p.attribution.check_pct = p.check_pct();
+        p
     }
 
-    /// Instrumentation share of CPU cycles, in percent.
+    /// Instrumentation share of CPU cycles, in percent. The reader checks
+    /// a document's `attribution.check_pct` against this expression.
     pub fn check_pct(&self) -> f64 {
         if self.cpu_cycles == 0 {
             0.0
         } else {
-            self.check_cycles as f64 * 100.0 / self.cpu_cycles as f64
+            self.attribution.check_cycles as f64 * 100.0 / self.cpu_cycles as f64
         }
     }
 
     /// Serializes the profile (schema `sgxs-profile-v1`).
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema", "sgxs-profile-v1".into()),
-            ("workload", self.workload.clone().into()),
-            ("scheme", self.scheme.clone().into()),
-            ("wall_cycles", self.wall_cycles.into()),
-            ("cpu_cycles", self.cpu_cycles.into()),
-            (
-                "attribution",
-                Json::obj(vec![
-                    ("app_cycles", self.app_cycles.into()),
-                    ("check_cycles", self.check_cycles.into()),
-                    ("check_pct", self.check_pct().into()),
-                ]),
-            ),
-            ("check_execs", self.check_execs.into()),
-            ("check_fails", self.check_fails.into()),
-            (
-                "alloc",
-                Json::obj(vec![
-                    ("allocs", self.allocs.into()),
-                    ("frees", self.frees.into()),
-                    ("bytes", self.alloc_bytes.into()),
-                ]),
-            ),
-            (
-                "epc",
-                Json::obj(vec![
-                    ("faults", self.epc_faults.into()),
-                    ("evictions", self.epc_evicts.into()),
-                ]),
-            ),
-            (
-                "epc_timeline",
-                Json::obj(vec![
-                    ("bucket_instructions", self.timeline_width.into()),
-                    (
-                        "faults",
-                        Json::Arr(self.timeline.iter().map(|b| b.faults.into()).collect()),
-                    ),
-                    (
-                        "evictions",
-                        Json::Arr(self.timeline.iter().map(|b| b.evicts.into()).collect()),
-                    ),
-                ]),
-            ),
-            ("sites_total", self.sites_total.into()),
-            ("sites_active", self.sites_active.into()),
-            (
-                "top_sites",
-                Json::Arr(
-                    self.top_sites
-                        .iter()
-                        .map(|r| {
-                            Json::obj(vec![
-                                ("site", r.site.into()),
-                                ("func", r.func.clone().into()),
-                                ("kind", r.kind.clone().into()),
-                                ("execs", r.execs.into()),
-                                ("cycles", r.cycles.into()),
-                                ("fails", r.fails.into()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("events", self.events.into()),
-            ("digest", format!("{:016x}", self.digest).into()),
-        ])
+        self.put()
     }
 }
 
@@ -890,8 +778,8 @@ mod tests {
             ("worker".to_owned(), "sb_full".to_owned()),
         ];
         let p = Profile::build("w", "sgxbounds", &r, &labels, 500, 1000, 10);
-        assert_eq!(p.check_cycles, 110);
-        assert_eq!(p.app_cycles, 890);
+        assert_eq!(p.attribution.check_cycles, 110);
+        assert_eq!(p.attribution.app_cycles, 890);
         assert_eq!(p.top_sites[0].site, 1, "hottest site first");
         assert_eq!(p.top_sites[0].func, "worker");
         assert_eq!(p.sites_active, 2);

@@ -15,27 +15,28 @@
 //! existing lines, so the file is a merge-friendly, ever-growing log.
 
 use crate::metrics::{flatten, Metric};
+use sgxs_obs::codec::Field;
 use sgxs_obs::json::Json;
 use sgxs_obs::read::{bench_from_json, BenchDoc};
 
 /// Schema tag of one history line.
 pub const HISTORY_SCHEMA: &str = "sgxs-history-v1";
 
-/// One recorded run.
-#[derive(Debug, Clone)]
-pub struct HistoryRecord {
-    /// Git revision (short hash) of the tree that produced the run.
-    pub rev: String,
-    /// Machine preset.
-    pub preset: String,
-    /// Effort level.
-    pub effort: String,
-    /// Workload input seed.
-    pub seed: u64,
-    /// The embedded bench document.
-    pub bench: BenchDoc,
-    /// The raw bench JSON (kept for lossless re-serialization).
-    bench_json: Json,
+sgxs_obs::document! {
+    /// One recorded run.
+    #[derive(Debug, Clone)]
+    pub struct HistoryRecord[HISTORY_SCHEMA] {
+        /// Git revision (short hash) of the tree that produced the run.
+        pub rev: String,
+        /// Machine preset (the embedded bench document's).
+        pub preset: String,
+        /// Effort level (the embedded bench document's).
+        pub effort: String,
+        /// Workload input seed.
+        pub seed: u64,
+        /// The embedded bench document.
+        pub bench: BenchDoc,
+    }
 }
 
 impl HistoryRecord {
@@ -48,21 +49,12 @@ impl HistoryRecord {
             effort: bench.effort.clone(),
             seed,
             bench,
-            bench_json,
         })
     }
 
     /// Serializes the record as one JSONL line (no trailing newline).
     pub fn to_line(&self) -> String {
-        Json::obj(vec![
-            ("schema", HISTORY_SCHEMA.into()),
-            ("rev", self.rev.as_str().into()),
-            ("preset", self.preset.as_str().into()),
-            ("effort", self.effort.as_str().into()),
-            ("seed", self.seed.into()),
-            ("bench", self.bench_json.clone()),
-        ])
-        .to_compact()
+        self.put().to_compact()
     }
 
     /// The record's flattened metrics.
@@ -71,38 +63,25 @@ impl HistoryRecord {
     }
 }
 
-/// Parses a history file (one record per non-empty line).
+/// Parses a history file (one record per non-empty line). A line's
+/// preset and effort must be its bench document's, as the writer copies
+/// them.
 pub fn parse_history(text: &str) -> Result<Vec<HistoryRecord>, String> {
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let v = Json::parse(line).map_err(|e| format!("history line {}: {e}", i + 1))?;
-        let tag = v.get("schema").and_then(Json::as_str).unwrap_or("?");
-        if tag != HISTORY_SCHEMA {
+        let what = format!("history line {}", i + 1);
+        let v = Json::parse(line).map_err(|e| format!("{what}: {e}"))?;
+        let r = HistoryRecord::take(&v, &what)?;
+        if (&r.preset, &r.effort) != (&r.bench.preset, &r.bench.effort) {
             return Err(format!(
-                "history line {}: schema is '{tag}', expected '{HISTORY_SCHEMA}'",
-                i + 1
+                "{what}: envelope says {}/{} but its bench says {}/{}",
+                r.preset, r.effort, r.bench.preset, r.bench.effort
             ));
         }
-        let rev = v
-            .get("rev")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("history line {}: missing 'rev'", i + 1))?
-            .to_owned();
-        let seed = v
-            .get("seed")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("history line {}: missing 'seed'", i + 1))?;
-        let bench_json = v
-            .get("bench")
-            .cloned()
-            .ok_or_else(|| format!("history line {}: missing 'bench'", i + 1))?;
-        out.push(
-            HistoryRecord::new(&rev, seed, bench_json)
-                .map_err(|e| format!("history line {}: {e}", i + 1))?,
-        );
+        out.push(r);
     }
     Ok(out)
 }
@@ -152,10 +131,12 @@ mod tests {
         assert!(e.contains("line 2"), "{e}");
         assert!(parse_history("{truncated").is_err());
         // An embedded bench that fails validation is rejected too.
-        let e = parse_history(
-            r#"{"schema": "sgxs-history-v1", "rev": "r", "seed": 1, "bench": {"schema": "x"}}"#,
-        )
-        .unwrap_err();
-        assert!(e.contains("line 1"), "{e}");
+        let line = r#"{"schema": "sgxs-history-v1", "rev": "r", "preset": "Tiny", "effort": "Quick", "seed": 1, "bench": {"schema": "x"}}"#;
+        let e = parse_history(line).unwrap_err();
+        assert!(e.contains("line 1") && e.contains("bench"), "{e}");
+        // The envelope repeats what its bench says.
+        let forged = good.to_line().replacen("\"Tiny\"", "\"Paper\"", 1);
+        let e = parse_history(&forged).unwrap_err();
+        assert!(e.contains("envelope says Paper/Quick"), "{e}");
     }
 }

@@ -11,7 +11,8 @@
 //! developer's Perfetto for when the Chrome-trace export isn't handy.
 
 use sgxs_metrics::SpanCollector;
-use sgxs_obs::read::{IncidentDoc, LintDoc, MetricsDoc, ProfileDoc};
+use sgxs_obs::read::{IncidentDoc, LintDoc, MetricsDoc};
+use sgxs_obs::Profile;
 
 /// Folded-stack text (inferno-compatible).
 ///
@@ -19,11 +20,11 @@ use sgxs_obs::read::{IncidentDoc, LintDoc, MetricsDoc, ProfileDoc};
 /// `workload;scheme;checks;<func>;<kind>#<site>` per check site; counts
 /// are simulated cycles. Sites beyond the serialized top-N are folded
 /// into a `checks;(other)` stack so the totals still sum to `cpu_cycles`.
-pub fn folded(p: &ProfileDoc) -> String {
+pub fn folded(p: &Profile) -> String {
     let mut out = String::new();
     let root = format!("{};{}", p.workload, p.scheme);
-    if p.app_cycles > 0 {
-        out.push_str(&format!("{root};app {}\n", p.app_cycles));
+    if p.attribution.app_cycles > 0 {
+        out.push_str(&format!("{root};app {}\n", p.attribution.app_cycles));
     }
     let mut attributed = 0u64;
     for s in &p.top_sites {
@@ -33,7 +34,7 @@ pub fn folded(p: &ProfileDoc) -> String {
             s.func, s.kind, s.site, s.cycles
         ));
     }
-    let rest = p.check_cycles.saturating_sub(attributed);
+    let rest = p.attribution.check_cycles.saturating_sub(attributed);
     if rest > 0 {
         out.push_str(&format!("{root};checks;(other) {rest}\n"));
     }
@@ -41,16 +42,16 @@ pub fn folded(p: &ProfileDoc) -> String {
 }
 
 /// ASCII top-N table with cycle share per site.
-pub fn ascii_table(p: &ProfileDoc, top: usize) -> String {
+pub fn ascii_table(p: &Profile, top: usize) -> String {
     let mut out = format!(
         "{} under {}: cpu {} = app {} ({:.1}%) + checks {} ({:.1}%)\n",
         p.workload,
         p.scheme,
         p.cpu_cycles,
-        p.app_cycles,
-        pct(p.app_cycles, p.cpu_cycles),
-        p.check_cycles,
-        pct(p.check_cycles, p.cpu_cycles),
+        p.attribution.app_cycles,
+        pct(p.attribution.app_cycles, p.cpu_cycles),
+        p.attribution.check_cycles,
+        pct(p.attribution.check_cycles, p.cpu_cycles),
     );
     out.push_str(&format!(
         "{} check execs, {} fails, {} of {} sites active\n",
@@ -69,7 +70,7 @@ pub fn ascii_table(p: &ProfileDoc, top: usize) -> String {
             s.execs,
             s.cycles,
             s.fails,
-            pct(s.cycles, p.check_cycles),
+            pct(s.cycles, p.attribution.check_cycles),
         ));
     }
     out
@@ -120,7 +121,7 @@ struct SvgRect<'a> {
 /// of the checks span (top-N, remainder folded into `(other)`). Widths
 /// are proportional to cycles; every rect carries a `<title>` tooltip so
 /// any SVG viewer shows exact numbers on hover.
-pub fn svg(p: &ProfileDoc) -> String {
+pub fn svg(p: &Profile) -> String {
     let total = p.cpu_cycles.max(1) as f64;
     let scale = |cycles: u64| cycles as f64 / total * (W - 2.0 * PAD);
     let mut rects: Vec<SvgRect> = Vec::new();
@@ -129,13 +130,13 @@ pub fn svg(p: &ProfileDoc) -> String {
             format!("cpu: {} cycles (wall {})", p.cpu_cycles, p.wall_cycles),
             format!(
                 "app: {} cycles ({:.1}%)",
-                p.app_cycles,
-                pct(p.app_cycles, p.cpu_cycles)
+                p.attribution.app_cycles,
+                pct(p.attribution.app_cycles, p.cpu_cycles)
             ),
             format!(
                 "checks: {} cycles ({:.1}%), {} execs",
-                p.check_cycles,
-                pct(p.check_cycles, p.cpu_cycles),
+                p.attribution.check_cycles,
+                pct(p.attribution.check_cycles, p.cpu_cycles),
                 p.check_execs
             ),
         ];
@@ -148,14 +149,14 @@ pub fn svg(p: &ProfileDoc) -> String {
                 s.func,
                 s.kind,
                 s.cycles,
-                pct(s.cycles, p.check_cycles),
+                pct(s.cycles, p.attribution.check_cycles),
                 s.execs,
                 s.fails
             ));
         }
         t.push(format!(
             "(other): {} cycles",
-            p.check_cycles.saturating_sub(attributed)
+            p.attribution.check_cycles.saturating_sub(attributed)
         ));
         t
     };
@@ -177,18 +178,21 @@ pub fn svg(p: &ProfileDoc) -> String {
     rects.push(SvgRect {
         x: PAD,
         y: y1,
-        w: scale(p.app_cycles),
+        w: scale(p.attribution.app_cycles),
         fill: "rgb(90,140,200)".into(),
-        label: format!("app {:.1}%", pct(p.app_cycles, p.cpu_cycles)),
+        label: format!("app {:.1}%", pct(p.attribution.app_cycles, p.cpu_cycles)),
         title: &titles[1],
     });
-    let checks_x = PAD + scale(p.app_cycles);
+    let checks_x = PAD + scale(p.attribution.app_cycles);
     rects.push(SvgRect {
         x: checks_x,
         y: y1,
-        w: scale(p.check_cycles),
+        w: scale(p.attribution.check_cycles),
         fill: "rgb(210,90,60)".into(),
-        label: format!("checks {:.1}%", pct(p.check_cycles, p.cpu_cycles)),
+        label: format!(
+            "checks {:.1}%",
+            pct(p.attribution.check_cycles, p.cpu_cycles)
+        ),
         title: &titles[2],
     });
     // Row 2: per-site treemap of the checks span.
@@ -208,7 +212,7 @@ pub fn svg(p: &ProfileDoc) -> String {
         });
         x += w;
     }
-    let rest = p.check_cycles.saturating_sub(attributed);
+    let rest = p.attribution.check_cycles.saturating_sub(attributed);
     if rest > 0 {
         rects.push(SvgRect {
             x,
@@ -386,7 +390,7 @@ pub fn incident_ascii(d: &IncidentDoc) -> String {
         let path: Vec<String> = d
             .span_path
             .iter()
-            .map(|(n, a)| format!("{n}({a})"))
+            .map(|s| format!("{}({})", s.name, s.arg))
             .collect();
         out.push_str(&format!("spans: {}\n", path.join(" > ")));
     }
@@ -396,9 +400,9 @@ pub fn incident_ascii(d: &IncidentDoc) -> String {
     ));
     out.push_str(&format!(
         "heap: {} objects observed, {} live at end of run\n",
-        d.objects_total, d.objects_live
+        d.heap.objects_total, d.heap.objects_live
     ));
-    for n in &d.neighborhood {
+    for n in &d.heap.neighborhood {
         let life = match n.free_at {
             Some(f) => format!("freed@{f}"),
             None => "live".into(),
@@ -413,12 +417,12 @@ pub fn incident_ascii(d: &IncidentDoc) -> String {
     }
     out.push_str(&format!(
         "trace: last {} of {} events (window {}):\n",
-        d.trace.len(),
-        d.trace_total,
-        d.trace_window
+        d.trace.events.len(),
+        d.trace.total,
+        d.trace.window
     ));
-    for (idx, line) in &d.trace {
-        out.push_str(&format!("  #{idx} {line}\n"));
+    for e in &d.trace.events {
+        out.push_str(&format!("  #{} {}\n", e.index, e.line));
     }
     if let Some(r) = &d.repro {
         out.push_str(&format!(
@@ -440,7 +444,7 @@ pub fn incident_ascii(d: &IncidentDoc) -> String {
 pub fn incident_svg(d: &IncidentDoc) -> String {
     let fault_ptr = d.fault.as_ref().map(|f| f.ptr);
     let (mut lo, mut hi) = (u64::MAX, 0u64);
-    for n in &d.neighborhood {
+    for n in &d.heap.neighborhood {
         lo = lo.min(n.base);
         hi = hi.max(n.ub);
     }
@@ -462,14 +466,14 @@ pub fn incident_svg(d: &IncidentDoc) -> String {
     );
     let head = format!(
         "incident {}: {} {} under {} — {} objects ({} live)",
-        d.id, d.origin, d.verdict, d.scheme, d.objects_total, d.objects_live
+        d.id, d.origin, d.verdict, d.scheme, d.heap.objects_total, d.heap.objects_live
     );
     out.push_str(&format!(
         r#"<text x="{PAD}" y="{y_head:.2}" fill="rgb(60,60,60)">{}</text>"#,
         esc(&head)
     ));
     out.push('\n');
-    for n in &d.neighborhood {
+    for n in &d.heap.neighborhood {
         let x = scale(n.base);
         let w = (scale(n.ub) - x).max(0.5);
         let fill = if n.free_at.is_some() {
@@ -556,11 +560,12 @@ pub fn lint_graph_ascii(doc: &LintDoc) -> String {
             m.proved_safe,
             m.unknown,
             m.proved_oob,
-            m.proved_uaf,
-            m.proved_df,
-            m.leaks
+            m.proved_uaf.unwrap_or_default(),
+            m.proved_df.unwrap_or_default(),
+            m.leaks.unwrap_or_default()
         );
-        for (node, s) in m.call_graph.iter().zip(&m.summaries) {
+        let summaries = m.summaries.iter().flatten();
+        for (node, s) in m.call_graph.iter().flatten().zip(summaries) {
             let mut effects = Vec::new();
             for (i, may) in s.frees_params.iter().enumerate() {
                 if *may {
@@ -594,7 +599,7 @@ pub fn lint_graph_ascii(doc: &LintDoc) -> String {
                 node.scc, node.func, callees, s.ret, eff, benign, cyclic
             );
         }
-        for t in &m.temporal {
+        for t in m.temporal.iter().flatten() {
             let _ = writeln!(
                 out,
                 "  !! {} {}:b{}:i{} {} (alloc site {})",
@@ -608,37 +613,49 @@ pub fn lint_graph_ascii(doc: &LintDoc) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sgxs_obs::read::{parse_profile, ProfileSite};
+    use sgxs_obs::read::parse_profile;
+    use sgxs_obs::{AllocCounts, Attribution, EpcCounts, SiteRow, Timeline};
 
-    fn sample() -> ProfileDoc {
-        ProfileDoc {
+    fn sample() -> Profile {
+        let site = |site, func: &str, kind: &str, execs, cycles, fails| SiteRow {
+            site,
+            func: func.into(),
+            kind: kind.into(),
+            execs,
+            cycles,
+            fails,
+        };
+        Profile {
             workload: "string_match".into(),
             scheme: "sgxbounds".into(),
             wall_cycles: 500,
             cpu_cycles: 1000,
-            app_cycles: 700,
-            check_cycles: 300,
+            attribution: Attribution {
+                app_cycles: 700,
+                check_cycles: 300,
+                check_pct: 30.0,
+            },
             check_execs: 42,
             check_fails: 1,
+            alloc: AllocCounts {
+                allocs: 0,
+                frees: 0,
+                bytes: 0,
+            },
+            epc: EpcCounts {
+                faults: 0,
+                evictions: 0,
+            },
+            epc_timeline: Timeline {
+                bucket_instructions: 4096,
+                faults: Vec::new(),
+                evictions: Vec::new(),
+            },
             sites_total: 9,
             sites_active: 3,
             top_sites: vec![
-                ProfileSite {
-                    site: 2,
-                    func: "worker".into(),
-                    kind: "sb_full".into(),
-                    execs: 30,
-                    cycles: 200,
-                    fails: 0,
-                },
-                ProfileSite {
-                    site: 0,
-                    func: "main".into(),
-                    kind: "sb_safe".into(),
-                    execs: 12,
-                    cycles: 80,
-                    fails: 1,
-                },
+                site(2, "worker", "sb_full", 30, 200, 0),
+                site(0, "main", "sb_safe", 12, 80, 1),
             ],
             events: 43,
             digest: "deadbeef".into(),
@@ -761,7 +778,10 @@ mod tests {
     }
 
     fn sample_incident() -> IncidentDoc {
-        use sgxs_obs::read::{IncidentFault, IncidentNeighbor, IncidentRecovery, IncidentTruth};
+        use sgxs_obs::read::{
+            IncidentFault, IncidentHeap, IncidentNeighbor, IncidentRecovery, IncidentTrace,
+            IncidentTruth, SpanStep, TraceLine,
+        };
         IncidentDoc {
             id: "00c0ffee00c0ffee".into(),
             origin: "fuzz".into(),
@@ -784,44 +804,57 @@ mod tests {
                 op: "Store { dst: 1, off: 8 }".into(),
                 op_index: 5,
             }),
-            span_path: vec![("exec".into(), 42)],
+            span_path: vec![SpanStep {
+                name: "exec".into(),
+                arg: 42,
+            }],
             recovery: IncidentRecovery {
                 attempts: 0,
                 degraded: 0,
                 gave_up: 0,
                 decision: "trapped".into(),
             },
-            objects_total: 3,
-            objects_live: 2,
-            neighborhood: vec![
-                IncidentNeighbor {
-                    id: 1,
-                    base: 0x140,
-                    size: 12,
-                    ub: 0x14c,
-                    birth_at: 10,
-                    free_at: None,
-                    relation: "before".into(),
-                    distance: 1,
-                },
-                IncidentNeighbor {
-                    id: 2,
-                    base: 0x150,
-                    size: 8,
-                    ub: 0x158,
-                    birth_at: 20,
-                    free_at: Some(90),
-                    relation: "after".into(),
-                    distance: 4,
-                },
-            ],
+            heap: IncidentHeap {
+                objects_total: 3,
+                objects_live: 2,
+                neighborhood: vec![
+                    IncidentNeighbor {
+                        id: 1,
+                        base: 0x140,
+                        size: 12,
+                        ub: 0x14c,
+                        birth_at: 10,
+                        free_at: None,
+                        relation: "before".into(),
+                        distance: 1,
+                    },
+                    IncidentNeighbor {
+                        id: 2,
+                        base: 0x150,
+                        size: 8,
+                        ub: 0x158,
+                        birth_at: 20,
+                        free_at: Some(90),
+                        relation: "after".into(),
+                        distance: 4,
+                    },
+                ],
+            },
             derivation: vec!["b0 i4 store w4 proved-oob referent=Alloc(0) offset=[12,12]".into()],
-            trace_window: 32,
-            trace_total: 40,
-            trace: vec![
-                (38, "alloc #1 12B".into()),
-                (39, "check-fail site#3".into()),
-            ],
+            trace: IncidentTrace {
+                window: 32,
+                total: 40,
+                events: vec![
+                    TraceLine {
+                        index: 38,
+                        line: "alloc #1 12B".into(),
+                    },
+                    TraceLine {
+                        index: 39,
+                        line: "check-fail site#3".into(),
+                    },
+                ],
+            },
             repro: None,
             digest: "deadbeefdeadbeef".into(),
         }
@@ -846,7 +879,7 @@ mod tests {
         // A near-miss doc renders too.
         let mut near = sample_incident();
         near.fault = None;
-        near.neighborhood.clear();
+        near.heap.neighborhood.clear();
         let t = incident_ascii(&near);
         assert!(t.contains("fault: none recorded (near-miss)"));
     }
@@ -865,13 +898,13 @@ mod tests {
         assert!(a.contains("rgb(190,190,190)"));
         // Escaping survives hostile labels.
         let mut evil = sample_incident();
-        evil.neighborhood[0].relation = "a<b&c".into();
+        evil.heap.neighborhood[0].relation = "a<b&c".into();
         let s = incident_svg(&evil);
         assert!(s.contains("a&lt;b&amp;c"));
         // No neighborhood and no fault still yields a valid document.
         let mut bare = sample_incident();
         bare.fault = None;
-        bare.neighborhood.clear();
+        bare.heap.neighborhood.clear();
         let s = incident_svg(&bare);
         assert!(s.starts_with("<svg") && s.trim_end().ends_with("</svg>"));
     }

@@ -9,7 +9,9 @@ use crate::serve::{
 use sgxs_audit::{FaultInfo, Incident, IncidentMeta, DEFAULT_TRACE_WINDOW};
 use sgxs_metrics::{Hist, Registry};
 use sgxs_mir::PolicySet;
+use sgxs_obs::codec::Field;
 use sgxs_obs::json::Json;
+use sgxs_obs::read::{ChaosCombo, ChaosDoc, ChaosGate};
 use sgxs_sim::ExecTier;
 use sgxs_super::{
     supervise, Campaign, Coverage, Quarantined, Restored, StopFlag, SuperOpts, TaskError,
@@ -155,7 +157,7 @@ impl ComboRow {
         }
         self.corrupted_bytes += d.corrupted_bytes;
         self.aex_cycles += d.aex_cycles;
-        self.latency.merge(&d.latency);
+        self.latency.merge(&d.lat);
     }
 
     /// Answered fraction across every scheduled request.
@@ -167,33 +169,43 @@ impl ComboRow {
     }
 }
 
-/// One combo's contribution from a single seed: the per-seed unit of work
-/// the supervisor schedules, journals, and merges. Carries everything
-/// [`ComboRow::absorb`] needs — including the full latency histogram as
-/// exact parts — so a journal-restored delta is indistinguishable from a
-/// freshly-run one.
-#[derive(Debug, Clone)]
-pub struct ComboDelta {
-    /// Requests scheduled.
-    pub total: u64,
-    /// Served cleanly.
-    pub served: u64,
-    /// Degraded but answered.
-    pub degraded: u64,
-    /// Aborted individually.
-    pub aborted: u64,
-    /// Lost to whole-server death.
-    pub lost: u64,
-    /// Interpreter retry attempts.
-    pub retries: u64,
-    /// Whether this run ended with corrupted canaries.
-    pub corrupted: bool,
-    /// Corrupted canary bytes.
-    pub corrupted_bytes: u64,
-    /// AEX re-entry cycles charged.
-    pub aex_cycles: u64,
-    /// This run's per-request latency histogram.
-    pub latency: Hist,
+sgxs_obs::document! {
+    /// One combo's contribution from a single seed: the per-seed unit of
+    /// work the supervisor schedules, journals, and merges. Carries
+    /// everything [`ComboRow::absorb`] needs — including the full latency
+    /// histogram as exact parts — so a journal-restored delta is
+    /// indistinguishable from a freshly-run one.
+    #[derive(Debug, Clone)]
+    pub struct ComboDelta {
+        /// Requests scheduled.
+        pub total: u64,
+        /// Served cleanly.
+        pub served: u64,
+        /// Degraded but answered.
+        pub degraded: u64,
+        /// Aborted individually.
+        pub aborted: u64,
+        /// Lost to whole-server death.
+        pub lost: u64,
+        /// Interpreter retry attempts.
+        pub retries: u64,
+        /// Whether this run ended with corrupted canaries.
+        pub corrupted: bool,
+        /// Corrupted canary bytes.
+        pub corrupted_bytes: u64,
+        /// AEX re-entry cycles charged.
+        pub aex_cycles: u64,
+        /// This run's per-request latency histogram.
+        pub lat: Hist,
+    }
+}
+
+sgxs_obs::document! {
+    /// A chaos seed's journal checkpoint: one delta per combo, in
+    /// [`combos`] order.
+    struct Checkpoint {
+        combos: Vec<ComboDelta>,
+    }
 }
 
 impl ComboDelta {
@@ -208,99 +220,8 @@ impl ComboDelta {
             corrupted: !r.intact(),
             corrupted_bytes: r.corrupted_canary_bytes as u64,
             aex_cycles: r.aex_penalty_cycles,
-            latency: r.latency.clone(),
+            lat: r.latency.clone(),
         }
-    }
-
-    /// The journal checkpoint for this delta: counters plus the latency
-    /// histogram's exact parts ([`Hist::from_parts`] round-trips `Eq`, so
-    /// the restored histogram merges byte-identically).
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("total", self.total.into()),
-            ("served", self.served.into()),
-            ("degraded", self.degraded.into()),
-            ("aborted", self.aborted.into()),
-            ("lost", self.lost.into()),
-            ("retries", self.retries.into()),
-            ("corrupted", self.corrupted.into()),
-            ("corrupted_bytes", self.corrupted_bytes.into()),
-            ("aex_cycles", self.aex_cycles.into()),
-            (
-                "lat",
-                Json::obj(vec![
-                    ("count", self.latency.count().into()),
-                    ("sum", self.latency.sum().into()),
-                    ("min", self.latency.min().into()),
-                    ("max", self.latency.max().into()),
-                    (
-                        "buckets",
-                        Json::Arr(
-                            self.latency
-                                .nonzero_buckets()
-                                .into_iter()
-                                .map(|(i, c)| Json::Arr(vec![(i as u64).into(), c.into()]))
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<ComboDelta, String> {
-        let field = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("chaos checkpoint: missing {k}"))
-        };
-        let lat = v
-            .get("lat")
-            .ok_or_else(|| "chaos checkpoint: missing lat".to_owned())?;
-        let lfield = |k: &str| {
-            lat.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("chaos checkpoint: missing lat.{k}"))
-        };
-        let mut buckets = Vec::new();
-        for b in lat
-            .get("buckets")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| "chaos checkpoint: missing lat.buckets".to_owned())?
-        {
-            let pair = b
-                .as_arr()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| "chaos checkpoint: malformed bucket".to_owned())?;
-            let idx = pair[0]
-                .as_u64()
-                .ok_or_else(|| "chaos checkpoint: non-integer bucket index".to_owned())?;
-            let count = pair[1]
-                .as_u64()
-                .ok_or_else(|| "chaos checkpoint: non-integer bucket count".to_owned())?;
-            buckets.push((idx as usize, count));
-        }
-        Ok(ComboDelta {
-            total: field("total")?,
-            served: field("served")?,
-            degraded: field("degraded")?,
-            aborted: field("aborted")?,
-            lost: field("lost")?,
-            retries: field("retries")?,
-            corrupted: v
-                .get("corrupted")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| "chaos checkpoint: missing corrupted".to_owned())?,
-            corrupted_bytes: field("corrupted_bytes")?,
-            aex_cycles: field("aex_cycles")?,
-            latency: Hist::from_parts(
-                lfield("count")?,
-                lfield("sum")?,
-                lfield("min")?,
-                lfield("max")?,
-                &buckets,
-            ),
-        })
     }
 }
 
@@ -441,78 +362,46 @@ impl ChaosReport {
 
     /// The `sgxs-chaos-v1` document.
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema", "sgxs-chaos-v1".into()),
-            ("seeds", self.opts.seeds.into()),
-            ("seed0", self.opts.seed0.into()),
-            ("requests", (self.opts.requests as u64).into()),
-            ("threshold", self.opts.threshold.into()),
-            (
-                "combos",
-                Json::Arr(
-                    self.rows
-                        .iter()
-                        .map(|r| {
-                            Json::obj(vec![
-                                ("scheme", r.scheme.into()),
-                                ("policy", r.policy.into()),
-                                ("runs", r.runs.into()),
-                                ("total", r.total.into()),
-                                ("served", r.served.into()),
-                                ("degraded", r.degraded.into()),
-                                ("aborted", r.aborted.into()),
-                                ("lost", r.lost.into()),
-                                ("retries", r.retries.into()),
-                                ("corrupted_runs", r.corrupted_runs.into()),
-                                ("corrupted_bytes", r.corrupted_bytes.into()),
-                                ("aex_cycles", r.aex_cycles.into()),
-                                ("availability", r.availability().into()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+        ChaosDoc {
+            seeds: self.opts.seeds,
+            seed0: self.opts.seed0,
+            requests: self.opts.requests.into(),
+            threshold: self.opts.threshold,
+            combos: self
+                .rows
+                .iter()
+                .map(|r| ChaosCombo {
+                    scheme: r.scheme.into(),
+                    policy: r.policy.into(),
+                    runs: r.runs,
+                    total: r.total,
+                    served: r.served,
+                    degraded: r.degraded,
+                    aborted: r.aborted,
+                    lost: r.lost,
+                    retries: r.retries,
+                    corrupted_runs: r.corrupted_runs,
+                    corrupted_bytes: r.corrupted_bytes,
+                    aex_cycles: r.aex_cycles,
+                    availability: r.availability(),
+                })
+                .collect(),
             // The embedded sgxs-metrics-v1 document: per-combo latency
             // histograms with p50/p90/p99/p999. Like the rest of the
             // chaos doc, byte-identical across execution tiers.
-            ("latency", self.metrics().to_json()),
-            // Embedded sgxs-incident-v1 forensics for gate-failing
-            // corruption, validated by `sgxs_obs::read::parse_chaos`.
-            (
-                "incidents",
-                Json::Arr(self.incidents.iter().map(|i| i.to_json()).collect()),
-            ),
+            latency: self.metrics().doc(),
+            incidents: self.incidents.iter().map(Incident::doc).collect(),
             // Coverage + quarantine ledger: every seed in the range is
             // accounted for. Deliberately free of resume/stop provenance,
             // so a resumed campaign's document stays byte-identical.
-            ("coverage", self.coverage().to_json()),
-            (
-                "quarantine",
-                Json::Arr(
-                    self.quarantine
-                        .iter()
-                        .map(|q| {
-                            Json::obj(vec![
-                                ("seed", q.seed.into()),
-                                ("attempts", (q.attempts as u64).into()),
-                                ("class", q.class.as_str().into()),
-                                ("detail", q.detail.as_str().into()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "gate",
-                Json::obj(vec![
-                    ("failed", self.gate_failed().into()),
-                    (
-                        "failures",
-                        Json::Arr(self.failures.iter().map(|f| f.as_str().into()).collect()),
-                    ),
-                ]),
-            ),
-        ])
+            coverage: self.coverage(),
+            quarantine: self.quarantine.clone(),
+            gate: ChaosGate {
+                failed: self.gate_failed(),
+                failures: self.failures.clone(),
+            },
+        }
+        .put()
     }
 }
 
@@ -658,29 +547,22 @@ impl Campaign for ChaosCampaign {
     }
 
     fn checkpoint(&self, deltas: &Vec<ComboDelta>) -> Json {
-        Json::obj(vec![(
-            "combos",
-            Json::Arr(deltas.iter().map(ComboDelta::to_json).collect()),
-        )])
+        Checkpoint {
+            combos: deltas.clone(),
+        }
+        .put()
     }
 
     fn restore(&self, _seed: u64, payload: &Json) -> Result<Restored<Vec<ComboDelta>>, String> {
-        let rows = payload
-            .get("combos")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| "chaos checkpoint: missing combos".to_owned())?;
-        if rows.len() != self.combos.len() {
+        let combos = Checkpoint::take(payload, "chaos checkpoint")?.combos;
+        if combos.len() != self.combos.len() {
             return Err(format!(
                 "chaos checkpoint: {} combos journaled, campaign has {}",
-                rows.len(),
+                combos.len(),
                 self.combos.len()
             ));
         }
-        Ok(Restored::Value(
-            rows.iter()
-                .map(ComboDelta::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        ))
+        Ok(Restored::Value(combos))
     }
 }
 
@@ -875,8 +757,8 @@ mod tests {
                 Restored::Value(back) => {
                     assert_eq!(back.len(), deltas.len());
                     for (a, b) in deltas.iter().zip(back.iter()) {
-                        assert_eq!(a.to_json().to_compact(), b.to_json().to_compact());
-                        assert_eq!(a.latency, b.latency, "hist parts diverged at seed {seed}");
+                        assert_eq!(a.put(), b.put());
+                        assert_eq!(a.lat, b.lat, "hist parts diverged at seed {seed}");
                     }
                 }
                 Restored::Rerun => panic!("chaos checkpoints are never dirty"),
@@ -933,8 +815,8 @@ mod tests {
             .expect("own chaos output parses back");
         assert_eq!((doc.seeds, doc.seed0, doc.requests), (3, 7, 16));
         assert_eq!(doc.combos.len(), rep.rows.len());
-        assert_eq!(doc.gate_failed, rep.gate_failed());
-        let lat = doc.latency.as_ref().expect("latency block present");
+        assert_eq!(doc.gate.failed, rep.gate_failed());
+        let lat = &doc.latency;
         for (c, row) in doc.combos.iter().zip(&rep.rows) {
             assert_eq!(c.scheme, row.scheme);
             assert_eq!(c.total, row.total);

@@ -12,37 +12,13 @@
 //! The validating parser lives in [`sgxs_obs::read::parse_journal`]; this
 //! module wraps it with the writer and the fingerprint handshake.
 
+use sgxs_obs::codec::Field;
 use sgxs_obs::json::Json;
-use sgxs_obs::read::{parse_journal, JournalEntry, CAMPAIGN_SCHEMA};
+use sgxs_obs::read::{parse_journal, JournalEntry, JournalFailure};
 use std::io::Write as _;
 use std::sync::Mutex;
 
-/// Identity of a campaign a journal belongs to. Resume refuses a journal
-/// whose header does not match the live campaign bit-for-bit — replaying
-/// half of a different campaign would silently corrupt the artifact.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalHeader {
-    /// Campaign kind (`fuzz`, `chaos-fuzz`, `chaos`).
-    pub campaign: String,
-    /// FNV fingerprint of every option that changes per-seed results.
-    pub fingerprint: String,
-    /// First seed.
-    pub seed0: u64,
-    /// Seed count.
-    pub seeds: u64,
-}
-
-impl JournalHeader {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema", CAMPAIGN_SCHEMA.into()),
-            ("campaign", self.campaign.as_str().into()),
-            ("fingerprint", self.fingerprint.as_str().into()),
-            ("seed0", self.seed0.into()),
-            ("seeds", self.seeds.into()),
-        ])
-    }
-}
+pub use sgxs_obs::read::JournalHeader;
 
 /// FNV-1a over a canonical options rendering — the journal handshake.
 pub fn fingerprint(canonical: &str) -> String {
@@ -75,7 +51,7 @@ impl JournalWriter {
         }
         let mut file = std::fs::File::create(path)
             .map_err(|e| format!("cannot create journal {path}: {e}"))?;
-        file.write_all(journal_line(&header.to_json()).as_bytes())
+        file.write_all(journal_line(header).as_bytes())
             .map_err(|e| format!("cannot write journal header to {path}: {e}"))?;
         Ok(JournalWriter {
             file: Mutex::new(file),
@@ -97,12 +73,7 @@ impl JournalWriter {
         let text = std::str::from_utf8(&bytes[..complete])
             .map_err(|e| format!("{path}: journal is not UTF-8: {e}"))?;
         let doc = parse_journal(text).map_err(|e| format!("{path}: {e}"))?;
-        let found = JournalHeader {
-            campaign: doc.campaign,
-            fingerprint: doc.fingerprint,
-            seed0: doc.seed0,
-            seeds: doc.seeds,
-        };
+        let found = doc.header;
         if &found != header {
             return Err(format!(
                 "{path}: journal belongs to a different campaign \
@@ -127,41 +98,43 @@ impl JournalWriter {
     }
 
     /// Appends one completed-seed line with a single `write_all`.
-    pub fn append(&self, line: &Json) -> Result<(), String> {
+    pub fn append(&self, entry: &JournalEntry) -> Result<(), String> {
         let mut file = self.file.lock().expect("journal writer poisoned");
-        file.write_all(journal_line(line).as_bytes())
+        file.write_all(journal_line(entry).as_bytes())
             .map_err(|e| format!("cannot append to journal {}: {e}", self.path))
     }
 }
 
 /// One journal line, terminated, ready for a single write.
-fn journal_line(line: &Json) -> String {
-    let mut text = line.to_compact();
+fn journal_line(line: &impl Field) -> String {
+    let mut text = line.put().to_compact();
     text.push('\n');
     text
 }
 
-/// Serializes a `done` entry.
-pub fn done_line(seed: u64, attempts: u32, payload: Json) -> Json {
-    Json::obj(vec![
-        ("seed", seed.into()),
-        ("status", "done".into()),
-        ("attempts", (attempts as u64).into()),
-        ("payload", payload),
-    ])
+/// A `done` entry.
+pub fn done_line(seed: u64, attempts: u32, payload: Json) -> JournalEntry {
+    JournalEntry {
+        seed,
+        status: "done".into(),
+        attempts,
+        payload: Some(payload),
+        failure: None,
+    }
 }
 
-/// Serializes a `quarantined` entry.
-pub fn quarantined_line(seed: u64, attempts: u32, class: &str, detail: &str) -> Json {
-    Json::obj(vec![
-        ("seed", seed.into()),
-        ("status", "quarantined".into()),
-        ("attempts", (attempts as u64).into()),
-        (
-            "failure",
-            Json::obj(vec![("class", class.into()), ("detail", detail.into())]),
-        ),
-    ])
+/// A `quarantined` entry.
+pub fn quarantined_line(seed: u64, attempts: u32, class: &str, detail: &str) -> JournalEntry {
+    JournalEntry {
+        seed,
+        status: "quarantined".into(),
+        attempts,
+        payload: None,
+        failure: Some(JournalFailure {
+            class: class.into(),
+            detail: detail.into(),
+        }),
+    }
 }
 
 #[cfg(test)]
@@ -202,7 +175,7 @@ mod tests {
         assert_eq!(entries[0].seed, 10);
         assert_eq!(entries[0].status, "done");
         assert_eq!(entries[1].status, "quarantined");
-        assert_eq!(entries[1].failure_class.as_deref(), Some("panic"));
+        assert_eq!(entries[1].failure.as_ref().unwrap().class, "panic");
 
         // A different fingerprint must refuse to resume.
         let other = JournalHeader {

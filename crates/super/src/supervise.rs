@@ -169,46 +169,7 @@ impl Default for SuperOpts {
     }
 }
 
-/// One quarantined seed of a finished campaign.
-#[derive(Debug, Clone)]
-pub struct Quarantined {
-    /// The seed.
-    pub seed: u64,
-    /// Attempts the ladder spent.
-    pub attempts: u32,
-    /// Failure class (`panic`, `budget`, `transient`).
-    pub class: String,
-    /// Human-readable detail.
-    pub detail: String,
-}
-
-/// Explicit coverage accounting of a campaign: every seed in the range is
-/// completed, quarantined, or skipped — nothing is silently truncated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Coverage {
-    /// Seeds in the campaign range.
-    pub seeds: u64,
-    /// Seeds that completed (fresh or restored from a journal).
-    pub completed: u64,
-    /// Seeds quarantined by the failure ladder.
-    pub quarantined: u64,
-    /// Seeds skipped by a graceful stop.
-    pub skipped: u64,
-}
-
-impl Coverage {
-    /// Serializes the coverage block embedded in campaign artifacts. The
-    /// block deliberately omits resumed/stopped provenance so a resumed
-    /// campaign's artifact stays byte-identical to an uninterrupted one.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("seeds", self.seeds.into()),
-            ("completed", self.completed.into()),
-            ("quarantined", self.quarantined.into()),
-            ("skipped", self.skipped.into()),
-        ])
-    }
-}
+pub use sgxs_obs::read::{Coverage, Quarantined};
 
 /// A supervised campaign's outcome: per-seed results in seed order plus
 /// the quarantine/skip/resume ledger.
@@ -330,7 +291,8 @@ pub fn supervise<C: Campaign>(
                 journaled.insert(e.seed);
                 if e.status == "done" {
                     let payload = e.payload.as_ref().expect("validated done payload");
-                    match campaign.restore(e.seed, payload)? {
+                    let restored = campaign.restore(e.seed, payload);
+                    match restored.map_err(|err| format!("{path}: seed {}: {err}", e.seed))? {
                         Restored::Value(out) => {
                             outcomes.push((e.seed, out));
                             resumed += 1;
@@ -338,11 +300,12 @@ pub fn supervise<C: Campaign>(
                         Restored::Rerun => {}
                     }
                 } else {
+                    let failure = e.failure.expect("validated quarantined failure");
                     quarantined.push(Quarantined {
                         seed: e.seed,
-                        attempts: e.attempts as u32,
-                        class: e.failure_class.unwrap_or_default(),
-                        detail: e.failure_detail.unwrap_or_default(),
+                        attempts: e.attempts,
+                        class: failure.class,
+                        detail: failure.detail,
                     });
                     resumed += 1;
                 }

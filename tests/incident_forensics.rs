@@ -41,7 +41,10 @@ fn demo_incident_round_trips_and_renders() {
     assert_eq!(doc.tier, "pinned");
     assert_eq!(doc.verdict, "detected");
     assert!(doc.fault.is_some(), "detection carries the fault record");
-    assert!(!doc.neighborhood.is_empty(), "heap neighborhood present");
+    assert!(
+        !doc.heap.neighborhood.is_empty(),
+        "heap neighborhood present"
+    );
     assert!(
         !doc.derivation.is_empty(),
         "static derivation chain present"

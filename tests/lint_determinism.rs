@@ -53,7 +53,7 @@ fn benchmark_lint_documents_validate() {
     for ipa in [false, true] {
         let out = lint_modules(modules(), DEFAULT_SEED, ipa);
         let parsed = sgxs_obs::read::lint_from_json(&out.doc).expect("document validates");
-        assert_eq!(parsed.ipa, ipa);
+        assert_eq!(parsed.ipa, ipa.then_some(true));
         assert_eq!(parsed.proved_oob as usize, out.oob);
     }
 }

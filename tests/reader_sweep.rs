@@ -12,19 +12,28 @@
 //!   is a plain FNV-1a hash of the id-blanked document, not a secret.
 //!
 //! Every input must come back as `Ok` or `Err`. A panic is a failure.
+//! The journal case also restores every `done` checkpoint through the
+//! chaos campaign, the path `repro chaos --resume` takes.
+//!
+//! The same test pins the round-trip law of the document declarations:
+//! reading each real document and writing the declaration back gives its
+//! compact bytes exactly, and so does every line of the committed
+//! `results/history.jsonl`.
 
 use sgxs_audit::DEFAULT_TRACE_WINDOW;
 use sgxs_harness::audit::pinned_demo_incident;
 use sgxs_harness::lint::{lint_modules, oob_demo, uaf_demo};
 use sgxs_harness::{profile_one, RunConfig, Scheme};
+use sgxs_obs::codec::Field;
 use sgxs_obs::json::Json;
 use sgxs_obs::read::{
     parse_bench, parse_chaos, parse_incident, parse_journal, parse_lint, parse_metrics,
-    parse_profile, INCIDENT_SCHEMA,
+    parse_profile, JournalDoc, INCIDENT_SCHEMA,
 };
-use sgxs_resil::{run_chaos_campaign_supervised, CampaignOpts};
+use sgxs_perf::{parse_history, HistoryRecord};
+use sgxs_resil::{run_chaos_campaign_supervised, CampaignOpts, ChaosCampaign};
 use sgxs_sim::Preset;
-use sgxs_super::{StopFlag, SuperOpts};
+use sgxs_super::{Campaign, Restored, StopFlag, SuperOpts};
 use sgxs_workloads::SizeClass;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -33,8 +42,44 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 const CUTS: usize = 600;
 const EDITS: usize = 600;
 
-/// A reader, reduced to whether it accepted its input.
-type Accepts = fn(&str) -> bool;
+/// A reader that writes back what it read: the declaration's compact
+/// serialization, or the reader's error.
+type Reader = fn(&str) -> Result<String, String>;
+
+/// The options of the chaos campaign whose journal the sweep damages.
+fn chaos_opts() -> CampaignOpts {
+    CampaignOpts {
+        seeds: 3,
+        requests: 12,
+        demo_corruption: true,
+        demo_panic: Some(2),
+        ..CampaignOpts::default()
+    }
+}
+
+/// A journal as JSONL: header, then one line per entry.
+fn journal_text(doc: &JournalDoc) -> String {
+    let entries = doc.entries.iter().map(Field::put);
+    let lines = std::iter::once(doc.header.put()).chain(entries);
+    lines.map(|l| l.to_compact() + "\n").collect()
+}
+
+/// Reads a chaos journal and restores every `done` checkpoint, as
+/// `repro chaos --resume` does; writes the journal back with each payload
+/// re-checkpointed from the restored deltas.
+fn restore_chaos(text: &str) -> Result<String, String> {
+    let mut doc = parse_journal(text)?;
+    let campaign = ChaosCampaign::new(chaos_opts());
+    for e in &mut doc.entries {
+        if let Some(payload) = &mut e.payload {
+            match campaign.restore(e.seed, payload)? {
+                Restored::Value(deltas) => *payload = campaign.checkpoint(&deltas),
+                Restored::Rerun => return Err("chaos checkpoints never ask for a re-run".into()),
+            }
+        }
+    }
+    Ok(journal_text(&doc))
+}
 
 /// Every integer leaf of `v`, in document order.
 fn int_leaves(v: &mut Json) -> Vec<&mut Json> {
@@ -111,7 +156,7 @@ fn damaged(doc: &str) -> Vec<(String, String)> {
 }
 
 /// Real documents, one per reader.
-fn cases() -> Vec<(&'static str, String, Accepts)> {
+fn cases() -> Vec<(&'static str, String, Reader)> {
     // The committed baseline, cut to two of its experiments: the reader
     // treats every payload alike, and the whole 55 KB document would make
     // this sweep the slowest test in the suite.
@@ -125,6 +170,9 @@ fn cases() -> Vec<(&'static str, String, Accepts)> {
             }
         }
     }
+    let history = HistoryRecord::new("abc1234", 42, bench.clone())
+        .expect("cut baseline is a bench document")
+        .to_line();
 
     let mut rc = RunConfig::new(Preset::Tiny);
     rc.params.size = SizeClass::XS;
@@ -137,20 +185,13 @@ fn cases() -> Vec<(&'static str, String, Accepts)> {
     let dir = std::env::temp_dir().join(format!("sgxs-reader-sweep-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let journal = dir.join("chaos.jsonl").to_string_lossy().into_owned();
-    let opts = CampaignOpts {
-        seeds: 3,
-        requests: 12,
-        demo_corruption: true,
-        demo_panic: Some(2),
-        ..CampaignOpts::default()
-    };
     let sup = SuperOpts {
         workers: 1,
         journal: Some(journal.clone()),
         quiet_panics: true,
         ..SuperOpts::default()
     };
-    let chaos = run_chaos_campaign_supervised(&opts, &sup, &StopFlag::new())
+    let chaos = run_chaos_campaign_supervised(&chaos_opts(), &sup, &StopFlag::new())
         .expect("chaos runs")
         .report;
     let journal = std::fs::read_to_string(&journal).expect("journal written");
@@ -163,36 +204,51 @@ fn cases() -> Vec<(&'static str, String, Accepts)> {
 
     vec![
         ("parse_bench", bench.to_compact(), |t| {
-            parse_bench(t).is_ok()
+            parse_bench(t).map(|d| d.put().to_compact())
         }),
         ("parse_profile", profile.to_json().to_compact(), |t| {
-            parse_profile(t).is_ok()
+            parse_profile(t).map(|d| d.put().to_compact())
         }),
         ("parse_metrics", metrics.to_compact(), |t| {
-            parse_metrics(t).is_ok()
+            parse_metrics(t).map(|d| d.put().to_compact())
         }),
         ("parse_chaos", chaos.to_compact(), |t| {
-            parse_chaos(t).is_ok()
+            parse_chaos(t).map(|d| d.put().to_compact())
         }),
         ("parse_incident", incident.to_json().to_compact(), |t| {
-            parse_incident(t).is_ok()
+            parse_incident(t).map(|d| d.put().to_compact())
         }),
-        ("parse_lint", lint.to_compact(), |t| parse_lint(t).is_ok()),
-        ("parse_journal", journal, |t| parse_journal(t).is_ok()),
+        ("parse_lint", lint.to_compact(), |t| {
+            parse_lint(t).map(|d| d.put().to_compact())
+        }),
+        ("parse_journal", journal.clone(), |t| {
+            parse_journal(t).map(|d| journal_text(&d))
+        }),
+        ("restore_chaos", journal, restore_chaos),
+        ("parse_history", history, |t| {
+            let records = parse_history(t)?;
+            Ok(records.iter().map(HistoryRecord::to_line).collect())
+        }),
     ]
 }
 
 #[test]
 fn readers_return_ok_or_err_on_damaged_documents_never_panic() {
+    let cases = cases();
+    for (reader, doc, read) in &cases {
+        match read(doc) {
+            Ok(back) => assert_eq!(&back, doc, "{reader}: writing back changes its document"),
+            Err(e) => panic!("{reader} rejects its own real document: {e}"),
+        }
+    }
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let mut failures = Vec::new();
-    for (reader, doc, accepts) in cases() {
-        assert!(accepts(&doc), "{reader} rejects its own real document");
+    for (reader, doc, read) in cases {
         let inputs = damaged(&doc);
         let panicked: Vec<&str> = inputs
             .iter()
-            .filter(|(_, text)| catch_unwind(AssertUnwindSafe(|| accepts(text))).is_err())
+            .filter(|(_, text)| catch_unwind(AssertUnwindSafe(|| read(text))).is_err())
             .map(|(what, _)| what.as_str())
             .collect();
         if !panicked.is_empty() {
@@ -206,4 +262,11 @@ fn readers_return_ok_or_err_on_damaged_documents_never_panic() {
     }
     std::panic::set_hook(hook);
     assert!(failures.is_empty(), "{}", failures.join("\n"));
+
+    // Every committed history line re-serializes byte for byte.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/history.jsonl");
+    let text = std::fs::read_to_string(path).expect("committed history readable");
+    let records = parse_history(&text).expect("committed history parses");
+    let back: String = records.iter().map(|r| r.to_line() + "\n").collect();
+    assert_eq!(back, text, "results/history.jsonl does not round-trip");
 }
