@@ -15,8 +15,8 @@
 //! **The tier is pinned bit-identical to the reference interpreter**: same
 //! digests, same named stats counters, same cycle charges, same obs events
 //! in the same order, same trap and recovery behavior (DESIGN.md §10
-//! documents the oracle; `tests/tier_equivalence.rs` and the CI
-//! tier-equivalence job enforce it corpus-wide). Selection is by
+//! documents the oracle; `tests/tier_equivalence.rs` and the `tier` laws
+//! of `repro selfcheck` enforce it corpus-wide). Selection is by
 //! [`sgxs_sim::ExecTier`] threaded through every runner, with
 //! `ExecTier::Reference` staying the default oracle.
 //!

@@ -63,6 +63,11 @@ impl FaultKind {
             FaultKind::StackOverflow => "stack-overflow",
         }
     }
+
+    /// The kind campaign seed `seed` injects: [`ALL_KINDS`] in turn.
+    pub fn for_seed(seed: u64) -> FaultKind {
+        ALL_KINDS[(seed % ALL_KINDS.len() as u64) as usize]
+    }
 }
 
 /// Ground truth about the planted violation, derived by construction.

@@ -32,7 +32,7 @@ pub mod shrink;
 use inject::{FaultKind, ALL_KINDS};
 use runner::{
     classify, exec_chaos_tier_budget, exec_forensic, exec_tier, exec_tier_budget, is_budget_trap,
-    is_oom_trap, verdict_ok, FScheme, Verdict, ALL_SCHEMES, DEFAULT_BUDGET,
+    is_oom_trap, verdict_ok, FScheme, Verdict, ALL_SCHEMES, DEFAULT_BUDGET, OOM_RETRY_ATTEMPTS,
 };
 use sgxs_audit::{Incident, IncidentMeta, ReproInfo, TruthInfo};
 use sgxs_sim::obs::codec::Field;
@@ -606,7 +606,7 @@ pub fn run_seed_report(opts: &FuzzOpts, seed: u64) -> Result<Report, TaskError> 
         }
     }
 
-    let kind = ALL_KINDS[(seed % ALL_KINDS.len() as u64) as usize];
+    let kind = FaultKind::for_seed(seed);
     let (fprog, fault) = inject::inject(&prog, kind, seed);
     let v = oracle::analyze(&fprog).expect("injected program must violate");
     assert_eq!(
@@ -712,13 +712,44 @@ fn cell_label(c: &Cell) -> Option<&'static str> {
     }
 }
 
+sgxs_sim::obs::document! {
+    /// The checkpoint of a seed with a disagreement or failure: resume
+    /// re-runs it, since its records are cheaper to recompute than to
+    /// journal.
+    struct Dirty {
+        dirty: bool,
+    }
+}
+
+const DIRTY: Dirty = Dirty { dirty: true };
+
+sgxs_sim::obs::document! {
+    /// A clean fuzz seed's checkpoint: its fault kind and one fault-cell
+    /// verdict label per scheme, [`ALL_SCHEMES`] order.
+    struct FaultRow {
+        kind: String,
+        fault: Vec<String>,
+    }
+}
+
+sgxs_sim::obs::document! {
+    /// A clean chaos-fuzz seed's checkpoint.
+    struct ChaosCounts {
+        runs: u64,
+        clean: u64,
+        rode_out: u64,
+        retries: u64,
+    }
+}
+
 /// The differential fuzz campaign as a supervised [`Campaign`].
 ///
 /// Checkpoints are verdict labels only: a clean seed journals its fault
-/// kind plus the eight per-scheme verdict labels — enough to rebuild its
-/// matrix contribution exactly — while a seed with any disagreement
-/// journals `{"dirty": true}` and is deterministically re-run on resume
-/// (incident records are cheaper to recompute than to serialize).
+/// kind plus the eight per-scheme verdict labels ([`FaultRow`]) — enough
+/// to rebuild its matrix contribution exactly — while a seed with any
+/// disagreement journals `{"dirty": true}` and is deterministically re-run
+/// on resume. Restore takes only rows the seed can produce: its own kind,
+/// and labels the detection model allows.
 pub struct FuzzCampaign {
     /// The options every seed runs under.
     pub opts: FuzzOpts,
@@ -750,7 +781,7 @@ impl Campaign for FuzzCampaign {
     }
 
     fn checkpoint(&self, r: &Report) -> Json {
-        let dirty = Json::obj(vec![("dirty", true.into())]);
+        let dirty = DIRTY.put();
         if !r.disagreements.is_empty() || r.cells.len() != ALL_SCHEMES.len() {
             return dirty;
         }
@@ -758,42 +789,33 @@ impl Campaign for FuzzCampaign {
             Some(&(k, _)) => k,
             None => return dirty,
         };
-        let mut labels = Vec::new();
+        let mut fault = Vec::new();
         for scheme in ALL_SCHEMES {
             match r.cells.get(&(kind, scheme)).and_then(cell_label) {
-                Some(l) => labels.push(l),
+                Some(l) => fault.push(l.to_owned()),
                 None => return dirty,
             }
         }
-        Json::obj(vec![
-            ("kind", kind.label().into()),
-            (
-                "fault",
-                Json::Arr(labels.into_iter().map(Json::from).collect()),
-            ),
-        ])
+        FaultRow {
+            kind: kind.label().to_owned(),
+            fault,
+        }
+        .put()
     }
 
-    fn restore(&self, _seed: u64, payload: &Json) -> Result<Restored<Report>, String> {
-        if payload.get("dirty").and_then(Json::as_bool) == Some(true) {
+    fn restore(&self, seed: u64, payload: &Json) -> Result<Restored<Report>, String> {
+        let what = "fuzz checkpoint";
+        if *payload == DIRTY.put() {
             return Ok(Restored::Rerun);
         }
-        let kind_label = payload
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "fuzz checkpoint: missing kind".to_owned())?;
-        let kind = *ALL_KINDS
-            .iter()
-            .find(|k| k.label() == kind_label)
-            .ok_or_else(|| format!("fuzz checkpoint: unknown fault kind '{kind_label}'"))?;
-        let labels = payload
-            .get("fault")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| "fuzz checkpoint: missing fault row".to_owned())?;
-        if labels.len() != ALL_SCHEMES.len() {
+        let row = FaultRow::take(payload, what)?;
+        let kind = FaultKind::for_seed(seed);
+        if row.kind != kind.label() || row.fault.len() != ALL_SCHEMES.len() {
             return Err(format!(
-                "fuzz checkpoint: fault row has {} entries, want {}",
-                labels.len(),
+                "{what}: a '{}' row of {} labels, but the seed injects '{}' under {} schemes",
+                row.kind,
+                row.fault.len(),
+                kind.label(),
                 ALL_SCHEMES.len()
             ));
         }
@@ -806,17 +828,21 @@ impl Campaign for FuzzCampaign {
             cell.passes = 1;
             cell.total = 1;
         }
-        for (scheme, l) in ALL_SCHEMES.into_iter().zip(labels) {
-            let label = l
-                .as_str()
-                .ok_or_else(|| "fuzz checkpoint: non-string verdict".to_owned())?;
-            let v = verdict_from_label(label)
-                .ok_or_else(|| format!("fuzz checkpoint: unknown verdict '{label}'"))?;
-            report
-                .cells
-                .entry((kind, scheme))
-                .or_default()
-                .add(&v, true);
+        for (scheme, label) in ALL_SCHEMES.into_iter().zip(&row.fault) {
+            // Only a label a clean cell encodes, inside the detection model.
+            let mut cell = Cell::default();
+            if let Some(v) = verdict_from_label(label).filter(|v| verdict_ok(scheme, Some(kind), v))
+            {
+                cell.add(&v, true);
+            }
+            if cell_label(&cell) != Some(label.as_str()) {
+                return Err(format!(
+                    "{what}: '{label}' under {} is not a clean {} verdict",
+                    scheme.label(),
+                    kind.label()
+                ));
+            }
+            report.cells.insert((kind, scheme), cell);
         }
         Ok(Restored::Value(report))
     }
@@ -1031,7 +1057,8 @@ pub fn run_chaos_fuzz(opts: &FuzzOpts) -> ChaosFuzzReport {
 }
 
 /// The chaos-fuzz campaign as a supervised [`Campaign`]. Clean seeds
-/// checkpoint their four counters; seeds with failures journal
+/// checkpoint their four counters ([`ChaosCounts`]), and restore takes only
+/// counters a clean seed can produce; seeds with failures journal
 /// `{"dirty": true}` and re-run deterministically on resume.
 pub struct ChaosFuzzCampaign {
     /// The options every seed runs under.
@@ -1062,32 +1089,43 @@ impl Campaign for ChaosFuzzCampaign {
 
     fn checkpoint(&self, r: &ChaosFuzzReport) -> Json {
         if !r.failures.is_empty() {
-            return Json::obj(vec![("dirty", true.into())]);
+            return DIRTY.put();
         }
-        Json::obj(vec![
-            ("runs", r.runs.into()),
-            ("clean", r.clean.into()),
-            ("rode_out", r.rode_out.into()),
-            ("retries", r.retries.into()),
-        ])
+        ChaosCounts {
+            runs: r.runs,
+            clean: r.clean,
+            rode_out: r.rode_out,
+            retries: r.retries,
+        }
+        .put()
     }
 
     fn restore(&self, _seed: u64, payload: &Json) -> Result<Restored<ChaosFuzzReport>, String> {
-        if payload.get("dirty").and_then(Json::as_bool) == Some(true) {
+        let what = "chaos-fuzz checkpoint";
+        if *payload == DIRTY.put() {
             return Ok(Restored::Rerun);
         }
-        let field = |k: &str| {
-            payload
-                .get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("chaos-fuzz checkpoint: missing {k}"))
-        };
+        let c = ChaosCounts::take(payload, what)?;
+        let runs = ALL_SCHEMES.len() as u64;
+        let max_retries = c.rode_out.saturating_mul(u64::from(OOM_RETRY_ATTEMPTS));
+        if c.runs != runs
+            || c.clean.checked_add(c.rode_out) != Some(runs)
+            || c.retries < c.rode_out
+            || c.retries > max_retries
+        {
+            return Err(format!(
+                "{what}: runs {} clean {} rode_out {} retries {} are not a clean \
+                 seed's counters ({runs} runs, each clean or ridden out with 1 to \
+                 {OOM_RETRY_ATTEMPTS} retries)",
+                c.runs, c.clean, c.rode_out, c.retries
+            ));
+        }
         Ok(Restored::Value(ChaosFuzzReport {
             programs: 1,
-            runs: field("runs")?,
-            clean: field("clean")?,
-            rode_out: field("rode_out")?,
-            retries: field("retries")?,
+            runs: c.runs,
+            clean: c.clean,
+            rode_out: c.rode_out,
+            retries: c.retries,
             ..ChaosFuzzReport::default()
         }))
     }
@@ -1487,6 +1525,57 @@ mod tests {
                 s.report.render(),
                 "workers={workers} must reproduce the sequential campaign"
             );
+        }
+    }
+
+    /// Restore rebuilds exactly what a seed's run gives, and refuses a
+    /// checkpoint that run could not have written.
+    #[test]
+    fn restore_takes_only_checkpoints_the_seed_can_produce() {
+        let fuzz = FuzzCampaign {
+            opts: FuzzOpts::default(),
+        };
+        let seed = 1;
+        let run = fuzz.run_seed(seed, 1).expect("seed runs");
+        let payload = fuzz.checkpoint(&run);
+        let Ok(Restored::Value(back)) = fuzz.restore(seed, &payload) else {
+            panic!("a clean checkpoint restores");
+        };
+        assert_eq!(back.to_json(), run.to_json());
+        assert!(
+            fuzz.restore(seed + 1, &payload).is_err(),
+            "another seed's kind"
+        );
+        let text = payload.to_compact();
+        for (from, to) in [
+            (r#"["missed","detected""#, r#"["missed","missed""#),
+            ("missed", "pass"),
+        ] {
+            let forged = Json::parse(&text.replacen(from, to, 1)).unwrap();
+            assert!(fuzz.restore(seed, &forged).is_err(), "{from} -> {to}");
+        }
+        let not_dirty = Json::parse(r#"{"dirty":false}"#).unwrap();
+        assert!(fuzz.restore(seed, &not_dirty).is_err());
+
+        let chaos = ChaosFuzzCampaign {
+            opts: FuzzOpts::default(),
+        };
+        // Seed 0 rides out injected OOM on every scheme.
+        let run = chaos.run_seed(0, 1).expect("seed runs");
+        assert!(run.rode_out > 0, "seed 0 needs a ridden-out run");
+        let payload = chaos.checkpoint(&run);
+        let Ok(Restored::Value(back)) = chaos.restore(0, &payload) else {
+            panic!("a clean checkpoint restores");
+        };
+        assert_eq!(back.render(), run.render());
+        let retries = format!("\"retries\":{}", run.retries);
+        let cap = run.rode_out * u64::from(OOM_RETRY_ATTEMPTS);
+        for bad in [cap + 1, run.rode_out - 1] {
+            let text = payload
+                .to_compact()
+                .replace(&retries, &format!("\"retries\":{bad}"));
+            let forged = Json::parse(&text).unwrap();
+            assert!(chaos.restore(0, &forged).is_err(), "retries {bad}");
         }
     }
 }

@@ -113,6 +113,10 @@ pub struct Exec {
 /// seed as a `budget` failure.
 pub const DEFAULT_BUDGET: u64 = 4_000_000;
 
+/// Retries the chaos mode grants one run for injected OOMs; a run that
+/// needs more traps, so a completed run never reports more.
+pub const OOM_RETRY_ATTEMPTS: u32 = 16;
+
 /// Builds, instruments, and runs `prog` under `scheme`.
 pub fn exec(prog: &Prog, scheme: FScheme) -> Exec {
     exec_inner(
@@ -318,7 +322,7 @@ fn exec_uncaught(
         vm.set_recovery(PolicySet::uniform(RecoveryPolicy::Abort).with_override(
             TrapClass::Oom,
             RecoveryPolicy::RetryWithBackoff {
-                max_attempts: 16,
+                max_attempts: OOM_RETRY_ATTEMPTS,
                 backoff: 1_000,
             },
         ));

@@ -40,7 +40,9 @@
 //!   request-outcome counters) with a percentile table on stdout;
 //! * `repro trace export` — run one traced server under a chaos schedule
 //!   and export the span tree as Chrome trace-event JSON (loadable in
-//!   Perfetto / `chrome://tracing`), optionally as ASCII or SVG timeline.
+//!   Perfetto / `chrome://tracing`), optionally as ASCII or SVG timeline;
+//! * `repro selfcheck` — check every determinism law of every artifact,
+//!   from the registry in `selfcheck.rs`.
 
 use crate::exp::{self, Effort, DEFAULT_SEED};
 use crate::profile::{profile_one, render as render_profile, DEFAULT_RING, DEFAULT_TOP};
@@ -71,7 +73,7 @@ pub const USAGE: &str =
      [--tier T] [--workers N] [--journal FILE] [--resume FILE] [--stop-after N] [--quarantine] \
      [--demo-panic SEED] [--json FILE]\n       \
      repro lint [NAMES...] [--ipa] [--demo-oob] [--demo-uaf] [--ascii] [--seed N] \
-     [--tier T] [--json FILE] [--incident FILE]\n       \
+     [--json FILE] [--incident FILE]\n       \
      repro audit --demo-oob [--window N] [--json FILE] [--ascii FILE] [--svg FILE]\n       \
      repro bench record [--quick] [--tiny|--mini|--paper] [--replicates N] [--seed0 N] \
      [--rev REV] [--tier T] [--out FILE]\n       \
@@ -83,7 +85,8 @@ pub const USAGE: &str =
      [--journal FILE] [--resume FILE] [--stop-after N] [--quarantine] [--demo-panic SEED] \
      [--json FILE]\n       \
      repro trace export [--app A] [--scheme S] [--policy P] [--seed N] [--requests N] \
-     [--tier T] [--out FILE] [--ascii FILE] [--svg FILE]\n\
+     [--tier T] [--out FILE] [--ascii FILE] [--svg FILE]\n       \
+     repro selfcheck\n\
      (--tier: reference|compiled — the compiled tier is pinned bit-identical \
      and only changes host wall time)";
 
@@ -256,6 +259,7 @@ pub fn run(args: &[String]) -> Result<i32, String> {
         Some("render") => run_render(&args[1..]),
         Some("metrics") => run_metrics(&args[1..]),
         Some("trace") => run_trace(&args[1..]),
+        Some("selfcheck") => crate::selfcheck::run_selfcheck(&args[1..]),
         _ => run_experiments(args),
     }
 }
@@ -496,9 +500,10 @@ pub fn run_profile(args: &[String]) -> Result<i32, String> {
         println!("profile json written to {path}");
     }
     // A hardened run that never executed a check means the site plumbing is
-    // broken — fail loudly so CI catches it.
+    // broken — fail loudly. `--top 0` only trims the table, so the test is
+    // on the sites that fired, not on the sites listed.
     let hardened = !matches!(scheme, Scheme::Baseline);
-    if hardened && pr.profile.top_sites.is_empty() {
+    if hardened && pr.profile.sites_active == 0 {
         eprintln!("profile: no check site fired under {}", scheme.label());
         return Ok(1);
     }
@@ -757,7 +762,7 @@ pub fn run_bench(args: &[String]) -> Result<i32, String> {
 /// the oracle to *catch* it (exit 1 if the perturbed run slips through).
 pub fn run_tier(args: &[String]) -> Result<i32, String> {
     use sgxs_fuzz::gen::generate;
-    use sgxs_fuzz::inject::{inject, ALL_KINDS};
+    use sgxs_fuzz::inject::{inject, FaultKind};
     use sgxs_fuzz::runner::{exec_chaos_tier, exec_tier, Exec, ALL_SCHEMES};
 
     let mut it = Args::new("tier", args);
@@ -798,8 +803,7 @@ pub fn run_tier(args: &[String]) -> Result<i32, String> {
     //    scheme, both tiers.
     for seed in seed0..seed0 + seeds {
         let prog = generate(seed, max_ops);
-        let kind = ALL_KINDS[(seed % ALL_KINDS.len() as u64) as usize];
-        let (fprog, _fault) = inject(&prog, kind, seed);
+        let (fprog, _fault) = inject(&prog, FaultKind::for_seed(seed), seed);
         for scheme in ALL_SCHEMES {
             for (tag, p) in [("safe", &prog), ("faulty", &fprog)] {
                 let r = exec_tier(p, scheme, ExecTier::Reference);

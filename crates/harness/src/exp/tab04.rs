@@ -2,9 +2,10 @@
 
 use crate::report::Table;
 use crate::scheme::{RunConfig, Scheme};
+use sgxs_baselines::Hardening;
 use sgxs_mir::{verify, Module, Trap, Vm, VmConfig};
 use sgxs_obs::json::Json;
-use sgxs_sim::{MachineConfig, Preset};
+use sgxs_sim::{ExecTier, MachineConfig, Preset};
 use sgxs_workloads::apps::ripe::{self, AttackConfig};
 use std::fmt;
 
@@ -26,16 +27,28 @@ pub struct Tab4 {
     pub matrix: Vec<(AttackConfig, [Outcome; 3])>,
 }
 
+/// The hardened VM one attack runs in, on `rc.tier` as in
+/// [`crate::scheme::run_one`].
+fn attack_vm<'m>(module: &'m Module, hardening: &Hardening, rc: &RunConfig) -> Vm<'m> {
+    let mut machine_cfg = MachineConfig::preset(rc.preset, rc.mode);
+    machine_cfg.tier = rc.tier;
+    let mut cfg = VmConfig::new(machine_cfg);
+    cfg.max_instructions = 50_000_000;
+    let mut vm = Vm::new(module, cfg);
+    hardening.install(&mut vm, rc.scale(), rc.enclave_cap());
+    if rc.tier == ExecTier::Compiled {
+        sgxs_exec::attach(&mut vm);
+    }
+    vm
+}
+
 fn run_attack(mut module: Module, scheme: Scheme, rc: &RunConfig) -> Outcome {
     let hardening = scheme.hardening();
     hardening
         .instrument(&mut module, false)
         .expect("attack module instruments");
     verify(&module).expect("attack module verifies");
-    let mut cfg = VmConfig::new(MachineConfig::preset(rc.preset, rc.mode));
-    cfg.max_instructions = 50_000_000;
-    let mut vm = Vm::new(&module, cfg);
-    hardening.install(&mut vm, rc.scale(), rc.enclave_cap());
+    let mut vm = attack_vm(&module, &hardening, rc);
     match vm.run("main", &[]).result {
         Err(Trap::SafetyViolation { .. }) => Outcome::Prevented,
         Ok(v) if v == ripe::SHELL_MAGIC => Outcome::Succeeded,
@@ -134,5 +147,24 @@ impl fmt::Display for Tab4 {
             format!("{}/16", p[2]),
         ]);
         write!(f, "{}", t.render())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn attacks_run_on_the_requested_tier() {
+        let hardening = Scheme::SgxBounds.hardening();
+        let mut module = ripe::build_attack(&ripe::all_attacks()[0]);
+        hardening.instrument(&mut module, false).unwrap();
+        for tier in [ExecTier::Reference, ExecTier::Compiled] {
+            let mut rc = RunConfig::new(Preset::Tiny);
+            rc.tier = tier;
+            let vm = attack_vm(&module, &hardening, &rc);
+            assert_eq!(vm.config().machine.tier, tier);
+            assert_eq!(vm.engine_installed(), tier == ExecTier::Compiled);
+        }
     }
 }

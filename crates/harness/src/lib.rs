@@ -18,6 +18,7 @@ pub mod lint;
 pub mod profile;
 pub mod report;
 pub mod scheme;
+mod selfcheck;
 
 pub use exp::Effort;
 pub use profile::{profile_one, ProfileRun};

@@ -14,8 +14,8 @@
 //! CI gate (leaks are informational).
 //!
 //! Linting never executes workload code, so its output is byte-identical
-//! across execution tiers by construction; `--tier` is accepted (and
-//! `tests/lint_determinism.rs` locks the invariance in).
+//! across execution tiers by construction and the command takes no
+//! `--tier` (`tests/lint_determinism.rs` locks the invariance in).
 
 use crate::cli::Args;
 use crate::scheme::RunConfig;
@@ -306,7 +306,7 @@ pub fn lint_modules(modules: Vec<Module>, seed: u64, ipa: bool) -> LintOutcome {
 }
 
 /// `repro lint [NAMES...] [--ipa] [--demo-oob] [--demo-uaf] [--ascii]
-/// [--json FILE] [--incident FILE] [--tier T] [--seed N]`: lints workload
+/// [--json FILE] [--incident FILE] [--seed N]`: lints workload
 /// modules (all benchmarks by default) and exits 1 on any proved-OOB,
 /// proved-UAF, or proved-double-free access. `--demo-uaf` implies
 /// `--ipa` (only the interprocedural tier proves it). With `--demo-oob`,
@@ -337,11 +337,6 @@ pub fn run_lint(args: &[String]) -> Result<i32, String> {
             "--ipa" => ipa = true,
             "--ascii" => ascii = true,
             "--seed" => seed = it.parse("--seed")?,
-            "--tier" => {
-                // Linting never executes code; the flag exists so callers
-                // can prove tier-invariance of the output.
-                crate::scheme::set_default_tier(crate::cli::tier_value(&mut it)?);
-            }
             other if !other.starts_with('-') => names.push(other.to_owned()),
             other => return Err(it.fail(format!("unknown argument '{other}'"))),
         }
@@ -389,13 +384,7 @@ pub fn run_lint(args: &[String]) -> Result<i32, String> {
     }
 
     if let Some(path) = &json {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                let _ = std::fs::create_dir_all(dir);
-            }
-        }
-        std::fs::write(path, out.doc.to_pretty())
-            .map_err(|e| it.fail(format!("cannot write {path}: {e}")))?;
+        crate::cli::write_file(path, &out.doc.to_pretty()).map_err(|e| it.fail(e))?;
         println!("lint json written to {path}");
     }
     if let Some(path) = &incident {

@@ -162,6 +162,11 @@ fn usage_errors_are_errors_not_exits() {
     assert!(cli::run(&args(&["bench"])).is_err());
     assert!(cli::run(&args(&["profile", "--scheme"])).is_err());
 
+    // `selfcheck` takes no argument, and `lint` no longer takes `--tier`.
+    assert!(cli::run(&args(&["selfcheck", "--quick"])).is_err());
+    let e = cli::run(&args(&["lint", "--tier", "compiled"])).unwrap_err();
+    assert!(e.contains("unknown argument '--tier'"), "{e}");
+
     // Unknown scheme labels are rejected by both label lookups.
     assert!(cli::run(&args(&["profile", "string_match", "--scheme", "native"])).is_err());
     assert!(cli::run(&args(&["trace", "export", "--scheme", "asan"])).is_err());
@@ -484,4 +489,155 @@ fn chaos_resume_from_any_cut_journal_is_byte_identical() {
         "2",
     ];
     resume_every_cut("cut-chaos", &cmd, false);
+}
+
+#[test]
+fn profile_top_zero_trims_the_table_but_passes_a_run_whose_sites_fired() {
+    let dir = scratch("profile-top0");
+    let json = dir.join("p.json");
+    let argv = ["profile", "string_match", "--top", "0", "--json"];
+    let code = cli::run(&args(&[&argv[..], &[json.to_str().unwrap()]].concat()));
+    assert_eq!(code, Ok(0));
+    let doc = sgxs_obs::read::parse_profile(&std::fs::read_to_string(&json).unwrap()).unwrap();
+    assert!(doc.top_sites.is_empty() && doc.sites_active > 0, "{doc:?}");
+}
+
+#[test]
+fn profile_trace_is_one_event_per_line() {
+    let dir = scratch("profile-trace");
+    let trace = dir.join("t.jsonl");
+    let argv = [
+        "profile",
+        "string_match",
+        "--scheme",
+        "sgxbounds",
+        "--trace",
+    ];
+    let code = cli::run(&args(&[&argv[..], &[trace.to_str().unwrap()]].concat()));
+    assert_eq!(code, Ok(0));
+    let text = std::fs::read_to_string(&trace).unwrap();
+    assert!(text.lines().count() > 0);
+    for line in text.lines() {
+        let v = sgxs_obs::json::Json::parse(line).unwrap();
+        assert!(v.get("ev").is_some(), "{line}");
+    }
+}
+
+#[test]
+fn trace_export_writes_the_serve_request_check_hierarchy() {
+    let dir = scratch("trace-export");
+    let p = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (out, ascii, svg) = (p("t.json"), p("t.txt"), p("t.svg"));
+    let argv = [
+        "trace",
+        "export",
+        "--seed",
+        "3",
+        "--requests",
+        "16",
+        "--out",
+        &out,
+    ];
+    let code = cli::run(&args(
+        &[&argv[..], &["--ascii", &ascii, "--svg", &svg]].concat(),
+    ));
+    assert_eq!(code, Ok(0));
+    let doc = sgxs_obs::json::Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
+    let events = doc.get("traceEvents").and_then(|v| v.as_arr()).unwrap();
+    let names: std::collections::BTreeSet<&str> = events
+        .iter()
+        .map(|e| e.get("name").and_then(|v| v.as_str()).unwrap())
+        .collect();
+    assert!(
+        ["serve", "request", "check"]
+            .iter()
+            .all(|n| names.contains(n)),
+        "{names:?}"
+    );
+    assert!(events
+        .iter()
+        .all(|e| e.get("ph").and_then(|v| v.as_str()) == Some("X")));
+    assert!(!std::fs::read_to_string(&ascii).unwrap().is_empty());
+    let svg = std::fs::read_to_string(&svg).unwrap();
+    assert!(svg.starts_with("<svg ") && svg.trim_end().ends_with("</svg>"));
+}
+
+/// Journals `cmd` with one worker, rewrites seed 1's line with `edit`, and
+/// returns what resuming the edited journal gives.
+fn resume_edited(test: &str, cmd: &[&str], edit: impl Fn(&str) -> String) -> Result<i32, String> {
+    let dir = scratch(test);
+    let journal = dir.join("j.jsonl").to_string_lossy().into_owned();
+    let run = |extra: &[&str]| cli::run(&args(&[cmd, &["--workers", "1"], extra].concat()));
+    assert_eq!(run(&["--journal", &journal]), Ok(0));
+    let text = std::fs::read_to_string(&journal).unwrap();
+    let forged: Vec<String> = text
+        .lines()
+        .map(|l| match l.starts_with(r#"{"seed":1,"#) {
+            true => edit(l),
+            false => l.to_owned(),
+        })
+        .collect();
+    assert_ne!(
+        forged.join("\n") + "\n",
+        text,
+        "{test}: seed 1's line was not edited"
+    );
+    std::fs::write(&journal, forged.join("\n") + "\n").unwrap();
+    run(&["--resume", &journal])
+}
+
+#[test]
+fn resume_refuses_a_fuzz_row_of_another_fault_kind() {
+    // Seed 1 injects a heap-overflow-far fault; a row claiming another
+    // kind would restore a matrix the campaign never ran.
+    let cmd = ["fuzz", "--seeds", "6"];
+    let e = resume_edited("forged-kind", &cmd, |l| {
+        l.replace(
+            r#""kind":"heap-overflow-far""#,
+            r#""kind":"global-overflow""#,
+        )
+    })
+    .unwrap_err();
+    assert!(
+        e.contains("j.jsonl: seed 1:") && e.contains("global-overflow"),
+        "{e}"
+    );
+}
+
+#[test]
+fn resume_refuses_chaos_fuzz_counters_no_clean_seed_has() {
+    // A clean chaos-fuzz seed runs each of the eight schemes once; forged
+    // counters would wrap the campaign's totals.
+    let cmd = ["fuzz", "--chaos", "--seeds", "6"];
+    let e = resume_edited("forged-counts", &cmd, |l| {
+        let max = u64::MAX;
+        let at = l.find(r#""clean":"#).unwrap();
+        let rest = &l[at..];
+        let end = at + rest.find(',').unwrap();
+        let l = format!("{}\"clean\":{max}{}", &l[..at], &l[end..]);
+        l.replace(r#""runs":8"#, &format!("\"runs\":{max}"))
+    })
+    .unwrap_err();
+    assert!(
+        e.contains("j.jsonl: seed 1:") && e.contains("chaos-fuzz checkpoint"),
+        "{e}"
+    );
+}
+
+#[test]
+fn a_clean_fuzz_campaign_writes_both_tables_and_no_disagreement() {
+    let dir = scratch("fuzz-doc");
+    let json = dir.join("f.json");
+    let argv = ["fuzz", "--seeds", "25", "--json", json.to_str().unwrap()];
+    assert_eq!(cli::run(&args(&argv)), Ok(0));
+    let doc = sgxs_obs::json::Json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
+    let field = |k: &str| doc.get(k).unwrap_or_else(|| panic!("no {k}"));
+    assert_eq!(field("schema").as_str(), Some("sgxs-fuzz-v1"));
+    assert_eq!(field("disagreements").as_arr().map(<[_]>::len), Some(0));
+    for table in ["safe", "matrix"] {
+        assert!(
+            field(table).as_arr().is_some_and(|t| !t.is_empty()),
+            "{table}"
+        );
+    }
 }

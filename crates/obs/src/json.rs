@@ -382,13 +382,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(&c) => {
-                // Consume one UTF-8 scalar starting at this byte.
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid UTF-8".to_owned())?;
-                let ch = s.chars().next().expect("nonempty");
-                let _ = c;
-                out.push(ch);
-                *pos += ch.len_utf8();
+            Some(_) => {
+                // The run up to the next quote or escape (ASCII, so a char
+                // boundary): checking only the run keeps the parse linear.
+                let end = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(b.len(), |i| *pos + i);
+                let run = std::str::from_utf8(&b[*pos..end]).map_err(|_| "invalid UTF-8")?;
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -427,6 +430,7 @@ mod tests {
     fn roundtrips_nested_values() {
         let v = Json::obj(vec![
             ("name", "kmeans \"L\"".into()),
+            ("runs", "é€😀 \\ \"q\"\n→ end".into()),
             ("n", 42u64.into()),
             ("neg", Json::I64(-7)),
             ("ratio", 1.25f64.into()),

@@ -117,14 +117,26 @@ fn corpus_forensics_are_zero_perturbation_and_tier_pinned() {
 /// tiers and reruns.
 #[test]
 fn chaos_demo_corruption_incidents_embed_validate_and_pin() {
-    let opts = CampaignOpts {
+    let small = CampaignOpts {
         seeds: 2,
         seed0: 11,
         requests: 8,
         demo_corruption: true,
         ..CampaignOpts::default()
     };
-    let report = run_chaos_campaign(&opts);
+    // `repro chaos --seeds 2 --requests 16 --demo-corruption`, too.
+    let cli = CampaignOpts {
+        seed0: 0,
+        requests: 16,
+        ..small.clone()
+    };
+    for opts in [small, cli] {
+        demo_corruption_incidents_embed_validate_and_pin(&opts);
+    }
+}
+
+fn demo_corruption_incidents_embed_validate_and_pin(opts: &CampaignOpts) {
+    let report = run_chaos_campaign(opts);
     assert!(
         !report.incidents.is_empty(),
         "demo corruption produced no incident"
@@ -146,11 +158,11 @@ fn chaos_demo_corruption_incidents_embed_validate_and_pin() {
         report.incidents.len(),
         "embedded incidents survive the round trip"
     );
-    let rerun = run_chaos_campaign(&opts).to_json().to_pretty();
+    let rerun = run_chaos_campaign(opts).to_json().to_pretty();
     assert_eq!(text, rerun, "chaos document drifted between reruns");
     let compiled = run_chaos_campaign(&CampaignOpts {
         tier: ExecTier::Compiled,
-        ..opts
+        ..opts.clone()
     })
     .to_json()
     .to_pretty();

@@ -1,9 +1,9 @@
 //! The lint artifact is deterministic and zero-perturbation: rerunning
 //! `repro lint` byte-for-byte reproduces both the human text and the JSON
 //! document, and switching the execution tier changes nothing — linting
-//! is purely static, so `--tier reference` and `--tier compiled` must
-//! produce identical bytes (the same guarantee the CI byte-diff
-//! enforces, pinned here so `cargo test` alone catches a violation).
+//! is purely static, so the reference and compiled default tiers must
+//! produce identical bytes (`repro lint` takes no `--tier`; `repro
+//! selfcheck` reruns it at the command line).
 
 use sgxs_harness::exp::DEFAULT_SEED;
 use sgxs_harness::lint::lint_modules;
@@ -47,7 +47,8 @@ fn lint_output_is_byte_identical_across_reruns_and_tiers() {
 }
 
 /// The corpus-wide document parses through its own validating reader in
-/// both schema versions.
+/// both schema versions, covers every benchmark, and in v2 carries each
+/// module's call graph and summaries.
 #[test]
 fn benchmark_lint_documents_validate() {
     for ipa in [false, true] {
@@ -55,5 +56,19 @@ fn benchmark_lint_documents_validate() {
         let parsed = sgxs_obs::read::lint_from_json(&out.doc).expect("document validates");
         assert_eq!(parsed.ipa, ipa.then_some(true));
         assert_eq!(parsed.proved_oob as usize, out.oob);
+        assert_eq!(parsed.modules.len(), sgxs_workloads::all_benchmarks().len());
+        for m in parsed.modules.iter().filter(|_| ipa) {
+            let non_empty = |v: Option<usize>| v.is_some_and(|n| n > 0);
+            assert!(
+                non_empty(m.call_graph.as_ref().map(Vec::len)),
+                "{}",
+                m.module
+            );
+            assert!(
+                non_empty(m.summaries.as_ref().map(Vec::len)),
+                "{}",
+                m.module
+            );
+        }
     }
 }

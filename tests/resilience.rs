@@ -21,13 +21,24 @@ use sgxs_workloads::apps::server::INPUT_BYTES;
 
 #[test]
 fn chaos_campaign_separates_fail_stop_from_boundless_availability() {
-    let opts = CampaignOpts {
+    let small = CampaignOpts {
         seeds: 25,
         seed0: 1,
         requests: 32,
         ..CampaignOpts::default()
     };
-    let rep = run_chaos_campaign(&opts);
+    // The 100 default-option seeds `repro selfcheck` runs, too.
+    let selfcheck = CampaignOpts {
+        seeds: 100,
+        ..CampaignOpts::default()
+    };
+    for opts in [small, selfcheck] {
+        separates_fail_stop_from_boundless(&opts);
+    }
+}
+
+fn separates_fail_stop_from_boundless(opts: &CampaignOpts) {
+    let rep = run_chaos_campaign(opts);
     assert!(!rep.gate_failed(), "{}", rep.render());
 
     let row = |scheme: &str, policy: &str| {
@@ -41,7 +52,7 @@ fn chaos_campaign_separates_fail_stop_from_boundless_availability() {
     let native = row("native", "abort");
 
     // Boundless: high availability, nothing corrupted, every seed run.
-    assert_eq!(boundless.runs, 25);
+    assert_eq!(boundless.runs, opts.seeds);
     assert!(
         boundless.availability() >= 0.90,
         "boundless availability {:.3}\n{}",

@@ -170,52 +170,68 @@ fn interrupted_chaos_campaign_resumes_to_the_uninterrupted_artifact() {
 fn demo_failures_are_quarantined_with_accurate_coverage_and_resume() {
     let dir = std::env::temp_dir().join(format!("sgxs-resume-quar-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    // One panicking seed and one over-budget seed inside an 8-seed range:
-    // both must be quarantined — not kill the campaign — and the coverage
-    // ledger must account for every seed exactly once.
-    let opts = sgxs_fuzz::FuzzOpts {
+    // One panicking seed and one over-budget seed inside an 8-seed range,
+    // and inside the 50 default-option seeds `repro selfcheck` runs: both
+    // must be quarantined — not kill the campaign — and the coverage
+    // ledger and the journal must account for every seed exactly once.
+    let small = sgxs_fuzz::FuzzOpts {
         demo_panic: Some(3),
         demo_budget: Some(5),
         ..fuzz_opts(8)
     };
-    let journal = dir.join("quar.jsonl").to_string_lossy().into_owned();
-    let jopts = SuperOpts {
-        journal: Some(journal.clone()),
-        ..sup(4)
+    let selfcheck = sgxs_fuzz::FuzzOpts {
+        seeds: 50,
+        demo_panic: Some(7),
+        demo_budget: Some(11),
+        ..sgxs_fuzz::FuzzOpts::default()
     };
-    let out = run_campaign_supervised(&opts, &jopts, &StopFlag::new()).expect("campaign runs");
-    let rep = &out.report;
-    let cov = rep.coverage();
-    assert_eq!(
-        (cov.seeds, cov.completed, cov.quarantined, cov.skipped),
-        (8, 6, 2, 0)
-    );
-    let classes: Vec<(u64, &str)> = rep
-        .quarantine
-        .iter()
-        .map(|q| (q.seed, q.class.as_str()))
-        .collect();
-    assert_eq!(classes, [(3, "panic"), (5, "budget")]);
-    assert!(rep.quarantine[0]
-        .detail
-        .contains("injected panicking seed 3"));
-    assert!(rep.quarantine[1].detail.contains("cycle budget"));
-    // The quarantined run resumes from its journal to the byte-identical
-    // artifact without re-running the completed seeds.
-    let resume = SuperOpts {
-        journal: Some(journal),
-        resume: true,
-        ..sup(2)
-    };
-    let again = run_campaign_supervised(&opts, &resume, &StopFlag::new()).expect("resume runs");
-    // All eight seeds settle from the journal: six clean verdicts plus
-    // both quarantine entries restore without re-running anything.
-    assert_eq!(again.resumed, 8);
-    assert_eq!(
-        again.report.to_json().to_pretty(),
-        rep.to_json().to_pretty(),
-        "resumed quarantine campaign diverged"
-    );
+    for opts in [small, selfcheck] {
+        let (seeds, panic, budget) = (opts.seeds, opts.demo_panic, opts.demo_budget);
+        let journal = dir.join(format!("quar{seeds}.jsonl"));
+        let journal = journal.to_string_lossy().into_owned();
+        let jopts = SuperOpts {
+            journal: Some(journal.clone()),
+            ..sup(4)
+        };
+        let out = run_campaign_supervised(&opts, &jopts, &StopFlag::new()).expect("campaign runs");
+        let rep = &out.report;
+        let cov = rep.coverage();
+        assert_eq!(
+            (cov.seeds, cov.completed, cov.quarantined, cov.skipped),
+            (seeds, seeds - 2, 2, 0)
+        );
+        let classes: Vec<(Option<u64>, &str)> = rep
+            .quarantine
+            .iter()
+            .map(|q| (Some(q.seed), q.class.as_str()))
+            .collect();
+        assert_eq!(classes, [(panic, "panic"), (budget, "budget")]);
+        let want = format!("injected panicking seed {}", panic.unwrap());
+        assert!(rep.quarantine[0].detail.contains(&want));
+        assert!(rep.quarantine[1].detail.contains("cycle budget"));
+        let text = std::fs::read_to_string(&journal).expect("journal written");
+        let entries = sgxs_obs::read::parse_journal(&text)
+            .expect("journal parses")
+            .entries;
+        let quarantined = entries.iter().filter(|e| e.status == "quarantined");
+        assert_eq!((entries.len() as u64, quarantined.count()), (seeds, 2));
+        // The quarantined run resumes from its journal to the byte-identical
+        // artifact without re-running the completed seeds.
+        let resume = SuperOpts {
+            journal: Some(journal),
+            resume: true,
+            ..sup(2)
+        };
+        let again = run_campaign_supervised(&opts, &resume, &StopFlag::new()).expect("resume runs");
+        // Every seed settles from the journal: the clean verdicts plus both
+        // quarantine entries restore without re-running anything.
+        assert_eq!(again.resumed, seeds);
+        assert_eq!(
+            again.report.to_json().to_pretty(),
+            rep.to_json().to_pretty(),
+            "resumed quarantine campaign diverged"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
