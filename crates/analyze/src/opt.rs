@@ -20,7 +20,7 @@ use crate::dataflow::{self, Analysis};
 use crate::ipa::Summaries;
 use crate::prov::{facts_for, preserves_heap, Class};
 use sgxs_mir::ir::{def_of, BinOp, BlockId, Function, Inst, Module, Operand, Reg};
-use sgxs_mir::ty::Ty;
+use sgxs_mir::rewrite::Access;
 use std::collections::HashMap;
 
 /// Marks every access the flow-sensitive analysis proves in-bounds.
@@ -47,7 +47,7 @@ pub fn mark_safe_flow_with(m: &mut Module, summaries: Option<&Summaries>) -> usi
             .collect();
         for (bi, ii) in safe {
             let inst = &mut m.funcs[fi].blocks[bi as usize].insts[ii as usize];
-            if let Some(attrs) = attrs_mut(inst) {
+            if let Some(attrs) = inst.attrs_mut() {
                 if !attrs.safe && !attrs.lowered {
                     attrs.safe = true;
                     marked += 1;
@@ -56,26 +56,6 @@ pub fn mark_safe_flow_with(m: &mut Module, summaries: Option<&Summaries>) -> usi
         }
     }
     marked
-}
-
-fn attrs_mut(inst: &mut Inst) -> Option<&mut sgxs_mir::ir::AccessAttrs> {
-    match inst {
-        Inst::Load { attrs, .. }
-        | Inst::Store { attrs, .. }
-        | Inst::AtomicRmw { attrs, .. }
-        | Inst::AtomicCas { attrs, .. } => Some(attrs),
-        _ => None,
-    }
-}
-
-fn access_of(inst: &Inst) -> Option<(Ty, &Operand)> {
-    match inst {
-        Inst::Load { addr, ty, .. }
-        | Inst::Store { addr, ty, .. }
-        | Inst::AtomicRmw { addr, ty, .. }
-        | Inst::AtomicCas { addr, ty, .. } => Some((*ty, addr)),
-        _ => None,
-    }
 }
 
 /// A value whose bounds have been established: a register or a local.
@@ -119,7 +99,12 @@ impl AvailAnalysis<'_> {
         // run time the access either passed its dynamic check or was
         // statically proven, so any code it reaches knows the value covers
         // at least `width` bytes.
-        if let Some((ty, Operand::Reg(r))) = access_of(inst) {
+        if let Some(Access {
+            addr: Operand::Reg(r),
+            ty,
+            ..
+        }) = inst.access()
+        {
             let w = ty.width() as u64;
             st.gen(Key::R(r.0), w);
             if let Some(l) = st.alias.get(&r.0).copied() {
@@ -271,7 +256,12 @@ pub fn elide_redundant_checks_with(m: &mut Module, summaries: Option<&Summaries>
                 continue;
             };
             for (ii, inst) in blk.insts.iter().enumerate() {
-                if let Some((ty, Operand::Reg(r))) = access_of(inst) {
+                if let Some(Access {
+                    addr: Operand::Reg(r),
+                    ty,
+                    ..
+                }) = inst.access()
+                {
                     let covered = st
                         .facts
                         .get(&Key::R(r.0))
@@ -285,7 +275,7 @@ pub fn elide_redundant_checks_with(m: &mut Module, summaries: Option<&Summaries>
         }
         for (bi, ii) in redundant {
             let inst = &mut m.funcs[fi].blocks[bi as usize].insts[ii as usize];
-            if let Some(attrs) = attrs_mut(inst) {
+            if let Some(attrs) = inst.attrs_mut() {
                 if !attrs.safe && !attrs.lowered {
                     attrs.safe = true;
                     elided += 1;
@@ -618,10 +608,11 @@ mod tests {
             for (fb_, ff) in per_block.funcs.iter().zip(flow.funcs.iter()) {
                 for (bb, bf) in fb_.blocks.iter().zip(ff.blocks.iter()) {
                     for (ib, if_) in bb.insts.iter().zip(bf.insts.iter()) {
-                        if let (Some((_, _)), Some(ab), Some(af)) =
-                            (access_of(ib), attrs_of(ib), attrs_of(if_))
-                        {
-                            assert!(!ab.safe || af.safe, "flow lost a per-block fact");
+                        if let (Some(ab), Some(af)) = (ib.access(), if_.access()) {
+                            assert!(
+                                !ab.attrs.safe || af.attrs.safe,
+                                "flow lost a per-block fact"
+                            );
                         }
                     }
                 }
@@ -677,15 +668,5 @@ mod tests {
         // `release` frees its argument — which may alias `p` — so the
         // store's check must stay.
         assert_eq!(elide_redundant_checks_with(&mut inter, Some(&summaries)), 0);
-    }
-
-    fn attrs_of(inst: &Inst) -> Option<&sgxs_mir::ir::AccessAttrs> {
-        match inst {
-            Inst::Load { attrs, .. }
-            | Inst::Store { attrs, .. }
-            | Inst::AtomicRmw { attrs, .. }
-            | Inst::AtomicCas { attrs, .. } => Some(attrs),
-            _ => None,
-        }
     }
 }

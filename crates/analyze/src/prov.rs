@@ -1141,16 +1141,6 @@ pub fn classify(val: &AbsVal, width: u8) -> Class {
     Class::Unknown
 }
 
-fn access_of(inst: &Inst) -> Option<(&'static str, Ty, &Operand)> {
-    match inst {
-        Inst::Load { addr, ty, .. } => Some(("load", *ty, addr)),
-        Inst::Store { addr, ty, .. } => Some(("store", *ty, addr)),
-        Inst::AtomicRmw { addr, ty, .. } => Some(("rmw", *ty, addr)),
-        Inst::AtomicCas { addr, ty, .. } => Some(("cas", *ty, addr)),
-        _ => None,
-    }
-}
-
 /// Spatial classification gated by allocation-site liveness: a fact about
 /// a freed (or maybe-freed) site proves nothing spatially, and a
 /// definitely-freed site is a proved use-after-free.
@@ -1216,11 +1206,11 @@ pub(crate) fn facts_of(analysis: &ProvAnalysis<'_>, states: &[Option<PState>]) -
     for (bi, blk) in f.blocks.iter().enumerate() {
         let mut st = states[bi].clone();
         for (ii, inst) in blk.insts.iter().enumerate() {
-            if let Some((kind, ty, addr)) = access_of(inst) {
+            if let Some(a) = inst.access() {
                 let (class, referent, offset, uaf) = match &st {
                     Some(st) => {
-                        let val = analysis.eval(addr, st);
-                        let (class, uaf) = classify_live(st, &val, ty.width());
+                        let val = analysis.eval(&a.addr, st);
+                        let (class, uaf) = classify_live(st, &val, a.width());
                         match val {
                             AbsVal::Ptr { referent, off, .. } => {
                                 (class, Some(referent), Some((off.lo, off.hi)), uaf)
@@ -1244,8 +1234,8 @@ pub(crate) fn facts_of(analysis: &ProvAnalysis<'_>, states: &[Option<PState>]) -
                 out.access.push(AccessFact {
                     block: bi as u32,
                     inst: ii as u32,
-                    kind,
-                    width: ty.width(),
+                    kind: a.op.label(),
+                    width: a.width(),
                     class,
                     referent,
                     offset,

@@ -10,7 +10,7 @@
 pub mod pass;
 pub mod runtime;
 
-pub use pass::{instrument_asan, instrument_asan_with, AsanReport};
+pub use pass::{instrument_asan_with, AsanReport};
 pub use runtime::{install_asan, AsanRuntime};
 
 /// Base address of the shadow region.

@@ -1,9 +1,11 @@
 //! ASan compile-time instrumentation: shadow checks before every access.
 
-use super::{shadow_of, GLOBAL_REDZONE, SHADOW_BASE, SHADOW_SHIFT};
+use super::{GLOBAL_REDZONE, SHADOW_BASE, SHADOW_SHIFT};
 use sgxs_mir::ir::{
-    AccessAttrs, BinOp, Block, BlockId, CheckSite, CmpOp, Inst, Module, Operand, SiteMarker, Term,
+    AccessAttrs, BinOp, Block, BlockId, CmpOp, Function, Inst, IntrinsicId, Module, Operand,
+    SlotId, Term,
 };
+use sgxs_mir::rewrite::{BlockOrder, Guard, Next};
 use sgxs_mir::ty::Ty;
 
 /// What the ASan pass did.
@@ -33,18 +35,14 @@ const REDIRECTS: &[(&str, &str)] = &[
     ("strcat", "asan_strcat"),
 ];
 
-/// Applies ASan instrumentation to `module`.
+/// Applies ASan instrumentation to `module`. With `markers`, every shadow
+/// check is wrapped in transparent site markers (registered in the
+/// module's check-site table).
 ///
 /// # Errors
 ///
 /// Returns the name of the existing scheme if the module is already
 /// instrumented.
-pub fn instrument_asan(module: &mut Module) -> Result<AsanReport, &'static str> {
-    instrument_asan_with(module, false)
-}
-
-/// Like [`instrument_asan`], optionally wrapping every shadow check in
-/// transparent site markers (registered in the module's check-site table).
 pub fn instrument_asan_with(
     module: &mut Module,
     markers: bool,
@@ -52,337 +50,191 @@ pub fn instrument_asan_with(
     if let Some(s) = module.hardening {
         return Err(s);
     }
-    let mut report = AsanReport::default();
-    let mut sites: Vec<CheckSite> = std::mem::take(&mut module.check_sites);
-
-    // Redirect allocation intrinsics.
-    let mapping: Vec<(sgxs_mir::ir::IntrinsicId, sgxs_mir::ir::IntrinsicId)> = REDIRECTS
-        .iter()
-        .filter_map(|(from, to)| {
-            let from_id = module
-                .intrinsics
-                .iter()
-                .position(|n| n == from)
-                .map(|i| sgxs_mir::ir::IntrinsicId(i as u32))?;
-            let to_id = module.intrinsic(to);
-            Some((from_id, to_id))
-        })
-        .collect();
-    for f in &mut module.funcs {
-        for b in &mut f.blocks {
-            for inst in &mut b.insts {
-                if let Inst::CallIntrinsic { intrinsic, .. } = inst {
-                    if let Some((_, to)) = mapping.iter().find(|(from, _)| from == intrinsic) {
-                        *intrinsic = *to;
-                        report.intrinsics_redirected += 1;
-                    }
-                }
-            }
-        }
-    }
-
+    let mut report = AsanReport {
+        intrinsics_redirected: module.redirect_intrinsics(REDIRECTS),
+        ..AsanReport::default()
+    };
     let asan_report = module.intrinsic("asan_report");
     let asan_poison = module.intrinsic("asan_poison");
     let asan_unpoison = module.intrinsic("asan_unpoison");
 
-    // Pad globals and stack slots with a trailing redzone. The runtime
-    // poisons global redzones via the init function below; stack redzones
-    // are poisoned at frame entry.
+    // Pad globals and stack slots with a trailing redzone: stack redzones
+    // are poisoned at frame entry, global ones by `__asan_init_globals`,
+    // which `main` calls first.
     for g in &mut module.globals {
         g.padded_size = g.size + GLOBAL_REDZONE;
     }
-    for f in &mut module.funcs {
-        // Frame-entry poison/unpoison calls for each slot.
-        let mut seq = Vec::new();
-        for si in 0..f.slots.len() {
-            let t = f.new_reg(Ty::Ptr);
-            let size = f.slots[si].size;
-            seq.push(Inst::SlotAddr {
-                dst: t,
-                slot: sgxs_mir::ir::SlotId(si as u32),
-            });
-            seq.push(Inst::CallIntrinsic {
-                dst: None,
-                intrinsic: asan_unpoison,
-                args: vec![t.into(), Operand::Imm(size as u64)],
-            });
-            seq.push(Inst::CallIntrinsic {
-                dst: None,
-                intrinsic: asan_poison,
-                args: vec![
-                    t.into(),
-                    Operand::Imm(size as u64),
-                    Operand::Imm(GLOBAL_REDZONE as u64),
-                ],
-            });
-        }
-        f.blocks[0].insts.splice(0..0, seq);
-        for s in &mut f.slots {
-            s.padded_size = s.size + GLOBAL_REDZONE;
-        }
-    }
-
-    // Global redzone poisoning at startup.
-    insert_global_init(module, asan_poison);
-
-    // Shadow checks on every access.
-    for f in &mut module.funcs {
-        if f.name == "__asan_init_globals" {
-            continue;
-        }
-        let mut worklist: Vec<(usize, usize)> = (0..f.blocks.len()).map(|b| (b, 0)).collect();
-        while let Some((bi, start)) = worklist.pop() {
-            let mut i = start;
-            loop {
-                if i >= f.blocks[bi].insts.len() {
-                    break;
-                }
-                let (addr, size, attrs, is_store) = match &f.blocks[bi].insts[i] {
-                    Inst::Load {
-                        addr, ty, attrs, ..
-                    } => (*addr, ty.width(), *attrs, false),
-                    Inst::Store {
-                        addr, ty, attrs, ..
-                    } => (*addr, ty.width(), *attrs, true),
-                    Inst::AtomicRmw {
-                        addr, ty, attrs, ..
-                    } => (*addr, ty.width(), *attrs, true),
-                    Inst::AtomicCas {
-                        addr, ty, attrs, ..
-                    } => (*addr, ty.width(), *attrs, true),
-                    _ => {
-                        i += 1;
-                        continue;
-                    }
-                };
-                if attrs.lowered || matches!(addr, Operand::Imm(_)) {
-                    i += 1;
-                    continue;
-                }
-
-                // Fast path: sb = shadow[addr >> 3]; ok if sb == 0.
-                let sh = f.new_reg(Ty::I64);
-                let sa = f.new_reg(Ty::Ptr);
-                let sb = f.new_reg(Ty::I8);
-                let c = f.new_reg(Ty::I64);
-                let mut check = vec![
-                    Inst::Bin {
-                        op: BinOp::LShr,
-                        dst: sh,
-                        a: addr,
-                        b: Operand::Imm(SHADOW_SHIFT as u64),
+    module.rewrite_funcs(markers, |rw| {
+        poison_slots(rw.func, asan_poison, asan_unpoison);
+        // A shadow check on every access.
+        rw.walk_accesses(BlockOrder::Reverse, |rw, bi, i, acc| {
+            let addr = acc.addr;
+            if let Operand::Imm(_) = addr {
+                return Next::At(i + 1);
+            }
+            let size = Operand::Imm(acc.width() as u64);
+            let f = &mut *rw.func;
+            // Fast path: sb = shadow[addr >> 3]; ok if sb == 0.
+            let sh = f.new_reg(Ty::I64);
+            let sa = f.new_reg(Ty::Ptr);
+            let sb = f.new_reg(Ty::I8);
+            let c = f.new_reg(Ty::I64);
+            let check = vec![
+                Inst::Bin {
+                    op: BinOp::LShr,
+                    dst: sh,
+                    a: addr,
+                    b: Operand::Imm(SHADOW_SHIFT as u64),
+                },
+                // The base offset folds into the load's addressing mode
+                // (x86 `cmp byte ptr [off + reg], 0`), hence a gep.
+                Inst::Gep {
+                    dst: sa,
+                    base: Operand::Imm(SHADOW_BASE as u64),
+                    index: sh.into(),
+                    scale: 1,
+                    disp: 0,
+                    inbounds: true,
+                },
+                Inst::Load {
+                    dst: sb,
+                    addr: sa.into(),
+                    ty: Ty::I8,
+                    attrs: AccessAttrs {
+                        safe: true,
+                        no_lower: true,
+                        lowered: true,
                     },
-                    // The base offset folds into the load's addressing mode
-                    // (x86 `cmp byte ptr [off + reg], 0`), hence a gep.
-                    Inst::Gep {
-                        dst: sa,
-                        base: Operand::Imm(SHADOW_BASE as u64),
-                        index: sh.into(),
-                        scale: 1,
-                        disp: 0,
-                        inbounds: true,
-                    },
-                    Inst::Load {
-                        dst: sb,
-                        addr: sa.into(),
-                        ty: Ty::I8,
-                        attrs: AccessAttrs {
-                            safe: true,
-                            no_lower: true,
-                            lowered: true,
-                        },
-                    },
-                    Inst::Cmp {
-                        op: CmpOp::Ne,
-                        dst: c,
-                        a: sb.into(),
-                        b: Operand::Imm(0),
-                    },
-                ];
-
-                // Transparent site markers: Begin ahead of the shadow
-                // check, End in the continuation just before the access.
-                let site = if markers {
-                    let site = sites.len() as u32;
-                    sites.push(CheckSite {
-                        func: f.name.clone(),
-                        kind: "asan",
-                    });
-                    check.insert(
-                        0,
-                        Inst::Site {
-                            site,
-                            marker: SiteMarker::Begin,
-                        },
-                    );
-                    Some(site)
-                } else {
-                    None
-                };
-
-                // Carve out the continuation.
-                let rest: Vec<Inst> = f.blocks[bi].insts.split_off(i);
-                let orig_term = std::mem::replace(&mut f.blocks[bi].term, Term::Unreachable);
-                let cont_id = BlockId(f.blocks.len() as u32);
-                let slow_id = BlockId(f.blocks.len() as u32 + 1);
-                let fail_id = BlockId(f.blocks.len() as u32 + 2);
-
-                let mut cont_insts = rest;
-                set_lowered(&mut cont_insts[0]);
-                let resume_at = if let Some(site) = site {
-                    cont_insts.insert(
-                        0,
-                        Inst::Site {
-                            site,
-                            marker: SiteMarker::End,
-                        },
-                    );
-                    2
-                } else {
-                    1
-                };
-                f.blocks.push(Block {
-                    insts: cont_insts,
-                    term: orig_term,
-                });
-
-                // Slow path: partial-granule check.
-                // ok iff sb < 0x80 and (addr & 7) + size <= sb.
-                let neg = f.new_reg(Ty::I64);
-                let k = f.new_reg(Ty::I64);
-                let kend = f.new_reg(Ty::I64);
-                let over = f.new_reg(Ty::I64);
-                let bad = f.new_reg(Ty::I64);
-                f.blocks.push(Block {
-                    insts: vec![
-                        Inst::Cmp {
-                            op: CmpOp::UGe,
-                            dst: neg,
-                            a: sb.into(),
-                            b: Operand::Imm(0x80),
-                        },
-                        Inst::Bin {
-                            op: BinOp::And,
-                            dst: k,
-                            a: addr,
-                            b: Operand::Imm(7),
-                        },
-                        Inst::Bin {
-                            op: BinOp::Add,
-                            dst: kend,
-                            a: k.into(),
-                            b: Operand::Imm(size as u64),
-                        },
-                        Inst::Cmp {
-                            op: CmpOp::UGt,
-                            dst: over,
-                            a: kend.into(),
-                            b: sb.into(),
-                        },
-                        Inst::Bin {
-                            op: BinOp::Or,
-                            dst: bad,
-                            a: neg.into(),
-                            b: over.into(),
-                        },
-                    ],
+                },
+                Inst::Cmp {
+                    op: CmpOp::Ne,
+                    dst: c,
+                    a: sb.into(),
+                    b: Operand::Imm(0),
+                },
+            ];
+            // Slow path: partial-granule check.
+            // ok iff sb < 0x80 and (addr & 7) + size <= sb.
+            let neg = f.new_reg(Ty::I64);
+            let k = f.new_reg(Ty::I64);
+            let kend = f.new_reg(Ty::I64);
+            let over = f.new_reg(Ty::I64);
+            let bad = f.new_reg(Ty::I64);
+            let slow = vec![
+                Inst::Cmp {
+                    op: CmpOp::UGe,
+                    dst: neg,
+                    a: sb.into(),
+                    b: Operand::Imm(0x80),
+                },
+                Inst::Bin {
+                    op: BinOp::And,
+                    dst: k,
+                    a: addr,
+                    b: Operand::Imm(7),
+                },
+                Inst::Bin {
+                    op: BinOp::Add,
+                    dst: kend,
+                    a: k.into(),
+                    b: size,
+                },
+                Inst::Cmp {
+                    op: CmpOp::UGt,
+                    dst: over,
+                    a: kend.into(),
+                    b: sb.into(),
+                },
+                Inst::Bin {
+                    op: BinOp::Or,
+                    dst: bad,
+                    a: neg.into(),
+                    b: over.into(),
+                },
+            ];
+            report.checks += 1;
+            let guard = Guard {
+                kind: "asan",
+                check,
+                lead: vec![],
+                addr: None,
+                trail: vec![],
+            };
+            let is_store = Operand::Imm(acc.is_store() as u64);
+            rw.guard(bi, i, guard, |cont| {
+                let (slow_id, fail_id) = (BlockId(cont.0 + 1), BlockId(cont.0 + 2));
+                let slow = Block {
+                    insts: slow,
                     term: Term::Br {
                         cond: bad.into(),
                         t: fail_id,
-                        f: cont_id,
+                        f: cont,
                     },
-                });
-
+                };
                 // Fail: report and die.
-                f.blocks.push(Block {
+                let fail = Block {
                     insts: vec![Inst::CallIntrinsic {
                         dst: None,
                         intrinsic: asan_report,
-                        args: vec![
-                            addr,
-                            Operand::Imm(size as u64),
-                            Operand::Imm(is_store as u64),
-                        ],
+                        args: vec![addr, size, is_store],
                     }],
                     term: Term::Unreachable,
-                });
-
-                f.blocks[bi].insts.extend(check);
-                f.blocks[bi].term = Term::Br {
+                };
+                let branch = Term::Br {
                     cond: c.into(),
                     t: slow_id,
-                    f: cont_id,
+                    f: cont,
                 };
-                report.checks += 1;
-                worklist.push((cont_id.0 as usize, resume_at));
-                break;
-            }
-        }
-    }
+                (branch, [slow, fail])
+            })
+        });
+    });
+    module.add_startup("__asan_init_globals", |init, gi, g| {
+        let t = init.new_reg(Ty::Ptr);
+        [
+            Inst::GlobalAddr { dst: t, global: gi },
+            poison(asan_poison, t.into(), g.size),
+        ]
+    });
 
-    module.check_sites = sites;
     module.hardening = Some("asan");
     Ok(report)
 }
 
-fn set_lowered(inst: &mut Inst) {
-    match inst {
-        Inst::Load { attrs, .. }
-        | Inst::Store { attrs, .. }
-        | Inst::AtomicRmw { attrs, .. }
-        | Inst::AtomicCas { attrs, .. } => attrs.lowered = true,
-        _ => unreachable!("set_lowered on non-access"),
+/// `asan_poison(p, size, GLOBAL_REDZONE)`: poisons the redzone after an
+/// object of `size` bytes at `p`.
+fn poison(asan_poison: IntrinsicId, p: Operand, size: u32) -> Inst {
+    Inst::CallIntrinsic {
+        dst: None,
+        intrinsic: asan_poison,
+        args: vec![
+            p,
+            Operand::Imm(size as u64),
+            Operand::Imm(GLOBAL_REDZONE as u64),
+        ],
     }
 }
 
-/// Creates `__asan_init_globals` poisoning every global's redzone, called
-/// from `main`.
-fn insert_global_init(module: &mut Module, asan_poison: sgxs_mir::ir::IntrinsicId) {
-    let nglobals = module.globals.len();
-    let mut init = sgxs_mir::ir::Function {
-        name: "__asan_init_globals".into(),
-        params: vec![],
-        ret: None,
-        reg_tys: vec![],
-        locals: vec![],
-        slots: vec![],
-        blocks: vec![Block {
-            insts: vec![],
-            term: Term::Ret(None),
-        }],
-    };
-    for gi in 0..nglobals {
-        let size = module.globals[gi].size;
-        let t = init.new_reg(Ty::Ptr);
-        init.blocks[0].insts.push(Inst::GlobalAddr {
+/// Unpoisons every stack slot and poisons its trailing redzone at frame
+/// entry.
+fn poison_slots(f: &mut Function, asan_poison: IntrinsicId, asan_unpoison: IntrinsicId) {
+    let mut seq = Vec::new();
+    for si in 0..f.slots.len() {
+        let t = f.new_reg(Ty::Ptr);
+        let size = f.slots[si].size;
+        seq.push(Inst::SlotAddr {
             dst: t,
-            global: sgxs_mir::ir::GlobalId(gi as u32),
+            slot: SlotId(si as u32),
         });
-        init.blocks[0].insts.push(Inst::CallIntrinsic {
+        seq.push(Inst::CallIntrinsic {
             dst: None,
-            intrinsic: asan_poison,
-            args: vec![
-                t.into(),
-                Operand::Imm(size as u64),
-                Operand::Imm(GLOBAL_REDZONE as u64),
-            ],
+            intrinsic: asan_unpoison,
+            args: vec![t.into(), Operand::Imm(size as u64)],
         });
+        seq.push(poison(asan_poison, t.into(), size));
     }
-    let init_id = sgxs_mir::ir::FuncId(module.funcs.len() as u32);
-    module.funcs.push(init);
-    if let Some(main) = module.func_by_name("main") {
-        module.funcs[main.0 as usize].blocks[0].insts.insert(
-            0,
-            Inst::Call {
-                dst: None,
-                func: init_id,
-                args: vec![],
-            },
-        );
+    f.blocks[0].insts.splice(0..0, seq);
+    for s in &mut f.slots {
+        s.padded_size = s.size + GLOBAL_REDZONE;
     }
-}
-
-/// Shadow address helper re-exported for the runtime.
-pub fn shadow_addr(addr: u32) -> u32 {
-    shadow_of(addr)
 }

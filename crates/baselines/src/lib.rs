@@ -15,8 +15,8 @@ pub mod asan;
 pub mod mpx;
 pub mod scheme;
 
-pub use asan::{install_asan, instrument_asan, instrument_asan_with, AsanConfig, AsanRuntime};
-pub use mpx::{install_mpx, instrument_mpx, instrument_mpx_with, MpxConfig, MpxRuntime};
+pub use asan::{install_asan, instrument_asan_with, AsanConfig, AsanRuntime};
+pub use mpx::{install_mpx, instrument_mpx_with, MpxConfig, MpxRuntime};
 pub use scheme::{Hardening, Installed, ADDRESS_SPACE_CAP};
 
 #[cfg(test)]
@@ -150,7 +150,7 @@ mod e2e {
     #[test]
     fn asan_reserves_shadow_memory() {
         let mut m = heap_writer();
-        instrument_asan(&mut m).unwrap();
+        instrument_asan_with(&mut m, false).unwrap();
         let mut vm = Vm::new(
             &m,
             VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave)),
@@ -281,7 +281,7 @@ mod e2e {
             fb.ret(Some(0u64.into()));
         });
         let mut m = mb.finish();
-        instrument_mpx(&mut m).unwrap();
+        instrument_mpx_with(&mut m, false).unwrap();
         let mut vm = Vm::new(
             &m,
             VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave)),
@@ -343,7 +343,7 @@ mod e2e {
             fb.ret(Some(0u64.into()));
         });
         let mut m = mb.finish();
-        instrument_mpx(&mut m).unwrap();
+        instrument_mpx_with(&mut m, false).unwrap();
         let mut vm = Vm::new(&m, {
             let mut c = VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave));
             c.quantum = 3; // Fine interleaving to expose the race.

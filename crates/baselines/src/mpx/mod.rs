@@ -20,7 +20,7 @@
 pub mod pass;
 pub mod tables;
 
-pub use pass::{instrument_mpx, instrument_mpx_with, MpxReport};
+pub use pass::{instrument_mpx_with, MpxReport};
 pub use tables::{install_mpx, MpxRuntime, MpxStats, MpxTables};
 
 /// MPX configuration.

@@ -15,8 +15,9 @@
 
 use super::tables::{INIT_LB, INIT_UB};
 use sgxs_mir::ir::{
-    BinOp, Block, BlockId, CastKind, CheckSite, CmpOp, Inst, Module, Operand, Reg, SiteMarker, Term,
+    BinOp, Block, BlockId, CastKind, CmpOp, Inst, IntrinsicId, Module, Operand, Reg, Term,
 };
+use sgxs_mir::rewrite::{BlockOrder, Guard, Next};
 use sgxs_mir::ty::Ty;
 use std::collections::HashMap;
 
@@ -33,361 +34,240 @@ pub struct MpxReport {
     pub bounds_created: usize,
 }
 
-/// Applies MPX instrumentation to `module`.
+/// Applies MPX instrumentation to `module`. With `markers`, every
+/// bndcl/bndcu check is wrapped in transparent site markers (registered
+/// in the module's check-site table).
 ///
 /// # Errors
 ///
 /// Returns the name of the existing scheme if the module is already
 /// instrumented.
-pub fn instrument_mpx(module: &mut Module) -> Result<MpxReport, &'static str> {
-    instrument_mpx_with(module, false)
-}
-
-/// Like [`instrument_mpx`], optionally wrapping every bndcl/bndcu check in
-/// transparent site markers (registered in the module's check-site table).
 pub fn instrument_mpx_with(module: &mut Module, markers: bool) -> Result<MpxReport, &'static str> {
     if let Some(s) = module.hardening {
         return Err(s);
     }
     let mut report = MpxReport::default();
-    let mut sites: Vec<CheckSite> = std::mem::take(&mut module.check_sites);
 
     let mpx_report = module.intrinsic("mpx_report");
     let bndstx = module.intrinsic("mpx_bndstx");
     let bndldx_lb = module.intrinsic("mpx_bndldx_lb");
     let bndldx_ub = module.intrinsic("mpx_bndldx_ub");
 
-    // Intrinsics whose result is a fresh object: (name, size-argument
-    // position, optional second factor for calloc).
-    let alloc_sites: Vec<(sgxs_mir::ir::IntrinsicId, usize, bool)> =
+    // Intrinsics whose result is a fresh object: (id, size-argument
+    // position, whether the size is the product of the first two
+    // arguments, as for calloc).
+    let alloc_sites: Vec<(IntrinsicId, usize, bool)> =
         ["malloc", "mmap", "tag_input", "realloc", "calloc"]
             .iter()
             .filter_map(|name| {
-                module
-                    .intrinsics
-                    .iter()
-                    .position(|n| n == name)
-                    .map(|i| match *name {
-                        "calloc" => (sgxs_mir::ir::IntrinsicId(i as u32), 0, true),
-                        "realloc" => (sgxs_mir::ir::IntrinsicId(i as u32), 1, false),
-                        "tag_input" => (sgxs_mir::ir::IntrinsicId(i as u32), 1, false),
-                        _ => (sgxs_mir::ir::IntrinsicId(i as u32), 0, false),
-                    })
+                let id = IntrinsicId(module.intrinsics.iter().position(|n| n == name)? as u32);
+                Some(match *name {
+                    "calloc" => (id, 0, true),
+                    "realloc" | "tag_input" => (id, 1, false),
+                    _ => (id, 0, false),
+                })
             })
             .collect();
 
     let global_sizes: Vec<u32> = module.globals.iter().map(|g| g.size).collect();
+    let init_bounds = (Operand::Imm(INIT_LB), Operand::Imm(INIT_UB));
 
-    for f in &mut module.funcs {
-        // Register-resident bounds, in program order across the DFS walk.
+    module.rewrite_funcs(markers, |rw| {
+        // Register-resident bounds, in program order: the forward walk
+        // follows every split's continuation at once.
         let mut bounds: HashMap<Reg, (Operand, Operand)> = HashMap::new();
-        let init_bounds = (Operand::Imm(INIT_LB), Operand::Imm(INIT_UB));
-        let slot_sizes: Vec<u32> = f.slots.iter().map(|s| s.size).collect();
+        let slot_sizes: Vec<u32> = rw.func.slots.iter().map(|s| s.size).collect();
 
-        // Each original block is visited once; blocks created by splits are
-        // pushed with their resume index. LIFO order keeps a split's
-        // continuation adjacent so the bounds map stays in program order.
-        let mut worklist: Vec<(usize, usize)> = (0..f.blocks.len()).rev().map(|b| (b, 0)).collect();
-
-        while let Some((bi, start)) = worklist.pop() {
-            let mut i = start;
-            'scan: loop {
-                if i >= f.blocks[bi].insts.len() {
-                    break;
+        rw.walk(BlockOrder::Forward, |rw, bi, i| {
+            let f = &mut *rw.func;
+            // Pointer creation (`bndmk`: ub = base + size) and propagation.
+            let created = match &f.blocks[bi].insts[i] {
+                Inst::SlotAddr { dst, slot } => {
+                    Some((*dst, Operand::Imm(slot_sizes[slot.0 as usize] as u64), None))
                 }
-                // Pointer-creation and propagation bookkeeping.
-                match &f.blocks[bi].insts[i] {
-                    Inst::SlotAddr { dst, slot } => {
-                        let (dst, size) = (*dst, slot_sizes[slot.0 as usize]);
-                        let ub = f.new_reg(Ty::I64);
-                        f.blocks[bi].insts.insert(
-                            i + 1,
-                            Inst::Bin {
-                                op: BinOp::Add,
-                                dst: ub,
-                                a: dst.into(),
-                                b: Operand::Imm(size as u64),
-                            },
-                        );
-                        bounds.insert(dst, (dst.into(), ub.into()));
-                        report.bounds_created += 1;
-                        i += 2;
-                        continue;
-                    }
-                    Inst::GlobalAddr { dst, global } => {
-                        let (dst, size) = (*dst, global_sizes[global.0 as usize]);
-                        let ub = f.new_reg(Ty::I64);
-                        f.blocks[bi].insts.insert(
-                            i + 1,
-                            Inst::Bin {
-                                op: BinOp::Add,
-                                dst: ub,
-                                a: dst.into(),
-                                b: Operand::Imm(size as u64),
-                            },
-                        );
-                        bounds.insert(dst, (dst.into(), ub.into()));
-                        report.bounds_created += 1;
-                        i += 2;
-                        continue;
-                    }
-                    Inst::Gep { dst, base, .. } => {
-                        if let Operand::Reg(b) = base {
-                            if let Some(bd) = bounds.get(b).copied() {
-                                bounds.insert(*dst, bd);
-                            } else {
-                                bounds.remove(dst);
-                            }
-                        }
-                        i += 1;
-                        continue;
-                    }
-                    Inst::Cast {
-                        kind: CastKind::Bitcast,
-                        dst,
-                        src: Operand::Reg(s),
-                    } => {
-                        if let Some(bd) = bounds.get(s).copied() {
-                            bounds.insert(*dst, bd);
-                        } else {
-                            bounds.remove(dst);
-                        }
-                        i += 1;
-                        continue;
-                    }
-                    Inst::CallIntrinsic {
-                        dst: Some(dst),
-                        intrinsic,
-                        args,
-                    } => {
-                        if let Some((_, size_pos, is_calloc)) = alloc_sites
-                            .iter()
-                            .find(|(id, _, _)| id == intrinsic)
-                            .copied()
-                        {
-                            let dst = *dst;
-                            let size_op = args.get(size_pos).copied().unwrap_or(Operand::Imm(0));
-                            let second = args.get(1).copied();
-                            let mut insert_at = i + 1;
-                            let size_val: Operand = if is_calloc {
-                                let prod = f.new_reg(Ty::I64);
-                                f.blocks[bi].insts.insert(
-                                    insert_at,
-                                    Inst::Bin {
-                                        op: BinOp::Mul,
-                                        dst: prod,
-                                        a: size_op,
-                                        b: second.unwrap_or(Operand::Imm(1)),
-                                    },
-                                );
-                                insert_at += 1;
-                                prod.into()
-                            } else {
-                                size_op
-                            };
-                            let ub = f.new_reg(Ty::I64);
-                            f.blocks[bi].insts.insert(
-                                insert_at,
-                                Inst::Bin {
-                                    op: BinOp::Add,
-                                    dst: ub,
-                                    a: dst.into(),
-                                    b: size_val,
-                                },
-                            );
-                            bounds.insert(dst, (dst.into(), ub.into()));
-                            report.bounds_created += 1;
-                            i = insert_at + 1;
-                            continue;
-                        }
+                Inst::GlobalAddr { dst, global } => Some((
+                    *dst,
+                    Operand::Imm(global_sizes[global.0 as usize] as u64),
+                    None,
+                )),
+                Inst::Gep {
+                    dst,
+                    base: Operand::Reg(src),
+                    ..
+                }
+                | Inst::Cast {
+                    kind: CastKind::Bitcast,
+                    dst,
+                    src: Operand::Reg(src),
+                } => {
+                    match bounds.get(src).copied() {
+                        Some(bd) => bounds.insert(*dst, bd),
+                        None => bounds.remove(dst),
+                    };
+                    return Next::At(i + 1);
+                }
+                Inst::CallIntrinsic {
+                    dst: Some(dst),
+                    intrinsic,
+                    args,
+                } => {
+                    let Some(&(_, pos, calloc)) =
+                        alloc_sites.iter().find(|(id, _, _)| id == intrinsic)
+                    else {
                         // Unknown intrinsic result: INIT.
                         bounds.remove(dst);
-                        i += 1;
-                        continue;
-                    }
-                    Inst::Call { dst: Some(d), .. } | Inst::CallIndirect { dst: Some(d), .. } => {
-                        bounds.remove(d);
-                        i += 1;
-                        continue;
-                    }
-                    _ => {}
+                        return Next::At(i + 1);
+                    };
+                    let size = args.get(pos).copied().unwrap_or(Operand::Imm(0));
+                    let factor = calloc.then(|| args.get(1).copied().unwrap_or(Operand::Imm(1)));
+                    Some((*dst, size, factor))
                 }
-
-                // Access checking + pointer spill/fill.
-                let (addr, size, lowered, is_store) = match &f.blocks[bi].insts[i] {
-                    Inst::Load {
-                        addr, ty, attrs, ..
-                    } => (*addr, ty.width(), attrs.lowered, false),
-                    Inst::Store {
-                        addr, ty, attrs, ..
-                    } => (*addr, ty.width(), attrs.lowered, true),
-                    Inst::AtomicRmw {
-                        addr, ty, attrs, ..
-                    } => (*addr, ty.width(), attrs.lowered, true),
-                    Inst::AtomicCas {
-                        addr, ty, attrs, ..
-                    } => (*addr, ty.width(), attrs.lowered, true),
-                    _ => {
-                        i += 1;
-                        continue;
-                    }
-                };
-                if lowered || matches!(addr, Operand::Imm(_)) {
-                    i += 1;
-                    continue;
+                Inst::Call { dst: Some(d), .. } | Inst::CallIndirect { dst: Some(d), .. } => {
+                    bounds.remove(d);
+                    return Next::At(i + 1);
                 }
-                let Operand::Reg(addr_reg) = addr else {
-                    i += 1;
-                    continue;
+                _ => None,
+            };
+            if let Some((dst, size, factor)) = created {
+                let mut at = i + 1;
+                let size = match factor {
+                    Some(b) => {
+                        let prod = f.new_reg(Ty::I64);
+                        let mul = Inst::Bin {
+                            op: BinOp::Mul,
+                            dst: prod,
+                            a: size,
+                            b,
+                        };
+                        f.blocks[bi].insts.insert(at, mul);
+                        at += 1;
+                        prod.into()
+                    }
+                    None => size,
                 };
-                let (lb, ub) = bounds.get(&addr_reg).copied().unwrap_or(init_bounds);
-
-                // bndcl/bndcu lowering with a block split.
-                let pe = f.new_reg(Ty::I64);
-                let c1 = f.new_reg(Ty::I64);
-                let c2 = f.new_reg(Ty::I64);
-                let c = f.new_reg(Ty::I64);
-                let mut check = vec![
-                    Inst::Bin {
-                        op: BinOp::Add,
-                        dst: pe,
-                        a: addr,
-                        b: Operand::Imm(size as u64),
-                    },
-                    Inst::Cmp {
-                        op: CmpOp::ULt,
-                        dst: c1,
-                        a: addr,
-                        b: lb,
-                    },
-                    Inst::Cmp {
-                        op: CmpOp::UGt,
-                        dst: c2,
-                        a: pe.into(),
-                        b: ub,
-                    },
-                    Inst::Bin {
-                        op: BinOp::Or,
-                        dst: c,
-                        a: c1.into(),
-                        b: c2.into(),
-                    },
-                ];
-                // Transparent site markers: Begin ahead of the bndcl/bndcu
-                // pair, End in the continuation just before the access.
-                let site = if markers {
-                    let site = sites.len() as u32;
-                    sites.push(CheckSite {
-                        func: f.name.clone(),
-                        kind: "mpx",
-                    });
-                    check.insert(
-                        0,
-                        Inst::Site {
-                            site,
-                            marker: SiteMarker::Begin,
-                        },
-                    );
-                    Some(site)
-                } else {
-                    None
+                let ub = f.new_reg(Ty::I64);
+                let mk = Inst::Bin {
+                    op: BinOp::Add,
+                    dst: ub,
+                    a: dst.into(),
+                    b: size,
                 };
-                let mut rest: Vec<Inst> = f.blocks[bi].insts.split_off(i);
-                let orig_term = std::mem::replace(&mut f.blocks[bi].term, Term::Unreachable);
-                set_lowered(&mut rest[0]);
+                f.blocks[bi].insts.insert(at, mk);
+                bounds.insert(dst, (dst.into(), ub.into()));
+                report.bounds_created += 1;
+                return Next::At(at + 1);
+            }
 
-                // Pointer spill/fill around the access itself.
-                let mut cont_insts = Vec::with_capacity(rest.len() + 2);
-                let access = rest.remove(0);
-                let mut after_access = Vec::new();
-                match &access {
-                    Inst::Load {
-                        dst, ty: Ty::Ptr, ..
-                    } => {
-                        let dst = *dst;
-                        let lb_r = f.new_reg(Ty::I64);
-                        let ub_r = f.new_reg(Ty::I64);
-                        after_access.push(Inst::CallIntrinsic {
+            // Access checking + pointer spill/fill.
+            let Some(acc) = f.blocks[bi].insts[i].access() else {
+                return Next::At(i + 1);
+            };
+            let Operand::Reg(addr_reg) = acc.addr else {
+                return Next::At(i + 1);
+            };
+            if acc.attrs.lowered {
+                return Next::At(i + 1);
+            }
+            let (addr, size) = (acc.addr, Operand::Imm(acc.width() as u64));
+            let (lb, ub) = bounds.get(&addr_reg).copied().unwrap_or(init_bounds);
+
+            // bndcl/bndcu.
+            let pe = f.new_reg(Ty::I64);
+            let c1 = f.new_reg(Ty::I64);
+            let c2 = f.new_reg(Ty::I64);
+            let c = f.new_reg(Ty::I64);
+            let check = vec![
+                Inst::Bin {
+                    op: BinOp::Add,
+                    dst: pe,
+                    a: addr,
+                    b: size,
+                },
+                Inst::Cmp {
+                    op: CmpOp::ULt,
+                    dst: c1,
+                    a: addr,
+                    b: lb,
+                },
+                Inst::Cmp {
+                    op: CmpOp::UGt,
+                    dst: c2,
+                    a: pe.into(),
+                    b: ub,
+                },
+                Inst::Bin {
+                    op: BinOp::Or,
+                    dst: c,
+                    a: c1.into(),
+                    b: c2.into(),
+                },
+            ];
+
+            // Pointer fill/spill right after the access itself.
+            let trail = match f.blocks[bi].insts[i] {
+                Inst::Load {
+                    dst, ty: Ty::Ptr, ..
+                } => {
+                    let lb_r = f.new_reg(Ty::I64);
+                    let ub_r = f.new_reg(Ty::I64);
+                    bounds.insert(dst, (lb_r.into(), ub_r.into()));
+                    report.ldx_sites += 1;
+                    vec![
+                        Inst::CallIntrinsic {
                             dst: Some(lb_r),
                             intrinsic: bndldx_lb,
                             args: vec![addr, dst.into()],
-                        });
-                        after_access.push(Inst::CallIntrinsic {
+                        },
+                        Inst::CallIntrinsic {
                             dst: Some(ub_r),
                             intrinsic: bndldx_ub,
                             args: vec![addr, dst.into()],
-                        });
-                        bounds.insert(dst, (lb_r.into(), ub_r.into()));
-                        report.ldx_sites += 1;
-                    }
-                    Inst::Store {
-                        val: Operand::Reg(v),
-                        ty: Ty::Ptr,
-                        ..
-                    } => {
-                        let (vlb, vub) = bounds.get(v).copied().unwrap_or(init_bounds);
-                        after_access.push(Inst::CallIntrinsic {
-                            dst: None,
-                            intrinsic: bndstx,
-                            args: vec![addr, (*v).into(), vlb, vub],
-                        });
-                        report.stx_sites += 1;
-                    }
-                    _ => {}
+                        },
+                    ]
                 }
-                if let Some(site) = site {
-                    cont_insts.push(Inst::Site {
-                        site,
-                        marker: SiteMarker::End,
-                    });
+                Inst::Store {
+                    val: Operand::Reg(v),
+                    ty: Ty::Ptr,
+                    ..
+                } => {
+                    let (vlb, vub) = bounds.get(&v).copied().unwrap_or(init_bounds);
+                    report.stx_sites += 1;
+                    vec![Inst::CallIntrinsic {
+                        dst: None,
+                        intrinsic: bndstx,
+                        args: vec![addr, v.into(), vlb, vub],
+                    }]
                 }
-                cont_insts.push(access);
-                let resume_at = cont_insts.len() + after_access.len();
-                cont_insts.extend(after_access);
-                cont_insts.extend(rest);
-
-                let cont_id = BlockId(f.blocks.len() as u32);
-                let fail_id = BlockId(f.blocks.len() as u32 + 1);
-                f.blocks.push(Block {
-                    insts: cont_insts,
-                    term: orig_term,
-                });
-                f.blocks.push(Block {
+                _ => vec![],
+            };
+            report.checks += 1;
+            let guard = Guard {
+                kind: "mpx",
+                check,
+                lead: vec![],
+                addr: None,
+                trail,
+            };
+            let is_store = Operand::Imm(acc.is_store() as u64);
+            rw.guard(bi, i, guard, |cont| {
+                let fail = Block {
                     insts: vec![Inst::CallIntrinsic {
                         dst: None,
                         intrinsic: mpx_report,
-                        args: vec![
-                            addr,
-                            Operand::Imm(size as u64),
-                            Operand::Imm(is_store as u64),
-                        ],
+                        args: vec![addr, size, is_store],
                     }],
                     term: Term::Unreachable,
-                });
-                f.blocks[bi].insts.extend(check);
-                f.blocks[bi].term = Term::Br {
-                    cond: c.into(),
-                    t: fail_id,
-                    f: cont_id,
                 };
-                report.checks += 1;
-                worklist.push((cont_id.0 as usize, resume_at));
-                break 'scan;
-            }
-        }
-    }
+                let branch = Term::Br {
+                    cond: c.into(),
+                    t: BlockId(cont.0 + 1),
+                    f: cont,
+                };
+                (branch, [fail])
+            })
+        });
+    });
 
-    module.check_sites = sites;
     module.hardening = Some("mpx");
     Ok(report)
-}
-
-fn set_lowered(inst: &mut Inst) {
-    match inst {
-        Inst::Load { attrs, .. }
-        | Inst::Store { attrs, .. }
-        | Inst::AtomicRmw { attrs, .. }
-        | Inst::AtomicCas { attrs, .. } => attrs.lowered = true,
-        _ => unreachable!("set_lowered on non-access"),
-    }
 }

@@ -77,11 +77,6 @@ impl CompiledEngine {
         }
     }
 
-    /// The lowered code of every function (used by the text round-trip).
-    pub fn code(&self) -> &[FuncCode] {
-        &self.funcs
-    }
-
     /// The per-function frame constant pools (install with
     /// `Vm::set_frame_consts`).
     pub fn const_pools(&self) -> Vec<Box<[u64]>> {

@@ -32,7 +32,6 @@
 
 pub mod engine;
 pub mod lower;
-pub mod text;
 
 pub use engine::CompiledEngine;
 pub use lower::{FuncCode, Op};

@@ -6,7 +6,7 @@
 //! are the fast, always-on versions.
 
 use sgxbounds::SbConfig;
-use sgxs_mir::{verify, Module, RunOutcome, Vm, VmConfig};
+use sgxs_mir::{verify, RunOutcome, Vm, VmConfig};
 use sgxs_rt::{install_base, AllocOpts, Stager};
 use sgxs_sim::obs::TraceRecorder;
 use sgxs_sim::{MachineConfig, Mode, Preset, Stats};
@@ -41,15 +41,6 @@ fn key(o: &RunOutcome, rec: &Rc<RefCell<TraceRecorder>>) -> Key {
         rec.borrow().digest(),
         rec.borrow().events(),
     )
-}
-
-fn instrumented_module(name: &str) -> Module {
-    let p = Params::new(MachineConfig::scale_of(Preset::Tiny));
-    let w = by_name(name).expect("workload exists");
-    let mut module = w.build(&p);
-    sgxbounds::instrument(&mut module, &SbConfig::default()).expect("instrumentation");
-    verify(&module).expect("module verifies");
-    module
 }
 
 /// Benchmarks with threads, atomics, floats, and indirect calls all agree.
@@ -178,37 +169,4 @@ fn perturbed_engine_is_caught() {
     };
     assert_eq!(run(0), run(1), "clean compiled tier must agree");
     assert_ne!(run(0), run(2), "perturbed tier must diverge");
-}
-
-/// Lowered code survives display -> parse bit-for-bit.
-#[test]
-fn lowered_text_round_trips() {
-    let module = instrumented_module("kmeans");
-    let cfg = VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave));
-    let vm = Vm::new(&module, cfg);
-    let engine = sgxs_exec::compile(&vm);
-    for code in engine.code() {
-        let text = sgxs_exec::text::display_func(code);
-        let p = sgxs_exec::text::parse_func(&text).expect("parses back");
-        assert_eq!(p.name, code.name);
-        assert_eq!(p.nregs, code.nregs, "nregs drifted for {}", p.name);
-        assert_eq!(
-            p.consts.as_slice(),
-            &code.consts[..],
-            "consts drifted for {}",
-            p.name
-        );
-        assert_eq!(
-            p.ops.as_slice(),
-            &code.ops[..],
-            "ops drifted for {}",
-            p.name
-        );
-        assert_eq!(
-            p.block_start.as_slice(),
-            &code.block_start[..],
-            "block starts drifted for {}",
-            p.name
-        );
-    }
 }

@@ -145,25 +145,13 @@ pub fn exec_tier_budget(prog: &Prog, scheme: FScheme, tier: ExecTier, budget: u6
     exec_inner(prog, scheme, None, None, tier, false, budget)
 }
 
-/// Like [`exec`] but under environmental chaos: a fault plan seeded with
-/// `chaos_seed` makes the allocator fail intermittently, and the
-/// interpreter retries the injected OOMs with backoff. A correct scheme
-/// must still reproduce the clean native digest bit-for-bit — any
-/// divergence means a transient allocation failure corrupted results.
-pub fn exec_chaos(prog: &Prog, scheme: FScheme, chaos_seed: u64) -> Exec {
-    exec_inner(
-        prog,
-        scheme,
-        None,
-        Some(chaos_seed),
-        ExecTier::default(),
-        false,
-        DEFAULT_BUDGET,
-    )
-}
-
-/// Like [`exec_chaos`] but on an explicit execution tier (the recovery
-/// machinery — retry accounting included — must be tier-invariant).
+/// Like [`exec`] but under environmental chaos, on an explicit execution
+/// tier: a fault plan seeded with `chaos_seed` makes the allocator fail
+/// intermittently, and the interpreter retries the injected OOMs with
+/// backoff. A correct scheme must still reproduce the clean native digest
+/// bit-for-bit — any divergence means a transient allocation failure
+/// corrupted results — and the recovery machinery, retry accounting
+/// included, must be tier-invariant.
 pub fn exec_chaos_tier(prog: &Prog, scheme: FScheme, chaos_seed: u64, tier: ExecTier) -> Exec {
     exec_inner(
         prog,

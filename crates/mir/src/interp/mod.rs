@@ -344,13 +344,6 @@ impl<'m> Vm<'m> {
         self.engine = Some(engine);
     }
 
-    /// Removes any installed engine (and its frame constant pools); the
-    /// reference interpreter runs again.
-    pub fn clear_engine(&mut self) {
-        self.engine = None;
-        self.frame_consts = None;
-    }
-
     /// Installs per-function constant pools that [`Vm`] appends to
     /// `Frame::regs` after the architectural registers when building
     /// frames. A compiled engine uses the extra slots as pre-interned
@@ -383,11 +376,6 @@ impl<'m> Vm<'m> {
     /// already-terminal trap path, so the hot path is untouched.
     pub fn set_recovery(&mut self, policies: PolicySet) {
         self.recovery = Some(RecoveryCtl::new(policies));
-    }
-
-    /// Removes any installed recovery policy (traps propagate again).
-    pub fn clear_recovery(&mut self) {
-        self.recovery = None;
     }
 
     /// Recovery-activity counters, cumulative across `run()` calls.

@@ -326,7 +326,7 @@ pub enum Inst {
     /// counted instruction stream, so they never retire an instruction,
     /// charge a cycle, or occupy a scheduling-quantum slot. Instrumentation
     /// passes only emit them when site markers are requested, and `site`
-    /// indexes [`Module::check_sites`].
+    /// indexes [`Module::check_sites`]. [`crate::rewrite`] places them.
     Site { site: u32, marker: SiteMarker },
 }
 
@@ -335,8 +335,9 @@ pub enum Inst {
 pub enum SiteMarker {
     /// First marker: the check sequence starts at the next instruction.
     Begin,
-    /// Second marker: the check sequence (including the guarded access, for
-    /// inline lowerings) ended at the previous instruction.
+    /// Second marker: the check sequence ended at the previous
+    /// instruction. For a check guarding one access, that access is the
+    /// next instruction, so its own cycles count as application time.
     End,
 }
 
@@ -490,18 +491,6 @@ impl Module {
             kind,
         });
         id
-    }
-
-    /// The ids of every registered check site of `kind`, in registration
-    /// order. Lets diagnostics passes (e.g. the static lint) re-run
-    /// idempotently by reusing their prior registrations.
-    pub fn sites_of_kind(&self, kind: &str) -> Vec<u32> {
-        self.check_sites
-            .iter()
-            .enumerate()
-            .filter(|(_, cs)| cs.kind == kind)
-            .map(|(i, _)| i as u32)
-            .collect()
     }
 
     /// Interns an intrinsic name, returning its id.

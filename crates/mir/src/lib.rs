@@ -6,7 +6,8 @@
 //! This crate plays the role LLVM 3.8 plays in the paper: the substrate on
 //! which SGXBounds, AddressSanitizer-style, and Intel MPX-style
 //! instrumentation passes operate (paper §5). Programs are constructed with
-//! [`builder::ModuleBuilder`], hardened by rewriting their [`ir::Module`],
+//! [`builder::ModuleBuilder`], hardened by rewriting their [`ir::Module`]
+//! (the mechanics every check-inserting pass shares live in [`rewrite`]),
 //! and executed by [`interp::Vm`], which charges cycles through
 //! [`sgxs_sim::Machine`] so that performance and memory overheads *emerge*
 //! from each scheme's memory behaviour.
@@ -16,6 +17,7 @@ pub mod builder;
 pub mod display;
 pub mod interp;
 pub mod ir;
+pub mod rewrite;
 pub mod ty;
 pub mod verify;
 
@@ -29,6 +31,7 @@ pub use ir::{
     Function, Global, GlobalId, Inst, IntrinsicId, LocalId, Module, Operand, Reg, SiteMarker,
     SlotId, StackSlot, Term,
 };
+pub use rewrite::{Access, AccessOp, BlockOrder, Guard, Next, Rewriter};
 pub use ty::Ty;
 pub use verify::{verify, VerifyError};
 

@@ -492,16 +492,6 @@ impl TraceRecorder {
             .collect()
     }
 
-    /// The retained ring, oldest first, as `(absolute_index, at, event)`.
-    /// This is the raw feed the audit ledger replays to build incident
-    /// reports without re-running the program.
-    pub fn ring_indexed(&self) -> impl Iterator<Item = (u64, u64, Event)> + '_ {
-        self.ring
-            .iter()
-            .enumerate()
-            .map(|(i, (at, ev))| (self.dropped + i as u64, *at, *ev))
-    }
-
     /// The retained ring as JSONL (one event object per line).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();

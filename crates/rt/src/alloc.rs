@@ -363,16 +363,6 @@ impl HeapAlloc {
         self.live.get(&addr).map(|c| c.user_size)
     }
 
-    /// Whether `addr` is a live allocation's user base.
-    pub fn is_live(&self, addr: u32) -> bool {
-        self.live.contains_key(&addr)
-    }
-
-    /// Iterates over live allocations as `(user_base, user_size)`.
-    pub fn live_iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.live.iter().map(|(a, c)| (*a, c.user_size))
-    }
-
     /// The redzone geometry `(pre, post)` applied to each object.
     pub fn redzones(&self) -> (u32, u32) {
         (self.opts.redzone_pre, self.opts.redzone_post)

@@ -24,19 +24,15 @@
 //! whole-object SGXBounds (and identically under ASan/MPX/native, which
 //! register the identity too).
 
-use sgxs_mir::ir::{Inst, Module, Operand, Reg};
+use sgxs_mir::ir::{def_of, CastKind, Inst, Module, Operand, Reg};
+use sgxs_mir::rewrite::Access;
 use std::collections::HashSet;
 
 /// Marks accesses whose address derives (block-locally, through geps and
 /// bitcasts) from an `sb_narrow` result as `no_lower`. Returns how many
 /// accesses were marked.
 pub fn mark_narrowed_accesses(module: &mut Module) -> usize {
-    let Some(id) = module
-        .intrinsics
-        .iter()
-        .position(|n| n == "sb_narrow")
-        .map(|i| sgxs_mir::ir::IntrinsicId(i as u32))
-    else {
+    let Some(id) = module.intrinsics.iter().position(|n| n == "sb_narrow") else {
         return 0;
     };
     let mut marked = 0;
@@ -44,73 +40,44 @@ pub fn mark_narrowed_accesses(module: &mut Module) -> usize {
         for b in &mut f.blocks {
             let mut narrowed: HashSet<Reg> = HashSet::new();
             for inst in &mut b.insts {
-                match inst {
+                // An `sb_narrow` result, and a gep or bitcast of a narrowed
+                // pointer, is narrowed; any other definition clears its
+                // register.
+                let derived = match inst {
                     Inst::CallIntrinsic {
                         dst: Some(d),
                         intrinsic,
                         ..
-                    } if *intrinsic == id => {
-                        narrowed.insert(*d);
-                    }
+                    } if intrinsic.0 as usize == id => Some((*d, true)),
                     Inst::Gep {
                         dst,
-                        base: Operand::Reg(base),
+                        base: Operand::Reg(src),
                         ..
-                    } => {
-                        if narrowed.contains(base) {
-                            narrowed.insert(*dst);
-                        } else {
-                            narrowed.remove(dst);
-                        }
                     }
-                    Inst::Cast {
-                        kind: sgxs_mir::ir::CastKind::Bitcast,
+                    | Inst::Cast {
+                        kind: CastKind::Bitcast,
                         dst,
-                        src: Operand::Reg(s),
-                    } => {
-                        if narrowed.contains(s) {
-                            narrowed.insert(*dst);
-                        } else {
-                            narrowed.remove(dst);
-                        }
+                        src: Operand::Reg(src),
+                    } => Some((*dst, narrowed.contains(src))),
+                    _ => None,
+                };
+                if let Some((d, true)) = derived {
+                    narrowed.insert(d);
+                    continue;
+                }
+                if let Some(Access {
+                    addr: Operand::Reg(a),
+                    attrs,
+                    ..
+                }) = inst.access()
+                {
+                    if narrowed.contains(&a) && !attrs.no_lower {
+                        inst.attrs_mut().expect("an access").no_lower = true;
+                        marked += 1;
                     }
-                    Inst::Load {
-                        addr: Operand::Reg(a),
-                        attrs,
-                        dst,
-                        ..
-                    } => {
-                        if narrowed.contains(a) && !attrs.no_lower {
-                            attrs.no_lower = true;
-                            marked += 1;
-                        }
-                        narrowed.remove(dst);
-                    }
-                    Inst::Store {
-                        addr: Operand::Reg(a),
-                        attrs,
-                        ..
-                    }
-                    | Inst::AtomicRmw {
-                        addr: Operand::Reg(a),
-                        attrs,
-                        ..
-                    }
-                    | Inst::AtomicCas {
-                        addr: Operand::Reg(a),
-                        attrs,
-                        ..
-                    } => {
-                        if narrowed.contains(a) && !attrs.no_lower {
-                            attrs.no_lower = true;
-                            marked += 1;
-                        }
-                    }
-                    other => {
-                        if let Some(d) = sgxs_mir::ir::def_of(other) {
-                            narrowed.remove(&d);
-                        }
-                    }
+                }
+                if let Some(d) = def_of(inst) {
+                    narrowed.remove(&d);
                 }
             }
         }

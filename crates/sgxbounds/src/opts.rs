@@ -14,9 +14,9 @@
 use sgxs_mir::analysis::cfg::{dominates, dominators};
 use sgxs_mir::analysis::{affine_accesses, counted_loops};
 use sgxs_mir::ir::{
-    def_of, BinOp, Block, BlockId, CheckSite, CmpOp, Function, Inst, Module, Operand, Reg,
-    SiteMarker, Term,
+    def_of, BinOp, Block, BlockId, CmpOp, Function, Inst, IntrinsicId, Module, Operand, Reg, Term,
 };
+use sgxs_mir::rewrite::Rewriter;
 use sgxs_mir::ty::Ty;
 use std::collections::HashMap;
 
@@ -24,21 +24,13 @@ use std::collections::HashMap;
 pub const MAX_STRIDE: u64 = 1024;
 
 /// Hoists loop bounds checks across the whole module; returns the number of
-/// preheader checks inserted.
-pub fn hoist_loop_checks(module: &mut Module) -> usize {
-    hoist_loop_checks_with(module, false)
-}
-
-/// Like [`hoist_loop_checks`], optionally wrapping every preheader check in
-/// transparent site markers (registered in the module's check-site table).
+/// preheader checks inserted. With `markers`, every preheader check is
+/// wrapped in transparent site markers (registered in the module's
+/// check-site table).
 pub fn hoist_loop_checks_with(module: &mut Module, markers: bool) -> usize {
     let sb_violation = module.intrinsic("sb_violation");
     let mut hoisted = 0;
-    let mut sites = std::mem::take(&mut module.check_sites);
-    for f in &mut module.funcs {
-        hoisted += hoist_function(f, sb_violation, markers, &mut sites);
-    }
-    module.check_sites = sites;
+    module.rewrite_funcs(markers, |rw| hoisted += hoist_function(rw, sb_violation));
     hoisted
 }
 
@@ -57,20 +49,16 @@ fn single_def_block(f: &Function, r: Reg) -> Option<BlockId> {
     found
 }
 
-fn hoist_function(
-    f: &mut Function,
-    sb_violation: sgxs_mir::ir::IntrinsicId,
-    markers: bool,
-    sites: &mut Vec<CheckSite>,
-) -> usize {
-    let loops = counted_loops(f);
+fn hoist_function(rw: &mut Rewriter<'_>, sb_violation: IntrinsicId) -> usize {
+    let loops = counted_loops(rw.func);
     if loops.is_empty() {
         return 0;
     }
-    let idom = dominators(f);
+    let idom = dominators(rw.func);
     let mut count = 0;
 
     for cl in &loops {
+        let f = &mut *rw.func;
         let Some(preheader) = cl.lp.preheader else {
             continue;
         };
@@ -116,12 +104,9 @@ fn hoist_function(
         // Mark the covered accesses safe (tag strip only).
         for (_, sites) in groups.values() {
             for (bi, ii) in sites {
-                match &mut f.blocks[bi.0 as usize].insts[*ii] {
-                    Inst::Load { attrs, .. } | Inst::Store { attrs, .. } => {
-                        attrs.safe = true;
-                        attrs.no_lower = true;
-                    }
-                    _ => {}
+                if let Some(attrs) = f.blocks[bi.0 as usize].insts[*ii].attrs_mut() {
+                    attrs.safe = true;
+                    attrs.no_lower = true;
                 }
             }
         }
@@ -145,6 +130,7 @@ fn hoist_function(
         let mut cur = preheader;
         let n = groups.len();
         for (gi, ((base, scale), maxoff)) in groups.into_iter().enumerate() {
+            let f = &mut *rw.func;
             let p = f.new_reg(Ty::Ptr);
             let ub = f.new_reg(Ty::I64);
             let scaled = f.new_reg(Ty::I64);
@@ -193,24 +179,8 @@ fn hoist_function(
                     b: ub.into(),
                 },
             ];
-            if markers {
-                let site = sites.len() as u32;
-                sites.push(CheckSite {
-                    func: f.name.clone(),
-                    kind: "sb_hoist",
-                });
-                insts.insert(
-                    0,
-                    Inst::Site {
-                        site,
-                        marker: SiteMarker::Begin,
-                    },
-                );
-                insts.push(Inst::Site {
-                    site,
-                    marker: SiteMarker::End,
-                });
-            }
+            rw.hoisted("sb_hoist", &mut insts);
+            let f = &mut *rw.func;
             // Fail block.
             let fail_id = BlockId(f.blocks.len() as u32);
             f.blocks.push(Block {
@@ -272,7 +242,7 @@ mod tests {
     #[test]
     fn hoists_both_arrays_of_the_copy_loop() {
         let mut m = loop_module();
-        let n = hoist_loop_checks(&mut m);
+        let n = hoist_loop_checks_with(&mut m, false);
         assert_eq!(n, 2, "one hoisted check per array");
         verify(&m).expect("hoisted IR verifies");
         // Both in-loop accesses became safe.
@@ -302,7 +272,7 @@ mod tests {
             fb.ret(None);
         });
         let mut m = mb.finish();
-        assert_eq!(hoist_loop_checks(&mut m), 0);
+        assert_eq!(hoist_loop_checks_with(&mut m, false), 0);
     }
 
     #[test]
@@ -319,6 +289,6 @@ mod tests {
             fb.ret(None);
         });
         let mut m = mb.finish();
-        assert_eq!(hoist_loop_checks(&mut m), 0);
+        assert_eq!(hoist_loop_checks_with(&mut m, false), 0);
     }
 }

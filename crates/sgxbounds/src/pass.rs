@@ -16,12 +16,14 @@
 //! runtime ([`crate::runtime`]) provides the `sb_*` intrinsics the rewritten
 //! code calls.
 
+use crate::tagged::{LB_BYTES, PTR_MASK};
 use crate::SbConfig;
 use sgxs_mir::analysis::mark_safe_accesses;
 use sgxs_mir::ir::{
-    AccessAttrs, BinOp, Block, BlockId, CheckSite, CmpOp, Function, Inst, Module, Operand,
-    SiteMarker, Term,
+    AccessAttrs, BinOp, Block, BlockId, CmpOp, Function, Inst, IntrinsicId, Module, Operand, Reg,
+    SlotId, Term,
 };
+use sgxs_mir::rewrite::{BlockOrder, Guard, Next, Rewriter};
 use sgxs_mir::ty::Ty;
 
 /// Counters describing what the pass did (used by tests and the
@@ -125,87 +127,52 @@ pub fn instrument(module: &mut Module, cfg: &SbConfig) -> Result<InstrumentRepor
     }
 
     // (3) Redirect allocation/libc intrinsics to the runtime wrappers.
-    let mapping: Vec<(sgxs_mir::ir::IntrinsicId, sgxs_mir::ir::IntrinsicId)> = REDIRECTS
-        .iter()
-        .filter_map(|(from, to)| {
-            let from_id = module
-                .intrinsics
-                .iter()
-                .position(|n| n == from)
-                .map(|i| sgxs_mir::ir::IntrinsicId(i as u32))?;
-            let to_id = module.intrinsic(to);
-            Some((from_id, to_id))
-        })
-        .collect();
-    for f in &mut module.funcs {
-        for b in &mut f.blocks {
-            for inst in &mut b.insts {
-                if let Inst::CallIntrinsic { intrinsic, .. } = inst {
-                    if let Some((_, to)) = mapping.iter().find(|(from, _)| from == intrinsic) {
-                        *intrinsic = *to;
-                        report.intrinsics_redirected += 1;
-                    }
-                }
-            }
-        }
-    }
+    report.intrinsics_redirected = module.redirect_intrinsics(REDIRECTS);
 
+    // (4) Per function: mask geps, lower access checks, tag every
+    // SlotAddr/GlobalAddr result (addresses of globals and stack objects
+    // become tagged pointers), and pad stack slots with the 4-byte lower
+    // bound, stored at frame entry (paper §3.2 "Pointer creation").
     let sb_violation = module.intrinsic("sb_violation");
-
-    // Per-function rewriting.
-    for fi in 0..module.funcs.len() {
-        let (masked, lowered) =
-            instrument_function(module, fi, sb_violation, &mut report, cfg.site_markers);
-        report.geps_masked += masked;
-        let _ = lowered;
-    }
-
-    // (4) Tag every SlotAddr/GlobalAddr result (addresses of globals and
-    // stack objects become tagged pointers).
     let global_sizes: Vec<u32> = module.globals.iter().map(|g| g.size).collect();
-    for f in &mut module.funcs {
-        tag_address_takes(f, &global_sizes);
-    }
-
-    // (5) Pad objects with the 4-byte lower bound and initialize it:
-    // stack slots at frame entry, globals in a synthetic init function
-    // called at the start of `main` (paper §3.2 "Pointer creation").
-    for f in &mut module.funcs {
-        insert_slot_lb_init(f);
-        for s in &mut f.slots {
-            s.padded_size = s.size + crate::tagged::LB_BYTES;
+    module.rewrite_funcs(cfg.site_markers, |rw| {
+        report.geps_masked += mask_geps(rw.func);
+        lower_accesses(rw, sb_violation, &mut report);
+        tag_address_takes(rw.func, &global_sizes);
+        insert_slot_lb_init(rw.func);
+        for s in &mut rw.func.slots {
+            s.padded_size = s.size + LB_BYTES;
         }
-    }
+    });
+
+    // (5) Pad globals the same way; `__sb_init_globals`, called first in
+    // `main`, stores their lower bounds.
     for g in &mut module.globals {
-        g.padded_size = g.size + crate::tagged::LB_BYTES;
+        g.padded_size = g.size + LB_BYTES;
     }
-    insert_global_init(module);
+    module.add_startup("__sb_init_globals", |init, gi, g| {
+        store_lb(init, |dst| Inst::GlobalAddr { dst, global: gi }, g.size)
+    });
 
     module.hardening = Some("sgxbounds");
     Ok(report)
 }
 
-/// Rewrites one function: masks geps, lowers access checks.
-fn instrument_function(
-    module: &mut Module,
-    fi: usize,
-    sb_violation: sgxs_mir::ir::IntrinsicId,
-    report: &mut InstrumentReport,
-    markers: bool,
-) -> (usize, usize) {
-    let mut sites = std::mem::take(&mut module.check_sites);
-    let fname = module.funcs[fi].name.clone();
-    let f = &mut module.funcs[fi];
+/// Masks pointer arithmetic; returns how many geps were masked.
+///
+/// `d = gep ...` becomes
+///
+/// ```text
+/// t  = gep base, idx, scale, disp   (raw)
+/// hi = and base, TAG_MASK
+/// lo = and t, PTR_MASK
+/// d  = or hi, lo
+/// ```
+///
+/// Inbounds geps (struct offsets, fixed-index arrays) cannot overflow the
+/// low 32 bits and are left unmasked (paper §4.4 "Safe memory accesses").
+fn mask_geps(f: &mut Function) -> usize {
     let mut masked = 0;
-    let mut lowered = 0;
-
-    // Gep masking: d = gep ... becomes
-    //   t  = gep base, idx, scale, disp   (raw)
-    //   hi = and base, TAG_MASK
-    //   lo = and t, PTR_MASK
-    //   d  = or hi, lo
-    // Inbounds geps (struct offsets, fixed-index arrays) cannot overflow the
-    // low 32 bits and are left unmasked (paper §4.4 "Safe memory accesses").
     for bi in 0..f.blocks.len() {
         let mut i = 0;
         while i < f.blocks[bi].insts.len() {
@@ -241,7 +208,7 @@ fn instrument_function(
                         op: BinOp::And,
                         dst: lo,
                         a: t.into(),
-                        b: Operand::Imm(crate::tagged::PTR_MASK),
+                        b: Operand::Imm(PTR_MASK),
                     },
                     Inst::Bin {
                         op: BinOp::Or,
@@ -258,263 +225,146 @@ fn instrument_function(
             }
         }
     }
+    masked
+}
 
-    // Access lowering with block splitting.
-    let tmp_local = f.new_local(Ty::I64);
-    let mut worklist: Vec<(usize, usize)> = (0..f.blocks.len()).map(|b| (b, 0)).collect();
-    while let Some((bi, start)) = worklist.pop() {
-        let mut i = start;
-        loop {
-            if i >= f.blocks[bi].insts.len() {
-                break;
-            }
-            let (addr, size, attrs, is_store) = match &f.blocks[bi].insts[i] {
-                Inst::Load {
-                    addr, ty, attrs, ..
-                } => (*addr, ty.width(), *attrs, false),
-                Inst::Store {
-                    addr, ty, attrs, ..
-                } => (*addr, ty.width(), *attrs, true),
-                Inst::AtomicRmw {
-                    addr, ty, attrs, ..
-                } => (*addr, ty.width(), *attrs, true),
-                Inst::AtomicCas {
-                    addr, ty, attrs, ..
-                } => (*addr, ty.width(), *attrs, true),
-                _ => {
-                    i += 1;
-                    continue;
-                }
-            };
-            if attrs.lowered {
-                i += 1;
-                continue;
-            }
-            let Operand::Reg(_) = addr else {
-                // Host-constant addresses are not program pointers.
-                set_lowered(&mut f.blocks[bi].insts[i]);
-                i += 1;
-                continue;
-            };
+/// Puts the SGXBounds check in front of every access: the tag strip
+/// alone on proven-safe accesses, else `p + size > UB` (plus `p < LB`,
+/// unless the lower bound is known) branching to `sb_violation`, whose
+/// result (the boundless redirect, in tolerant mode) replaces the address.
+fn lower_accesses(rw: &mut Rewriter<'_>, sb_violation: IntrinsicId, report: &mut InstrumentReport) {
+    let tmp = rw.func.new_local(Ty::I64);
+    rw.walk_accesses(BlockOrder::Reverse, |rw, bi, i, acc| {
+        let addr = acc.addr;
+        if let Operand::Imm(_) = addr {
+            // Host-constant addresses are not program pointers.
+            rw.func.blocks[bi].insts[i].mark_lowered();
+            return Next::At(i + 1);
+        }
+        let size = Operand::Imm(acc.width() as u64);
+        let f = &mut *rw.func;
+        // Tag strip: p = addr & PTR_MASK.
+        let p = f.new_reg(Ty::Ptr);
+        let strip = Inst::Bin {
+            op: BinOp::And,
+            dst: p,
+            a: addr,
+            b: Operand::Imm(PTR_MASK),
+        };
+        if acc.attrs.safe {
+            report.safe_elided += 1;
+            return rw.guard_inline(bi, i, "sb_safe", vec![strip], p.into());
+        }
 
-            if attrs.safe {
-                // Tag strip only: p = addr & PTR_MASK.
-                let p = f.new_reg(Ty::Ptr);
-                let mask = Inst::Bin {
-                    op: BinOp::And,
-                    dst: p,
-                    a: addr,
-                    b: Operand::Imm(crate::tagged::PTR_MASK),
-                };
-                replace_addr(&mut f.blocks[bi].insts[i], p.into());
-                set_lowered(&mut f.blocks[bi].insts[i]);
-                if markers {
-                    let site = sites.len() as u32;
-                    sites.push(CheckSite {
-                        func: fname.clone(),
-                        kind: "sb_safe",
-                    });
-                    let seq = [
-                        Inst::Site {
-                            site,
-                            marker: SiteMarker::Begin,
-                        },
-                        mask,
-                        Inst::Site {
-                            site,
-                            marker: SiteMarker::End,
-                        },
-                    ];
-                    f.blocks[bi].insts.splice(i..i, seq);
-                    report.safe_elided += 1;
-                    i += 4;
-                } else {
-                    f.blocks[bi].insts.insert(i, mask);
-                    report.safe_elided += 1;
-                    i += 2;
-                }
-                continue;
-            }
-
-            // Full or UB-only check: split the block.
-            let p = f.new_reg(Ty::Ptr);
-            let ub = f.new_reg(Ty::I64);
-            let pe = f.new_reg(Ty::I64);
-            let c_ub = f.new_reg(Ty::I64);
-            let mut check = vec![
-                Inst::Bin {
-                    op: BinOp::And,
-                    dst: p,
-                    a: addr,
-                    b: Operand::Imm(crate::tagged::PTR_MASK),
-                },
-                Inst::Bin {
-                    op: BinOp::LShr,
-                    dst: ub,
-                    a: addr,
-                    b: Operand::Imm(32),
-                },
-                Inst::Bin {
-                    op: BinOp::Add,
-                    dst: pe,
-                    a: p.into(),
-                    b: Operand::Imm(size as u64),
-                },
-                Inst::Cmp {
-                    op: CmpOp::UGt,
-                    dst: c_ub,
-                    a: pe.into(),
-                    b: ub.into(),
-                },
-            ];
-            let cond = if attrs.no_lower {
-                report.ub_only_checks += 1;
-                c_ub
-            } else {
-                report.full_checks += 1;
-                let lb = f.new_reg(Ty::I64);
-                let c_lb = f.new_reg(Ty::I64);
-                let c = f.new_reg(Ty::I64);
-                check.push(Inst::Load {
-                    dst: lb,
-                    addr: ub.into(),
-                    ty: Ty::I32,
-                    attrs: AccessAttrs {
-                        safe: true,
-                        no_lower: true,
-                        lowered: true,
-                    },
-                });
-                check.push(Inst::Cmp {
-                    op: CmpOp::ULt,
-                    dst: c_lb,
-                    a: p.into(),
-                    b: lb.into(),
-                });
-                check.push(Inst::Bin {
-                    op: BinOp::Or,
-                    dst: c,
-                    a: c_ub.into(),
-                    b: c_lb.into(),
-                });
-                c
-            };
-            let site = if markers {
-                let site = sites.len() as u32;
-                sites.push(CheckSite {
-                    func: fname.clone(),
-                    kind: if attrs.no_lower { "sb_ub" } else { "sb_full" },
-                });
-                check.insert(
-                    0,
-                    Inst::Site {
-                        site,
-                        marker: SiteMarker::Begin,
-                    },
-                );
-                Some(site)
-            } else {
-                None
-            };
-
-            // Carve the continuation block out of the current one.
-            let rest: Vec<Inst> = f.blocks[bi].insts.split_off(i);
-            let orig_term = std::mem::replace(&mut f.blocks[bi].term, Term::Unreachable);
-            let cont_id = BlockId(f.blocks.len() as u32);
-            let ok_id = BlockId(f.blocks.len() as u32 + 1);
-            let fail_id = BlockId(f.blocks.len() as u32 + 2);
-
-            // cont block: aa = tmp_local; [site end]; <access with addr = aa>;
-            // rest. The End marker sits before the access so the access's
-            // own memory cycles stay attributed to the application.
-            let aa = f.new_reg(Ty::Ptr);
-            let mut cont_insts = vec![Inst::ReadLocal {
-                dst: aa,
-                local: tmp_local,
-            }];
-            if let Some(site) = site {
-                cont_insts.push(Inst::Site {
-                    site,
-                    marker: SiteMarker::End,
-                });
-            }
-            let resume_at = cont_insts.len() + 1;
-            let mut access = rest.into_iter().collect::<Vec<_>>();
-            replace_addr(&mut access[0], aa.into());
-            set_lowered(&mut access[0]);
-            cont_insts.extend(access);
-            f.blocks.push(Block {
-                insts: cont_insts,
-                term: orig_term,
+        let ub = f.new_reg(Ty::I64);
+        let pe = f.new_reg(Ty::I64);
+        let c_ub = f.new_reg(Ty::I64);
+        let mut check = vec![
+            strip,
+            Inst::Bin {
+                op: BinOp::LShr,
+                dst: ub,
+                a: addr,
+                b: Operand::Imm(32),
+            },
+            Inst::Bin {
+                op: BinOp::Add,
+                dst: pe,
+                a: p.into(),
+                b: size,
+            },
+            Inst::Cmp {
+                op: CmpOp::UGt,
+                dst: c_ub,
+                a: pe.into(),
+                b: ub.into(),
+            },
+        ];
+        let (kind, cond) = if acc.attrs.no_lower {
+            report.ub_only_checks += 1;
+            ("sb_ub", c_ub)
+        } else {
+            report.full_checks += 1;
+            let lb = f.new_reg(Ty::I64);
+            let c_lb = f.new_reg(Ty::I64);
+            let c = f.new_reg(Ty::I64);
+            check.push(Inst::Load {
+                dst: lb,
+                addr: ub.into(),
+                ty: Ty::I32,
+                attrs: LOWERED_SAFE,
             });
+            check.push(Inst::Cmp {
+                op: CmpOp::ULt,
+                dst: c_lb,
+                a: p.into(),
+                b: lb.into(),
+            });
+            check.push(Inst::Bin {
+                op: BinOp::Or,
+                dst: c,
+                a: c_ub.into(),
+                b: c_lb.into(),
+            });
+            ("sb_full", c)
+        };
 
-            // ok block.
-            f.blocks.push(Block {
+        // The continuation reads the checked address back from `tmp`: the
+        // ok block stores the stripped pointer, the fail block whatever
+        // the violation handler returns.
+        let aa = f.new_reg(Ty::Ptr);
+        let rd = f.new_reg(Ty::Ptr);
+        let guard = Guard {
+            kind,
+            check,
+            lead: vec![Inst::ReadLocal {
+                dst: aa,
+                local: tmp,
+            }],
+            addr: Some(aa.into()),
+            trail: vec![],
+        };
+        let is_store = Operand::Imm(acc.is_store() as u64);
+        rw.guard(bi, i, guard, |cont| {
+            let (ok, fail) = (BlockId(cont.0 + 1), BlockId(cont.0 + 2));
+            let branch = Term::Br {
+                cond: cond.into(),
+                t: fail,
+                f: ok,
+            };
+            let ok = Block {
                 insts: vec![Inst::WriteLocal {
-                    local: tmp_local,
+                    local: tmp,
                     val: p.into(),
                 }],
-                term: Term::Jmp(cont_id),
-            });
-
-            // fail block.
-            let rd = f.new_reg(Ty::Ptr);
-            f.blocks.push(Block {
+                term: Term::Jmp(cont),
+            };
+            let fail = Block {
                 insts: vec![
                     Inst::CallIntrinsic {
                         dst: Some(rd),
                         intrinsic: sb_violation,
-                        args: vec![
-                            addr,
-                            Operand::Imm(size as u64),
-                            Operand::Imm(is_store as u64),
-                        ],
+                        args: vec![addr, size, is_store],
                     },
                     Inst::WriteLocal {
-                        local: tmp_local,
+                        local: tmp,
                         val: rd.into(),
                     },
                 ],
-                term: Term::Jmp(cont_id),
-            });
-
-            // Current block: check sequence + branch.
-            f.blocks[bi].insts.extend(check);
-            f.blocks[bi].term = Term::Br {
-                cond: cond.into(),
-                t: fail_id,
-                f: ok_id,
+                term: Term::Jmp(cont),
             };
-            lowered += 1;
-            // Continue scanning in the continuation block, after the access.
-            worklist.push((cont_id.0 as usize, resume_at));
-            break;
-        }
-    }
-
-    module.check_sites = sites;
-    (masked, lowered)
+            (branch, [ok, fail])
+        })
+    });
 }
 
-fn replace_addr(inst: &mut Inst, new_addr: Operand) {
-    match inst {
-        Inst::Load { addr, .. }
-        | Inst::Store { addr, .. }
-        | Inst::AtomicRmw { addr, .. }
-        | Inst::AtomicCas { addr, .. } => *addr = new_addr,
-        _ => unreachable!("replace_addr on non-access"),
-    }
-}
-
-fn set_lowered(inst: &mut Inst) {
-    match inst {
-        Inst::Load { attrs, .. }
-        | Inst::Store { attrs, .. }
-        | Inst::AtomicRmw { attrs, .. }
-        | Inst::AtomicCas { attrs, .. } => attrs.lowered = true,
-        _ => unreachable!("set_lowered on non-access"),
-    }
-}
+/// Flags of the accesses the pass itself emits: metadata it knows is
+/// in bounds, never to be checked.
+const LOWERED_SAFE: AccessAttrs = AccessAttrs {
+    safe: true,
+    no_lower: true,
+    lowered: true,
+};
 
 /// Rewrites `d = &slot` / `d = &global` into tagged-pointer construction:
 /// `base; ub = base + size; d = (ub << 32) | base`.
@@ -567,100 +417,41 @@ fn tag_address_takes(f: &mut Function, global_sizes: &[u32]) {
     }
 }
 
-/// Inserts, at function entry, a lower-bound store for every stack slot:
-/// `*(i32*)(&slot + size) = &slot` (paper §3.2: stack objects are padded
-/// and initialized at frame creation).
-fn insert_slot_lb_init(f: &mut Function) {
-    if f.slots.is_empty() {
-        return;
-    }
-    let mut seq = Vec::with_capacity(f.slots.len() * 3);
-    for si in 0..f.slots.len() {
-        let t = f.new_reg(Ty::Ptr);
-        let la = f.new_reg(Ty::Ptr);
-        let size = f.slots[si].size;
-        seq.push(Inst::SlotAddr {
-            dst: t,
-            slot: sgxs_mir::ir::SlotId(si as u32),
-        });
-        seq.push(Inst::Gep {
+/// `t = <address of the object>; *(i32*)(t + size) = t`: stores an
+/// object's lower bound into the word after it.
+fn store_lb(f: &mut Function, addr_of: impl FnOnce(Reg) -> Inst, size: u32) -> [Inst; 3] {
+    let t = f.new_reg(Ty::Ptr);
+    let la = f.new_reg(Ty::Ptr);
+    [
+        addr_of(t),
+        Inst::Gep {
             dst: la,
             base: t.into(),
             index: Operand::Imm(0),
             scale: 1,
             disp: size as i64,
             inbounds: true,
-        });
-        seq.push(Inst::Store {
+        },
+        Inst::Store {
             addr: la.into(),
             val: t.into(),
             ty: Ty::I32,
-            attrs: AccessAttrs {
-                safe: true,
-                no_lower: true,
-                lowered: true,
-            },
-        });
-    }
-    f.blocks[0].insts.splice(0..0, seq);
+            attrs: LOWERED_SAFE,
+        },
+    ]
 }
 
-/// Creates `__sb_init_globals` (stores every global's lower bound) and calls
-/// it at the top of `main`.
-fn insert_global_init(module: &mut Module) {
-    let nglobals = module.globals.len();
-    let mut init = Function {
-        name: "__sb_init_globals".into(),
-        params: vec![],
-        ret: None,
-        reg_tys: vec![],
-        locals: vec![],
-        slots: vec![],
-        blocks: vec![Block {
-            insts: vec![],
-            term: Term::Ret(None),
-        }],
-    };
-    for gi in 0..nglobals {
-        let size = module.globals[gi].size;
-        let t = init.new_reg(Ty::Ptr);
-        let la = init.new_reg(Ty::Ptr);
-        init.blocks[0].insts.push(Inst::GlobalAddr {
-            dst: t,
-            global: sgxs_mir::ir::GlobalId(gi as u32),
-        });
-        init.blocks[0].insts.push(Inst::Gep {
-            dst: la,
-            base: t.into(),
-            index: Operand::Imm(0),
-            scale: 1,
-            disp: size as i64,
-            inbounds: true,
-        });
-        init.blocks[0].insts.push(Inst::Store {
-            addr: la.into(),
-            val: t.into(),
-            ty: Ty::I32,
-            attrs: AccessAttrs {
-                safe: true,
-                no_lower: true,
-                lowered: true,
-            },
-        });
+/// Inserts, at function entry, a lower-bound store for every stack slot
+/// (paper §3.2: stack objects are padded and initialized at frame
+/// creation).
+fn insert_slot_lb_init(f: &mut Function) {
+    let mut seq = Vec::with_capacity(f.slots.len() * 3);
+    for si in 0..f.slots.len() {
+        let slot = SlotId(si as u32);
+        let size = f.slots[si].size;
+        seq.extend(store_lb(f, |dst| Inst::SlotAddr { dst, slot }, size));
     }
-    let init_id = sgxs_mir::ir::FuncId(module.funcs.len() as u32);
-    module.funcs.push(init);
-    if let Some(main) = module.func_by_name("main") {
-        let main_f = &mut module.funcs[main.0 as usize];
-        main_f.blocks[0].insts.insert(
-            0,
-            Inst::Call {
-                dst: None,
-                func: init_id,
-                args: vec![],
-            },
-        );
-    }
+    f.blocks[0].insts.splice(0..0, seq);
 }
 
 #[cfg(test)]

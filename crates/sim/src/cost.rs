@@ -163,8 +163,10 @@ pub struct MachineConfig {
     pub epc_bytes: u64,
     /// Cycle costs.
     pub cost: CostModel,
-    /// Which execution tier runs on this machine (cost-neutral: both tiers
-    /// charge identical cycles; this only selects the dispatch loop).
+    /// Which execution tier the runner chose for this machine. Nothing
+    /// reads it to pick the dispatch loop: each runner selects the
+    /// compiled tier by calling `sgxs_exec::attach` on its VM. The choice
+    /// is cost-neutral; both tiers charge identical cycles.
     pub tier: ExecTier,
 }
 

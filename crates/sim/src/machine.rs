@@ -150,11 +150,6 @@ impl Machine {
         self.epc.as_ref().map_or(0, |e| e.faults())
     }
 
-    /// Current EPC capacity in pages (`None` in native mode).
-    pub fn epc_capacity_pages(&self) -> Option<usize> {
-        self.epc.as_ref().map(|e| e.capacity())
-    }
-
     /// Clamps (or restores) the EPC capacity mid-run — chaos injection for
     /// EPC pressure storms, where other enclaves steal protected pages.
     /// Shrinking evicts resident pages immediately (counted in the stats);

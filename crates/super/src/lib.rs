@@ -13,8 +13,8 @@
 //!   isolation and a cooperative [`StopFlag`] for graceful stops;
 //! * [`supervise`] — the robustness ladder on top: failure taxonomy
 //!   ([`SeedFailure`]: panic / budget / transient), the deterministic
-//!   cycle-budget watchdog contract, retry-with-backoff charged in
-//!   simulated cycles, quarantine, and explicit coverage accounting;
+//!   cycle-budget watchdog contract, a bounded retry ladder for
+//!   transients, quarantine, and explicit coverage accounting;
 //! * [`journal`] — the `sgxs-campaign-v1` append-only checkpoint so an
 //!   interrupted campaign resumes exactly where it stopped.
 //!
@@ -33,5 +33,5 @@ pub use journal::{done_line, fingerprint, quarantined_line, JournalHeader, Journ
 pub use pool::{panic_message, resolve_workers, run_indexed, ItemState, StopFlag};
 pub use supervise::{
     supervise, Campaign, CampaignRun, Coverage, Quarantined, Restored, SeedFailure, SuperOpts,
-    TaskError,
+    TaskError, MAX_ATTEMPTS,
 };

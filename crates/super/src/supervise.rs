@@ -13,10 +13,9 @@
 //!   immediately: re-running a deterministic seed against the same budget
 //!   would burn the same cycles and fail the same way;
 //! * a **transient** failure ([`TaskError::Transient`] — injected alloc
-//!   faults and their kin) is retried up to [`SuperOpts::max_attempts`]
-//!   times with a deterministic exponential backoff *charged in simulated
-//!   cycles* (`backoff_cycles << (attempt-1)`), then quarantined as
-//!   [`SeedFailure::Transient`].
+//!   faults and their kin) is retried at once, up to [`MAX_ATTEMPTS`]
+//!   attempts in all, then quarantined as [`SeedFailure::Transient`].
+//!   Each attempt is a fresh deterministic run of `(seed, attempt)`.
 //!
 //! Every terminal verdict is appended to the `sgxs-campaign-v1` journal,
 //! one whole line per write, before the worker moves on. A campaign
@@ -31,7 +30,7 @@
 use crate::journal::{done_line, fingerprint, quarantined_line, JournalHeader, JournalWriter};
 use crate::pool::{panic_message, run_indexed, ItemState, StopFlag};
 use sgxs_obs::json::Json;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A recoverable-or-not error a campaign's `run_seed` can report without
 /// panicking.
@@ -134,16 +133,14 @@ pub trait Campaign: Sync {
     fn restore(&self, seed: u64, payload: &Json) -> Result<Restored<Self::Out>, String>;
 }
 
+/// Attempts the retry ladder gives a seed that keeps failing transiently.
+pub const MAX_ATTEMPTS: u32 = 3;
+
 /// Supervisor knobs.
 #[derive(Debug, Clone)]
 pub struct SuperOpts {
     /// Worker threads (0 = auto: host parallelism capped at 8).
     pub workers: usize,
-    /// Retry-ladder bound for transient failures (≥ 1).
-    pub max_attempts: u32,
-    /// Base backoff charged in simulated cycles; rung `a` charges
-    /// `backoff_cycles << (a-1)`.
-    pub backoff_cycles: u64,
     /// Journal path; `None` runs unjournaled.
     pub journal: Option<String>,
     /// Resume from an existing journal at the path above.
@@ -159,8 +156,6 @@ impl Default for SuperOpts {
     fn default() -> SuperOpts {
         SuperOpts {
             workers: 1,
-            max_attempts: 3,
-            backoff_cycles: 10_000,
             journal: None,
             resume: false,
             stop_after: None,
@@ -185,8 +180,6 @@ pub struct CampaignRun<T> {
     pub resumed: u64,
     /// Whether the stop flag ended the campaign early.
     pub stopped: bool,
-    /// Total deterministic backoff charged by the retry ladder, in cycles.
-    pub retry_backoff_cycles: u64,
 }
 
 impl<T> CampaignRun<T> {
@@ -207,15 +200,8 @@ enum LadderOutcome<T> {
 }
 
 /// Climbs the retry ladder for one seed: panics and budget overruns are
-/// terminal on the rung they occur; transients retry with deterministic
-/// cycle-accounted backoff until the bound.
-fn run_ladder<C: Campaign>(
-    campaign: &C,
-    seed: u64,
-    opts: &SuperOpts,
-    backoff_total: &AtomicU64,
-) -> LadderOutcome<C::Out> {
-    let max = opts.max_attempts.max(1);
+/// terminal on the rung they occur; transients retry until the bound.
+fn run_ladder<C: Campaign>(campaign: &C, seed: u64) -> LadderOutcome<C::Out> {
     let mut attempt = 1u32;
     loop {
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -243,7 +229,7 @@ fn run_ladder<C: Campaign>(
                 }
             }
             Ok(Err(TaskError::Transient(last))) => {
-                if attempt >= max {
+                if attempt >= MAX_ATTEMPTS {
                     return LadderOutcome::Fail {
                         attempts: attempt,
                         failure: SeedFailure::Transient {
@@ -252,7 +238,6 @@ fn run_ladder<C: Campaign>(
                         },
                     };
                 }
-                backoff_total.fetch_add(opts.backoff_cycles << (attempt - 1), Ordering::Relaxed);
                 attempt += 1;
             }
         }
@@ -335,10 +320,9 @@ pub fn supervise<C: Campaign>(
     };
 
     let completions = AtomicUsize::new(0);
-    let backoff_total = AtomicU64::new(0);
     let states = run_indexed(pending.len(), opts.workers, stop, |idx| {
         let seed = pending[idx];
-        let res = run_ladder(campaign, seed, opts, &backoff_total);
+        let res = run_ladder(campaign, seed);
         if let Some(w) = &writer {
             if !journaled.contains(&seed) {
                 let line = match &res {
@@ -409,7 +393,6 @@ pub fn supervise<C: Campaign>(
         skipped,
         resumed,
         stopped: stop.raised(),
-        retry_backoff_cycles: backoff_total.load(Ordering::Relaxed),
     })
 }
 
@@ -530,9 +513,6 @@ mod tests {
         );
         // 42 and 52 recovered on attempt 3.
         assert!(run.outcomes.iter().any(|&(s, v)| s == 42 && v == 420));
-        // Backoff: two recovered seeds (rungs 1+2) and two exhausted seeds
-        // (rungs 1+2) each charge 10k + 20k.
-        assert_eq!(run.retry_backoff_cycles, 4 * (10_000 + 20_000));
         // Outcomes are seed-sorted regardless of worker scheduling.
         let seeds: Vec<u64> = run.outcomes.iter().map(|&(s, _)| s).collect();
         let mut sorted = seeds.clone();
@@ -562,7 +542,6 @@ mod tests {
                     .collect::<Vec<_>>(),
                 "workers={workers}"
             );
-            assert_eq!(run.retry_backoff_cycles, baseline.retry_backoff_cycles);
         }
     }
 

@@ -6,7 +6,7 @@
 //!
 //! Run with `cargo run --example mpx_race`.
 
-use sgxs_baselines::{install_mpx, instrument_mpx, MpxConfig};
+use sgxs_baselines::{install_mpx, instrument_mpx_with, MpxConfig};
 use sgxs_mir::{BinOp, CmpOp, Module, ModuleBuilder, Operand, Ty, Vm, VmConfig};
 use sgxs_rt::{install_base, AllocOpts};
 use sgxs_sim::{MachineConfig, Mode, Preset};
@@ -59,7 +59,7 @@ fn build() -> Module {
 
 fn main() {
     let mut module = build();
-    instrument_mpx(&mut module).unwrap();
+    instrument_mpx_with(&mut module, false).unwrap();
     let mut cfg = VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave));
     cfg.quantum = 3; // Fine-grained interleaving.
     let mut vm = Vm::new(&module, cfg);
