@@ -33,11 +33,6 @@ impl ObjectRecord {
         self.base as u64 + self.size as u64
     }
 
-    /// Whether the object was still live when observation ended.
-    pub fn live(&self) -> bool {
-        self.free_at.is_none()
-    }
-
     /// Whether `addr` falls inside `[lb, ub)`.
     pub fn contains(&self, addr: u64) -> bool {
         addr >= self.lb() && addr < self.ub()
@@ -274,7 +269,7 @@ mod tests {
         assert_eq!(l.objects().len(), 3);
         assert_eq!(l.live_count(), 2);
         assert_eq!(l.objects()[0].free_at, Some(30));
-        assert!(l.objects()[2].live());
+        assert_eq!(l.objects()[2].free_at, None);
         assert_eq!(l.objects()[2].size, 16);
     }
 

@@ -22,11 +22,13 @@
 //!    [`TraceRecorder`] (digest, counters, bounded ring) with the ledger,
 //!    a snapshot of the first check failure (including the open span path
 //!    at that instant), and the recovery-policy trail.
-//! 3. [`Incident`] — the assembled report. Serializes to the
-//!    `sgxs-incident-v1` schema (validated by
-//!    `sgxs_obs::read::parse_incident`) and renders as a human-readable
-//!    ASCII block. Both forms are pure functions of simulated state, so
-//!    they are byte-identical across execution tiers and reruns.
+//! 3. [`assemble`] — joins a finished recorder with what the producer
+//!    knows ([`IncidentMeta`]: identity, ground truth, derivation chain,
+//!    shrunk repro) into the declared `sgxs-incident-v1` document,
+//!    [`IncidentDoc`] (validated by `sgxs_obs::read::parse_incident`, and
+//!    rendered by its one text view, `IncidentDoc::render`). The document
+//!    is a pure function of simulated state, so it is byte-identical
+//!    across execution tiers and reruns.
 //!
 //! Determinism rules: no wall-clock, no host pointers, no hash-map
 //! iteration — every collection is ordered by birth id or event index,
@@ -37,11 +39,12 @@
 mod incident;
 mod ledger;
 
-pub use incident::{FaultInfo, Incident, IncidentMeta, Neighbor, Relation, ReproInfo, TruthInfo};
+pub use incident::{assemble, assemble_with, post_run_fault, IncidentMeta};
 pub use ledger::{FaultRecord, LedgerRecorder, ObjectLedger, ObjectRecord, RecoveryTrail};
 
-// Re-exported so downstream forensic runners name the recorder trait
-// without a separate obs import.
+// Re-exported so downstream forensic runners name the recorder trait and
+// the incident document without a separate obs import.
+pub use sgxs_obs::read::{IncidentDoc, IncidentFault, IncidentRepro, IncidentTruth};
 pub use sgxs_obs::{Recorder, TraceRecorder};
 
 /// Default heap-neighborhood size: the faulting object (when the address

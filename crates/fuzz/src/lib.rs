@@ -34,9 +34,11 @@ use runner::{
     classify, exec_chaos_tier_budget, exec_forensic, exec_tier, exec_tier_budget, is_budget_trap,
     is_oom_trap, verdict_ok, FScheme, Verdict, ALL_SCHEMES, DEFAULT_BUDGET, OOM_RETRY_ATTEMPTS,
 };
-use sgxs_audit::{Incident, IncidentMeta, ReproInfo, TruthInfo};
+use sgxs_audit::{IncidentDoc, IncidentMeta, IncidentRepro, IncidentTruth};
 use sgxs_sim::obs::codec::Field;
 use sgxs_sim::obs::json::Json;
+use sgxs_sim::obs::read::{FuzzCell, FuzzDisagreement, FuzzDoc, FuzzSafe};
+use sgxs_sim::obs::view::render_quarantine;
 use sgxs_sim::ExecTier;
 use sgxs_super::{
     supervise, Campaign, Coverage, Quarantined, Restored, SeedFailure, StopFlag, SuperOpts,
@@ -205,8 +207,8 @@ pub struct Disagreement {
     pub repro: Option<shrink::Repro>,
     /// Full forensic record of a re-run of the failing execution: object
     /// ledger neighborhood, derivation chain, indexed trace tail, ground
-    /// truth, and the shrunk repro — serializes to `sgxs-incident-v1`.
-    pub incident: Incident,
+    /// truth, and the shrunk repro — an `sgxs-incident-v1` document.
+    pub incident: IncidentDoc,
 }
 
 /// Assembles the forensic incident for one disagreement: re-runs the
@@ -221,7 +223,7 @@ fn forensic_incident(
     verdict: &Verdict,
     repro: Option<&shrink::Repro>,
     opts: &FuzzOpts,
-) -> Incident {
+) -> IncidentDoc {
     let (_, rec) = exec_forensic(prog, scheme, opts.tier, opts.trace_window);
     let meta = IncidentMeta {
         origin: "fuzz".into(),
@@ -232,19 +234,18 @@ fn forensic_incident(
         // tiers; `pinned` records that claim in the document.
         tier: "pinned".into(),
         verdict: verdict.label().into(),
+        truth: fault.map(|f| IncidentTruth {
+            kind: f.kind.label().into(),
+            op: format!("{:?}", f.ops[f.victim]),
+            op_index: f.victim_index() as u64,
+        }),
+        derivation: derivation_lines(prog),
+        repro: repro.map(|r| IncidentRepro {
+            insts: r.insts as u64,
+            ops: r.prog.ops.iter().map(|o| format!("{o:?}")).collect(),
+        }),
     };
-    let mut inc = Incident::assemble(meta, &rec, opts.trace_window);
-    inc.truth = fault.map(|f| TruthInfo {
-        kind: f.kind.label().into(),
-        op: format!("{:?}", f.ops[f.victim]),
-        op_index: f.victim_index() as u64,
-    });
-    inc.derivation = derivation_lines(prog);
-    inc.repro = repro.map(|r| ReproInfo {
-        insts: r.insts as u64,
-        ops: r.prog.ops.iter().map(|o| format!("{o:?}")).collect(),
-    });
-    inc
+    sgxs_audit::assemble(meta, &rec, opts.trace_window)
 }
 
 /// The static pointer-derivation chain for the program's suspicious
@@ -408,34 +409,16 @@ impl Report {
                 if let Some(det) = d.verdict.detail() {
                     let _ = write!(s, " — {det}");
                 }
-                // Ground truth next to the observed verdict, so an
-                // oracle/detection off-by-one is triaged from the summary
-                // line alone.
-                if let Some(t) = &d.incident.truth {
-                    let _ = write!(s, " (ground truth: op {} {})", t.op_index, t.op);
-                }
                 let _ = writeln!(s);
-                // The full forensic record, via the shared incident
-                // renderer (heap neighborhood, derivation, indexed trace
-                // tail, shrunk repro).
+                // The full forensic record — ground truth, heap
+                // neighborhood, derivation, indexed trace tail, shrunk
+                // repro — through the incident's one text view.
                 for line in d.incident.render().lines() {
                     let _ = writeln!(s, "    {line}");
                 }
             }
         }
-        if !self.quarantine.is_empty() {
-            let _ = writeln!(s, "\nquarantined seeds:");
-            for q in &self.quarantine {
-                let _ = writeln!(
-                    s,
-                    "  seed {} [{} after {} attempt(s)]: {}",
-                    q.seed, q.class, q.attempts, q.detail
-                );
-            }
-        }
-        if self.skipped > 0 {
-            let _ = writeln!(s, "\n{} seed(s) skipped by early stop", self.skipped);
-        }
+        s.push_str(&render_quarantine(&self.quarantine, self.skipped));
         s
     }
 
@@ -443,79 +426,43 @@ impl Report {
     /// the safe table, the fault matrix, and one embedded
     /// `sgxs-incident-v1` document per disagreement.
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema", "sgxs-fuzz-v1".into()),
-            ("programs", self.programs.into()),
-            ("runs", self.runs.into()),
-            (
-                "safe",
-                Json::Arr(
-                    self.safe
-                        .iter()
-                        .map(|(scheme, c)| {
-                            Json::obj(vec![
-                                ("scheme", scheme.label().into()),
-                                ("passes", c.passes.into()),
-                                ("false_positives", c.false_positives.into()),
-                                ("mismatches", c.mismatches.into()),
-                                ("crashes", c.crashes.into()),
-                                ("total", c.total.into()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "matrix",
-                Json::Arr(
-                    self.cells
-                        .iter()
-                        .map(|((kind, scheme), c)| {
-                            Json::obj(vec![
-                                ("kind", kind.label().into()),
-                                ("scheme", scheme.label().into()),
-                                ("detected", c.detected.into()),
-                                ("wrong_site", c.wrong_site.into()),
-                                ("missed", c.missed.into()),
-                                ("tolerated", c.tolerated.into()),
-                                ("crashed", c.crashed.into()),
-                                ("disagreements", c.disagreements.into()),
-                                ("total", c.total.into()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "disagreements",
-                Json::Arr(
-                    self.disagreements
-                        .iter()
-                        .map(|d| {
-                            Json::obj(vec![
-                                ("seed", d.seed.into()),
-                                (
-                                    "kind",
-                                    d.kind.map(|k| Json::from(k.label())).unwrap_or(Json::Null),
-                                ),
-                                ("scheme", d.scheme.label().into()),
-                                ("verdict", d.verdict.label().into()),
-                                (
-                                    "detail",
-                                    match d.verdict.detail() {
-                                        Some(m) => Json::from(m.as_str()),
-                                        None => Json::Null,
-                                    },
-                                ),
-                                ("incident", d.incident.to_json()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("coverage", self.coverage().put()),
-            ("quarantine", self.quarantine.put()),
-        ])
+        let safe = self.safe.iter().map(|(scheme, c)| FuzzSafe {
+            scheme: scheme.label().into(),
+            passes: c.passes,
+            false_positives: c.false_positives,
+            mismatches: c.mismatches,
+            crashes: c.crashes,
+            total: c.total,
+        });
+        let matrix = self.cells.iter().map(|((kind, scheme), c)| FuzzCell {
+            kind: kind.label().into(),
+            scheme: scheme.label().into(),
+            detected: c.detected,
+            wrong_site: c.wrong_site,
+            missed: c.missed,
+            tolerated: c.tolerated,
+            crashed: c.crashed,
+            disagreements: c.disagreements,
+            total: c.total,
+        });
+        let disagreements = self.disagreements.iter().map(|d| FuzzDisagreement {
+            seed: d.seed,
+            kind: d.kind.map(|k| k.label().into()),
+            scheme: d.scheme.label().into(),
+            verdict: d.verdict.label().into(),
+            detail: d.verdict.detail(),
+            incident: d.incident.clone(),
+        });
+        FuzzDoc {
+            programs: self.programs,
+            runs: self.runs,
+            safe: safe.collect(),
+            matrix: matrix.collect(),
+            disagreements: disagreements.collect(),
+            coverage: self.coverage(),
+            quarantine: self.quarantine.clone(),
+        }
+        .put()
     }
 }
 
@@ -962,16 +909,7 @@ impl ChaosFuzzReport {
                 v.label()
             );
         }
-        for q in &self.quarantine {
-            let _ = writeln!(
-                s,
-                "  seed {} quarantined [{} after {} attempt(s)]: {}",
-                q.seed, q.class, q.attempts, q.detail
-            );
-        }
-        if self.skipped > 0 {
-            let _ = writeln!(s, "  {} seed(s) skipped by early stop", self.skipped);
-        }
+        s.push_str(&render_quarantine(&self.quarantine, self.skipped));
         s
     }
 }
@@ -1373,7 +1311,7 @@ mod tests {
             None,
             &opts,
         );
-        assert_eq!(a.to_json().to_compact(), b.to_json().to_compact());
+        assert_eq!(a.put().to_compact(), b.put().to_compact());
         let compiled = FuzzOpts {
             tier: ExecTier::Compiled,
             ..FuzzOpts::default()
@@ -1389,8 +1327,8 @@ mod tests {
         );
         // The artifact is byte-identical across execution tiers — the
         // `tier: pinned` claim every incident carries.
-        assert_eq!(a.to_json().to_compact(), c.to_json().to_compact());
-        assert_eq!(a.meta.tier, "pinned");
+        assert_eq!(a.put().to_compact(), c.put().to_compact());
+        assert_eq!(a.tier, "pinned");
         assert!(
             a.truth.is_some(),
             "ground truth missing from fault incident"

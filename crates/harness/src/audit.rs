@@ -16,9 +16,10 @@
 use crate::cli::{write_file, Args, USAGE};
 use crate::lint::oob_demo;
 use crate::scheme::Scheme;
-use sgxs_audit::{Incident, IncidentMeta, LedgerRecorder, DEFAULT_TRACE_WINDOW};
+use sgxs_audit::{IncidentDoc, IncidentMeta, LedgerRecorder, DEFAULT_TRACE_WINDOW};
 use sgxs_baselines::ADDRESS_SPACE_CAP;
 use sgxs_mir::{verify, Trap, Vm, VmConfig};
+use sgxs_obs::codec::Field;
 use sgxs_obs::read::parse_incident;
 use sgxs_sim::{ExecTier, MachineConfig, Mode, Preset};
 use std::cell::RefCell;
@@ -61,46 +62,40 @@ fn forensic_demo_run(tier: ExecTier, window: usize) -> (Result<u64, Trap>, Ledge
 /// derivation chain comes from the static lint over the same module, so
 /// the artifact joins the dynamic trap with the analysis that already
 /// proved the access out of bounds.
-fn demo_incident(tier: ExecTier, window: usize) -> Incident {
+fn demo_incident(tier: ExecTier, window: usize) -> IncidentDoc {
     let (result, rec) = forensic_demo_run(tier, window);
-    let verdict = match &result {
-        Ok(_) => "missed",
-        Err(_) => "detected",
-    };
+    let verdict = if result.is_ok() { "missed" } else { "detected" };
+    let mut demo = oob_demo();
+    let lint = sgxs_analyze::lint_module(&mut demo);
+    let derivation = lint.findings.iter().map(|f| {
+        let off = match f.offset {
+            Some((lo, hi)) => format!("[{lo},{hi}]"),
+            None => "?".to_owned(),
+        };
+        format!(
+            "{}:b{}:i{} {} of {}B at offset {} past {} — {}",
+            f.function, f.block, f.inst, f.kind, f.width, off, f.object, f.ir
+        )
+    });
     let meta = IncidentMeta {
         origin: "audit".into(),
         workload: "oob-demo".into(),
         scheme: "sgxbounds".into(),
         tier: "pinned".into(),
         verdict: verdict.into(),
+        derivation: derivation.collect(),
+        ..IncidentMeta::default()
     };
-    let mut inc = Incident::assemble(meta, &rec, window);
-    let mut demo = oob_demo();
-    let lint = sgxs_analyze::lint_module(&mut demo);
-    inc.derivation = lint
-        .findings
-        .iter()
-        .map(|f| {
-            let off = match f.offset {
-                Some((lo, hi)) => format!("[{lo},{hi}]"),
-                None => "?".to_owned(),
-            };
-            format!(
-                "{}:b{}:i{} {} of {}B at offset {} past {} — {}",
-                f.function, f.block, f.inst, f.kind, f.width, off, f.object, f.ir
-            )
-        })
-        .collect();
-    inc
+    sgxs_audit::assemble(meta, &rec, window)
 }
 
 /// The cross-tier-pinned demo incident: assembled independently on the
 /// reference and compiled tiers, byte-compared, and returned only when the
 /// two documents are identical.
-pub fn pinned_demo_incident(window: usize) -> Result<Incident, String> {
+pub fn pinned_demo_incident(window: usize) -> Result<IncidentDoc, String> {
     let r = demo_incident(ExecTier::Reference, window);
     let c = demo_incident(ExecTier::Compiled, window);
-    let (rj, cj) = (r.to_json().to_compact(), c.to_json().to_compact());
+    let (rj, cj) = (r.put().to_compact(), c.put().to_compact());
     if rj != cj {
         return Err(format!(
             "cross-tier pin violated: reference and compiled forensics differ\n\
@@ -141,26 +136,28 @@ pub fn run_audit(args: &[String]) -> Result<i32, String> {
         return Err(it.fail("--window must be at least 1"));
     }
     let inc = pinned_demo_incident(window).map_err(|e| it.fail(e))?;
-    let text = inc.to_json().to_pretty();
+    let text = inc.put().to_pretty();
     // Self-validation: the emitted artifact must round-trip through the
-    // validating reader before anything is written.
+    // validating reader before anything is written; every view renders
+    // the parsed document.
     let doc = parse_incident(&text)
         .map_err(|e| it.fail(format!("emitted incident fails its own reader: {e}")))?;
-    print!("{}", inc.render());
+    let view = doc.render();
+    print!("{view}");
     println!("cross-tier pin: reference and compiled forensics byte-identical");
     if let Some(path) = &json {
         write_file(path, &text).map_err(|e| it.fail(e))?;
         println!("incident json written to {path}");
     }
     if let Some(path) = &ascii {
-        write_file(path, &sgxs_perf::incident_ascii(&doc)).map_err(|e| it.fail(e))?;
+        write_file(path, &view).map_err(|e| it.fail(e))?;
         println!("incident ascii written to {path}");
     }
     if let Some(path) = &svg {
         write_file(path, &sgxs_perf::incident_svg(&doc)).map_err(|e| it.fail(e))?;
         println!("incident svg written to {path}");
     }
-    Ok(if inc.meta.verdict == "detected" { 0 } else { 1 })
+    Ok(if doc.verdict == "detected" { 0 } else { 1 })
 }
 
 #[cfg(test)]
@@ -170,10 +167,7 @@ mod tests {
     #[test]
     fn demo_incident_is_detected_pinned_and_self_validating() {
         let inc = pinned_demo_incident(DEFAULT_TRACE_WINDOW).expect("cross-tier pin holds");
-        assert_eq!(
-            inc.meta.verdict, "detected",
-            "sgxbounds must catch the demo"
-        );
+        assert_eq!(inc.verdict, "detected", "sgxbounds must catch the demo");
         let fault = inc.fault.as_ref().expect("detection carries a fault");
         // The demo reads one element past a 40-byte object. The ledger
         // records the *backing* allocation — 40 user bytes plus the 4-byte
@@ -185,27 +179,27 @@ mod tests {
             fault.ptr, fault.tag_ub,
             "load exactly at the user upper bound"
         );
-        assert!(
-            !inc.neighborhood.is_empty(),
-            "the overflowed object is a neighbour"
-        );
-        let n0 = &inc.neighborhood[0];
-        assert_eq!(n0.relation.label(), "contains");
+        let n0 = inc
+            .heap
+            .neighborhood
+            .first()
+            .expect("the overflowed object is a neighbour");
+        assert_eq!(n0.relation, "contains");
         assert_eq!(n0.distance, 0, "the fault address is inside the footer");
-        assert_eq!(n0.object.size, 44, "40 user bytes + 4-byte UB footer");
+        assert_eq!(n0.size, 44, "40 user bytes + 4-byte UB footer");
         assert!(
             !inc.derivation.is_empty(),
             "the static lint contributes the derivation chain"
         );
         // Round trip through the validating reader.
-        let doc = parse_incident(&inc.to_json().to_pretty()).expect("self-validates");
+        let doc = parse_incident(&inc.put().to_pretty()).expect("self-validates");
         assert_eq!(doc.origin, "audit");
         assert_eq!(doc.tier, "pinned");
         // Rerun stability: the artifact (id included) is byte-identical.
         let again = pinned_demo_incident(DEFAULT_TRACE_WINDOW).expect("pin holds again");
         assert_eq!(
-            inc.to_json().to_pretty(),
-            again.to_json().to_pretty(),
+            inc.put().to_pretty(),
+            again.put().to_pretty(),
             "audit artifact is not rerun-stable"
         );
     }

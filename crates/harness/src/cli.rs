@@ -45,7 +45,7 @@
 //!   from the registry in `selfcheck.rs`.
 
 use crate::exp::{self, Effort, DEFAULT_SEED};
-use crate::profile::{profile_one, render as render_profile, DEFAULT_RING, DEFAULT_TOP};
+use crate::profile::{profile_one, DEFAULT_RING, DEFAULT_TOP};
 use crate::scheme::{run_one, run_one_perturbed, set_default_tier, RunConfig, Scheme};
 use sgxs_obs::codec::Field;
 use sgxs_obs::json::Json;
@@ -53,6 +53,7 @@ use sgxs_obs::read::{metrics_from_json, parse_bench, parse_profile, BenchDoc, ME
 use sgxs_perf::{
     compare, flatten, flatten_metrics, parse_history, render, CompareOpts, HistoryRecord, Metric,
 };
+use sgxs_resil::MIN_REQUESTS;
 use sgxs_sim::{ExecTier, Preset};
 use sgxs_workloads::SizeClass;
 
@@ -133,15 +134,29 @@ impl<'a> Args<'a> {
     }
 }
 
-/// `--max-ops N`, at most [`sgxs_fuzz::MAX_OPS`]: the generator allocates
-/// every op up front, so a larger value would abort the process.
-fn max_ops_value(it: &mut Args<'_>) -> Result<usize, String> {
-    let n: u64 = it.parse("--max-ops")?;
+/// The value of `flag`, at most `cap`. Caps `--max-ops` at
+/// [`sgxs_fuzz::MAX_OPS`] (the generator allocates every op up front, so
+/// a larger value would abort the process) and `--workers` at
+/// [`MAX_WORKERS`].
+fn capped(it: &mut Args<'_>, flag: &str, cap: usize) -> Result<usize, String> {
+    let n: u64 = it.parse(flag)?;
     match usize::try_from(n) {
-        Ok(n) if n <= sgxs_fuzz::MAX_OPS => Ok(n),
-        _ => Err(it.fail(format!(
-            "--max-ops {n} exceeds the cap {}",
-            sgxs_fuzz::MAX_OPS
+        Ok(n) if n <= cap => Ok(n),
+        _ => Err(it.fail(format!("{flag} {n} exceeds the cap {cap}"))),
+    }
+}
+
+/// The most `--workers` a campaign accepts: each worker is an OS thread,
+/// and the selfcheck, the tests and CI never ask for more than 4.
+pub const MAX_WORKERS: usize = 64;
+
+/// `--requests N`, at least [`MIN_REQUESTS`]: a server run schedules
+/// that many anyway, so a smaller value would be recorded but not run.
+fn requests_value(it: &mut Args<'_>) -> Result<u32, String> {
+    match it.parse("--requests")? {
+        n if n >= MIN_REQUESTS => Ok(n),
+        n => Err(it.fail(format!(
+            "--requests {n} is below the minimum {MIN_REQUESTS}"
         ))),
     }
 }
@@ -177,7 +192,7 @@ impl SupFlags {
     /// Consumes one supervisor flag; `Ok(false)` means `a` is not ours.
     fn flag(&mut self, a: &str, it: &mut Args<'_>) -> Result<bool, String> {
         match a {
-            "--workers" => self.sup.workers = it.parse("--workers")?,
+            "--workers" => self.sup.workers = capped(it, "--workers", MAX_WORKERS)?,
             "--journal" => self.sup.journal = Some(it.value("--journal")?),
             "--resume" => {
                 self.sup.journal = Some(it.value("--resume")?);
@@ -486,7 +501,7 @@ pub fn run_profile(args: &[String]) -> Result<i32, String> {
     rc.params.size = size;
     rc.params.seed = seed;
     let pr = profile_one(w.as_ref(), scheme, &rc, ring, top);
-    print!("{}", render_profile(&pr.profile));
+    print!("{}", pr.profile.render(top));
     if let Some(path) = &trace {
         write_file(path, &pr.recorder.to_jsonl()).map_err(|e| it.fail(e))?;
         println!(
@@ -496,7 +511,7 @@ pub fn run_profile(args: &[String]) -> Result<i32, String> {
         );
     }
     if let Some(path) = &json {
-        write_file(path, &pr.profile.to_json().to_pretty()).map_err(|e| it.fail(e))?;
+        write_file(path, &pr.profile.put().to_pretty()).map_err(|e| it.fail(e))?;
         println!("profile json written to {path}");
     }
     // A hardened run that never executed a check means the site plumbing is
@@ -529,7 +544,7 @@ pub fn run_fuzz(args: &[String]) -> Result<i32, String> {
                 ran_seeds = true;
             }
             "--seed0" => opts.seed0 = it.parse("--seed0")?,
-            "--max-ops" => opts.max_ops = max_ops_value(&mut it)?,
+            "--max-ops" => opts.max_ops = capped(&mut it, "--max-ops", sgxs_fuzz::MAX_OPS)?,
             "--no-shrink" => opts.shrink = false,
             "--corpus" => corpus = Some(it.value("--corpus")?),
             "--chaos" => chaos = true,
@@ -616,7 +631,7 @@ pub fn run_chaos(args: &[String]) -> Result<i32, String> {
         match a {
             "--seeds" => opts.seeds = it.parse("--seeds")?,
             "--seed0" => opts.seed0 = it.parse("--seed0")?,
-            "--requests" => opts.requests = it.parse("--requests")?,
+            "--requests" => opts.requests = requests_value(&mut it)?,
             "--threshold" => opts.threshold = it.parse("--threshold")?,
             "--demo-corruption" => opts.demo_corruption = true,
             "--demo-panic" => opts.demo_panic = Some(it.parse("--demo-panic")?),
@@ -779,7 +794,7 @@ pub fn run_tier(args: &[String]) -> Result<i32, String> {
         match a {
             "--seeds" => seeds = it.parse("--seeds")?,
             "--seed0" => seed0 = it.parse("--seed0")?,
-            "--max-ops" => max_ops = max_ops_value(&mut it)?,
+            "--max-ops" => max_ops = capped(&mut it, "--max-ops", sgxs_fuzz::MAX_OPS)?,
             "--chaos-seeds" => chaos_seeds = it.parse("--chaos-seeds")?,
             "--perturb" => perturb = true,
             other => return Err(it.fail(format!("unknown argument '{other}'\n{USAGE}"))),
@@ -1014,11 +1029,11 @@ pub fn run_compare(args: &[String]) -> Result<i32, String> {
     Ok(if gate && report.gate_failed() { 1 } else { 0 })
 }
 
-/// `repro render <profile.json>`: ASCII table to stdout, plus optional
-/// folded-stack and SVG files.
+/// `repro render <profile.json>`: the profile's text view (the one `repro
+/// profile` prints) to stdout, plus optional folded-stack and SVG files.
 pub fn run_render(args: &[String]) -> Result<i32, String> {
     let mut input: Option<String> = None;
-    let mut top = 10usize;
+    let mut top = DEFAULT_TOP;
     let mut folded: Option<String> = None;
     let mut svg: Option<String> = None;
     let mut it = Args::new("render", args);
@@ -1037,7 +1052,7 @@ pub fn run_render(args: &[String]) -> Result<i32, String> {
     let text =
         std::fs::read_to_string(&path).map_err(|e| it.fail(format!("cannot read {path}: {e}")))?;
     let doc = parse_profile(&text).map_err(|e| it.fail(format!("{path}: {e}")))?;
-    print!("{}", render::ascii_table(&doc, top));
+    print!("{}", doc.render(top));
     if let Some(out) = &folded {
         write_file(out, &render::folded(&doc)).map_err(|e| it.fail(e))?;
         println!("folded stacks written to {out}");
@@ -1067,7 +1082,7 @@ pub fn run_metrics(args: &[String]) -> Result<i32, String> {
         match a {
             "--seeds" => opts.seeds = it.parse("--seeds")?,
             "--seed0" => opts.seed0 = it.parse("--seed0")?,
-            "--requests" => opts.requests = it.parse("--requests")?,
+            "--requests" => opts.requests = requests_value(&mut it)?,
             "--demo-panic" => opts.demo_panic = Some(it.parse("--demo-panic")?),
             "--tier" => opts.tier = tier_value(&mut it)?,
             "--json" => json = Some(it.value("--json")?),
@@ -1085,7 +1100,7 @@ pub fn run_metrics(args: &[String]) -> Result<i32, String> {
     let text = report.metrics().to_json().to_pretty();
     let doc = sgxs_obs::read::parse_metrics(&text)
         .map_err(|e| it.fail(format!("emitted document fails its own reader: {e}")))?;
-    print!("{}", sgxs_perf::latency_table(&doc));
+    print!("{}", doc.render());
     if let Some(path) = &json {
         write_file(path, &text).map_err(|e| it.fail(e))?;
         println!("metrics json written to {path}");
@@ -1139,7 +1154,7 @@ pub fn run_trace(args: &[String]) -> Result<i32, String> {
             }
             "--policy" => policy = it.value("--policy")?,
             "--seed" => seed = it.parse("--seed")?,
-            "--requests" => requests = it.parse("--requests")?,
+            "--requests" => requests = requests_value(&mut it)?,
             "--tier" => tier = tier_value(&mut it)?,
             "--out" => out = it.value("--out")?,
             "--ascii" => ascii = Some(it.value("--ascii")?),

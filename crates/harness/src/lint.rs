@@ -5,13 +5,14 @@
 //! proves out of bounds. With `--ipa` the interprocedural tier runs too:
 //! call-graph summaries are computed, facts survive call boundaries, and
 //! proved temporal violations (use-after-free, double-free, leak) are
-//! reported alongside the spatial findings. The human output is a
-//! per-module summary plus one diagnostic line per finding; `--json`
-//! writes a `sgxs-lint-v1` document (v2 with `--ipa`) that round-trips
-//! through the validating reader in `sgxs_obs::read::parse_lint` before it
-//! is written. The exit code is nonzero iff any module has a proved-OOB,
-//! proved-UAF, or proved-double-free access, so the command doubles as a
-//! CI gate (leaks are informational).
+//! reported alongside the spatial findings. `--json` writes a
+//! `sgxs-lint-v1` document (v2 with `--ipa`) that round-trips through the
+//! validating reader in `sgxs_obs::read::parse_lint` before it is written;
+//! stdout is the parsed document's text view (`LintDoc::render`): a
+//! per-module summary plus one diagnostic line per finding. The exit code
+//! is nonzero iff any module has a proved-OOB, proved-UAF, or
+//! proved-double-free access, so the command doubles as a CI gate (leaks
+//! are informational).
 //!
 //! Linting never executes workload code, so its output is byte-identical
 //! across execution tiers by construction and the command takes no
@@ -172,53 +173,10 @@ fn module_doc(r: &LintReport, ipa: Option<(Vec<LintCgNode>, Vec<LintSummary>)>) 
     }
 }
 
-fn render(r: &LintReport, ipa: bool) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{}: {} access sites — {} proved-safe, {} unknown, {} proved-oob",
-        r.module,
-        r.sites(),
-        r.proved_safe,
-        r.unknown,
-        r.proved_oob
-    );
-    if ipa {
-        let _ = write!(
-            out,
-            "; {} proved-uaf, {} proved-df, {} leaks",
-            r.proved_uaf, r.proved_df, r.leaks
-        );
-    }
-    out.push('\n');
-    for f in &r.findings {
-        let off = match f.offset {
-            Some((lo, hi)) => format!("[{lo}, {hi}]"),
-            None => "?".to_owned(),
-        };
-        let _ = writeln!(
-            out,
-            "  {}:b{}:i{} [site {}]: {} of {}B at offset {} past {}\n    {}",
-            f.function, f.block, f.inst, f.site, f.kind, f.width, off, f.object, f.ir
-        );
-    }
-    for t in &r.temporal {
-        let _ = writeln!(
-            out,
-            "  {}:b{}:i{} [site {}]: proved {} of {} (alloc site {})\n    {}",
-            t.function, t.block, t.inst, t.site, t.kind, t.object, t.alloc_site, t.ir
-        );
-    }
-    out
-}
-
 /// Everything one lint run produces, computed purely from the modules (no
 /// I/O, no clock, no tier dependence) — the unit the determinism test
 /// byte-compares.
 pub struct LintOutcome {
-    /// Human-readable per-module text.
-    pub human: String,
     /// The `sgxs-lint-v1`/`-v2` JSON document.
     pub doc: Json,
     /// Total proved-OOB across modules.
@@ -246,7 +204,6 @@ impl LintOutcome {
 /// Lints `modules` and assembles the outcome document. With `ipa`, the
 /// interprocedural tier runs and the document is `sgxs-lint-v2`.
 pub fn lint_modules(modules: Vec<Module>, seed: u64, ipa: bool) -> LintOutcome {
-    let mut human = String::new();
     let mut reports = Vec::new();
     let mut blocks = Vec::new();
     for mut m in modules {
@@ -257,7 +214,6 @@ pub fn lint_modules(modules: Vec<Module>, seed: u64, ipa: bool) -> LintOutcome {
         } else {
             (lint_module(&mut m), None)
         };
-        human.push_str(&render(&r, ipa));
         blocks.push(module_doc(&r, extra));
         reports.push(r);
     }
@@ -268,22 +224,6 @@ pub fn lint_modules(modules: Vec<Module>, seed: u64, ipa: bool) -> LintOutcome {
         sum(|r| r.proved_df),
         sum(|r| r.leaks),
     );
-    use std::fmt::Write as _;
-    let _ = write!(
-        human,
-        "lint: {} modules, {} sites, {} proved-oob",
-        reports.len(),
-        reports.iter().map(LintReport::sites).sum::<usize>(),
-        oob
-    );
-    if ipa {
-        let _ = write!(
-            human,
-            ", {} proved-uaf, {} proved-df, {} leaks",
-            uaf, df, leaks
-        );
-    }
-    human.push('\n');
     let v2 = |n: usize| ipa.then_some(n as u64);
     let doc = LintDoc {
         schema: if ipa { LINT_SCHEMA_V2 } else { LINT_SCHEMA }.into(),
@@ -296,7 +236,6 @@ pub fn lint_modules(modules: Vec<Module>, seed: u64, ipa: bool) -> LintOutcome {
         modules: blocks,
     };
     LintOutcome {
-        human,
         doc: doc.put(),
         oob,
         uaf,
@@ -312,9 +251,8 @@ pub fn lint_modules(modules: Vec<Module>, seed: u64, ipa: bool) -> LintOutcome {
 /// `--ipa` (only the interprocedural tier proves it). With `--demo-oob`,
 /// `--incident` additionally runs the demo under SGXBounds with the
 /// forensic ledger attached and writes the detection as a
-/// cross-tier-pinned `sgxs-incident-v1` artifact. `--ascii` renders the
-/// call graph and summaries (after round-tripping the document through
-/// the validating reader).
+/// cross-tier-pinned `sgxs-incident-v1` artifact. `--ascii` adds each
+/// module's call graph and summaries to the text view.
 pub fn run_lint(args: &[String]) -> Result<i32, String> {
     let mut json: Option<String> = None;
     let mut incident: Option<String> = None;
@@ -372,16 +310,12 @@ pub fn run_lint(args: &[String]) -> Result<i32, String> {
         }
     }
 
-    let out = lint_modules(modules, seed, ipa);
-    print!("{}", out.human);
-
     // Every emitted document must survive its own validating reader; the
-    // ASCII view renders from the parsed form, proving the round trip.
+    // text view renders from the parsed form, proving the round trip.
+    let out = lint_modules(modules, seed, ipa);
     let parsed = sgxs_obs::read::lint_from_json(&out.doc)
         .map_err(|e| it.fail(format!("emitted document failed validation: {e}")))?;
-    if ascii {
-        print!("{}", sgxs_perf::render::lint_graph_ascii(&parsed));
-    }
+    print!("{}", parsed.render(ascii));
 
     if let Some(path) = &json {
         crate::cli::write_file(path, &out.doc.to_pretty()).map_err(|e| it.fail(e))?;
@@ -390,8 +324,8 @@ pub fn run_lint(args: &[String]) -> Result<i32, String> {
     if let Some(path) = &incident {
         let inc = crate::audit::pinned_demo_incident(sgxs_audit::DEFAULT_TRACE_WINDOW)
             .map_err(|e| it.fail(e))?;
-        crate::cli::write_file(path, &inc.to_json().to_pretty()).map_err(|e| it.fail(e))?;
-        println!("incident json written to {path} (id {})", inc.id());
+        crate::cli::write_file(path, &inc.put().to_pretty()).map_err(|e| it.fail(e))?;
+        println!("incident json written to {path} (id {})", inc.id);
     }
     Ok(out.exit_code())
 }
@@ -412,7 +346,7 @@ mod tests {
     #[test]
     fn uaf_demo_is_provably_temporal_and_gates_the_exit_code() {
         let out = lint_modules(vec![uaf_demo()], 42, true);
-        assert_eq!(out.uaf, 1, "{}", out.human);
+        assert_eq!(out.uaf, 1, "{}", out.doc.to_pretty());
         assert_eq!(out.oob, 0);
         assert_eq!(out.exit_code(), 1);
         // The emitted v2 document parses through the validating reader and

@@ -2,7 +2,6 @@
 //! attached and aggregates the event stream into a per-check-site
 //! [`Profile`] (the `repro profile` subcommand's engine).
 
-use crate::report::Table;
 use crate::scheme::{run_one_obs, Measured, RunConfig, Scheme};
 use sgxs_obs::{Profile, TraceRecorder};
 use std::cell::RefCell;
@@ -60,52 +59,6 @@ pub fn profile_one(
     }
 }
 
-/// Renders the profile the way `repro profile` prints it.
-pub fn render(p: &Profile) -> String {
-    let mut out = format!(
-        "profile: {} under {} — {} events ({} check execs, {} fails)\n",
-        p.workload, p.scheme, p.events, p.check_execs, p.check_fails
-    );
-    let a = &p.attribution;
-    out.push_str(&format!(
-        "cycles: wall {} | cpu {} = app {} + checks {} ({:.1}% instrumentation)\n",
-        p.wall_cycles, p.cpu_cycles, a.app_cycles, a.check_cycles, a.check_pct
-    ));
-    out.push_str(&format!(
-        "alloc: {} allocs / {} frees, {} bytes | epc: {} faults, {} evictions\n",
-        p.alloc.allocs, p.alloc.frees, p.alloc.bytes, p.epc.faults, p.epc.evictions
-    ));
-    if p.epc.faults + p.epc.evictions > 0 {
-        let t = &p.epc_timeline;
-        let per_bucket = t.faults.iter().zip(&t.evictions).map(|(f, e)| f + e);
-        out.push_str(&format!(
-            "epc timeline: {} buckets x {} instructions, peak {} events/bucket\n",
-            t.faults.len(),
-            t.bucket_instructions,
-            per_bucket.max().unwrap_or(0)
-        ));
-    }
-    out.push_str(&format!(
-        "check sites: {} active of {} inserted\n",
-        p.sites_active, p.sites_total
-    ));
-    if !p.top_sites.is_empty() {
-        let mut t = Table::new(&["site", "func", "kind", "execs", "cycles", "fails"]);
-        for r in &p.top_sites {
-            t.row(vec![
-                format!("#{}", r.site),
-                r.func.clone(),
-                r.kind.clone(),
-                r.execs.to_string(),
-                r.cycles.to_string(),
-                r.fails.to_string(),
-            ]);
-        }
-        out.push_str(&t.render());
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,9 +94,9 @@ mod tests {
         assert_eq!(a.app_cycles, p.cpu_cycles - a.check_cycles);
         assert!(p.alloc.allocs >= 1, "simple mallocs its buffer");
         assert!(p.sites_active <= p.sites_total);
-        // The rendered form and the JSON form both carry the top table.
-        assert!(render(p).contains("site"));
-        let j = p.to_json();
+        // The text view and the JSON form both carry the top table.
+        assert!(p.render(DEFAULT_TOP).contains("%checks"));
+        let j = sgxs_obs::codec::Field::put(p);
         assert_eq!(
             j.get("schema").and_then(|s| s.as_str()),
             Some("sgxs-profile-v1")

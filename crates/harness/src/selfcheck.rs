@@ -92,17 +92,9 @@ const fn row(name: &'static str, cmd: &'static str, exit: i32, reader: Option<Re
     Row { name, cmd, exit, reader, laws }
 }
 
-/// `sgxs-fuzz-v1` has no reader: a JSON object with its schema tag.
-fn fuzz_doc(text: &str) -> Result<(), String> {
-    match Json::parse(text)?.get("schema").and_then(Json::as_str) {
-        Some("sgxs-fuzz-v1") => Ok(()),
-        other => Err(format!("fuzz: schema is {other:?}, expected sgxs-fuzz-v1")),
-    }
-}
-
 use Law::*;
 
-const FUZZ: Option<Reader> = Some(fuzz_doc);
+const FUZZ: Option<Reader> = Some(|t| read::parse_fuzz(t).map(drop));
 const CHAOS: Option<Reader> = Some(|t| read::parse_chaos(t).map(drop));
 const LINT: Option<Reader> = Some(|t| read::parse_lint(t).map(drop));
 const INCIDENT: Option<Reader> = Some(|t| read::parse_incident(t).map(drop));

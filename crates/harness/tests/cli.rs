@@ -7,7 +7,9 @@
 //! * a synthetic +30 % `perf_vs_sgx` shift must fail it with exit 1;
 //! * the committed `results/history.jsonl` must gate cleanly against the
 //!   committed `results/bench.json` (what the CI perf-gate job runs);
-//! * `profile` → `render` round-trips through `sgxs-profile-v1`.
+//! * `profile` → `render` round-trips through `sgxs-profile-v1`;
+//! * each document has one text view: the commands that show one document
+//!   (spawned as processes, to read their stdout) print the same text.
 
 use sgxs_harness::cli;
 use sgxs_perf::HistoryRecord;
@@ -27,6 +29,16 @@ fn scratch(test: &str) -> std::path::PathBuf {
 
 fn args(parts: &[&str]) -> Vec<String> {
     parts.iter().map(|s| (*s).to_owned()).collect()
+}
+
+/// Runs the `repro` binary; its exit code and stdout.
+fn repro(parts: &[&str]) -> (i32, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(parts)
+        .output()
+        .expect("repro runs");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    (out.status.code().unwrap_or(-1), stdout)
 }
 
 /// A minimal valid bench document with one directional metric.
@@ -640,4 +652,84 @@ fn a_clean_fuzz_campaign_writes_both_tables_and_no_disagreement() {
             "{table}"
         );
     }
+}
+
+#[test]
+fn audit_prints_the_text_view_it_writes_to_ascii() {
+    let dir = scratch("audit-view");
+    let ascii = dir.join("incident.txt");
+    let (code, stdout) = repro(&["audit", "--demo-oob", "--ascii", ascii.to_str().unwrap()]);
+    assert_eq!(code, 0);
+    let view = std::fs::read_to_string(&ascii).unwrap();
+    assert!(view.starts_with("== incident "), "{view}");
+    assert!(
+        stdout.starts_with(&view),
+        "stdout:\n{stdout}\n--ascii:\n{view}"
+    );
+}
+
+#[test]
+fn render_prints_the_table_profile_printed() {
+    let dir = scratch("profile-view");
+    let json = dir.join("p.json");
+    let json = json.to_str().unwrap();
+    let (code, profiled) = repro(&["profile", "string_match", "--json", json]);
+    assert_eq!(code, 0);
+    let (code, rendered) = repro(&["render", json]);
+    assert_eq!(code, 0);
+    assert!(rendered.contains("%checks"), "{rendered}");
+    assert!(
+        profiled.starts_with(&rendered),
+        "profile:\n{profiled}\nrender:\n{rendered}"
+    );
+}
+
+#[test]
+fn chaos_and_metrics_print_the_same_latency_table() {
+    let run = ["--seeds", "2", "--requests", "8", "--workers", "1"];
+    let (code, chaos) = repro(&[&["chaos"][..], &run].concat());
+    assert_eq!(code, 0);
+    let (code, table) = repro(&[&["metrics"][..], &run].concat());
+    assert_eq!(code, 0);
+    assert!(table.starts_with("histogram"), "{table}");
+    assert!(chaos.contains(&table), "chaos:\n{chaos}\nmetrics:\n{table}");
+}
+
+#[test]
+fn requests_below_the_schedule_minimum_exit_2() {
+    let min = sgxs_resil::MIN_REQUESTS;
+    let below = (min - 1).to_string();
+    for cmd in [
+        &["chaos", "--seeds", "1"][..],
+        &["metrics", "--seeds", "1"][..],
+        &["trace", "export"][..],
+    ] {
+        let argv = [cmd, &["--requests", &below]].concat();
+        let e = cli::run(&args(&argv)).expect_err("--requests below the minimum accepted");
+        assert!(e.contains("below the minimum"), "{argv:?}: {e}");
+    }
+    // The binary exits 2 on it, before running or printing anything.
+    let (code, stdout) = repro(&["chaos", "--seeds", "1", "--requests", &below]);
+    assert_eq!((code, stdout.as_str()), (2, ""));
+}
+
+#[test]
+fn workers_above_the_cap_exit_2_before_any_thread_starts() {
+    // `--seeds 1` keeps even a regression to one worker thread.
+    let over = (cli::MAX_WORKERS + 1).to_string();
+    let max = u64::MAX.to_string();
+    for cmd in [
+        &["fuzz"][..],
+        &["fuzz", "--chaos"][..],
+        &["chaos"][..],
+        &["metrics"][..],
+    ] {
+        for n in [over.as_str(), max.as_str()] {
+            let argv = [cmd, &["--seeds", "1", "--workers", n]].concat();
+            let e = cli::run(&args(&argv)).expect_err("--workers above the cap accepted");
+            assert!(e.contains("exceeds the cap"), "{argv:?}: {e}");
+        }
+    }
+    let (code, _) = repro(&["fuzz", "--seeds", "1", "--workers", &over]);
+    assert_eq!(code, 2);
 }

@@ -30,10 +30,10 @@ pub mod codec;
 pub mod json;
 pub mod read;
 pub mod schema;
+pub mod view;
 
 pub use schema::{AllocCounts, Attribution, EpcCounts, Profile, SiteRow, Timeline};
 
-use codec::Field;
 use json::Json;
 use std::collections::VecDeque;
 
@@ -672,16 +672,7 @@ impl Profile {
     /// Instrumentation share of CPU cycles, in percent. The reader checks
     /// a document's `attribution.check_pct` against this expression.
     pub fn check_pct(&self) -> f64 {
-        if self.cpu_cycles == 0 {
-            0.0
-        } else {
-            self.attribution.check_cycles as f64 * 100.0 / self.cpu_cycles as f64
-        }
-    }
-
-    /// Serializes the profile (schema `sgxs-profile-v1`).
-    pub fn to_json(&self) -> Json {
-        self.put()
+        view::pct(self.attribution.check_cycles, self.cpu_cycles)
     }
 }
 
@@ -774,7 +765,7 @@ mod tests {
         assert_eq!(p.top_sites[0].func, "worker");
         assert_eq!(p.sites_active, 2);
         // JSON form parses back and keeps the schema tag.
-        let j = Json::parse(&p.to_json().to_pretty()).unwrap();
+        let j = Json::parse(&codec::Field::put(&p).to_pretty()).unwrap();
         assert_eq!(
             j.get("schema").and_then(Json::as_str),
             Some("sgxs-profile-v1")

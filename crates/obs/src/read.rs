@@ -3,8 +3,9 @@
 //! profile ... --json`), `sgxs-metrics-v1` (`repro metrics --json`, also
 //! the `latency` block of chaos documents), `sgxs-chaos-v1` (`repro chaos
 //! --json`), `sgxs-incident-v1` (`repro audit --json`, also embedded in
-//! fuzz and chaos documents), `sgxs-lint-v1`/`-v2` (`repro lint --json`)
-//! and the `sgxs-campaign-v1` journal (`--journal`).
+//! fuzz and chaos documents), `sgxs-fuzz-v1` (`repro fuzz --json`),
+//! `sgxs-lint-v1`/`-v2` (`repro lint --json`) and the `sgxs-campaign-v1`
+//! journal (`--journal`).
 //!
 //! Each reader takes the structure from the document's declaration
 //! ([`Field::take`]: every key present, every value of its declared
@@ -169,8 +170,9 @@ pub fn parse_metrics(text: &str) -> Result<MetricsDoc, String> {
 }
 
 /// Interprets an already-parsed JSON value as a chaos-campaign document,
-/// cross-validating each combo's request ledger (outcomes sum to the
-/// scheduled total, availability matches the counts), the latency block
+/// cross-validating each combo's request ledger (the scheduled total is
+/// `runs × requests`, the outcomes sum to it, availability matches the
+/// counts), the latency block
 /// (a valid metrics document whose per-combo histogram counted every
 /// attempted request), every embedded incident, the coverage ledger
 /// against the combos and the quarantine list, and the gate flag against
@@ -198,6 +200,12 @@ pub fn chaos_from_json(v: &Json) -> Result<ChaosDoc, String> {
                 c.availability
             ));
         }
+        if c.runs.checked_mul(doc.requests) != Some(c.total) {
+            return Err(format!(
+                "{what}: {} requests scheduled over {} run(s) of {} requests",
+                c.total, c.runs, doc.requests
+            ));
+        }
         let name = format!("latency/{}/{}", c.scheme, c.policy);
         let h = doc
             .latency
@@ -215,27 +223,12 @@ pub fn chaos_from_json(v: &Json) -> Result<ChaosDoc, String> {
         check_incident(inc).map_err(|e| format!("{what} incidents[{i}]: {e}"))?;
     }
     let cov = &doc.coverage;
-    if checked_sum([cov.completed, cov.quarantined, cov.skipped]) != Some(cov.seeds) {
-        return Err(format!(
-            "{what}: coverage does not sum ({} + {} + {} != {})",
-            cov.completed, cov.quarantined, cov.skipped, cov.seeds
-        ));
-    }
+    check_coverage(cov, &doc.quarantine, what)?;
     if let Some(c) = doc.combos.iter().find(|c| c.runs != cov.completed) {
         return Err(format!(
             "{what}: combo {}/{} absorbed {} run(s), coverage says {} completed",
             c.scheme, c.policy, c.runs, cov.completed
         ));
-    }
-    if doc.quarantine.len() as u64 != cov.quarantined {
-        return Err(format!(
-            "{what}: {} quarantine entr(ies) listed, coverage says {}",
-            doc.quarantine.len(),
-            cov.quarantined
-        ));
-    }
-    for (i, q) in doc.quarantine.iter().enumerate() {
-        check_class(&q.class, &format!("{what} quarantine[{i}]"))?;
     }
     if doc.gate.failed == doc.gate.failures.is_empty() {
         return Err(format!(
@@ -365,6 +358,67 @@ pub fn incident_from_json(v: &Json) -> Result<IncidentDoc, String> {
 /// Parses a `sgxs-incident-v1` document from text.
 pub fn parse_incident(text: &str) -> Result<IncidentDoc, String> {
     incident_from_json(&parsed(text, "incident")?)
+}
+
+/// Checks a campaign's coverage ledger: its counts sum to `seeds`, and
+/// the quarantine list has one entry of a known class per quarantined
+/// seed.
+fn check_coverage(cov: &Coverage, quarantine: &[Quarantined], what: &str) -> Result<(), String> {
+    if checked_sum([cov.completed, cov.quarantined, cov.skipped]) != Some(cov.seeds) {
+        return Err(format!(
+            "{what}: coverage does not sum ({} + {} + {} != {})",
+            cov.completed, cov.quarantined, cov.skipped, cov.seeds
+        ));
+    }
+    if quarantine.len() as u64 != cov.quarantined {
+        return Err(format!(
+            "{what}: {} quarantine entr(ies) listed, coverage says {}",
+            quarantine.len(),
+            cov.quarantined
+        ));
+    }
+    for (i, q) in quarantine.iter().enumerate() {
+        check_class(&q.class, &format!("{what} quarantine[{i}]"))?;
+    }
+    Ok(())
+}
+
+/// Parses a `sgxs-fuzz-v1` document from text, checking each safe row's
+/// outcomes sum to its total, each matrix cell's verdicts and
+/// disagreements fit in its total, the coverage ledger against `programs`
+/// and the quarantine list, and every embedded incident.
+pub fn parse_fuzz(text: &str) -> Result<FuzzDoc, String> {
+    let what = "fuzz";
+    let doc = FuzzDoc::take(&parsed(text, what)?, what)?;
+    for (i, s) in doc.safe.iter().enumerate() {
+        if checked_sum([s.passes, s.false_positives, s.mismatches, s.crashes]) != Some(s.total) {
+            return Err(format!(
+                "{what} safe[{i}]: outcomes do not sum to total {}",
+                s.total
+            ));
+        }
+    }
+    for (i, c) in doc.matrix.iter().enumerate() {
+        let verdicts = checked_sum([c.detected, c.wrong_site, c.missed, c.tolerated, c.crashed]);
+        if verdicts.is_none_or(|n| n > c.total) || c.disagreements > c.total {
+            return Err(format!(
+                "{what} matrix[{i}]: verdicts or disagreements exceed total {}",
+                c.total
+            ));
+        }
+    }
+    check_coverage(&doc.coverage, &doc.quarantine, what)?;
+    if doc.programs != doc.coverage.completed {
+        return Err(format!(
+            "{what}: {} programs, coverage says {} completed",
+            doc.programs, doc.coverage.completed
+        ));
+    }
+    for (i, d) in doc.disagreements.iter().enumerate() {
+        check_incident(&d.incident)
+            .map_err(|e| format!("{what} disagreements[{i}].incident: {e}"))?;
+    }
+    Ok(doc)
 }
 
 fn check_lint_summary(s: &LintSummary, what: &str) -> Result<(), String> {
@@ -576,7 +630,7 @@ mod tests {
             ("main".to_owned(), "sb_full".to_owned()),
             ("work".to_owned(), "sb_full".to_owned()),
         ];
-        Profile::build("w", "sgxbounds", &r, &labels, 100, 200, 5).to_json()
+        Profile::build("w", "sgxbounds", &r, &labels, 100, 200, 5).put()
     }
 
     /// Replaces every `from` in the compact form of `j`.
@@ -828,6 +882,14 @@ mod tests {
             .replace("[[8, 1], [9, 1], [12, 1]]", "[[8, 1], [12, 1]]");
         let e = parse_chaos(&bad).unwrap_err();
         assert!(e.contains("ledger attempted"), "{e}");
+        // Every run schedules `requests` requests: a document recording
+        // fewer than its combos ran is refused.
+        let bad = sample_chaos_text().replace("\"requests\": 4", "\"requests\": 2");
+        let e = parse_chaos(&bad).unwrap_err();
+        assert!(e.contains("4 requests scheduled over 1 run(s) of 2"), "{e}");
+        let bad =
+            sample_chaos_text().replace("\"requests\": 4", "\"requests\": 18446744073709551615");
+        assert!(parse_chaos(&bad).is_err());
         // The gate flag must agree with the failure list.
         let bad = sample_chaos_text().replace("\"failed\": false", "\"failed\": true");
         let e = parse_chaos(&bad).unwrap_err();
@@ -992,6 +1054,87 @@ mod tests {
         .unwrap();
         let e = chaos_from_json(&incidents(tampered)).unwrap_err();
         assert!(e.contains("incidents[0]: id"), "{e}");
+    }
+
+    /// A one-seed fuzz document: a safe row, a matrix cell, no
+    /// disagreement or quarantine.
+    fn sample_fuzz_text() -> String {
+        r#"{
+            "schema": "sgxs-fuzz-v1", "programs": 1, "runs": 2,
+            "safe": [{"scheme": "sgxbounds", "passes": 1, "false_positives": 0,
+                      "mismatches": 0, "crashes": 0, "total": 1}],
+            "matrix": [{"kind": "heap-overflow", "scheme": "sgxbounds", "detected": 1,
+                        "wrong_site": 0, "missed": 0, "tolerated": 0, "crashed": 0,
+                        "disagreements": 0, "total": 1}],
+            "disagreements": [],
+            "coverage": {"seeds": 1, "completed": 1, "quarantined": 0, "skipped": 0},
+            "quarantine": []
+        }"#
+        .to_owned()
+    }
+
+    #[test]
+    fn fuzz_cross_validation_is_enforced() {
+        let doc = parse_fuzz(&sample_fuzz_text()).expect("sample parses");
+        assert_eq!(doc.matrix[0].kind, "heap-overflow");
+        let rejects = |from: &str, to: &str, want: &str| {
+            let text = sample_fuzz_text();
+            assert!(text.contains(from), "{from}");
+            let e = parse_fuzz(&text.replace(from, to)).unwrap_err();
+            assert!(e.contains(want), "{from} -> {to}: {e}");
+        };
+        rejects(
+            "\"crashes\": 0",
+            "\"crashes\": 1",
+            "safe[0]: outcomes do not sum",
+        );
+        let max = "18446744073709551615";
+        rejects("\"passes\": 1", &format!("\"passes\": {max}"), "safe[0]");
+        rejects("\"missed\": 0", "\"missed\": 1", "matrix[0]: verdicts");
+        rejects("\"disagreements\": 0", "\"disagreements\": 2", "matrix[0]");
+        rejects("\"missed\": 0", &format!("\"missed\": {max}"), "matrix[0]");
+        rejects(
+            "\"programs\": 1",
+            "\"programs\": 2",
+            "2 programs, coverage says 1",
+        );
+        rejects("\"seeds\": 1", "\"seeds\": 2", "coverage does not sum");
+        let quarantined = sample_fuzz_text()
+            .replace("\"seeds\": 1,", "\"seeds\": 2,")
+            .replace("\"quarantined\": 0", "\"quarantined\": 1");
+        let e = parse_fuzz(&quarantined).unwrap_err();
+        assert!(e.contains("0 quarantine entr(ies) listed"), "{e}");
+        let listed = quarantined.replace(
+            "\"quarantine\": []",
+            "\"quarantine\": [{\"seed\": 1, \"attempts\": 1, \"class\": \"panic\", \"detail\": \"x\"}]",
+        );
+        parse_fuzz(&listed).expect("a panic quarantine parses");
+        let e = parse_fuzz(&listed.replace("\"panic\"", "\"oops\"")).unwrap_err();
+        assert!(e.contains("failure class 'oops'"), "{e}");
+    }
+
+    #[test]
+    fn fuzz_incident_embedding_is_validated() {
+        let j = Json::parse(&sample_fuzz_text()).unwrap();
+        let with = |incident: Json| {
+            let d = Json::obj(vec![
+                ("seed", 0u64.into()),
+                ("kind", Json::Null),
+                ("scheme", "sgxbounds".into()),
+                ("verdict", "crash".into()),
+                ("detail", "trap".into()),
+                ("incident", incident),
+            ]);
+            with_key(&j, "disagreements", Some(Json::Arr(vec![d]))).to_compact()
+        };
+        let doc = parse_fuzz(&with(sample_incident_json())).expect("embedded incident");
+        assert_eq!(doc.disagreements[0].incident.origin, "fuzz");
+        assert_eq!(doc.disagreements[0].kind, None);
+        let tampered = sample_incident_json()
+            .to_compact()
+            .replace("\"op_index\":4", "\"op_index\":5");
+        let e = parse_fuzz(&with(Json::parse(&tampered).unwrap())).unwrap_err();
+        assert!(e.contains("disagreements[0].incident: id"), "{e}");
     }
 
     fn sample_lint_v2_text() -> String {

@@ -25,6 +25,9 @@ pub const METRICS_SCHEMA: &str = "sgxs-metrics-v1";
 /// Schema tag of incident documents.
 pub const INCIDENT_SCHEMA: &str = "sgxs-incident-v1";
 
+/// Schema tag of differential-fuzz documents.
+pub const FUZZ_SCHEMA: &str = "sgxs-fuzz-v1";
+
 /// Schema tag of v1 lint documents.
 pub const LINT_SCHEMA: &str = "sgxs-lint-v1";
 
@@ -513,6 +516,90 @@ impl IncidentDoc {
         };
         let text = blank.put().to_compact();
         format!("{:016x}", crate::fnv(crate::FNV_OFFSET, text.as_bytes()))
+    }
+}
+
+document! {
+    /// One scheme's safe-program row of a fuzz document.
+    #[derive(Debug, Clone)]
+    pub struct FuzzSafe {
+        /// Scheme label.
+        pub scheme: String,
+        /// Bit-identical completions.
+        pub passes: u64,
+        /// Detections on in-bounds programs.
+        pub false_positives: u64,
+        /// Completions with a diverging digest.
+        pub mismatches: u64,
+        /// Other traps.
+        pub crashes: u64,
+        /// Safe runs.
+        pub total: u64,
+    }
+}
+
+document! {
+    /// One (fault kind, scheme) cell of a fuzz document's matrix.
+    #[derive(Debug, Clone)]
+    pub struct FuzzCell {
+        /// Injected fault-kind label.
+        pub kind: String,
+        /// Scheme label.
+        pub scheme: String,
+        /// Runs detected at the injected access.
+        pub detected: u64,
+        /// Runs detected at another site.
+        pub wrong_site: u64,
+        /// Runs the scheme missed.
+        pub missed: u64,
+        /// Runs the boundless overlay tolerated.
+        pub tolerated: u64,
+        /// Runs that crashed.
+        pub crashed: u64,
+        /// Runs whose verdict fell outside the detection model.
+        pub disagreements: u64,
+        /// Runs.
+        pub total: u64,
+    }
+}
+
+document! {
+    /// One disagreement of a fuzz document.
+    #[derive(Debug, Clone)]
+    pub struct FuzzDisagreement {
+        /// Seed of the program.
+        pub seed: u64,
+        /// Injected fault-kind label (`null` for the safe program).
+        pub kind: Option<String>,
+        /// Scheme whose verdict fell outside the model.
+        pub scheme: String,
+        /// The observed verdict's label.
+        pub verdict: String,
+        /// The verdict's payload (trap text, digest pair), if any.
+        pub detail: Option<String>,
+        /// The forensic record of the failing execution.
+        pub incident: IncidentDoc,
+    }
+}
+
+document! {
+    /// An `sgxs-fuzz-v1` document.
+    #[derive(Debug, Clone)]
+    pub struct FuzzDoc[FUZZ_SCHEMA] {
+        /// Programs fuzzed.
+        pub programs: u64,
+        /// Scheme executions.
+        pub runs: u64,
+        /// Safe-program rows, one per scheme.
+        pub safe: Vec<FuzzSafe>,
+        /// Fault-matrix cells, by fault kind then scheme.
+        pub matrix: Vec<FuzzCell>,
+        /// Every disagreement, in seed order.
+        pub disagreements: Vec<FuzzDisagreement>,
+        /// Coverage ledger over the seed range.
+        pub coverage: Coverage,
+        /// Quarantined seeds, in seed order.
+        pub quarantine: Vec<Quarantined>,
     }
 }
 

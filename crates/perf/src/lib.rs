@@ -26,10 +26,10 @@
 //!    sizes, an ASCII report, a `sgxs-compare-v1` JSON form, and a gate
 //!    decision for CI.
 //! 5. [`render`] — `sgxs-profile-v1` renderers (inferno-compatible
-//!    folded-stack text, a self-contained SVG flame/treemap view, an
-//!    ASCII top-N table) plus span-tree timeline views, latency
-//!    percentile tables for the metrics tier, and `sgxs-incident-v1`
-//!    forensic views (ASCII report, SVG heap-neighborhood map).
+//!    folded-stack text, a self-contained SVG flame/treemap view) plus
+//!    span-tree timeline views and the SVG heap-neighborhood map of an
+//!    `sgxs-incident-v1` document. Text views of the documents are not
+//!    here: each has one, beside its declaration in `sgxs-obs`.
 //!
 //! The crate is pure data-in/data-out: no filesystem or process access.
 //! The `repro` binary (`repro bench record` / `repro compare` /
@@ -44,7 +44,5 @@ pub mod stats;
 pub use compare::{compare, CompareOpts, CompareReport, MetricCompare, Verdict};
 pub use history::{parse_history, HistoryRecord, HISTORY_SCHEMA};
 pub use metrics::{flatten, flatten_metrics, Direction, Metric};
-pub use render::{
-    incident_ascii, incident_svg, latency_table, lint_graph_ascii, span_ascii, span_svg,
-};
+pub use render::{incident_svg, span_ascii, span_svg};
 pub use stats::{bootstrap_ci, noise_floor, summarize, Summary};

@@ -1,6 +1,8 @@
-//! `sgxs-profile-v1` renderers: folded stacks, a self-contained SVG
-//! flame/treemap view, and an ASCII top-N table — plus span-tree and
-//! latency-histogram renderers for the metrics tier.
+//! `sgxs-profile-v1` renderers: folded stacks and a self-contained SVG
+//! flame/treemap view — plus span-tree renderers for the metrics tier and
+//! the SVG heap-neighborhood map of an incident. Each document's one text
+//! view lives beside its declaration in `sgxs-obs` (`Profile::render`,
+//! `IncidentDoc::render`, ...).
 //!
 //! The folded form is the interchange format flamegraph tooling consumes
 //! (`stack;frames count`, one line per stack): feed it to inferno or
@@ -11,7 +13,8 @@
 //! developer's Perfetto for when the Chrome-trace export isn't handy.
 
 use sgxs_metrics::SpanCollector;
-use sgxs_obs::read::{IncidentDoc, LintDoc, MetricsDoc};
+use sgxs_obs::read::IncidentDoc;
+use sgxs_obs::view::pct;
 use sgxs_obs::Profile;
 
 /// Folded-stack text (inferno-compatible).
@@ -39,49 +42,6 @@ pub fn folded(p: &Profile) -> String {
         out.push_str(&format!("{root};checks;(other) {rest}\n"));
     }
     out
-}
-
-/// ASCII top-N table with cycle share per site.
-pub fn ascii_table(p: &Profile, top: usize) -> String {
-    let mut out = format!(
-        "{} under {}: cpu {} = app {} ({:.1}%) + checks {} ({:.1}%)\n",
-        p.workload,
-        p.scheme,
-        p.cpu_cycles,
-        p.attribution.app_cycles,
-        pct(p.attribution.app_cycles, p.cpu_cycles),
-        p.attribution.check_cycles,
-        pct(p.attribution.check_cycles, p.cpu_cycles),
-    );
-    out.push_str(&format!(
-        "{} check execs, {} fails, {} of {} sites active\n",
-        p.check_execs, p.check_fails, p.sites_active, p.sites_total
-    ));
-    out.push_str(&format!(
-        "{:>6}  {:<24} {:<10} {:>12} {:>12} {:>7} {:>7}\n",
-        "site", "func", "kind", "execs", "cycles", "fails", "%checks"
-    ));
-    for s in p.top_sites.iter().take(top) {
-        out.push_str(&format!(
-            "{:>6}  {:<24} {:<10} {:>12} {:>12} {:>7} {:>6.1}%\n",
-            format!("#{}", s.site),
-            s.func,
-            s.kind,
-            s.execs,
-            s.cycles,
-            s.fails,
-            pct(s.cycles, p.attribution.check_cycles),
-        ));
-    }
-    out
-}
-
-fn pct(part: u64, whole: u64) -> f64 {
-    if whole == 0 {
-        0.0
-    } else {
-        part as f64 * 100.0 / whole as f64
-    }
 }
 
 /// Deterministic fill color per label (warm palette, flamegraph-style).
@@ -359,81 +319,6 @@ pub fn span_svg(c: &SpanCollector) -> String {
     out
 }
 
-/// ASCII rendering of a parsed `sgxs-incident-v1` document: metadata
-/// header, decoded fault, ground truth, span path, recovery trail, the
-/// heap-neighborhood rows, the derivation chain, and the indexed trace
-/// tail. This is the artifact-side twin of `sgxs_audit`'s in-memory
-/// renderer — it consumes the validated [`IncidentDoc`] a reader parsed
-/// back, so `repro audit --ascii` works on any stored artifact.
-pub fn incident_ascii(d: &IncidentDoc) -> String {
-    let mut out = format!(
-        "incident {} — {}/{} scheme {} tier {} verdict {}\n",
-        d.id, d.origin, d.workload, d.scheme, d.tier, d.verdict
-    );
-    match &d.fault {
-        Some(f) => {
-            let site = f.site.map(|s| format!(" site#{s}")).unwrap_or_default();
-            out.push_str(&format!(
-                "fault: {} of {}B at ptr {:#x} (raw {:#x}, tag_ub {:#x}){site} @ins {} ev#{}\n",
-                f.kind, f.size, f.ptr, f.raw_addr, f.tag_ub, f.at, f.index
-            ));
-        }
-        None => out.push_str("fault: none recorded (near-miss)\n"),
-    }
-    if let Some(t) = &d.truth {
-        out.push_str(&format!(
-            "truth: {} — op {}: {}\n",
-            t.kind, t.op_index, t.op
-        ));
-    }
-    if !d.span_path.is_empty() {
-        let path: Vec<String> = d
-            .span_path
-            .iter()
-            .map(|s| format!("{}({})", s.name, s.arg))
-            .collect();
-        out.push_str(&format!("spans: {}\n", path.join(" > ")));
-    }
-    out.push_str(&format!(
-        "recovery: {} ({} attempts, {} degraded, {} gave up)\n",
-        d.recovery.decision, d.recovery.attempts, d.recovery.degraded, d.recovery.gave_up
-    ));
-    out.push_str(&format!(
-        "heap: {} objects observed, {} live at end of run\n",
-        d.heap.objects_total, d.heap.objects_live
-    ));
-    for n in &d.heap.neighborhood {
-        let life = match n.free_at {
-            Some(f) => format!("freed@{f}"),
-            None => "live".into(),
-        };
-        out.push_str(&format!(
-            "  obj #{} [{:#x}..{:#x}) size={} born@{} {} <- {} (+{}B)\n",
-            n.id, n.base, n.ub, n.size, n.birth_at, life, n.relation, n.distance
-        ));
-    }
-    for line in &d.derivation {
-        out.push_str(&format!("derive: {line}\n"));
-    }
-    out.push_str(&format!(
-        "trace: last {} of {} events (window {}):\n",
-        d.trace.events.len(),
-        d.trace.total,
-        d.trace.window
-    ));
-    for e in &d.trace.events {
-        out.push_str(&format!("  #{} {}\n", e.index, e.line));
-    }
-    if let Some(r) = &d.repro {
-        out.push_str(&format!(
-            "repro: {} insts, ops: {}\n",
-            r.insts,
-            r.ops.join("; ")
-        ));
-    }
-    out
-}
-
 /// Self-contained SVG heap-neighborhood map of an incident.
 ///
 /// The neighborhood's address range is laid out proportionally along x:
@@ -527,89 +412,6 @@ pub fn incident_svg(d: &IncidentDoc) -> String {
     out
 }
 
-/// ASCII latency table from a `sgxs-metrics-v1` document: one row per
-/// histogram with count and the percentile representatives (cycles).
-pub fn latency_table(doc: &MetricsDoc) -> String {
-    let mut out = format!(
-        "{:<34} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9}\n",
-        "histogram", "count", "p50", "p90", "p99", "p999", "max"
-    );
-    for h in &doc.hists {
-        out.push_str(&format!(
-            "{:<34} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9}\n",
-            h.name, h.count, h.p50, h.p90, h.p99, h.p999, h.max
-        ));
-    }
-    out
-}
-
-/// ASCII view of a `sgxs-lint-v2` document: per module, the condensed
-/// call graph (one line per function, bottom-up SCC order) with each
-/// function's summary effects, then the temporal findings. Functions in a
-/// multi-member SCC (or with an unresolvable indirect call) are marked.
-/// For v1 documents only the per-module verdict counts are shown.
-pub fn lint_graph_ascii(doc: &LintDoc) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for m in &doc.modules {
-        let _ = writeln!(
-            out,
-            "{}: {} sites — {} safe / {} unknown / {} oob; {} uaf / {} df / {} leak",
-            m.module,
-            m.sites,
-            m.proved_safe,
-            m.unknown,
-            m.proved_oob,
-            m.proved_uaf.unwrap_or_default(),
-            m.proved_df.unwrap_or_default(),
-            m.leaks.unwrap_or_default()
-        );
-        let summaries = m.summaries.iter().flatten();
-        for (node, s) in m.call_graph.iter().flatten().zip(summaries) {
-            let mut effects = Vec::new();
-            for (i, may) in s.frees_params.iter().enumerate() {
-                if *may {
-                    let must = s.must_frees_params.get(i).copied().unwrap_or(false);
-                    effects.push(format!("frees p{i}{}", if must { "!" } else { "?" }));
-                }
-            }
-            for (i, cap) in s.captures_params.iter().enumerate() {
-                if *cap {
-                    effects.push(format!("caps p{i}"));
-                }
-            }
-            if s.frees_unknown {
-                effects.push("frees ?".to_owned());
-            }
-            let benign = if s.heap_benign { " benign" } else { "" };
-            let cyclic = if node.unresolved { " [indirect?]" } else { "" };
-            let callees = if node.callees.is_empty() {
-                "(leaf)".to_owned()
-            } else {
-                format!("-> {}", node.callees.join(", "))
-            };
-            let eff = if effects.is_empty() {
-                String::new()
-            } else {
-                format!(" {{{}}}", effects.join(", "))
-            };
-            let _ = writeln!(
-                out,
-                "  scc{:<3} {:<18} {} ret={}{}{}{}",
-                node.scc, node.func, callees, s.ret, eff, benign, cyclic
-            );
-        }
-        for t in m.temporal.iter().flatten() {
-            let _ = writeln!(
-                out,
-                "  !! {} {}:b{}:i{} {} (alloc site {})",
-                t.kind, t.function, t.block, t.inst, t.object, t.alloc_site
-            );
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -680,14 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn ascii_table_reports_shares() {
-        let t = ascii_table(&sample(), 10);
-        assert!(t.contains("app 700 (70.0%)"));
-        assert!(t.contains("#2"));
-        assert!(t.contains("66.7%"), "200/300 cycles:\n{t}");
-    }
-
-    #[test]
     fn svg_is_self_contained_and_deterministic() {
         let p = sample();
         let a = svg(&p);
@@ -752,29 +546,6 @@ mod tests {
         // Empty trace still yields a valid document.
         let empty = span_svg(&SpanCollector::default());
         assert!(empty.starts_with("<svg") && empty.contains("</svg>"));
-    }
-
-    #[test]
-    fn latency_table_lists_every_histogram() {
-        let doc = sgxs_obs::read::parse_metrics(
-            r#"{
-                "schema": "sgxs-metrics-v1",
-                "counters": {}, "gauges": {},
-                "hists": [{
-                    "name": "latency/sgxbounds/retry",
-                    "count": 3, "sum": 30, "min": 8, "max": 12,
-                    "p50": 9, "p90": 12, "p99": 12, "p999": 12,
-                    "buckets": [[8, 1], [9, 1], [12, 1]]
-                }]
-            }"#,
-        )
-        .unwrap();
-        let t = latency_table(&doc);
-        assert!(t.lines().next().unwrap().contains("p999"));
-        assert!(t.contains("latency/sgxbounds/retry"));
-        let row = t.lines().nth(1).unwrap();
-        let cols: Vec<&str> = row.split_whitespace().collect();
-        assert_eq!(cols[1..], ["3", "9", "12", "12", "12", "12"]);
     }
 
     fn sample_incident() -> IncidentDoc {
@@ -861,30 +632,6 @@ mod tests {
     }
 
     #[test]
-    fn incident_ascii_reports_the_full_forensic_story() {
-        let t = incident_ascii(&sample_incident());
-        assert!(t.contains("incident 00c0ffee00c0ffee"));
-        assert!(t.contains("fault: store of 4B at ptr 0x14c"));
-        assert!(t.contains("tag_ub 0x150"));
-        assert!(t.contains("site#3"));
-        assert!(t.contains("truth: heap-overflow — op 5"));
-        assert!(t.contains("spans: exec(42)"));
-        assert!(t.contains("recovery: trapped"));
-        assert!(t.contains("obj #1 [0x140..0x14c) size=12 born@10 live <- before (+1B)"));
-        assert!(t.contains("obj #2"));
-        assert!(t.contains("freed@90"));
-        assert!(t.contains("derive: b0 i4 store"));
-        assert!(t.contains("trace: last 2 of 40 events (window 32):"));
-        assert!(t.contains("#39 check-fail site#3"));
-        // A near-miss doc renders too.
-        let mut near = sample_incident();
-        near.fault = None;
-        near.heap.neighborhood.clear();
-        let t = incident_ascii(&near);
-        assert!(t.contains("fault: none recorded (near-miss)"));
-    }
-
-    #[test]
     fn incident_svg_is_self_contained_and_marks_the_fault() {
         let d = sample_incident();
         let a = incident_svg(&d);
@@ -912,14 +659,15 @@ mod tests {
     #[test]
     fn renders_real_emitted_profile() {
         // End-to-end through the obs writer + reader.
+        use sgxs_obs::codec::Field;
         use sgxs_obs::{Event, Profile, Recorder, TraceRecorder};
         let mut r = TraceRecorder::new(16);
         r.record(1, Event::CheckExec { site: 0, cycles: 7 });
         let labels = vec![("main".to_owned(), "sb_full".to_owned())];
-        let j = Profile::build("w", "sgxbounds", &r, &labels, 50, 100, 5).to_json();
+        let j = Profile::build("w", "sgxbounds", &r, &labels, 50, 100, 5).put();
         let doc = parse_profile(&j.to_pretty()).unwrap();
         assert!(folded(&doc).contains("w;sgxbounds;app 93"));
         assert!(svg(&doc).contains("</svg>"));
-        assert!(ascii_table(&doc, 3).contains("sb_full"));
+        assert!(doc.render(3).contains("sb_full"));
     }
 }

@@ -6,12 +6,13 @@ use crate::serve::{
     abort_policy, boundless_policy, graceful_policy, retry_policy, serve_forensic, serve_tier,
     AvailabilityReport, RScheme, ServerApp,
 };
-use sgxs_audit::{FaultInfo, Incident, IncidentMeta, DEFAULT_TRACE_WINDOW};
+use sgxs_audit::{IncidentDoc, IncidentMeta, DEFAULT_TRACE_WINDOW};
 use sgxs_metrics::{Hist, Registry};
 use sgxs_mir::PolicySet;
 use sgxs_obs::codec::Field;
 use sgxs_obs::json::Json;
 use sgxs_obs::read::{ChaosCombo, ChaosDoc, ChaosGate};
+use sgxs_obs::view::render_quarantine;
 use sgxs_sim::ExecTier;
 use sgxs_super::{
     supervise, Campaign, Coverage, Quarantined, Restored, StopFlag, SuperOpts, TaskError,
@@ -25,7 +26,8 @@ pub struct CampaignOpts {
     pub seeds: u64,
     /// First seed.
     pub seed0: u64,
-    /// Requests per server run.
+    /// Requests per server run; a schedule runs at least
+    /// [`crate::MIN_REQUESTS`], so `repro` rejects fewer.
     pub requests: u32,
     /// Minimum availability the boundless combo must reach (gate).
     pub threshold: f64,
@@ -236,7 +238,7 @@ pub struct ChaosReport {
     /// One `sgxs-incident-v1` forensic record per combo whose corruption
     /// gate failed, assembled from a forensic re-run of that combo's first
     /// corrupted seed. Empty when the corruption gates all hold.
-    pub incidents: Vec<Incident>,
+    pub incidents: Vec<IncidentDoc>,
     /// Seeds quarantined by the supervisor's failure ladder, in seed
     /// order. Always empty in unsupervised runs.
     pub quarantine: Vec<Quarantined>,
@@ -302,35 +304,11 @@ impl ChaosReport {
                 row.availability() * 100.0
             );
         }
-        let _ = writeln!(
-            s,
-            "\n  {:<22} {:>12} {:>12} {:>12} {:>12}",
-            "latency (cycles)", "p50", "p90", "p99", "p999"
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                s,
-                "  {:<22} {:>12} {:>12} {:>12} {:>12}",
-                format!("{}/{}", row.scheme, row.policy),
-                row.latency.p50(),
-                row.latency.p90(),
-                row.latency.p99(),
-                row.latency.p999()
-            );
-        }
-        if !self.quarantine.is_empty() {
-            let _ = writeln!(s, "\nquarantined seeds:");
-            for q in &self.quarantine {
-                let _ = writeln!(
-                    s,
-                    "  seed {} [{} after {} attempt(s)]: {}",
-                    q.seed, q.class, q.attempts, q.detail
-                );
-            }
-        }
-        if self.skipped > 0 {
-            let _ = writeln!(s, "\n{} seed(s) skipped by early stop", self.skipped);
-        }
+        // The latency table is the view of the embedded metrics document,
+        // the one `repro metrics` prints.
+        s.push('\n');
+        s.push_str(&self.metrics().doc().render());
+        s.push_str(&render_quarantine(&self.quarantine, self.skipped));
         if self.failures.is_empty() {
             let _ = writeln!(s, "\ngate: ok");
         } else {
@@ -390,7 +368,7 @@ impl ChaosReport {
             // histograms with p50/p90/p99/p999. Like the rest of the
             // chaos doc, byte-identical across execution tiers.
             latency: self.metrics().doc(),
-            incidents: self.incidents.iter().map(Incident::doc).collect(),
+            incidents: self.incidents.clone(),
             // Coverage + quarantine ledger: every seed in the range is
             // accounted for. Deliberately free of resume/stop provenance,
             // so a resumed campaign's document stays byte-identical.
@@ -608,8 +586,8 @@ pub fn run_chaos_campaign_supervised(
 /// so the availability numbers reproduce exactly), assembled into an
 /// incident around the first corrupted canary byte. Corruption is found
 /// post-run by the canary scan, not by a firing check, so the fault block
-/// is a [`FaultInfo::post_run`] record.
-fn corruption_incident(opts: &CampaignOpts, combo: &Combo, seed: u64) -> Incident {
+/// is a [`sgxs_audit::post_run_fault`].
+fn corruption_incident(opts: &CampaignOpts, combo: &Combo, seed: u64) -> IncidentDoc {
     let schedule = ChaosSchedule::generate(seed, opts.requests);
     let app = ServerApp::ALL[(seed % ServerApp::ALL.len() as u64) as usize];
     let (rep, rec, first) = serve_forensic(
@@ -626,9 +604,11 @@ fn corruption_incident(opts: &CampaignOpts, combo: &Combo, seed: u64) -> Inciden
         scheme: format!("{}/{}", combo.scheme.label(), combo.policy),
         tier: "pinned".into(),
         verdict: "corrupted".into(),
+        ..IncidentMeta::default()
     };
-    let fault = first.map(|addr| FaultInfo::post_run(addr as u64, rep.corrupted_canary_bytes));
-    Incident::assemble_with(meta, fault, &rec, DEFAULT_TRACE_WINDOW)
+    let fault =
+        first.map(|addr| sgxs_audit::post_run_fault(addr as u64, rep.corrupted_canary_bytes));
+    sgxs_audit::assemble_with(meta, fault, &rec, DEFAULT_TRACE_WINDOW)
 }
 
 #[cfg(test)]
@@ -845,11 +825,11 @@ mod tests {
         // survives the validating reader's cross-checks.
         assert_eq!(rep.incidents.len(), 1);
         let inc = &rep.incidents[0];
-        assert_eq!(inc.meta.origin, "chaos");
-        assert_eq!(inc.meta.verdict, "corrupted");
+        assert_eq!(inc.origin, "chaos");
+        assert_eq!(inc.verdict, "corrupted");
         assert!(inc.fault.is_some(), "corruption incident carries a fault");
         assert!(
-            !inc.neighborhood.is_empty(),
+            !inc.heap.neighborhood.is_empty(),
             "canary corruption has heap neighbours by construction"
         );
         let doc = sgxs_obs::read::parse_chaos(&rep.to_json().to_pretty())

@@ -73,6 +73,11 @@ impl ChaosEvent {
     }
 }
 
+/// The fewest requests a server run schedules: one guaranteed attack at
+/// an index ≥ 1 plus room for fault windows around it. A schedule asked
+/// for fewer runs this many, so campaigns reject smaller request counts.
+pub const MIN_REQUESTS: u32 = 4;
+
 /// A complete deterministic fault plan for one server run.
 #[derive(Debug, Clone)]
 pub struct ChaosSchedule {
@@ -94,14 +99,15 @@ fn xorshift(state: &mut u64) -> u64 {
 }
 
 impl ChaosSchedule {
-    /// Generates the schedule for `(seed, requests)`.
+    /// Generates the schedule for `(seed, requests)`, raising `requests`
+    /// to [`MIN_REQUESTS`].
     ///
     /// Every schedule carries at least one attack at a request index ≥ 1,
     /// so fail-stop configurations always have availability to lose on it,
     /// and between one and four environmental windows drawn from all four
     /// [`ChaosKind`]s.
     pub fn generate(seed: u64, requests: u32) -> ChaosSchedule {
-        let requests = requests.max(4);
+        let requests = requests.max(MIN_REQUESTS);
         let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut roll = move |bound: u64| xorshift(&mut s) % bound.max(1);
 

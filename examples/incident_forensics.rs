@@ -22,6 +22,7 @@
 //! Run with `cargo run --example incident_forensics`.
 
 use sgxs_harness::audit::pinned_demo_incident;
+use sgxs_obs::codec::Field;
 use sgxs_obs::read::parse_incident;
 
 fn main() {
@@ -32,30 +33,24 @@ fn main() {
     let inc = pinned_demo_incident(window).expect("cross-tier pin holds");
     println!(
         "verdict: {} (scheme {}, tier {})",
-        inc.meta.verdict, inc.meta.scheme, inc.meta.tier
+        inc.verdict, inc.scheme, inc.tier
     );
 
     if let Some(f) = &inc.fault {
         println!(
             "fault:   {} of {}B — raw addr {:#x} decodes to ptr {:#x}, tag_ub {:#x}",
-            f.kind(),
-            f.size,
-            f.raw_addr,
-            f.ptr,
-            f.tag_ub
+            f.kind, f.size, f.raw_addr, f.ptr, f.tag_ub
         );
         println!("         the pointer sits exactly at the user upper bound: one past the end\n");
     }
 
-    // The in-memory report: neighborhood, derivation, indexed trace tail.
-    println!("-- assembled incident (in-memory render) --");
-    print!("{}", inc.render());
-
-    // The artifact self-validates through the reader every consumer uses.
-    let text = inc.to_json().to_pretty();
+    // The artifact self-validates through the reader every consumer uses,
+    // and its one text view (the one `repro audit` prints) shows the
+    // neighborhood, derivation and indexed trace tail.
+    let text = inc.put().to_pretty();
     let doc = parse_incident(&text).expect("artifact validates");
-    println!("\n-- artifact views (from the parsed sgxs-incident-v1 document) --");
-    print!("{}", sgxs_perf::incident_ascii(&doc));
+    println!("-- the sgxs-incident-v1 document's text view --");
+    print!("{}", doc.render());
 
     let svg = sgxs_perf::incident_svg(&doc);
     println!(

@@ -3,7 +3,7 @@
 //! Four properties, each load-bearing for the audit layer's claims:
 //!
 //! 1. the `repro audit` demo artifact round-trips through the validating
-//!    reader and renders through both artifact-side views;
+//!    reader and renders through its text view and its SVG view;
 //! 2. corpus-wide, a forensic re-run perturbs nothing measured and the
 //!    assembled incident is byte-identical across execution tiers;
 //! 3. a chaos campaign with `--demo-corruption` embeds validating
@@ -12,10 +12,11 @@
 //! 4. attaching the forensic ledger to a chaos server changes no field
 //!    of the availability report.
 
-use sgxs_audit::{Incident, IncidentMeta, DEFAULT_TRACE_WINDOW};
+use sgxs_audit::{IncidentMeta, DEFAULT_TRACE_WINDOW};
 use sgxs_fuzz::runner::{exec_forensic, exec_tier, FScheme};
 use sgxs_fuzz::{gen, inject, parse_corpus, CorpusEntry};
 use sgxs_harness::audit::pinned_demo_incident;
+use sgxs_obs::codec::Field;
 use sgxs_obs::read::{parse_chaos, parse_incident};
 use sgxs_resil::{
     abort_policy, run_chaos_campaign, serve_forensic, serve_tier, CampaignOpts, ChaosSchedule,
@@ -29,14 +30,14 @@ fn corpus() -> Vec<CorpusEntry> {
     parse_corpus(&text).expect("corpus parses")
 }
 
-/// The demo incident self-validates through the reader and both
-/// artifact-side renderers accept the parsed document.
+/// The demo incident self-validates through the reader, and its text
+/// view and SVG view render the parsed document.
 #[test]
 fn demo_incident_round_trips_and_renders() {
     let inc = pinned_demo_incident(DEFAULT_TRACE_WINDOW).expect("cross-tier pin holds");
-    let text = inc.to_json().to_pretty();
+    let text = inc.put().to_pretty();
     let doc = parse_incident(&text).expect("emitted artifact validates");
-    assert_eq!(doc.id, inc.id(), "reader recomputes the same id");
+    assert_eq!(doc.id, inc.id, "reader recomputes the same id");
     assert_eq!(doc.origin, "audit");
     assert_eq!(doc.tier, "pinned");
     assert_eq!(doc.verdict, "detected");
@@ -50,9 +51,9 @@ fn demo_incident_round_trips_and_renders() {
         "static derivation chain present"
     );
 
-    let ascii = sgxs_perf::incident_ascii(&doc);
-    assert!(ascii.contains(&doc.id), "ascii view names the incident");
-    assert!(ascii.contains("fault:"), "ascii view reports the fault");
+    let view = doc.render();
+    assert!(view.contains(&doc.id), "text view names the incident");
+    assert!(view.contains("fault:"), "text view reports the fault");
     let svg = sgxs_perf::incident_svg(&doc);
     assert!(svg.starts_with("<svg"), "svg view is self-contained");
     assert!(svg.trim_end().ends_with("</svg>"));
@@ -88,10 +89,11 @@ fn corpus_forensics_are_zero_perturbation_and_tier_pinned() {
                 scheme: "sgxbounds".into(),
                 tier: "pinned".into(),
                 verdict: "replay".into(),
+                ..IncidentMeta::default()
             };
-            let inc = Incident::assemble(meta, &rec, DEFAULT_TRACE_WINDOW);
-            let compact = inc.to_json().to_compact();
-            parse_incident(&inc.to_json().to_pretty()).unwrap_or_else(|e| {
+            let inc = sgxs_audit::assemble(meta, &rec, DEFAULT_TRACE_WINDOW);
+            let compact = inc.put().to_compact();
+            parse_incident(&inc.put().to_pretty()).unwrap_or_else(|e| {
                 panic!(
                     "entry '{}' ({:?}): incident fails validation: {e}",
                     entry.to_line(),
@@ -142,7 +144,7 @@ fn demo_corruption_incidents_embed_validate_and_pin(opts: &CampaignOpts) {
         "demo corruption produced no incident"
     );
     for inc in &report.incidents {
-        let doc = parse_incident(&inc.to_json().to_pretty()).expect("chaos incident validates");
+        let doc = parse_incident(&inc.put().to_pretty()).expect("chaos incident validates");
         assert_eq!(doc.origin, "chaos");
         assert_eq!(doc.tier, "pinned");
         assert_eq!(doc.verdict, "corrupted");

@@ -24,9 +24,14 @@ fn modules() -> Vec<Module> {
         .collect()
 }
 
+/// The text view `repro lint` prints (with the call graph under `ipa`)
+/// and the JSON document.
 fn artifact(ipa: bool) -> (String, String) {
     let out = lint_modules(modules(), DEFAULT_SEED, ipa);
-    (out.human, out.doc.to_pretty())
+    let view = sgxs_obs::read::lint_from_json(&out.doc)
+        .expect("document validates")
+        .render(ipa);
+    (view, out.doc.to_pretty())
 }
 
 #[test]

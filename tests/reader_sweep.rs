@@ -21,13 +21,15 @@
 //! `results/history.jsonl`.
 
 use sgxs_audit::DEFAULT_TRACE_WINDOW;
+use sgxs_fuzz::runner::{FScheme, Verdict};
+use sgxs_fuzz::{run_campaign, Disagreement, FuzzOpts};
 use sgxs_harness::audit::pinned_demo_incident;
 use sgxs_harness::lint::{lint_modules, oob_demo, uaf_demo};
 use sgxs_harness::{profile_one, RunConfig, Scheme};
 use sgxs_obs::codec::Field;
 use sgxs_obs::json::Json;
 use sgxs_obs::read::{
-    parse_bench, parse_chaos, parse_incident, parse_journal, parse_lint, parse_metrics,
+    parse_bench, parse_chaos, parse_fuzz, parse_incident, parse_journal, parse_lint, parse_metrics,
     parse_profile, JournalDoc, INCIDENT_SCHEMA,
 };
 use sgxs_perf::{parse_history, HistoryRecord};
@@ -198,6 +200,22 @@ fn cases() -> Vec<(&'static str, String, Reader)> {
     let _ = std::fs::remove_dir_all(&dir);
 
     let incident = pinned_demo_incident(DEFAULT_TRACE_WINDOW).expect("cross-tier pin holds");
+    // A fuzz campaign with an over-budget seed (a quarantine entry) and a
+    // disagreement carrying the demo incident: clean campaigns have none.
+    let mut fuzz = run_campaign(&FuzzOpts {
+        seeds: 3,
+        max_ops: 8,
+        demo_budget: Some(1),
+        ..FuzzOpts::default()
+    });
+    fuzz.disagreements.push(Disagreement {
+        seed: 0,
+        kind: None,
+        scheme: FScheme::SgxBounds,
+        verdict: Verdict::Crash("demo".into()),
+        repro: None,
+        incident: incident.clone(),
+    });
     let lint = lint_modules(vec![oob_demo(), uaf_demo()], 42, true).doc;
     let metrics = chaos.metrics().to_json();
     let chaos = chaos.to_json();
@@ -206,7 +224,7 @@ fn cases() -> Vec<(&'static str, String, Reader)> {
         ("parse_bench", bench.to_compact(), |t| {
             parse_bench(t).map(|d| d.put().to_compact())
         }),
-        ("parse_profile", profile.to_json().to_compact(), |t| {
+        ("parse_profile", profile.put().to_compact(), |t| {
             parse_profile(t).map(|d| d.put().to_compact())
         }),
         ("parse_metrics", metrics.to_compact(), |t| {
@@ -215,8 +233,11 @@ fn cases() -> Vec<(&'static str, String, Reader)> {
         ("parse_chaos", chaos.to_compact(), |t| {
             parse_chaos(t).map(|d| d.put().to_compact())
         }),
-        ("parse_incident", incident.to_json().to_compact(), |t| {
+        ("parse_incident", incident.put().to_compact(), |t| {
             parse_incident(t).map(|d| d.put().to_compact())
+        }),
+        ("parse_fuzz", fuzz.to_json().to_compact(), |t| {
+            parse_fuzz(t).map(|d| d.put().to_compact())
         }),
         ("parse_lint", lint.to_compact(), |t| {
             parse_lint(t).map(|d| d.put().to_compact())
