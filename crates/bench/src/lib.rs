@@ -1,8 +1,7 @@
-//! Criterion benchmark support: shared setup helpers so every bench
-//! regenerates its paper artifact once (printed to stdout) and then times
-//! representative runs.
+//! Criterion benchmark support: the preset and run configuration the
+//! ablation benches share.
 
-use sgxs_harness::{run_one, Measured, RunConfig, Scheme};
+use sgxs_harness::RunConfig;
 use sgxs_sim::Preset;
 use sgxs_workloads::SizeClass;
 
@@ -15,11 +14,4 @@ pub fn bench_rc() -> RunConfig {
     rc.params.size = SizeClass::XS;
     rc.params.threads = 8;
     rc
-}
-
-/// Runs `workload` under `scheme` at bench scale; panics on baseline
-/// failure so benches fail loudly.
-pub fn timed_run(name: &str, scheme: Scheme) -> Measured {
-    let w = sgxs_workloads::by_name(name).expect("workload exists");
-    run_one(w.as_ref(), scheme, &bench_rc())
 }

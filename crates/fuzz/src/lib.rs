@@ -203,8 +203,6 @@ pub struct Disagreement {
     pub scheme: FScheme,
     /// The observed verdict.
     pub verdict: Verdict,
-    /// Minimized reproducer, when shrinking ran.
-    pub repro: Option<shrink::Repro>,
     /// Full forensic record of a re-run of the failing execution: object
     /// ledger neighborhood, derivation chain, indexed trace tail, ground
     /// truth, and the shrunk repro — an `sgxs-incident-v1` document.
@@ -517,7 +515,6 @@ pub fn run_seed_report(opts: &FuzzOpts, seed: u64) -> Result<Report, TaskError> 
                 kind: None,
                 scheme: FScheme::Native,
                 verdict,
-                repro: None,
                 incident,
             });
             return Ok(report);
@@ -547,7 +544,6 @@ pub fn run_seed_report(opts: &FuzzOpts, seed: u64) -> Result<Report, TaskError> 
                 kind: None,
                 scheme,
                 verdict: v,
-                repro,
                 incident,
             });
         }
@@ -581,7 +577,6 @@ pub fn run_seed_report(opts: &FuzzOpts, seed: u64) -> Result<Report, TaskError> 
                 kind: Some(kind),
                 scheme,
                 verdict: v,
-                repro,
                 incident,
             });
         }

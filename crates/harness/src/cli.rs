@@ -53,7 +53,6 @@ use sgxs_obs::read::{metrics_from_json, parse_bench, parse_profile, BenchDoc, ME
 use sgxs_perf::{
     compare, flatten, flatten_metrics, parse_history, render, CompareOpts, HistoryRecord, Metric,
 };
-use sgxs_resil::MIN_REQUESTS;
 use sgxs_sim::{ExecTier, Preset};
 use sgxs_workloads::SizeClass;
 
@@ -149,17 +148,6 @@ fn capped(it: &mut Args<'_>, flag: &str, cap: usize) -> Result<usize, String> {
 /// The most `--workers` a campaign accepts: each worker is an OS thread,
 /// and the selfcheck, the tests and CI never ask for more than 4.
 pub const MAX_WORKERS: usize = 64;
-
-/// `--requests N`, at least [`MIN_REQUESTS`]: a server run schedules
-/// that many anyway, so a smaller value would be recorded but not run.
-fn requests_value(it: &mut Args<'_>) -> Result<u32, String> {
-    match it.parse("--requests")? {
-        n if n >= MIN_REQUESTS => Ok(n),
-        n => Err(it.fail(format!(
-            "--requests {n} is below the minimum {MIN_REQUESTS}"
-        ))),
-    }
-}
 
 /// Exit code for a campaign ended early by a graceful stop: distinct
 /// from both success (0) and a gate failure (1) so wrappers can tell a
@@ -296,95 +284,62 @@ pub fn run_suite(
     let all = wanted.iter().any(|w| w == "all");
     let want = |name: &str| all || wanted.iter().any(|w| w == name);
     let quick = effort == Effort::Quick;
-    let mut experiments: Vec<(&str, Json)> = Vec::new();
-
     if print {
         println!(
             "SGXBounds reproduction — preset {:?}, effort {:?}\n",
             preset, effort
         );
     }
-    macro_rules! say {
-        ($($t:tt)*) => {
-            if print {
-                println!($($t)*);
+    // Runs experiment `$id` when wanted, printing its view when asked to.
+    macro_rules! experiment {
+        ($id:literal, $run:expr) => {
+            want($id).then(|| {
+                let payload = $run;
+                if print {
+                    println!("{payload}\n");
+                }
+                payload
+            })
+        };
+    }
+    let sizes: &[SizeClass] = if quick {
+        &[SizeClass::XS, SizeClass::M, SizeClass::XL]
+    } else {
+        &SizeClass::ALL
+    };
+    let clients: &[u32] = if quick {
+        &[1, 4, 16]
+    } else {
+        &[1, 2, 4, 8, 16, 32]
+    };
+    let (steps, rpc) = if quick { (3, 24) } else { (5, 64) };
+    // Fields run in the order written, which is the suite's order.
+    let exps = exp::Experiments {
+        fig1: experiment!("fig1", exp::fig01::run(preset, steps, seed)),
+        fig7: experiment!("fig7", exp::fig07::run(preset, effort, seed)),
+        // Table 3 is a second view of the Fig. 8 runs.
+        fig8: (want("fig8") || want("table3")).then(|| {
+            let f8 = exp::fig08::run(preset, sizes, seed);
+            if print && want("fig8") {
+                println!("{f8}\n");
             }
-        };
-    }
-
-    if want("fig1") {
-        let steps = if quick { 3 } else { 5 };
-        let f = exp::fig01::run(preset, steps, seed);
-        say!("{f}\n");
-        experiments.push(("fig1", f.to_json()));
-    }
-    if want("fig7") {
-        let f = exp::fig07::run(preset, effort, seed);
-        say!("{f}\n");
-        experiments.push(("fig7", f.to_json()));
-    }
-    if want("fig8") || want("table3") {
-        let sizes: &[SizeClass] = if quick {
-            &[SizeClass::XS, SizeClass::M, SizeClass::XL]
-        } else {
-            &SizeClass::ALL
-        };
-        let f8 = exp::fig08::run(preset, sizes, seed);
-        if want("fig8") {
-            say!("{f8}\n");
-        }
-        if want("table3") {
-            say!("{}\n", f8.table3());
-        }
-        experiments.push(("fig8", f8.to_json()));
-    }
-    if want("fig9") {
-        let f = exp::fig09::run(preset, effort, seed);
-        say!("{f}\n");
-        experiments.push(("fig9", f.to_json()));
-    }
-    if want("fig10") {
-        let f = exp::fig10::run(preset, effort, seed);
-        say!("{f}\n");
-        experiments.push(("fig10", f.to_json()));
-    }
-    if want("table4") {
-        let t = exp::tab04::run(preset, seed);
-        say!("{t}\n");
-        experiments.push(("table4", t.to_json()));
-    }
-    if want("fig11") {
-        let f = exp::fig11::run(preset, effort, seed);
-        say!("{f}\n");
-        experiments.push(("fig11", f.to_json()));
-    }
-    if want("fig12") {
-        let f = exp::fig12::run(preset, effort, seed);
-        say!("{f}\n");
-        experiments.push(("fig12", f.to_json()));
-    }
-    if want("fig13") {
-        let clients: &[u32] = if quick {
-            &[1, 4, 16]
-        } else {
-            &[1, 2, 4, 8, 16, 32]
-        };
-        let rpc = if quick { 24 } else { 64 };
-        let f = exp::fig13::run(preset, clients, rpc, seed);
-        say!("{f}\n");
-        experiments.push(("fig13", f.to_json()));
-    }
-    if want("cases") {
-        let c = exp::cases::run(preset, seed);
-        say!("{c}\n");
-        experiments.push(("cases", c.to_json()));
-    }
-
-    let experiments = experiments.into_iter().map(|(k, v)| (k.to_owned(), v));
+            if print && want("table3") {
+                println!("{}\n", f8.table3());
+            }
+            f8
+        }),
+        fig9: experiment!("fig9", exp::fig09::run(preset, effort, seed)),
+        fig10: experiment!("fig10", exp::fig10::run(preset, effort, seed)),
+        table4: experiment!("table4", exp::tab04::run(preset, seed)),
+        fig11: experiment!("fig11", exp::fig11::run(preset, effort, seed)),
+        fig12: experiment!("fig12", exp::fig12::run(preset, effort, seed)),
+        fig13: experiment!("fig13", exp::fig13::run(preset, clients, rpc, seed)),
+        cases: experiment!("cases", exp::cases::run(preset, seed)),
+    };
     Ok(BenchDoc {
         preset: format!("{preset:?}"),
         effort: format!("{effort:?}"),
-        experiments: experiments.collect(),
+        experiments: exps.entries(),
         host: None,
     }
     .put())
@@ -631,7 +586,7 @@ pub fn run_chaos(args: &[String]) -> Result<i32, String> {
         match a {
             "--seeds" => opts.seeds = it.parse("--seeds")?,
             "--seed0" => opts.seed0 = it.parse("--seed0")?,
-            "--requests" => opts.requests = requests_value(&mut it)?,
+            "--requests" => opts.requests = it.parse("--requests")?,
             "--threshold" => opts.threshold = it.parse("--threshold")?,
             "--demo-corruption" => opts.demo_corruption = true,
             "--demo-panic" => opts.demo_panic = Some(it.parse("--demo-panic")?),
@@ -639,18 +594,6 @@ pub fn run_chaos(args: &[String]) -> Result<i32, String> {
             "--json" => json = Some(it.value("--json")?),
             other => return Err(it.fail(format!("unknown argument '{other}'\n{USAGE}"))),
         }
-    }
-    if opts.seeds == 0 {
-        return Err(it.fail("--seeds must be at least 1"));
-    }
-    check_seed_range(&it, opts.seed0, opts.seeds, "--seeds")?;
-    // NaN compares false against every availability, so it would pass the
-    // gate silently; so would any value outside [0, 1].
-    if !(0.0..=1.0).contains(&opts.threshold) {
-        return Err(it.fail(format!(
-            "--threshold must be within [0, 1], got {}",
-            opts.threshold
-        )));
     }
     let out =
         sgxs_resil::run_chaos_campaign_supervised(&opts, &sup.sup, &sgxs_super::StopFlag::new())
@@ -1082,17 +1025,13 @@ pub fn run_metrics(args: &[String]) -> Result<i32, String> {
         match a {
             "--seeds" => opts.seeds = it.parse("--seeds")?,
             "--seed0" => opts.seed0 = it.parse("--seed0")?,
-            "--requests" => opts.requests = requests_value(&mut it)?,
+            "--requests" => opts.requests = it.parse("--requests")?,
             "--demo-panic" => opts.demo_panic = Some(it.parse("--demo-panic")?),
             "--tier" => opts.tier = tier_value(&mut it)?,
             "--json" => json = Some(it.value("--json")?),
             other => return Err(it.fail(format!("unknown argument '{other}'\n{USAGE}"))),
         }
     }
-    if opts.seeds == 0 {
-        return Err(it.fail("--seeds must be at least 1"));
-    }
-    check_seed_range(&it, opts.seed0, opts.seeds, "--seeds")?;
     let out =
         sgxs_resil::run_chaos_campaign_supervised(&opts, &sup.sup, &sgxs_super::StopFlag::new())
             .map_err(|e| it.fail(e))?;
@@ -1154,7 +1093,7 @@ pub fn run_trace(args: &[String]) -> Result<i32, String> {
             }
             "--policy" => policy = it.value("--policy")?,
             "--seed" => seed = it.parse("--seed")?,
-            "--requests" => requests = requests_value(&mut it)?,
+            "--requests" => requests = it.parse("--requests")?,
             "--tier" => tier = tier_value(&mut it)?,
             "--out" => out = it.value("--out")?,
             "--ascii" => ascii = Some(it.value("--ascii")?),
@@ -1162,6 +1101,7 @@ pub fn run_trace(args: &[String]) -> Result<i32, String> {
             other => return Err(it.fail(format!("unknown argument '{other}'\n{USAGE}"))),
         }
     }
+    sgxs_resil::check_requests(requests).map_err(|e| it.fail(e))?;
     let policies = match policy.as_str() {
         "abort" => sgxs_resil::abort_policy(),
         "graceful" => sgxs_resil::graceful_policy(),

@@ -6,6 +6,7 @@ use crate::report::Table;
 use crate::scheme::{run_one, RunConfig, Scheme};
 use sgxbounds::SbConfig;
 use sgxs_mir::Trap;
+use sgxs_obs::document;
 use sgxs_sim::Preset;
 use sgxs_workloads::apps::apache::Heartbleed;
 use sgxs_workloads::apps::memcached::MemcachedCve2011_4971;
@@ -13,22 +14,26 @@ use sgxs_workloads::apps::nginx::NginxCve2013_2028;
 use sgxs_workloads::Workload;
 use std::fmt;
 
-/// One case-study line.
-#[derive(Debug, Clone)]
-pub struct CaseRow {
-    /// Case name.
-    pub case: &'static str,
-    /// Scheme label.
-    pub scheme: String,
-    /// What happened.
-    pub verdict: String,
+document! {
+    /// One case-study line.
+    #[derive(Debug, Clone)]
+    pub struct CaseRow {
+        /// Case name.
+        pub case: String,
+        /// Scheme label.
+        pub scheme: String,
+        /// What happened.
+        pub verdict: String,
+    }
 }
 
-/// All case results.
-#[derive(Debug, Clone)]
-pub struct Cases {
-    /// Rows.
-    pub rows: Vec<CaseRow>,
+document! {
+    /// All case results.
+    #[derive(Debug, Clone)]
+    pub struct Cases {
+        /// Rows.
+        pub rows: Vec<CaseRow>,
+    }
 }
 
 fn verdict(case: &'static str, w: &dyn Workload, scheme: Scheme, rc: &RunConfig) -> String {
@@ -81,13 +86,13 @@ pub fn run(preset: Preset, seed: u64) -> Cases {
             Scheme::SgxBounds,
         ] {
             rows.push(CaseRow {
-                case,
+                case: case.into(),
                 scheme: scheme.label().into(),
                 verdict: verdict(case, w.as_ref(), scheme, &case_rc),
             });
         }
         rows.push(CaseRow {
-            case,
+            case: case.into(),
             scheme: "sgxbounds+boundless".into(),
             verdict: verdict(case, w.as_ref(), boundless, &case_rc),
         });
@@ -95,31 +100,12 @@ pub fn run(preset: Preset, seed: u64) -> Cases {
     Cases { rows }
 }
 
-impl Cases {
-    /// Machine-readable form for `results/bench.json`.
-    pub fn to_json(&self) -> sgxs_obs::json::Json {
-        use sgxs_obs::json::Json;
-        let rows: Vec<Json> = self
-            .rows
-            .iter()
-            .map(|r| {
-                Json::obj(vec![
-                    ("case", r.case.into()),
-                    ("scheme", r.scheme.as_str().into()),
-                    ("verdict", r.verdict.as_str().into()),
-                ])
-            })
-            .collect();
-        Json::obj(vec![("rows", Json::Arr(rows))])
-    }
-}
-
 impl fmt::Display for Cases {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Section 7 security case studies")?;
         let mut t = Table::new(&["case", "scheme", "verdict"]);
         for r in &self.rows {
-            t.row(vec![r.case.into(), r.scheme.clone(), r.verdict.clone()]);
+            t.row(vec![r.case.clone(), r.scheme.clone(), r.verdict.clone()]);
         }
         write!(f, "{}", t.render())
     }

@@ -3,33 +3,52 @@
 //! early in the sweep; ASan is stable but slow and memory-hungry;
 //! SGXBounds stays within ~35% of native SGX with near-zero extra memory.
 
-use crate::report::{fmt_bytes, fmt_ratio, json_opt_f64, json_opt_u64, ratio, Table};
+use super::{hardened_runs, PerScheme};
+use crate::report::{fmt_bytes, fmt_ratio, ratio, Table};
 use crate::scheme::{run_one, RunConfig, Scheme};
-use sgxs_obs::json::Json;
+use sgxs_obs::document;
 use sgxs_sim::Preset;
 use sgxs_workloads::apps::sqlite::{Sqlite, BYTES_PER_ROW};
 use std::fmt;
 
-/// One sweep point.
-#[derive(Debug, Clone)]
-pub struct Point {
-    /// Rows in the table.
-    pub rows: u64,
-    /// Native-SGX working set estimate in bytes.
-    pub ws_bytes: u64,
-    /// Perf overhead vs native SGX per scheme (MPX, ASan, SGXBounds).
-    pub perf: [Option<f64>; 3],
-    /// Peak reserved memory per scheme, plus baseline (bytes).
-    pub mem: [Option<u64>; 3],
-    /// Baseline memory.
-    pub base_mem: u64,
+document! {
+    /// Peak reserved memory in bytes: the baseline's, and each hardened
+    /// scheme's (`None` = crash).
+    #[derive(Debug, Clone)]
+    pub struct PeakMemory {
+        /// Native SGX.
+        pub sgx: u64,
+        /// Intel MPX.
+        pub mpx: Option<u64>,
+        /// AddressSanitizer.
+        pub asan: Option<u64>,
+        /// SGXBounds.
+        pub sgxbounds: Option<u64>,
+    }
 }
 
-/// The sweep.
-#[derive(Debug, Clone)]
-pub struct Fig1 {
-    /// Sweep points (increasing working set).
-    pub points: Vec<Point>,
+document! {
+    /// One sweep point.
+    #[derive(Debug, Clone)]
+    pub struct Point {
+        /// Rows in the table.
+        pub rows: u64,
+        /// Native-SGX working set estimate in bytes.
+        pub ws_bytes: u64,
+        /// Perf overhead vs native SGX per scheme.
+        pub perf_vs_sgx: PerScheme,
+        /// Peak reserved memory.
+        pub peak_reserved_bytes: PeakMemory,
+    }
+}
+
+document! {
+    /// The sweep.
+    #[derive(Debug, Clone)]
+    pub struct Fig1 {
+        /// Sweep points (increasing working set).
+        pub points: Vec<Point>,
+    }
 }
 
 /// Runs the sweep. `steps` points, doubling row counts.
@@ -46,58 +65,25 @@ pub fn run(preset: Preset, steps: usize, seed: u64) -> Fig1 {
         let w = Sqlite::with_rows(rows);
         let base = run_one(&w, Scheme::Baseline, &rc);
         assert!(base.ok(), "sqlite baseline failed: {:?}", base.result);
-        let mut perf = [None; 3];
-        let mut mem = [None; 3];
-        for (i, scheme) in Scheme::all_hardened().into_iter().enumerate() {
-            let m = run_one(&w, scheme, &rc);
-            if m.ok() {
-                perf[i] = Some(ratio(m.wall_cycles, base.wall_cycles));
-                mem[i] = Some(m.peak_reserved);
-            }
-        }
+        let runs = hardened_runs(&w, &rc);
+        let mem = |i: usize| runs[i].as_ref().map(|m| m.peak_reserved);
         points.push(Point {
             rows,
             ws_bytes: rows * BYTES_PER_ROW,
-            perf,
-            mem,
-            base_mem: base.peak_reserved,
+            perf_vs_sgx: PerScheme::from_fn(|i| {
+                runs[i]
+                    .as_ref()
+                    .map(|m| ratio(m.wall_cycles, base.wall_cycles))
+            }),
+            peak_reserved_bytes: PeakMemory {
+                sgx: base.peak_reserved,
+                mpx: mem(0),
+                asan: mem(1),
+                sgxbounds: mem(2),
+            },
         });
     }
     Fig1 { points }
-}
-
-impl Fig1 {
-    /// Machine-readable form for `results/bench.json`.
-    pub fn to_json(&self) -> Json {
-        let points: Vec<Json> = self
-            .points
-            .iter()
-            .map(|p| {
-                Json::obj(vec![
-                    ("rows", p.rows.into()),
-                    ("ws_bytes", p.ws_bytes.into()),
-                    (
-                        "perf_vs_sgx",
-                        Json::obj(vec![
-                            ("mpx", json_opt_f64(p.perf[0])),
-                            ("asan", json_opt_f64(p.perf[1])),
-                            ("sgxbounds", json_opt_f64(p.perf[2])),
-                        ]),
-                    ),
-                    (
-                        "peak_reserved_bytes",
-                        Json::obj(vec![
-                            ("sgx", p.base_mem.into()),
-                            ("mpx", json_opt_u64(p.mem[0])),
-                            ("asan", json_opt_u64(p.mem[1])),
-                            ("sgxbounds", json_opt_u64(p.mem[2])),
-                        ]),
-                    ),
-                ])
-            })
-            .collect();
-        Json::obj(vec![("points", Json::Arr(points))])
-    }
 }
 
 impl fmt::Display for Fig1 {
@@ -106,30 +92,23 @@ impl fmt::Display for Fig1 {
             f,
             "Figure 1: SQLite speedtest with increasing working set (in-enclave)"
         )?;
-        let mut t = Table::new(&[
-            "rows",
-            "ws",
-            "perf mpx",
-            "perf asan",
-            "perf sgxbounds",
-            "mem sgx",
-            "mem mpx",
-            "mem asan",
-            "mem sgxbounds",
-        ]);
+        let mut header = vec!["rows".to_owned(), "ws".to_owned()];
+        header.extend(PerScheme::KEYS.iter().map(|k| format!("perf {k}")));
+        header.extend(
+            ["sgx"]
+                .iter()
+                .chain(PerScheme::KEYS)
+                .map(|k| format!("mem {k}")),
+        );
+        let mut t = Table::new(&header);
         for p in &self.points {
             let memcell = |m: Option<u64>| m.map(fmt_bytes).unwrap_or_else(|| "crash".into());
-            t.row(vec![
-                p.rows.to_string(),
-                fmt_bytes(p.ws_bytes),
-                fmt_ratio(p.perf[0]),
-                fmt_ratio(p.perf[1]),
-                fmt_ratio(p.perf[2]),
-                fmt_bytes(p.base_mem),
-                memcell(p.mem[0]),
-                memcell(p.mem[1]),
-                memcell(p.mem[2]),
-            ]);
+            let mem = &p.peak_reserved_bytes;
+            let mut cells = vec![p.rows.to_string(), fmt_bytes(p.ws_bytes)];
+            cells.extend(p.perf_vs_sgx.cells().into_iter().map(fmt_ratio));
+            cells.push(fmt_bytes(mem.sgx));
+            cells.extend([mem.mpx, mem.asan, mem.sgxbounds].map(memcell));
+            t.row(cells);
         }
         write!(f, "{}", t.render())
     }

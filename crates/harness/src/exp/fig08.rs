@@ -2,9 +2,10 @@
 //! (XS–XL), normalized against SGXBounds, plus the hardware-counter table
 //! (LLC misses, page faults, bounds-table counts).
 
+use super::columns;
 use crate::report::{fmt_bytes, fmt_ratio, ratio, Table};
 use crate::scheme::{run_one, Measured, RunConfig, Scheme};
-use sgxs_obs::json::Json;
+use sgxs_obs::document;
 use sgxs_sim::Preset;
 use sgxs_workloads::SizeClass;
 use std::fmt;
@@ -17,56 +18,76 @@ pub const BENCHMARKS: [&str; 4] = [
     "linear_regression",
 ];
 
-/// One (benchmark, size) cell.
-#[derive(Debug, Clone)]
-pub struct Cell {
-    /// Size class.
-    pub size: SizeClass,
-    /// Baseline (native SGX) committed working set.
-    pub ws_bytes: u64,
-    /// Overheads vs SGXBounds: [sgx, mpx, asan].
-    pub vs_sgxbounds: [Option<f64>; 3],
-    /// Counters for Table 3.
-    pub sgxb: CounterSet,
-    /// ASan counters.
-    pub asan: Option<CounterSet>,
-    /// MPX counters (+ BT count).
-    pub mpx: Option<CounterSet>,
-}
-
-/// Hardware counters of one run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CounterSet {
-    /// LLC miss percentage.
-    pub llc_pct: f64,
-    /// EPC page faults.
-    pub faults: u64,
-    /// MPX bounds tables (0 elsewhere).
-    pub bts: usize,
-}
-
-fn counters(m: &Measured) -> CounterSet {
-    CounterSet {
-        llc_pct: m.stats.llc_miss_pct(),
-        faults: m.stats.epc_faults,
-        bts: m.mpx_bts,
+columns! {
+    /// Overheads of one cell relative to SGXBounds.
+    pub struct VsSgxBounds {
+        /// Native SGX.
+        sgx,
+        /// Intel MPX.
+        mpx,
+        /// AddressSanitizer.
+        asan,
     }
 }
 
-/// One benchmark's sweep.
-#[derive(Debug, Clone)]
-pub struct Sweep {
-    /// Benchmark name.
-    pub name: String,
-    /// XS..XL cells.
-    pub cells: Vec<Cell>,
+document! {
+    /// Hardware counters of one run (Table 3's raw data).
+    #[derive(Debug, Clone, Copy)]
+    pub struct Counters {
+        /// LLC miss percentage.
+        pub llc_miss_pct: f64,
+        /// EPC page faults.
+        pub epc_faults: u64,
+        /// MPX bounds tables (0 elsewhere).
+        pub bounds_tables: usize,
+    }
 }
 
-/// The experiment result.
-#[derive(Debug, Clone)]
-pub struct Fig8 {
-    /// Sweeps per benchmark.
-    pub sweeps: Vec<Sweep>,
+fn counters(m: &Measured) -> Counters {
+    Counters {
+        llc_miss_pct: m.stats.llc_miss_pct(),
+        epc_faults: m.stats.epc_faults,
+        bounds_tables: m.mpx_bts,
+    }
+}
+
+document! {
+    /// One (benchmark, size) cell; a `None` counter set is a crash.
+    #[derive(Debug, Clone)]
+    pub struct Cell {
+        /// Size class (`XS`..`XL`).
+        pub size: String,
+        /// Baseline (native SGX) committed working set.
+        pub ws_bytes: u64,
+        /// Overheads vs SGXBounds.
+        pub vs_sgxbounds: VsSgxBounds,
+        /// SGXBounds counters.
+        pub counters_sgxbounds: Counters,
+        /// ASan counters.
+        pub counters_asan: Option<Counters>,
+        /// MPX counters (+ BT count).
+        pub counters_mpx: Option<Counters>,
+    }
+}
+
+document! {
+    /// One benchmark's sweep.
+    #[derive(Debug, Clone)]
+    pub struct Sweep {
+        /// Benchmark name.
+        pub benchmark: String,
+        /// XS..XL cells.
+        pub cells: Vec<Cell>,
+    }
+}
+
+document! {
+    /// The experiment result (covers Table 3's counters too).
+    #[derive(Debug, Clone)]
+    pub struct Fig8 {
+        /// Sweeps per benchmark.
+        pub sweeps: Vec<Sweep>,
+    }
 }
 
 /// Runs the sweep over `sizes`.
@@ -85,76 +106,29 @@ pub fn run(preset: Preset, sizes: &[SizeClass], seed: u64) -> Fig8 {
             let base = run_one(w.as_ref(), Scheme::Baseline, &rc);
             let asan = run_one(w.as_ref(), Scheme::Asan, &rc);
             let mpx = run_one(w.as_ref(), Scheme::Mpx, &rc);
+            let vs = |m: &Measured| m.ok().then(|| ratio(m.wall_cycles, sgxb.wall_cycles));
             cells.push(Cell {
-                size,
+                size: format!("{size:?}"),
                 ws_bytes: base.peak_committed,
-                vs_sgxbounds: [
-                    base.ok().then(|| ratio(base.wall_cycles, sgxb.wall_cycles)),
-                    mpx.ok().then(|| ratio(mpx.wall_cycles, sgxb.wall_cycles)),
-                    asan.ok().then(|| ratio(asan.wall_cycles, sgxb.wall_cycles)),
-                ],
-                sgxb: counters(&sgxb),
-                asan: asan.ok().then(|| counters(&asan)),
-                mpx: mpx.ok().then(|| counters(&mpx)),
+                vs_sgxbounds: VsSgxBounds {
+                    sgx: vs(&base),
+                    mpx: vs(&mpx),
+                    asan: vs(&asan),
+                },
+                counters_sgxbounds: counters(&sgxb),
+                counters_asan: asan.ok().then(|| counters(&asan)),
+                counters_mpx: mpx.ok().then(|| counters(&mpx)),
             });
         }
         sweeps.push(Sweep {
-            name: name.to_owned(),
+            benchmark: name.to_owned(),
             cells,
         });
     }
     Fig8 { sweeps }
 }
 
-fn counter_json(cs: &CounterSet) -> Json {
-    Json::obj(vec![
-        ("llc_miss_pct", cs.llc_pct.into()),
-        ("epc_faults", cs.faults.into()),
-        ("bounds_tables", cs.bts.into()),
-    ])
-}
-
 impl Fig8 {
-    /// Machine-readable form for `results/bench.json` (covers Table 3's
-    /// counters too).
-    pub fn to_json(&self) -> Json {
-        let sweeps: Vec<Json> = self
-            .sweeps
-            .iter()
-            .map(|s| {
-                let cells: Vec<Json> = s
-                    .cells
-                    .iter()
-                    .map(|c| {
-                        let opt = |x: &Option<CounterSet>| {
-                            x.as_ref().map(counter_json).unwrap_or(Json::Null)
-                        };
-                        Json::obj(vec![
-                            ("size", format!("{:?}", c.size).into()),
-                            ("ws_bytes", c.ws_bytes.into()),
-                            (
-                                "vs_sgxbounds",
-                                Json::obj(vec![
-                                    ("sgx", crate::report::json_opt_f64(c.vs_sgxbounds[0])),
-                                    ("mpx", crate::report::json_opt_f64(c.vs_sgxbounds[1])),
-                                    ("asan", crate::report::json_opt_f64(c.vs_sgxbounds[2])),
-                                ]),
-                            ),
-                            ("counters_sgxbounds", counter_json(&c.sgxb)),
-                            ("counters_asan", opt(&c.asan)),
-                            ("counters_mpx", opt(&c.mpx)),
-                        ])
-                    })
-                    .collect();
-                Json::obj(vec![
-                    ("benchmark", s.name.as_str().into()),
-                    ("cells", Json::Arr(cells)),
-                ])
-            })
-            .collect();
-        Json::obj(vec![("sweeps", Json::Arr(sweeps))])
-    }
-
     /// Renders Table 3 (counters for kmeans and matrixmul).
     pub fn table3(&self) -> String {
         let mut out =
@@ -169,33 +143,34 @@ impl Fig8 {
             "# BTs",
         ]);
         for sweep in &self.sweeps {
-            if sweep.name != "kmeans" && sweep.name != "matrix_multiply" {
+            if sweep.benchmark != "kmeans" && sweep.benchmark != "matrix_multiply" {
                 continue;
             }
             for c in &sweep.cells {
-                let d = |x: Option<CounterSet>| {
-                    x.map(|cs| format!("{:+.1}", cs.llc_pct - c.sgxb.llc_pct))
+                let sgxb = &c.counters_sgxbounds;
+                let d = |x: Option<Counters>| {
+                    x.map(|cs| format!("{:+.1}", cs.llc_miss_pct - sgxb.llc_miss_pct))
                         .unwrap_or_else(|| "crash".into())
                 };
-                let fx = |x: Option<CounterSet>| {
+                let fx = |x: Option<Counters>| {
                     x.map(|cs| {
-                        if c.sgxb.faults == 0 {
-                            format!("{}", cs.faults)
+                        if sgxb.epc_faults == 0 {
+                            format!("{}", cs.epc_faults)
                         } else {
-                            format!("{:.1}", cs.faults as f64 / c.sgxb.faults as f64)
+                            format!("{:.1}", cs.epc_faults as f64 / sgxb.epc_faults as f64)
                         }
                     })
                     .unwrap_or_else(|| "crash".into())
                 };
                 t.row(vec![
-                    format!("{} {:?}", sweep.name, c.size),
+                    format!("{} {}", sweep.benchmark, c.size),
                     fmt_bytes(c.ws_bytes),
-                    d(c.asan),
-                    d(c.mpx),
-                    fx(c.asan),
-                    fx(c.mpx),
-                    c.mpx
-                        .map(|m| m.bts.to_string())
+                    d(c.counters_asan),
+                    d(c.counters_mpx),
+                    fx(c.counters_asan),
+                    fx(c.counters_mpx),
+                    c.counters_mpx
+                        .map(|m| m.bounds_tables.to_string())
                         .unwrap_or_else(|| "crash".into()),
                 ]);
             }
@@ -214,13 +189,12 @@ impl fmt::Display for Fig8 {
         let mut t = Table::new(&["bench/size", "ws", "sgx", "mpx", "asan"]);
         for sweep in &self.sweeps {
             for c in &sweep.cells {
-                t.row(vec![
-                    format!("{} {:?}", sweep.name, c.size),
+                let mut cells = vec![
+                    format!("{} {}", sweep.benchmark, c.size),
                     fmt_bytes(c.ws_bytes),
-                    fmt_ratio(c.vs_sgxbounds[0]),
-                    fmt_ratio(c.vs_sgxbounds[1]),
-                    fmt_ratio(c.vs_sgxbounds[2]),
-                ]);
+                ];
+                cells.extend(c.vs_sgxbounds.cells().into_iter().map(fmt_ratio));
+                t.row(cells);
             }
         }
         write!(f, "{}", t.render())

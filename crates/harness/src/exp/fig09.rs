@@ -2,36 +2,54 @@
 //! SGXBounds is synchronization-free (§4.1), so its overhead must not grow
 //! with thread count.
 
-use super::Effort;
-use crate::report::{fmt_ratio, geomean, json_opt_f64, ratio, Table};
+use super::{columns, Effort};
+use crate::report::{ratio, ratio_row, Table};
 use crate::scheme::{run_one, RunConfig, Scheme};
-use sgxs_obs::json::Json;
+use sgxs_obs::document;
 use sgxs_sim::Preset;
 use std::fmt;
 
-/// One benchmark's overheads at both thread counts, in the order
-/// `asan@1t, asan@4t, sgxbounds@1t, sgxbounds@4t`.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Benchmark.
-    pub name: String,
-    /// Overheads.
-    pub over: [Option<f64>; 4],
+columns! {
+    /// Overheads over native SGX per scheme and thread count.
+    pub struct Threads {
+        /// ASan, 1 thread.
+        asan_1t,
+        /// ASan, 4 threads.
+        asan_4t,
+        /// SGXBounds, 1 thread.
+        sgxbounds_1t,
+        /// SGXBounds, 4 threads.
+        sgxbounds_4t,
+    }
 }
 
-/// The experiment result.
-#[derive(Debug, Clone)]
-pub struct Fig9 {
-    /// Rows.
-    pub rows: Vec<Row>,
-    /// Geometric means in the same order.
-    pub gmean: [Option<f64>; 4],
+document! {
+    /// One benchmark's overheads at both thread counts.
+    #[derive(Debug, Clone)]
+    pub struct Row {
+        /// Benchmark.
+        pub benchmark: String,
+        /// Overheads.
+        pub over: Threads,
+    }
+}
+
+document! {
+    /// The experiment result.
+    #[derive(Debug, Clone)]
+    pub struct Fig9 {
+        /// Rows.
+        pub rows: Vec<Row>,
+        /// Geometric means.
+        pub gmean: Threads,
+    }
 }
 
 /// Runs the experiment.
 pub fn run(preset: Preset, effort: Effort, seed: u64) -> Fig9 {
     let mut rows = Vec::new();
     for w in sgxs_workloads::phoenix_parsec() {
+        // In `Threads` column order: scheme-major, then thread count.
         let mut over = [None; 4];
         for (ti, threads) in [1u32, 4].into_iter().enumerate() {
             let mut rc = RunConfig::new(preset);
@@ -48,37 +66,13 @@ pub fn run(preset: Preset, effort: Effort, seed: u64) -> Fig9 {
             }
         }
         rows.push(Row {
-            name: w.name().to_owned(),
-            over,
+            benchmark: w.name().to_owned(),
+            over: Threads::from_fn(|i| over[i]),
         });
     }
-    let gmean = [0, 1, 2, 3].map(|i| geomean(rows.iter().filter_map(|r| r.over[i])));
-    Fig9 { rows, gmean }
-}
-
-fn quad(vals: [Option<f64>; 4]) -> Json {
-    Json::obj(vec![
-        ("asan_1t", json_opt_f64(vals[0])),
-        ("asan_4t", json_opt_f64(vals[1])),
-        ("sgxbounds_1t", json_opt_f64(vals[2])),
-        ("sgxbounds_4t", json_opt_f64(vals[3])),
-    ])
-}
-
-impl Fig9 {
-    /// Machine-readable form for `results/bench.json`.
-    pub fn to_json(&self) -> Json {
-        let rows: Vec<Json> = self
-            .rows
-            .iter()
-            .map(|r| {
-                Json::obj(vec![
-                    ("benchmark", r.name.as_str().into()),
-                    ("over", quad(r.over)),
-                ])
-            })
-            .collect();
-        Json::obj(vec![("rows", Json::Arr(rows)), ("gmean", quad(self.gmean))])
+    Fig9 {
+        gmean: Threads::gmeans(rows.iter().map(|r| &r.over)),
+        rows,
     }
 }
 
@@ -88,29 +82,12 @@ impl fmt::Display for Fig9 {
             f,
             "Figure 9: overheads over native SGX with 1 and 4 threads"
         )?;
-        let mut t = Table::new(&[
-            "benchmark",
-            "asan 1t",
-            "asan 4t",
-            "sgxbounds 1t",
-            "sgxbounds 4t",
-        ]);
+        let header = ["benchmark"].iter().chain(Threads::KEYS);
+        let mut t = Table::new(&header.map(|k| k.replace('_', " ")).collect::<Vec<_>>());
         for r in &self.rows {
-            t.row(vec![
-                r.name.clone(),
-                fmt_ratio(r.over[0]),
-                fmt_ratio(r.over[1]),
-                fmt_ratio(r.over[2]),
-                fmt_ratio(r.over[3]),
-            ]);
+            t.row(ratio_row(&r.benchmark, r.over.cells()));
         }
-        t.row(vec![
-            "gmean".into(),
-            fmt_ratio(self.gmean[0]),
-            fmt_ratio(self.gmean[1]),
-            fmt_ratio(self.gmean[2]),
-            fmt_ratio(self.gmean[3]),
-        ]);
+        t.row(ratio_row("gmean", self.gmean.cells()));
         write!(f, "{}", t.render())
     }
 }

@@ -3,77 +3,83 @@
 //! elision (paper §4.4, §6.5; the `flow` column is this repo's
 //! dataflow-tier extension).
 
-use super::Effort;
-use crate::report::{fmt_ratio, geomean, json_opt_f64, ratio, Table};
+use super::{columns, Effort};
+use crate::report::{ratio, ratio_row, Table};
 use crate::scheme::{run_one, run_one_obs, RunConfig, Scheme};
 use sgxbounds::SbConfig;
-use sgxs_obs::json::Json;
+use sgxs_obs::document;
 use sgxs_sim::obs::TraceRecorder;
 use sgxs_sim::Preset;
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-/// Number of ablation variants (columns).
-pub const NVARIANTS: usize = 5;
-
-/// Ablation configurations in column order.
-pub fn variants() -> [(&'static str, SbConfig); NVARIANTS] {
+/// Ablation configurations in [`Variants`] column order.
+fn variants() -> [SbConfig; 5] {
     let off = SbConfig {
         safe_access_opt: false,
         hoist_opt: false,
-        boundless: false,
-        narrow_bounds: false,
-        site_markers: false,
-        flow_elide: false,
+        ..SbConfig::default()
     };
     [
-        ("none", off),
-        (
-            "safe",
-            SbConfig {
-                safe_access_opt: true,
-                ..off
-            },
-        ),
-        (
-            "hoist",
-            SbConfig {
-                hoist_opt: true,
-                ..off
-            },
-        ),
-        ("both", SbConfig::default()),
-        (
-            "flow",
-            SbConfig {
-                flow_elide: true,
-                ..SbConfig::default()
-            },
-        ),
+        off,
+        SbConfig {
+            safe_access_opt: true,
+            ..off
+        },
+        SbConfig {
+            hoist_opt: true,
+            ..off
+        },
+        SbConfig::default(),
+        SbConfig {
+            flow_elide: true,
+            ..SbConfig::default()
+        },
     ]
 }
 
-/// One benchmark row: overhead vs native SGX and dynamic check count per
-/// variant.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Benchmark name.
-    pub name: String,
-    /// Overheads (none, safe, hoist, both, flow).
-    pub over: [Option<f64>; NVARIANTS],
-    /// Dynamic bounds checks executed (site kinds other than `sb_safe`),
-    /// from a separate profiled run so the timing runs stay unperturbed.
-    pub checks: [Option<u64>; NVARIANTS],
+columns! {
+    /// One value per ablation variant.
+    pub struct Variants {
+        /// No optimizations.
+        none,
+        /// Safe-access elision only.
+        safe,
+        /// Loop check hoisting only.
+        hoist,
+        /// Both (the paper's "all").
+        both,
+        /// Both plus flow-sensitive elision.
+        flow,
+    }
 }
 
-/// The experiment result.
-#[derive(Debug, Clone)]
-pub struct Fig10 {
-    /// Rows.
-    pub rows: Vec<Row>,
-    /// Geometric means per variant.
-    pub gmean: [Option<f64>; NVARIANTS],
+document! {
+    /// One benchmark row: overhead vs native SGX and dynamic check count
+    /// per variant.
+    #[derive(Debug, Clone)]
+    pub struct Row {
+        /// Benchmark name.
+        pub benchmark: String,
+        /// Overheads.
+        pub over: Variants,
+        /// Dynamic bounds checks executed (site kinds other than
+        /// `sb_safe`), from a separate profiled run so the timing runs
+        /// stay unperturbed.
+        pub checks: Variants,
+    }
+}
+
+document! {
+    /// The experiment result.
+    #[derive(Debug, Clone)]
+    pub struct Fig10 {
+        /// Rows.
+        pub rows: Vec<Row>,
+        /// Geometric means per variant.
+        pub gmean: Variants,
+    }
 }
 
 /// Counts dynamic check executions for one (workload, config): the sum of
@@ -107,67 +113,20 @@ pub fn run(preset: Preset, effort: Effort, seed: u64) -> Fig10 {
     for w in sgxs_workloads::phoenix_parsec() {
         let base = run_one(w.as_ref(), Scheme::Baseline, &rc);
         assert!(base.ok(), "{} baseline failed", w.name());
-        let mut over = [None; NVARIANTS];
-        let mut checks = [None; NVARIANTS];
-        for (i, (_, cfg)) in variants().into_iter().enumerate() {
+        let runs = variants().map(|cfg| {
             let m = run_one(w.as_ref(), Scheme::SgxBoundsCustom(cfg), &rc);
-            if m.ok() {
-                over[i] = Some(ratio(m.wall_cycles, base.wall_cycles));
-            }
-            checks[i] = count_checks(w.as_ref(), cfg, &rc);
-        }
+            let over = m.ok().then(|| ratio(m.wall_cycles, base.wall_cycles));
+            (over, count_checks(w.as_ref(), cfg, &rc))
+        });
         rows.push(Row {
-            name: w.name().to_owned(),
-            over,
-            checks,
+            benchmark: w.name().to_owned(),
+            over: Variants::from_fn(|i| runs[i].0),
+            checks: Variants::from_fn(|i| runs[i].1.map(|c| c as f64)),
         });
     }
-    let gmean = [0, 1, 2, 3, 4].map(|i| geomean(rows.iter().filter_map(|r| r.over[i])));
-    Fig10 { rows, gmean }
-}
-
-fn names() -> [&'static str; NVARIANTS] {
-    variants().map(|(n, _)| n)
-}
-
-fn variant_obj(vals: [Option<f64>; NVARIANTS]) -> Json {
-    Json::obj(
-        names()
-            .into_iter()
-            .zip(vals)
-            .map(|(n, v)| (n, json_opt_f64(v)))
-            .collect(),
-    )
-}
-
-fn checks_obj(vals: [Option<u64>; NVARIANTS]) -> Json {
-    Json::obj(
-        names()
-            .into_iter()
-            .zip(vals)
-            .map(|(n, v)| (n, json_opt_f64(v.map(|c| c as f64))))
-            .collect(),
-    )
-}
-
-impl Fig10 {
-    /// Machine-readable form for `results/bench.json`.
-    pub fn to_json(&self) -> Json {
-        let rows: Vec<Json> = self
-            .rows
-            .iter()
-            .map(|r| {
-                Json::obj(vec![
-                    ("benchmark", r.name.as_str().into()),
-                    ("over", variant_obj(r.over)),
-                    ("checks", checks_obj(r.checks)),
-                ])
-            })
-            .collect();
-        Json::obj(vec![
-            ("rows", Json::Arr(rows)),
-            ("gmean", variant_obj(self.gmean)),
-        ])
+    Fig10 {
+        gmean: Variants::gmeans(rows.iter().map(|r| &r.over)),
+        rows,
     }
 }
 
@@ -177,24 +136,23 @@ impl fmt::Display for Fig10 {
             f,
             "Figure 10: SGXBounds overhead by optimization level (8 threads)"
         )?;
-        let mut header = vec!["benchmark"];
-        header.extend(names());
-        header.push("checks(both)");
-        header.push("checks(flow)");
-        let mut t = Table::new(&header);
-        let fmt_checks = |c: Option<u64>| c.map(|v| v.to_string()).unwrap_or_else(|| "-".into());
+        let mut t = Table::new(
+            &[
+                &["benchmark"],
+                Variants::KEYS,
+                &["checks(both)", "checks(flow)"],
+            ]
+            .concat(),
+        );
+        // Check counts are whole numbers, which `f64` prints without a
+        // fraction.
+        let fmt_checks = |c: Option<f64>| c.map(|v| v.to_string()).unwrap_or_else(|| "-".into());
         for r in &self.rows {
-            let mut cells = vec![r.name.clone()];
-            cells.extend(r.over.iter().map(|o| fmt_ratio(*o)));
-            cells.push(fmt_checks(r.checks[3]));
-            cells.push(fmt_checks(r.checks[4]));
-            t.row(cells);
+            let checks = [r.checks.both, r.checks.flow].map(fmt_checks);
+            t.row([ratio_row(&r.benchmark, r.over.cells()), checks.into()].concat());
         }
-        let mut cells = vec!["gmean".to_owned()];
-        cells.extend(self.gmean.iter().map(|o| fmt_ratio(*o)));
-        cells.push("-".into());
-        cells.push("-".into());
-        t.row(cells);
+        let gmean = ratio_row("gmean", self.gmean.cells());
+        t.row([gmean, vec!["-".into(), "-".into()]].concat());
         write!(f, "{}", t.render())
     }
 }

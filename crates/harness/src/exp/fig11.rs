@@ -1,147 +1,15 @@
 //! Figure 11: SPEC CPU2006 inside the enclave — performance and memory
 //! overheads over native SGX. MPX fails astar, mcf, and xalancbmk.
 
+use super::overheads::{self, Overheads};
 use super::Effort;
-use crate::report::{fmt_ratio, geomean, json_scheme_triple, ratio, Table};
-use crate::scheme::{run_one, RunConfig, Scheme};
-use sgxs_obs::json::Json;
 use sgxs_sim::{Mode, Preset};
-use std::fmt;
 
-/// One benchmark's overheads; order: MPX, ASan, SGXBounds.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Benchmark name.
-    pub name: String,
-    /// Performance overheads.
-    pub perf: [Option<f64>; 3],
-    /// Memory overheads.
-    pub mem: [Option<f64>; 3],
-}
-
-/// The figure.
-#[derive(Debug, Clone)]
-pub struct SpecFig {
-    /// Caption line.
-    pub caption: &'static str,
-    /// Rows.
-    pub rows: Vec<Row>,
-    /// Perf geometric means.
-    pub gmean_perf: [Option<f64>; 3],
-    /// Memory geometric means.
-    pub gmean_mem: [Option<f64>; 3],
-}
-
-/// Runs SPEC under the given execution mode (Enclave = Fig. 11, Native =
-/// Fig. 12).
-pub fn run_spec(
-    preset: Preset,
-    effort: Effort,
-    mode: Mode,
-    caption: &'static str,
-    seed: u64,
-) -> SpecFig {
-    let mut rc = RunConfig::new(preset);
-    rc.mode = mode;
-    rc.params.size = effort.size();
-    rc.params.threads = 1; // SPEC is single-threaded.
-    rc.params.seed = seed;
-    let mut rows = Vec::new();
-    for w in sgxs_workloads::spec::all() {
-        let base = run_one(w.as_ref(), Scheme::Baseline, &rc);
-        assert!(base.ok(), "{} baseline failed: {:?}", w.name(), base.result);
-        let mut perf = [None; 3];
-        let mut mem = [None; 3];
-        for (i, s) in Scheme::all_hardened().into_iter().enumerate() {
-            let m = run_one(w.as_ref(), s, &rc);
-            if m.ok() {
-                perf[i] = Some(ratio(m.wall_cycles, base.wall_cycles));
-                mem[i] = Some(ratio(m.peak_reserved, base.peak_reserved));
-            }
-        }
-        rows.push(Row {
-            name: w.name().to_owned(),
-            perf,
-            mem,
-        });
-    }
-    let col = |get: &dyn Fn(&Row) -> [Option<f64>; 3], i: usize| {
-        geomean(rows.iter().filter_map(|r| get(r)[i]))
-    };
-    SpecFig {
-        caption,
-        gmean_perf: [0, 1, 2].map(|i| col(&|r| r.perf, i)),
-        gmean_mem: [0, 1, 2].map(|i| col(&|r| r.mem, i)),
-        rows,
-    }
-}
-
-/// Figure 11: in-enclave SPEC.
-pub fn run(preset: Preset, effort: Effort, seed: u64) -> SpecFig {
-    run_spec(
-        preset,
-        effort,
-        Mode::Enclave,
-        "Figure 11: SPEC inside the enclave — overheads over native SGX",
-        seed,
-    )
-}
-
-impl SpecFig {
-    /// Machine-readable form for `results/bench.json`.
-    pub fn to_json(&self) -> Json {
-        let rows: Vec<Json> = self
-            .rows
-            .iter()
-            .map(|r| {
-                Json::obj(vec![
-                    ("benchmark", r.name.as_str().into()),
-                    ("perf", json_scheme_triple(r.perf)),
-                    ("mem", json_scheme_triple(r.mem)),
-                ])
-            })
-            .collect();
-        Json::obj(vec![
-            ("caption", self.caption.into()),
-            ("rows", Json::Arr(rows)),
-            ("gmean_perf", json_scheme_triple(self.gmean_perf)),
-            ("gmean_mem", json_scheme_triple(self.gmean_mem)),
-        ])
-    }
-}
-
-impl fmt::Display for SpecFig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{}", self.caption)?;
-        let mut t = Table::new(&[
-            "benchmark",
-            "perf mpx",
-            "perf asan",
-            "perf sgxbounds",
-            "mem mpx",
-            "mem asan",
-            "mem sgxbounds",
-        ]);
-        for r in &self.rows {
-            t.row(vec![
-                r.name.clone(),
-                fmt_ratio(r.perf[0]),
-                fmt_ratio(r.perf[1]),
-                fmt_ratio(r.perf[2]),
-                fmt_ratio(r.mem[0]),
-                fmt_ratio(r.mem[1]),
-                fmt_ratio(r.mem[2]),
-            ]);
-        }
-        t.row(vec![
-            "gmean".into(),
-            fmt_ratio(self.gmean_perf[0]),
-            fmt_ratio(self.gmean_perf[1]),
-            fmt_ratio(self.gmean_perf[2]),
-            fmt_ratio(self.gmean_mem[0]),
-            fmt_ratio(self.gmean_mem[1]),
-            fmt_ratio(self.gmean_mem[2]),
-        ]);
-        write!(f, "{}", t.render())
+/// Runs SPEC (single-threaded) in the enclave.
+pub fn run(preset: Preset, effort: Effort, seed: u64) -> Overheads {
+    let workloads = sgxs_workloads::spec::all();
+    Overheads {
+        caption: Some("Figure 11: SPEC inside the enclave — overheads over native SGX".into()),
+        ..overheads::run(preset, effort, workloads, Mode::Enclave, 1, seed)
     }
 }

@@ -3,17 +3,17 @@
 //! arithmetic costs more than ASan's cached shadow loads (paper §6.7:
 //! 55% vs 38%).
 
-use super::fig11::{run_spec, SpecFig};
+use super::overheads::{self, Overheads};
 use super::Effort;
 use sgxs_sim::{Mode, Preset};
 
-/// Runs SPEC in native (non-enclave) mode.
-pub fn run(preset: Preset, effort: Effort, seed: u64) -> SpecFig {
-    run_spec(
-        preset,
-        effort,
-        Mode::Native,
-        "Figure 12: SPEC outside the enclave — overheads over native execution",
-        seed,
-    )
+/// Runs SPEC (single-threaded) in native (non-enclave) mode.
+pub fn run(preset: Preset, effort: Effort, seed: u64) -> Overheads {
+    let workloads = sgxs_workloads::spec::all();
+    Overheads {
+        caption: Some(
+            "Figure 12: SPEC outside the enclave — overheads over native execution".into(),
+        ),
+        ..overheads::run(preset, effort, workloads, Mode::Native, 1, seed)
+    }
 }

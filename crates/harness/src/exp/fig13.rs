@@ -1,43 +1,50 @@
 //! Figure 13: case-study servers — throughput/latency across client
 //! concurrency plus the peak-memory table (Memcached, Apache, Nginx).
 
-use crate::report::{fmt_bytes, json_opt_f64, json_opt_u64, Table};
+use crate::report::{fmt_bytes, Table};
 use crate::scheme::{run_one, RunConfig, Scheme};
-use sgxs_obs::json::Json;
+use sgxs_obs::document;
 use sgxs_sim::{Mode, Preset};
 use sgxs_workloads::apps::{apache::Apache, memcached::Memcached, nginx::Nginx};
 use sgxs_workloads::Workload;
 use std::fmt;
 
-/// One (app, clients, scheme) measurement.
-#[derive(Debug, Clone)]
-pub struct Sample {
-    /// Client concurrency.
-    pub clients: u32,
-    /// Scheme label ("native" is non-enclave baseline).
-    pub scheme: &'static str,
-    /// Requests per million cycles (throughput).
-    pub throughput: Option<f64>,
-    /// Mean cycles per request times concurrency (closed-loop latency).
-    pub latency: Option<f64>,
-    /// Peak reserved memory.
-    pub peak_mem: Option<u64>,
+document! {
+    /// One (app, clients, scheme) measurement; `None` is a crash.
+    #[derive(Debug, Clone)]
+    pub struct Sample {
+        /// Client concurrency.
+        pub clients: u32,
+        /// Scheme label ("native" is the non-enclave baseline).
+        pub scheme: String,
+        /// Requests per million cycles (throughput).
+        pub throughput_req_per_mcycle: Option<f64>,
+        /// Mean cycles per request times concurrency (closed-loop
+        /// latency).
+        pub latency_cycles: Option<f64>,
+        /// Peak reserved memory.
+        pub peak_reserved_bytes: Option<u64>,
+    }
 }
 
-/// One application's curves.
-#[derive(Debug, Clone)]
-pub struct AppCurves {
-    /// Application name.
-    pub name: String,
-    /// All samples.
-    pub samples: Vec<Sample>,
+document! {
+    /// One application's curves.
+    #[derive(Debug, Clone)]
+    pub struct AppCurves {
+        /// Application name.
+        pub app: String,
+        /// All samples.
+        pub samples: Vec<Sample>,
+    }
 }
 
-/// The full figure.
-#[derive(Debug, Clone)]
-pub struct Fig13 {
-    /// Per-application curves.
-    pub apps: Vec<AppCurves>,
+document! {
+    /// The full figure.
+    #[derive(Debug, Clone)]
+    pub struct Fig13 {
+        /// Per-application curves.
+        pub apps: Vec<AppCurves>,
+    }
 }
 
 fn build_app(name: &str, clients: u32, requests: u64) -> Box<dyn Workload> {
@@ -69,36 +76,28 @@ pub fn run(preset: Preset, client_steps: &[u32], req_per_client: u64, seed: u64)
             let w = build_app(name, clients, requests);
             // Five variants: native (non-enclave), SGX baseline, and the
             // three hardened enclave runs.
-            let mut variants: Vec<(&'static str, Scheme, Mode)> = vec![
+            let hardened = Scheme::all_hardened().map(|s| (s.label(), s, Mode::Enclave));
+            let baselines = [
                 ("native", Scheme::Baseline, Mode::Native),
                 ("sgx", Scheme::Baseline, Mode::Enclave),
             ];
-            for s in Scheme::all_hardened() {
-                variants.push((s.label(), s, Mode::Enclave));
-            }
-            for (label, scheme, mode) in variants {
+            for (label, scheme, mode) in baselines.into_iter().chain(hardened) {
                 let mut rc = RunConfig::new(preset);
                 rc.mode = mode;
                 rc.params.seed = seed;
                 let m = run_one(w.as_ref(), scheme, &rc);
-                let (tp, lat) = if m.ok() && m.wall_cycles > 0 {
-                    let tp = requests as f64 / (m.wall_cycles as f64 / 1_000_000.0);
-                    let lat = m.wall_cycles as f64 * clients as f64 / requests as f64;
-                    (Some(tp), Some(lat))
-                } else {
-                    (None, None)
-                };
+                let cycles = (m.ok() && m.wall_cycles > 0).then_some(m.wall_cycles as f64);
                 samples.push(Sample {
                     clients,
-                    scheme: label,
-                    throughput: tp,
-                    latency: lat,
-                    peak_mem: m.ok().then_some(m.peak_reserved),
+                    scheme: label.to_owned(),
+                    throughput_req_per_mcycle: cycles.map(|c| requests as f64 / (c / 1_000_000.0)),
+                    latency_cycles: cycles.map(|c| c * clients as f64 / requests as f64),
+                    peak_reserved_bytes: m.ok().then_some(m.peak_reserved),
                 });
             }
         }
         apps.push(AppCurves {
-            name: name.to_owned(),
+            app: name.to_owned(),
             samples,
         });
     }
@@ -106,34 +105,6 @@ pub fn run(preset: Preset, client_steps: &[u32], req_per_client: u64, seed: u64)
 }
 
 impl Fig13 {
-    /// Machine-readable form for `results/bench.json`.
-    pub fn to_json(&self) -> Json {
-        let apps: Vec<Json> = self
-            .apps
-            .iter()
-            .map(|app| {
-                let samples: Vec<Json> = app
-                    .samples
-                    .iter()
-                    .map(|s| {
-                        Json::obj(vec![
-                            ("clients", s.clients.into()),
-                            ("scheme", s.scheme.into()),
-                            ("throughput_req_per_mcycle", json_opt_f64(s.throughput)),
-                            ("latency_cycles", json_opt_f64(s.latency)),
-                            ("peak_reserved_bytes", json_opt_u64(s.peak_mem)),
-                        ])
-                    })
-                    .collect();
-                Json::obj(vec![
-                    ("app", app.name.as_str().into()),
-                    ("samples", Json::Arr(samples)),
-                ])
-            })
-            .collect();
-        Json::obj(vec![("apps", Json::Arr(apps))])
-    }
-
     /// Peak memory table at the highest client count (the paper's
     /// "memory usage for peak throughput" table).
     pub fn memory_table(&self) -> String {
@@ -146,7 +117,7 @@ impl Fig13 {
                     .samples
                     .iter()
                     .find(|s| s.clients == max_clients && s.scheme == scheme)
-                    .and_then(|s| s.peak_mem)
+                    .and_then(|s| s.peak_reserved_bytes)
                     .map(fmt_bytes)
                     .unwrap_or_else(|| "crash".into());
                 cells.push(cell);
@@ -164,16 +135,16 @@ impl fmt::Display for Fig13 {
             "Figure 13: throughput (req/Mcycle) and latency (cycles) by concurrency"
         )?;
         for app in &self.apps {
-            writeln!(f, "\n[{}]", app.name)?;
+            writeln!(f, "\n[{}]", app.app)?;
             let mut t = Table::new(&["clients", "scheme", "throughput", "latency"]);
             for s in &app.samples {
                 t.row(vec![
                     s.clients.to_string(),
-                    s.scheme.to_owned(),
-                    s.throughput
+                    s.scheme.clone(),
+                    s.throughput_req_per_mcycle
                         .map(|v| format!("{v:.2}"))
                         .unwrap_or_else(|| "crash".into()),
-                    s.latency
+                    s.latency_cycles
                         .map(|v| format!("{v:.0}"))
                         .unwrap_or_else(|| "crash".into()),
                 ]);

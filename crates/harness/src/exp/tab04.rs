@@ -4,9 +4,11 @@ use crate::report::Table;
 use crate::scheme::{RunConfig, Scheme};
 use sgxs_baselines::Hardening;
 use sgxs_mir::{verify, Module, Trap, Vm, VmConfig};
+use sgxs_obs::codec::Field;
+use sgxs_obs::document;
 use sgxs_obs::json::Json;
 use sgxs_sim::{ExecTier, MachineConfig, Preset};
-use sgxs_workloads::apps::ripe::{self, AttackConfig};
+use sgxs_workloads::apps::ripe;
 use std::fmt;
 
 /// Outcome of one attack under one scheme.
@@ -20,11 +22,71 @@ pub enum Outcome {
     Other,
 }
 
-/// The full matrix.
-#[derive(Debug, Clone)]
-pub struct Tab4 {
-    /// (attack, [mpx, asan, sgxbounds]) outcomes.
-    pub matrix: Vec<(AttackConfig, [Outcome; 3])>,
+impl Outcome {
+    /// The payload's label (the table prints `HIJACKED` in capitals).
+    fn label(self) -> &'static str {
+        match self {
+            Outcome::Prevented => "prevented",
+            Outcome::Succeeded => "hijacked",
+            Outcome::Other => "other",
+        }
+    }
+}
+
+/// Written as its label.
+impl Field for Outcome {
+    fn put(&self) -> Json {
+        self.label().into()
+    }
+
+    fn take(v: &Json, path: &str) -> Result<Self, String> {
+        let label = String::take(v, path)?;
+        [Outcome::Prevented, Outcome::Succeeded, Outcome::Other]
+            .into_iter()
+            .find(|o| o.label() == label)
+            .ok_or_else(|| format!("{path}: unknown outcome '{label}'"))
+    }
+}
+
+document! {
+    /// One attack's outcome per hardened scheme.
+    #[derive(Debug, Clone)]
+    pub struct Attack {
+        /// Attack label.
+        pub attack: String,
+        /// Intel MPX.
+        pub mpx: Outcome,
+        /// AddressSanitizer.
+        pub asan: Outcome,
+        /// SGXBounds.
+        pub sgxbounds: Outcome,
+    }
+}
+
+document! {
+    /// Attacks prevented per hardened scheme, out of `total`.
+    #[derive(Debug, Clone)]
+    pub struct Prevented {
+        /// Intel MPX.
+        pub mpx: usize,
+        /// AddressSanitizer.
+        pub asan: usize,
+        /// SGXBounds.
+        pub sgxbounds: usize,
+        /// Attacks run.
+        pub total: usize,
+    }
+}
+
+document! {
+    /// The full matrix.
+    #[derive(Debug, Clone)]
+    pub struct Tab4 {
+        /// Per-attack outcomes.
+        pub attacks: Vec<Attack>,
+        /// Per-scheme prevention counts.
+        pub prevented: Prevented,
+    }
 }
 
 /// The hardened VM one attack runs in, on `rc.tier` as in
@@ -60,65 +122,33 @@ fn run_attack(mut module: Module, scheme: Scheme, rc: &RunConfig) -> Outcome {
 pub fn run(preset: Preset, seed: u64) -> Tab4 {
     let mut rc = RunConfig::new(preset);
     rc.params.seed = seed;
-    let mut matrix = Vec::new();
-    for cfg in ripe::all_attacks() {
-        let outcomes = Scheme::all_hardened().map(|s| run_attack(ripe::build_attack(&cfg), s, &rc));
-        matrix.push((cfg, outcomes));
-    }
-    Tab4 { matrix }
-}
-
-impl Tab4 {
-    /// Machine-readable form for `results/bench.json`.
-    pub fn to_json(&self) -> Json {
-        let cell = |o: Outcome| {
-            Json::Str(
-                match o {
-                    Outcome::Prevented => "prevented",
-                    Outcome::Succeeded => "hijacked",
-                    Outcome::Other => "other",
-                }
-                .into(),
-            )
-        };
-        let attacks: Vec<Json> = self
-            .matrix
-            .iter()
-            .map(|(cfg, o)| {
-                Json::obj(vec![
-                    ("attack", cfg.label().into()),
-                    ("mpx", cell(o[0])),
-                    ("asan", cell(o[1])),
-                    ("sgxbounds", cell(o[2])),
-                ])
-            })
-            .collect();
-        let p = self.prevented();
-        Json::obj(vec![
-            ("attacks", Json::Arr(attacks)),
-            (
-                "prevented",
-                Json::obj(vec![
-                    ("mpx", p[0].into()),
-                    ("asan", p[1].into()),
-                    ("sgxbounds", p[2].into()),
-                    ("total", self.matrix.len().into()),
-                ]),
-            ),
-        ])
-    }
-
-    /// Prevented counts in [mpx, asan, sgxbounds] order.
-    pub fn prevented(&self) -> [usize; 3] {
-        let mut p = [0; 3];
-        for (_, o) in &self.matrix {
-            for i in 0..3 {
-                if o[i] == Outcome::Prevented {
-                    p[i] += 1;
-                }
+    let attacks: Vec<Attack> = ripe::all_attacks()
+        .into_iter()
+        .map(|cfg| {
+            let [mpx, asan, sgxbounds] =
+                Scheme::all_hardened().map(|s| run_attack(ripe::build_attack(&cfg), s, &rc));
+            Attack {
+                attack: cfg.label(),
+                mpx,
+                asan,
+                sgxbounds,
             }
-        }
-        p
+        })
+        .collect();
+    let count = |get: fn(&Attack) -> Outcome| {
+        attacks
+            .iter()
+            .filter(|a| get(a) == Outcome::Prevented)
+            .count()
+    };
+    Tab4 {
+        prevented: Prevented {
+            mpx: count(|a| a.mpx),
+            asan: count(|a| a.asan),
+            sgxbounds: count(|a| a.sgxbounds),
+            total: attacks.len(),
+        },
+        attacks,
     }
 }
 
@@ -132,19 +162,23 @@ impl fmt::Display for Tab4 {
         )?;
         let mut t = Table::new(&["attack", "mpx", "asan", "sgxbounds"]);
         let cell = |o: Outcome| match o {
-            Outcome::Prevented => "prevented".to_owned(),
             Outcome::Succeeded => "HIJACKED".to_owned(),
-            Outcome::Other => "other".to_owned(),
+            o => o.label().to_owned(),
         };
-        for (cfg, o) in &self.matrix {
-            t.row(vec![cfg.label(), cell(o[0]), cell(o[1]), cell(o[2])]);
+        for a in &self.attacks {
+            t.row(vec![
+                a.attack.clone(),
+                cell(a.mpx),
+                cell(a.asan),
+                cell(a.sgxbounds),
+            ]);
         }
-        let p = self.prevented();
+        let p = &self.prevented;
         t.row(vec![
             "prevented".into(),
-            format!("{}/16", p[0]),
-            format!("{}/16", p[1]),
-            format!("{}/16", p[2]),
+            format!("{}/16", p.mpx),
+            format!("{}/16", p.asan),
+            format!("{}/16", p.sgxbounds),
         ]);
         write!(f, "{}", t.render())
     }

@@ -31,6 +31,12 @@ pub fn fmt_ratio(r: Option<f64>) -> String {
     }
 }
 
+/// A table row: `label`, then each ratio as [`fmt_ratio`] prints it.
+pub(crate) fn ratio_row(label: &str, ratios: Vec<Option<f64>>) -> Vec<String> {
+    let cells = ratios.into_iter().map(fmt_ratio);
+    std::iter::once(label.to_owned()).chain(cells).collect()
+}
+
 /// Formats bytes human-readably.
 pub fn fmt_bytes(b: u64) -> String {
     if b >= 1 << 30 {
@@ -44,32 +50,6 @@ pub fn fmt_bytes(b: u64) -> String {
     }
 }
 
-/// `Option<f64>` as JSON; `null` encodes a crashed/missing measurement.
-pub fn json_opt_f64(v: Option<f64>) -> sgxs_obs::json::Json {
-    match v {
-        Some(x) if x.is_finite() => sgxs_obs::json::Json::F64(x),
-        _ => sgxs_obs::json::Json::Null,
-    }
-}
-
-/// `Option<u64>` as JSON; `null` encodes a crashed/missing measurement.
-pub fn json_opt_u64(v: Option<u64>) -> sgxs_obs::json::Json {
-    match v {
-        Some(x) => sgxs_obs::json::Json::U64(x),
-        None => sgxs_obs::json::Json::Null,
-    }
-}
-
-/// `[mpx, asan, sgxbounds]` measurement triple as a keyed JSON object (the
-/// column order every scheme-comparison figure uses).
-pub fn json_scheme_triple(vals: [Option<f64>; 3]) -> sgxs_obs::json::Json {
-    sgxs_obs::json::Json::obj(vec![
-        ("mpx", json_opt_f64(vals[0])),
-        ("asan", json_opt_f64(vals[1])),
-        ("sgxbounds", json_opt_f64(vals[2])),
-    ])
-}
-
 /// A simple aligned text table.
 pub struct Table {
     header: Vec<String>,
@@ -78,9 +58,9 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with the given column headers.
-    pub fn new(header: &[&str]) -> Self {
+    pub fn new(header: &[impl AsRef<str>]) -> Self {
         Table {
-            header: header.iter().map(|s| s.to_string()).collect(),
+            header: header.iter().map(|s| s.as_ref().to_owned()).collect(),
             rows: Vec::new(),
         }
     }

@@ -27,6 +27,7 @@
 //! stopped run's once its law holds: they depend on the worker schedule.
 
 use crate::cli::{EXIT_STOPPED, USAGE};
+use crate::exp::Experiments;
 use sgxs_obs::json::Json;
 use sgxs_obs::read;
 use std::path::{Path, PathBuf};
@@ -100,7 +101,7 @@ const LINT: Option<Reader> = Some(|t| read::parse_lint(t).map(drop));
 const INCIDENT: Option<Reader> = Some(|t| read::parse_incident(t).map(drop));
 const METRICS: Option<Reader> = Some(|t| read::parse_metrics(t).map(drop));
 const PROFILE: Option<Reader> = Some(|t| read::parse_profile(t).map(drop));
-const BENCH: Option<Reader> = Some(|t| read::parse_bench(t).map(drop));
+const BENCH: Option<Reader> = Some(|t| Experiments::read(&read::parse_bench(t)?).map(drop));
 const TRACE: Option<Reader> = Some(|t| Json::parse(t).map(drop));
 const SUPERVISED: &[Law] = &[Tier, Workers, Resume];
 

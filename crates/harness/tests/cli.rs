@@ -9,9 +9,11 @@
 //!   committed `results/bench.json` (what the CI perf-gate job runs);
 //! * `profile` → `render` round-trips through `sgxs-profile-v1`;
 //! * each document has one text view: the commands that show one document
-//!   (spawned as processes, to read their stdout) print the same text.
+//!   (spawned as processes, to read their stdout) print the same text, and
+//!   an experiment prints the view of the payload it writes.
 
 use sgxs_harness::cli;
+use sgxs_harness::exp::Experiments;
 use sgxs_perf::HistoryRecord;
 
 /// Repo-relative path into `results/`.
@@ -681,6 +683,26 @@ fn render_prints_the_table_profile_printed() {
     assert!(
         profiled.starts_with(&rendered),
         "profile:\n{profiled}\nrender:\n{rendered}"
+    );
+}
+
+#[test]
+fn table4_prints_the_view_of_the_payload_it_writes() {
+    let dir = scratch("table4-view");
+    let json = dir.join("b.json");
+    let json = json.to_str().unwrap();
+    let (code, stdout) = repro(&["table4", "--tiny", "--json", json]);
+    assert_eq!(code, 0);
+    let doc = sgxs_obs::read::parse_bench(&std::fs::read_to_string(json).unwrap()).unwrap();
+    let payload = Experiments::read(&doc)
+        .unwrap()
+        .table4
+        .expect("table4 payload");
+    let (header, rest) = stdout.split_once('\n').unwrap();
+    assert!(header.starts_with("SGXBounds reproduction"), "{header}");
+    assert_eq!(
+        rest,
+        format!("\n{payload}\n\nbench json written to {json}\n")
     );
 }
 

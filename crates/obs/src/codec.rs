@@ -91,10 +91,11 @@ impl Field for String {
     }
 }
 
-/// Free-form payloads (bench experiments, journal checkpoints) pass
-/// through as they are, except that a non-finite number anywhere in them
-/// is refused: the writer serializes non-finite floats as `null`, so a
-/// parsed `1e999` can only come from a hand-edited or foreign file.
+/// Free-form payloads pass through as they are, for their producer's own
+/// declarations to read (`sgxs_harness::exp::Experiments`, the campaign
+/// journal checkpoints). A non-finite number anywhere in them is refused:
+/// the writer serializes non-finite floats as `null`, so a parsed `1e999`
+/// can only come from a hand-edited or foreign file.
 impl Field for Json {
     fn put(&self) -> Json {
         self.clone()

@@ -1,7 +1,7 @@
 //! Chaos campaigns: many seeds × scheme/policy combos, aggregated into an
 //! availability matrix with a CI gate and a `sgxs-chaos-v1` JSON document.
 
-use crate::chaos::ChaosSchedule;
+use crate::chaos::{check_requests, ChaosSchedule};
 use crate::serve::{
     abort_policy, boundless_policy, graceful_policy, retry_policy, serve_forensic, serve_tier,
     AvailabilityReport, RScheme, ServerApp,
@@ -26,8 +26,7 @@ pub struct CampaignOpts {
     pub seeds: u64,
     /// First seed.
     pub seed0: u64,
-    /// Requests per server run; a schedule runs at least
-    /// [`crate::MIN_REQUESTS`], so `repro` rejects fewer.
+    /// Requests per server run, at least [`crate::MIN_REQUESTS`].
     pub requests: u32,
     /// Minimum availability the boundless combo must reach (gate).
     pub threshold: f64,
@@ -55,6 +54,25 @@ impl Default for CampaignOpts {
             tier: ExecTier::default(),
             demo_panic: None,
         }
+    }
+}
+
+impl CampaignOpts {
+    /// Checks the campaign's input rules, which both runners apply before
+    /// any work: [`check_requests`], at least one seed, a seed range that
+    /// fits in `u64`, and a threshold within [0, 1] (a NaN would pass the
+    /// availability gate silently).
+    pub fn validate(&self) -> Result<(), String> {
+        check_requests(self.requests)?;
+        Err(if self.seeds == 0 {
+            "seeds must be at least 1".to_owned()
+        } else if self.seed0.checked_add(self.seeds).is_none() {
+            format!("seed0 {} + seeds {} overflows u64", self.seed0, self.seeds)
+        } else if !(0.0..=1.0).contains(&self.threshold) {
+            format!("threshold must be within [0, 1], got {}", self.threshold)
+        } else {
+            return Ok(());
+        })
     }
 }
 
@@ -471,15 +489,17 @@ fn finalize(
     }
 }
 
-/// Runs the campaign sequentially in-process: every combo over every seed.
-pub fn run_chaos_campaign(opts: &CampaignOpts) -> ChaosReport {
+/// Runs the campaign sequentially in-process: every combo over every
+/// seed, after [`CampaignOpts::validate`].
+pub fn run_chaos_campaign(opts: &CampaignOpts) -> Result<ChaosReport, String> {
+    opts.validate()?;
     let combos = combos();
     let mut outcomes = Vec::new();
     for i in 0..opts.seeds {
         let seed = opts.seed0 + i;
         outcomes.push((seed, run_chaos_seed(opts, &combos, seed)));
     }
-    finalize(opts, &combos, &outcomes, Vec::new(), 0)
+    Ok(finalize(opts, &combos, &outcomes, Vec::new(), 0))
 }
 
 /// The chaos campaign as a supervised [`Campaign`]. Every seed checkpoints
@@ -559,12 +579,14 @@ pub struct ChaosOutcome {
 /// Runs the chaos campaign under the supervisor: seeds shard across the
 /// work-stealing pool, a panicking seed is quarantined instead of killing
 /// the run, and deltas merge in seed order — byte-identical output for
-/// every worker count and across checkpoint/resume.
+/// every worker count and across checkpoint/resume. Invalid options
+/// ([`CampaignOpts::validate`]) are refused before any seed runs.
 pub fn run_chaos_campaign_supervised(
     opts: &CampaignOpts,
     sup: &SuperOpts,
     stop: &StopFlag,
 ) -> Result<ChaosOutcome, String> {
+    opts.validate()?;
     let campaign = ChaosCampaign::new(opts.clone());
     let run = supervise(&campaign, opts.seed0, opts.seeds, sup, stop)?;
     let report = finalize(
@@ -616,6 +638,50 @@ mod tests {
     use super::*;
 
     #[test]
+    fn both_runners_refuse_invalid_options_before_any_work() {
+        let journal =
+            std::env::temp_dir().join(format!("sgxs-chaos-invalid-{}.jsonl", std::process::id()));
+        let sup = SuperOpts {
+            journal: Some(journal.to_string_lossy().into_owned()),
+            ..SuperOpts::default()
+        };
+        let ok = CampaignOpts {
+            seeds: 1,
+            requests: crate::MIN_REQUESTS,
+            ..CampaignOpts::default()
+        };
+        assert_eq!(ok.validate(), Ok(()));
+        for bad in [
+            CampaignOpts {
+                requests: crate::MIN_REQUESTS - 1,
+                ..ok.clone()
+            },
+            CampaignOpts {
+                seeds: 0,
+                ..ok.clone()
+            },
+            CampaignOpts {
+                seed0: u64::MAX,
+                ..ok.clone()
+            },
+            CampaignOpts {
+                threshold: f64::NAN,
+                ..ok.clone()
+            },
+            CampaignOpts {
+                threshold: 1.5,
+                ..ok.clone()
+            },
+        ] {
+            let e = bad.validate().expect_err("invalid options validate");
+            assert_eq!(run_chaos_campaign(&bad).err(), Some(e.clone()));
+            let supervised = run_chaos_campaign_supervised(&bad, &sup, &StopFlag::new());
+            assert_eq!(supervised.err(), Some(e));
+        }
+        assert!(!journal.exists(), "a refused campaign opened its journal");
+    }
+
+    #[test]
     fn small_campaign_passes_the_gate_and_orders_the_lattice() {
         let opts = CampaignOpts {
             seeds: 6,
@@ -623,7 +689,7 @@ mod tests {
             requests: 24,
             ..CampaignOpts::default()
         };
-        let rep = run_chaos_campaign(&opts);
+        let rep = run_chaos_campaign(&opts).unwrap();
         assert!(!rep.gate_failed(), "{}", rep.render());
         // Native corrupts but is not gated by default — no incident.
         assert!(rep.incidents.is_empty());
@@ -666,7 +732,7 @@ mod tests {
             requests: 16,
             ..CampaignOpts::default()
         };
-        let serial = run_chaos_campaign(&opts).to_json().to_pretty();
+        let serial = run_chaos_campaign(&opts).unwrap().to_json().to_pretty();
         for workers in [1usize, 2, 4] {
             let sup = SuperOpts {
                 workers,
@@ -757,19 +823,22 @@ mod tests {
             seed0: 1,
             requests: 16,
             ..CampaignOpts::default()
-        });
+        })
+        .unwrap();
         let lo = run_chaos_campaign(&CampaignOpts {
             seeds: 2,
             seed0: 1,
             requests: 16,
             ..CampaignOpts::default()
-        });
+        })
+        .unwrap();
         let hi = run_chaos_campaign(&CampaignOpts {
             seeds: 2,
             seed0: 3,
             requests: 16,
             ..CampaignOpts::default()
-        });
+        })
+        .unwrap();
         let mut merged = hi.metrics();
         merged.merge(&lo.metrics());
         assert_eq!(
@@ -790,7 +859,7 @@ mod tests {
             requests: 16,
             ..CampaignOpts::default()
         };
-        let rep = run_chaos_campaign(&opts);
+        let rep = run_chaos_campaign(&opts).unwrap();
         let doc = sgxs_obs::read::parse_chaos(&rep.to_json().to_pretty())
             .expect("own chaos output parses back");
         assert_eq!((doc.seeds, doc.seed0, doc.requests), (3, 7, 16));
@@ -817,7 +886,7 @@ mod tests {
             demo_corruption: true,
             ..CampaignOpts::default()
         };
-        let rep = run_chaos_campaign(&opts);
+        let rep = run_chaos_campaign(&opts).unwrap();
         assert!(rep.gate_failed(), "{}", rep.render());
         assert!(rep.failures.iter().any(|f| f.contains("native")));
         // The failing corruption gate comes with a forensic incident built
@@ -837,7 +906,7 @@ mod tests {
         assert_eq!(doc.incidents.len(), 1);
         assert_eq!(doc.incidents[0].origin, "chaos");
         // Rerun: the incident (id included) is byte-stable.
-        let again = run_chaos_campaign(&opts);
+        let again = run_chaos_campaign(&opts).unwrap();
         assert_eq!(
             rep.to_json().to_pretty(),
             again.to_json().to_pretty(),

@@ -75,8 +75,17 @@ impl ChaosEvent {
 
 /// The fewest requests a server run schedules: one guaranteed attack at
 /// an index ≥ 1 plus room for fault windows around it. A schedule asked
-/// for fewer runs this many, so campaigns reject smaller request counts.
+/// for fewer runs this many, so [`check_requests`] rejects smaller counts.
 pub const MIN_REQUESTS: u32 = 4;
+
+/// Rejects a request count below [`MIN_REQUESTS`].
+pub fn check_requests(requests: u32) -> Result<(), String> {
+    let min = MIN_REQUESTS;
+    match requests {
+        ..MIN_REQUESTS => Err(format!("requests {requests} is below the minimum {min}")),
+        _ => Ok(()),
+    }
+}
 
 /// A complete deterministic fault plan for one server run.
 #[derive(Debug, Clone)]

@@ -30,7 +30,7 @@ pub use campaign::{
     run_chaos_campaign, run_chaos_campaign_supervised, run_chaos_seed, CampaignOpts, ChaosCampaign,
     ChaosOutcome, ChaosReport, ComboDelta, ComboRow,
 };
-pub use chaos::{ChaosEvent, ChaosKind, ChaosSchedule, MIN_REQUESTS};
+pub use chaos::{check_requests, ChaosEvent, ChaosKind, ChaosSchedule, MIN_REQUESTS};
 pub use serve::{
     abort_policy, boundless_policy, graceful_policy, retry_policy, serve, serve_forensic,
     serve_tier, serve_traced, AvailabilityReport, RScheme, ServerApp,

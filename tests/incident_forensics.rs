@@ -138,7 +138,7 @@ fn chaos_demo_corruption_incidents_embed_validate_and_pin() {
 }
 
 fn demo_corruption_incidents_embed_validate_and_pin(opts: &CampaignOpts) {
-    let report = run_chaos_campaign(opts);
+    let report = run_chaos_campaign(opts).expect("valid campaign options");
     assert!(
         !report.incidents.is_empty(),
         "demo corruption produced no incident"
@@ -160,12 +160,16 @@ fn demo_corruption_incidents_embed_validate_and_pin(opts: &CampaignOpts) {
         report.incidents.len(),
         "embedded incidents survive the round trip"
     );
-    let rerun = run_chaos_campaign(opts).to_json().to_pretty();
+    let rerun = run_chaos_campaign(opts)
+        .expect("valid campaign options")
+        .to_json()
+        .to_pretty();
     assert_eq!(text, rerun, "chaos document drifted between reruns");
     let compiled = run_chaos_campaign(&CampaignOpts {
         tier: ExecTier::Compiled,
         ..opts.clone()
     })
+    .expect("valid campaign options")
     .to_json()
     .to_pretty();
     assert_eq!(text, compiled, "chaos document diverged across tiers");

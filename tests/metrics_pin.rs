@@ -159,13 +159,22 @@ fn metrics_artifact_is_rerun_and_tier_stable() {
         requests: 8,
         ..CampaignOpts::default()
     };
-    let reference = run_chaos_campaign(&opts).metrics().to_json().to_pretty();
-    let rerun = run_chaos_campaign(&opts).metrics().to_json().to_pretty();
+    let reference = run_chaos_campaign(&opts)
+        .expect("valid campaign options")
+        .metrics()
+        .to_json()
+        .to_pretty();
+    let rerun = run_chaos_campaign(&opts)
+        .expect("valid campaign options")
+        .metrics()
+        .to_json()
+        .to_pretty();
     assert_eq!(reference, rerun, "metrics artifact drifted between runs");
     let compiled = run_chaos_campaign(&CampaignOpts {
         tier: ExecTier::Compiled,
         ..opts
     })
+    .expect("valid campaign options")
     .metrics()
     .to_json()
     .to_pretty();

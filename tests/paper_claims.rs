@@ -3,7 +3,9 @@
 //! security scores. These are the "does the reproduction reproduce?"
 //! checks; `repro --mini` regenerates the full-size artifacts.
 
-use sgxbounds_repro::harness::exp::{self, Effort, DEFAULT_SEED};
+use sgxbounds_repro::harness::exp::fig10::Variants;
+use sgxbounds_repro::harness::exp::overheads::Overheads;
+use sgxbounds_repro::harness::exp::{self, Effort, PerScheme, DEFAULT_SEED};
 use sgxbounds_repro::harness::{run_one, RunConfig, Scheme};
 use sgxs_sim::Preset;
 use sgxs_workloads::SizeClass;
@@ -13,8 +15,10 @@ const P: Preset = Preset::Tiny;
 #[test]
 fn fig7_overhead_ordering_matches_paper() {
     let fig = exp::fig07::run(P, Effort::Quick, DEFAULT_SEED);
-    let [_mpx, asan, sgxb] = fig.gmean_perf;
-    let (asan, sgxb) = (asan.unwrap(), sgxb.unwrap());
+    let (asan, sgxb) = (
+        fig.gmean_perf.asan.unwrap(),
+        fig.gmean_perf.sgxbounds.unwrap(),
+    );
     // SGXBounds must be the cheapest hardened scheme (paper: 17% vs 51%/75%).
     assert!(
         sgxb < asan,
@@ -26,7 +30,11 @@ fn fig7_overhead_ordering_matches_paper() {
         "sgxbounds overhead should be modest, got {sgxb:.2}"
     );
     // Memory: SGXBounds ~zero, ASan large (paper: 0.1% vs 8.1x).
-    let [mpx_m, asan_m, sgxb_m] = fig.gmean_mem;
+    let PerScheme {
+        mpx: mpx_m,
+        asan: asan_m,
+        sgxbounds: sgxb_m,
+    } = fig.gmean_mem;
     assert!(
         sgxb_m.unwrap() < 1.05,
         "sgxbounds memory must be near-zero overhead"
@@ -90,10 +98,10 @@ fn fig12_sgxbounds_loses_its_advantage_outside_the_enclave() {
     // (EXPERIMENTS.md discusses the deviation).
     let inside = exp::fig11::run(P, Effort::Full, DEFAULT_SEED);
     let outside = exp::fig12::run(P, Effort::Full, DEFAULT_SEED);
-    let lead = |f: &exp::fig11::SpecFig| {
-        let [_, asan, sgxb] = f.gmean_perf;
+    let lead = |f: &Overheads| {
+        let g = f.gmean_perf;
         // Overhead-above-baseline ratio: how much worse ASan is.
-        (asan.unwrap() - 1.0) / (sgxb.unwrap() - 1.0)
+        (g.asan.unwrap() - 1.0) / (g.sgxbounds.unwrap() - 1.0)
     };
     let inside_lead = lead(&inside);
     let outside_lead = lead(&outside);
@@ -106,12 +114,12 @@ fn fig12_sgxbounds_loses_its_advantage_outside_the_enclave() {
 #[test]
 fn fig11_sgxbounds_wins_inside_the_enclave() {
     let fig = exp::fig11::run(P, Effort::Quick, DEFAULT_SEED);
-    let [_, asan, sgxb] = fig.gmean_perf;
+    let (asan, sgxb) = (fig.gmean_perf.asan, fig.gmean_perf.sgxbounds);
     assert!(
         sgxb.unwrap() < asan.unwrap(),
         "inside the enclave SGXBounds must beat ASan"
     );
-    let [_, asan_m, sgxb_m] = fig.gmean_mem;
+    let (asan_m, sgxb_m) = (fig.gmean_mem.asan, fig.gmean_mem.sgxbounds);
     assert!(sgxb_m.unwrap() < 1.05);
     assert!(asan_m.unwrap() > sgxb_m.unwrap());
 }
@@ -119,9 +127,8 @@ fn fig11_sgxbounds_wins_inside_the_enclave() {
 #[test]
 fn fig9_sgxbounds_overhead_does_not_grow_with_threads() {
     let fig = exp::fig09::run(P, Effort::Quick, DEFAULT_SEED);
-    // [asan@1, asan@4, sgxbounds@1, sgxbounds@4] gmeans.
-    let sb1 = fig.gmean[2].unwrap();
-    let sb4 = fig.gmean[3].unwrap();
+    let sb1 = fig.gmean.sgxbounds_1t.unwrap();
+    let sb4 = fig.gmean.sgxbounds_4t.unwrap();
     assert!(
         sb4 < sb1 * 1.25,
         "sgxbounds overhead must not grow materially with threads: {sb1:.2} -> {sb4:.2}"
@@ -131,8 +138,8 @@ fn fig9_sgxbounds_overhead_does_not_grow_with_threads() {
 #[test]
 fn fig10_optimizations_never_hurt_and_sometimes_help() {
     let fig = exp::fig10::run(P, Effort::Quick, DEFAULT_SEED);
-    let none = fig.gmean[0].unwrap();
-    let both = fig.gmean[3].unwrap();
+    let none = fig.gmean.none.unwrap();
+    let both = fig.gmean.both.unwrap();
     assert!(
         both <= none * 1.02,
         "optimizations must not slow things down: none={none:.3} both={both:.3}"
@@ -142,7 +149,7 @@ fn fig10_optimizations_never_hurt_and_sometimes_help() {
     let best_gain = fig
         .rows
         .iter()
-        .filter_map(|r| Some(r.over[0]? / r.over[3]?))
+        .filter_map(|r| Some(r.over.none? / r.over.both?))
         .fold(0.0f64, f64::max);
     assert!(
         best_gain > 1.05,
@@ -158,7 +165,13 @@ fn fig10_check_counts_are_monotone_across_the_ablation() {
     let fig = exp::fig10::run(P, Effort::Quick, DEFAULT_SEED);
     let mut flow_strictly_better = false;
     for r in &fig.rows {
-        let [none, safe, _hoist, both, flow] = r.checks;
+        let Variants {
+            none,
+            safe,
+            both,
+            flow,
+            ..
+        } = r.checks;
         let (none, safe, both, flow) = (
             none.expect("none checks"),
             safe.expect("safe checks"),
@@ -168,7 +181,7 @@ fn fig10_check_counts_are_monotone_across_the_ablation() {
         assert!(
             none >= safe && safe >= both && both >= flow,
             "{}: check counts not monotone: none={none} safe={safe} both={both} flow={flow}",
-            r.name
+            r.benchmark
         );
         if flow < both {
             flow_strictly_better = true;
@@ -179,7 +192,7 @@ fn fig10_check_counts_are_monotone_across_the_ablation() {
         "the flow tier must elide checks beyond `both` on at least one benchmark: {:?}",
         fig.rows
             .iter()
-            .map(|r| (r.name.clone(), r.checks))
+            .map(|r| (r.benchmark.clone(), r.checks))
             .collect::<Vec<_>>()
     );
 }
@@ -187,8 +200,9 @@ fn fig10_check_counts_are_monotone_across_the_ablation() {
 #[test]
 fn table4_matches_exactly() {
     let t = exp::tab04::run(P, DEFAULT_SEED);
+    let p = &t.prevented;
     assert_eq!(
-        t.prevented(),
+        [p.mpx, p.asan, p.sgxbounds],
         [2, 8, 8],
         "Table 4: MPX 2/16, ASan 8/16, SGXBounds 8/16"
     );
@@ -199,23 +213,28 @@ fn fig1_sqlite_shapes() {
     let fig = exp::fig01::run(P, 4, DEFAULT_SEED);
     // MPX must crash somewhere in the sweep; SGXBounds never does and
     // keeps memory at baseline.
-    let mpx_crashes = fig.points.iter().any(|p| p.perf[0].is_none());
+    let mpx_crashes = fig.points.iter().any(|p| p.perf_vs_sgx.mpx.is_none());
     assert!(mpx_crashes, "MPX must run out of memory during the sweep");
     for p in &fig.points {
-        let sgxb = p.perf[2].expect("sgxbounds completes every point");
+        let sgxb = p
+            .perf_vs_sgx
+            .sgxbounds
+            .expect("sgxbounds completes every point");
         assert!(
             sgxb < 2.0,
             "sgxbounds must stay near native SGX ({sgxb:.2})"
         );
-        let mem = p.mem[2].expect("sgxbounds memory measured") as f64;
+        let mem = &p.peak_reserved_bytes;
+        let sgxb_mem = mem.sgxbounds.expect("sgxbounds memory measured") as f64;
         assert!(
-            mem < p.base_mem as f64 * 1.10,
+            sgxb_mem < mem.sgx as f64 * 1.10,
             "sgxbounds memory must track the baseline"
         );
     }
     // ASan must reserve noticeably more memory than the baseline.
     let last = fig.points.last().unwrap();
-    assert!(last.mem[1].unwrap() > last.base_mem);
+    let mem = &last.peak_reserved_bytes;
+    assert!(mem.asan.unwrap() > mem.sgx);
 }
 
 #[test]
@@ -226,21 +245,21 @@ fn fig13_throughput_ordering_at_load() {
             app.samples
                 .iter()
                 .find(|s| s.scheme == scheme)
-                .and_then(|s| s.throughput)
+                .and_then(|s| s.throughput_req_per_mcycle)
         };
         let sgx = tp("sgx").expect("baseline runs");
         if let Some(sb) = tp("sgxbounds") {
             assert!(
                 sb > sgx * 0.5,
                 "{}: sgxbounds throughput must stay within 2x of SGX",
-                app.name
+                app.app
             );
         }
         if let (Some(sb), Some(asan)) = (tp("sgxbounds"), tp("asan")) {
             assert!(
                 sb >= asan * 0.75,
                 "{}: sgxbounds must not lose badly to asan (sb {sb:.2} vs asan {asan:.2})",
-                app.name
+                app.app
             );
         }
     }

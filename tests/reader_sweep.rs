@@ -17,20 +17,23 @@
 //!
 //! The same test pins the round-trip law of the document declarations:
 //! reading each real document and writing the declaration back gives its
-//! compact bytes exactly, and so does every line of the committed
-//! `results/history.jsonl`.
+//! compact bytes exactly. So do the whole committed `results/bench.json`
+//! and every line of the committed `results/history.jsonl`, with their
+//! experiment payloads read through the harness's `Experiments`
+//! declaration.
 
 use sgxs_audit::DEFAULT_TRACE_WINDOW;
 use sgxs_fuzz::runner::{FScheme, Verdict};
 use sgxs_fuzz::{run_campaign, Disagreement, FuzzOpts};
 use sgxs_harness::audit::pinned_demo_incident;
+use sgxs_harness::exp::Experiments;
 use sgxs_harness::lint::{lint_modules, oob_demo, uaf_demo};
 use sgxs_harness::{profile_one, RunConfig, Scheme};
 use sgxs_obs::codec::Field;
 use sgxs_obs::json::Json;
 use sgxs_obs::read::{
     parse_bench, parse_chaos, parse_fuzz, parse_incident, parse_journal, parse_lint, parse_metrics,
-    parse_profile, JournalDoc, INCIDENT_SCHEMA,
+    parse_profile, BenchDoc, JournalDoc, INCIDENT_SCHEMA,
 };
 use sgxs_perf::{parse_history, HistoryRecord};
 use sgxs_resil::{run_chaos_campaign_supervised, CampaignOpts, ChaosCampaign};
@@ -81,6 +84,13 @@ fn restore_chaos(text: &str) -> Result<String, String> {
         }
     }
     Ok(journal_text(&doc))
+}
+
+/// `doc` with its experiment payloads read through [`Experiments`] and
+/// written back.
+fn typed(mut doc: BenchDoc) -> Result<BenchDoc, String> {
+    doc.experiments = Experiments::read(&doc)?.entries();
+    Ok(doc)
 }
 
 /// Every integer leaf of `v`, in document order.
@@ -213,7 +223,6 @@ fn cases() -> Vec<(&'static str, String, Reader)> {
         kind: None,
         scheme: FScheme::SgxBounds,
         verdict: Verdict::Crash("demo".into()),
-        repro: None,
         incident: incident.clone(),
     });
     let lint = lint_modules(vec![oob_demo(), uaf_demo()], 42, true).doc;
@@ -223,6 +232,9 @@ fn cases() -> Vec<(&'static str, String, Reader)> {
     vec![
         ("parse_bench", bench.to_compact(), |t| {
             parse_bench(t).map(|d| d.put().to_compact())
+        }),
+        ("Experiments::read", bench.to_compact(), |t| {
+            typed(parse_bench(t)?).map(|d| d.put().to_compact())
         }),
         ("parse_profile", profile.put().to_compact(), |t| {
             parse_profile(t).map(|d| d.put().to_compact())
@@ -284,10 +296,27 @@ fn readers_return_ok_or_err_on_damaged_documents_never_panic() {
     std::panic::set_hook(hook);
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 
-    // Every committed history line re-serializes byte for byte.
+    // The whole committed baseline and every committed history line
+    // re-serialize byte for byte, payloads included.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/bench.json");
+    let text = std::fs::read_to_string(path).expect("committed bench baseline readable");
+    let doc = parse_bench(&text)
+        .and_then(typed)
+        .expect("committed baseline reads");
+    assert_eq!(
+        doc.put().to_pretty(),
+        text,
+        "results/bench.json does not round-trip"
+    );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/history.jsonl");
     let text = std::fs::read_to_string(path).expect("committed history readable");
     let records = parse_history(&text).expect("committed history parses");
-    let back: String = records.iter().map(|r| r.to_line() + "\n").collect();
+    let back: String = records
+        .into_iter()
+        .map(|mut r| {
+            r.bench = typed(r.bench).expect("committed history payloads read");
+            r.to_line() + "\n"
+        })
+        .collect();
     assert_eq!(back, text, "results/history.jsonl does not round-trip");
 }

@@ -38,7 +38,7 @@ fn chaos_campaign_separates_fail_stop_from_boundless_availability() {
 }
 
 fn separates_fail_stop_from_boundless(opts: &CampaignOpts) {
-    let rep = run_chaos_campaign(opts);
+    let rep = run_chaos_campaign(opts).expect("valid campaign options");
     assert!(!rep.gate_failed(), "{}", rep.render());
 
     let row = |scheme: &str, policy: &str| {

@@ -73,7 +73,7 @@ fn chaos_fuzz_report_is_identical_across_worker_counts() {
 #[test]
 fn chaos_and_metrics_docs_are_byte_identical_across_worker_counts() {
     let opts = chaos_opts(5);
-    let serial = run_chaos_campaign(&opts);
+    let serial = run_chaos_campaign(&opts).expect("valid campaign options");
     let chaos_doc = serial.to_json().to_pretty();
     let metrics_doc = serial.metrics().to_json().to_pretty();
     for workers in WORKER_COUNTS {
@@ -140,7 +140,10 @@ fn interrupted_chaos_campaign_resumes_to_the_uninterrupted_artifact() {
     let dir = std::env::temp_dir().join(format!("sgxs-resume-chaos-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let opts = chaos_opts(5);
-    let uninterrupted = run_chaos_campaign(&opts).to_json().to_pretty();
+    let uninterrupted = run_chaos_campaign(&opts)
+        .expect("valid campaign options")
+        .to_json()
+        .to_pretty();
     let journal = dir.join("chaos.jsonl").to_string_lossy().into_owned();
     let cut = SuperOpts {
         journal: Some(journal.clone()),

@@ -129,7 +129,7 @@ fn chaos_campaign_document_is_byte_identical_across_tiers() {
             tier,
             ..CampaignOpts::default()
         };
-        let rep = run_chaos_campaign(&opts);
+        let rep = run_chaos_campaign(&opts).expect("valid campaign options");
         (rep.render(), rep.to_json().to_pretty())
     };
     let (ref_text, ref_json) = campaign(ExecTier::Reference);
