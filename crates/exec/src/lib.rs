@@ -16,9 +16,13 @@
 //! digests, same named stats counters, same cycle charges, same obs events
 //! in the same order, same trap and recovery behavior (DESIGN.md §10
 //! documents the oracle; `tests/tier_equivalence.rs` and the `tier` laws
-//! of `repro selfcheck` enforce it corpus-wide). Selection is by
-//! [`sgxs_sim::ExecTier`] threaded through every runner, with
-//! `ExecTier::Reference` staying the default oracle.
+//! of `repro selfcheck` enforce it corpus-wide). A run selects it through
+//! its configuration: every runner boots its VM with
+//! `sgxs_baselines::Hardening::boot`, which calls [`attach`] after
+//! installing the runtimes when `MachineConfig::tier` is
+//! [`sgxs_sim::ExecTier::Compiled`]; `ExecTier::Reference` stays the
+//! default oracle. Tests call [`attach`] and [`attach_perturbed`] on a VM
+//! of their own:
 //!
 //! ```no_run
 //! # use sgxs_mir::{Vm, VmConfig, Module};

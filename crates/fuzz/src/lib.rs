@@ -31,8 +31,8 @@ pub mod shrink;
 
 use inject::{FaultKind, ALL_KINDS};
 use runner::{
-    classify, exec_chaos_tier_budget, exec_forensic, exec_tier, exec_tier_budget, is_budget_trap,
-    is_oom_trap, verdict_ok, FScheme, Verdict, ALL_SCHEMES, DEFAULT_BUDGET, OOM_RETRY_ATTEMPTS,
+    classify, exec, exec_chaos, exec_forensic, is_budget_trap, is_oom_trap, verdict_ok, FScheme,
+    Verdict, ALL_SCHEMES, DEFAULT_BUDGET, OOM_RETRY_ATTEMPTS,
 };
 use sgxs_audit::{IncidentDoc, IncidentMeta, IncidentRepro, IncidentTruth};
 use sgxs_sim::obs::codec::Field;
@@ -91,6 +91,26 @@ impl Default for FuzzOpts {
             demo_panic: None,
             demo_budget: None,
         }
+    }
+}
+
+impl FuzzOpts {
+    /// Checks the options every campaign runner refuses before running a
+    /// seed: `max_ops` at most [`MAX_OPS`], a `budget` and a
+    /// `trace_window` of at least 1, and a seed range whose end fits in
+    /// `u64`. Zero seeds is valid: the campaign runs nothing.
+    pub fn validate(&self) -> Result<(), String> {
+        Err(if self.max_ops > MAX_OPS {
+            format!("max_ops {} exceeds the cap {MAX_OPS}", self.max_ops)
+        } else if self.budget == 0 {
+            "budget must be at least 1".to_owned()
+        } else if self.trace_window == 0 {
+            "trace_window must be at least 1".to_owned()
+        } else if self.seed0.checked_add(self.seeds).is_none() {
+            format!("seed0 {} + seeds {} overflows u64", self.seed0, self.seeds)
+        } else {
+            return Ok(());
+        })
     }
 }
 
@@ -222,7 +242,8 @@ fn forensic_incident(
     repro: Option<&shrink::Repro>,
     opts: &FuzzOpts,
 ) -> IncidentDoc {
-    let (_, rec) = exec_forensic(prog, scheme, opts.tier, opts.trace_window);
+    let budget = seed_budget(opts, seed);
+    let (_, rec) = exec_forensic(prog, scheme, opts.tier, budget, opts.trace_window);
     let meta = IncidentMeta {
         origin: "fuzz".into(),
         workload: format!("seed-{seed}"),
@@ -491,7 +512,7 @@ pub fn run_seed_report(opts: &FuzzOpts, seed: u64) -> Result<Report, TaskError> 
     );
     report.programs += 1;
 
-    let native = exec_tier_budget(&prog, FScheme::Native, opts.tier, budget);
+    let native = exec(&prog, FScheme::Native, opts.tier, budget);
     if is_budget_trap(&native) {
         return Err(over);
     }
@@ -522,7 +543,7 @@ pub fn run_seed_report(opts: &FuzzOpts, seed: u64) -> Result<Report, TaskError> 
     };
 
     for scheme in ALL_SCHEMES.into_iter().skip(1) {
-        let e = exec_tier_budget(&prog, scheme, opts.tier, budget);
+        let e = exec(&prog, scheme, opts.tier, budget);
         if is_budget_trap(&e) {
             return Err(over);
         }
@@ -558,7 +579,7 @@ pub fn run_seed_report(opts: &FuzzOpts, seed: u64) -> Result<Report, TaskError> 
         "seed {seed} {kind:?}: oracle disagrees with injector ground truth"
     );
     for scheme in ALL_SCHEMES {
-        let e = exec_tier_budget(&fprog, scheme, opts.tier, budget);
+        let e = exec(&fprog, scheme, opts.tier, budget);
         if is_budget_trap(&e) {
             return Err(over);
         }
@@ -605,11 +626,13 @@ fn quarantine_entry(seed: u64, attempts: u32, e: &TaskError) -> Quarantined {
     }
 }
 
-/// Runs the differential campaign sequentially in-process. Seeds that trip
-/// the budget watchdog are quarantined in the report; a panicking seed
-/// propagates (use [`run_campaign_supervised`] for isolation, retries, and
+/// Runs the differential campaign sequentially in-process, after
+/// [`FuzzOpts::validate`]. Seeds that trip the budget watchdog are
+/// quarantined in the report; a panicking seed propagates (use
+/// [`run_campaign_supervised`] for isolation, retries, and
 /// checkpoint/resume).
-pub fn run_campaign(opts: &FuzzOpts) -> Report {
+pub fn run_campaign(opts: &FuzzOpts) -> Result<Report, String> {
+    opts.validate()?;
     let mut report = Report::seeded();
     for seed in opts.seed0..opts.seed0 + opts.seeds {
         match run_seed_report(opts, seed) {
@@ -617,7 +640,7 @@ pub fn run_campaign(opts: &FuzzOpts) -> Report {
             Err(e) => report.quarantine.push(quarantine_entry(seed, 1, &e)),
         }
     }
-    report
+    Ok(report)
 }
 
 /// Maps a checkpoint verdict label back to a representative [`Verdict`].
@@ -807,12 +830,14 @@ pub struct SupervisedFuzz {
 /// seeds shard across the work-stealing pool, panicking and over-budget
 /// seeds are quarantined instead of killing the run, and per-seed reports
 /// merge in seed order, so the output is byte-identical for every worker
-/// count and across checkpoint/resume.
+/// count and across checkpoint/resume. Invalid options
+/// ([`FuzzOpts::validate`]) are refused before any seed runs.
 pub fn run_campaign_supervised(
     opts: &FuzzOpts,
     sup: &SuperOpts,
     stop: &StopFlag,
 ) -> Result<SupervisedFuzz, String> {
+    opts.validate()?;
     let campaign = FuzzCampaign { opts: opts.clone() };
     let run = supervise(&campaign, opts.seed0, opts.seeds, sup, stop)?;
     let mut report = Report::seeded();
@@ -931,7 +956,7 @@ pub fn run_chaos_seed(
     let mut report = ChaosFuzzReport::default();
     let prog = gen::generate(seed, opts.max_ops);
     report.programs += 1;
-    let native = exec_tier_budget(&prog, FScheme::Native, opts.tier, budget);
+    let native = exec(&prog, FScheme::Native, opts.tier, budget);
     if is_budget_trap(&native) {
         return Err(over);
     }
@@ -945,7 +970,7 @@ pub fn run_chaos_seed(
         .wrapping_mul(0xD6E8_FEB8_6659_FD93)
         .wrapping_add(attempt as u64);
     for scheme in ALL_SCHEMES {
-        let e = exec_chaos_tier_budget(&prog, scheme, chaos_seed, opts.tier, budget);
+        let e = exec_chaos(&prog, scheme, chaos_seed, opts.tier, budget);
         if is_budget_trap(&e) {
             return Err(over);
         }
@@ -977,8 +1002,10 @@ pub fn run_chaos_seed(
 /// retries to get there is classified [`Verdict::Tolerated`]. Seeds whose
 /// VM retry ladder is exhausted outright are quarantined as transient
 /// (single attempt here; [`run_chaos_fuzz_supervised`] retries them with
-/// fresh chaos salts).
-pub fn run_chaos_fuzz(opts: &FuzzOpts) -> ChaosFuzzReport {
+/// fresh chaos salts). Invalid options ([`FuzzOpts::validate`]) are
+/// refused before any seed runs.
+pub fn run_chaos_fuzz(opts: &FuzzOpts) -> Result<ChaosFuzzReport, String> {
+    opts.validate()?;
     let mut report = ChaosFuzzReport::default();
     for seed in opts.seed0..opts.seed0 + opts.seeds {
         match run_chaos_seed(opts, seed, 1) {
@@ -986,7 +1013,7 @@ pub fn run_chaos_fuzz(opts: &FuzzOpts) -> ChaosFuzzReport {
             Err(e) => report.quarantine.push(quarantine_entry(seed, 1, &e)),
         }
     }
-    report
+    Ok(report)
 }
 
 /// The chaos-fuzz campaign as a supervised [`Campaign`]. Clean seeds
@@ -1077,12 +1104,14 @@ pub struct SupervisedChaosFuzz {
 
 /// Runs the chaos-fuzz campaign under the supervisor (worker pool, panic
 /// isolation, transient retries with fresh chaos salts, checkpoint/
-/// resume). Byte-identical output for every worker count.
+/// resume). Byte-identical output for every worker count. Invalid options
+/// ([`FuzzOpts::validate`]) are refused before any seed runs.
 pub fn run_chaos_fuzz_supervised(
     opts: &FuzzOpts,
     sup: &SuperOpts,
     stop: &StopFlag,
 ) -> Result<SupervisedChaosFuzz, String> {
+    opts.validate()?;
     let campaign = ChaosFuzzCampaign { opts: opts.clone() };
     let run = supervise(&campaign, opts.seed0, opts.seeds, sup, stop)?;
     let mut report = ChaosFuzzReport::default();
@@ -1143,16 +1172,11 @@ impl CorpusEntry {
         })
     }
 
-    /// Replays the entry under every scheme; returns the disagreements
-    /// (empty = the entry conforms to the detection model).
-    pub fn replay(&self) -> Vec<(FScheme, Verdict)> {
-        self.replay_tier(ExecTier::default())
-    }
-
-    /// [`CorpusEntry::replay`] on an explicit execution tier — the CI
-    /// tier-equivalence job replays the whole regression corpus on the
-    /// compiled tier and expects the same clean verdicts.
-    pub fn replay_tier(&self, tier: ExecTier) -> Vec<(FScheme, Verdict)> {
+    /// Replays the entry under every scheme on `tier`; returns the
+    /// disagreements (empty = the entry conforms to the detection model).
+    /// `repro fuzz --corpus F --tier compiled` replays the regression
+    /// corpus on the compiled tier and expects the same clean verdicts.
+    pub fn replay(&self, tier: ExecTier) -> Vec<(FScheme, Verdict)> {
         let prog = gen::generate(self.seed, self.max_ops);
         let (prog, fault) = match self.kind {
             None => (prog, None),
@@ -1161,7 +1185,7 @@ impl CorpusEntry {
                 (fprog, Some(fault))
             }
         };
-        let native_digest = exec_tier(&prog, FScheme::Native, tier)
+        let native_digest = exec(&prog, FScheme::Native, tier, DEFAULT_BUDGET)
             .result
             .unwrap_or_default();
         let mut bad = Vec::new();
@@ -1169,7 +1193,7 @@ impl CorpusEntry {
             let v = classify(
                 fault.as_ref(),
                 native_digest,
-                &exec_tier(&prog, scheme, tier),
+                &exec(&prog, scheme, tier, DEFAULT_BUDGET),
             );
             if !verdict_ok(scheme, self.kind, &v) {
                 bad.push((scheme, v));
@@ -1206,7 +1230,6 @@ pub fn parse_corpus(text: &str) -> Result<Vec<CorpusEntry>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::exec_traced;
 
     #[test]
     fn corpus_lines_round_trip() {
@@ -1229,6 +1252,54 @@ mod tests {
     }
 
     #[test]
+    fn every_runner_refuses_invalid_options_before_any_seed() {
+        let journal =
+            std::env::temp_dir().join(format!("sgxs-fuzz-invalid-{}.jsonl", std::process::id()));
+        let sup = SuperOpts {
+            journal: Some(journal.to_string_lossy().into_owned()),
+            ..SuperOpts::default()
+        };
+        let ok = FuzzOpts {
+            seeds: 1,
+            ..FuzzOpts::default()
+        };
+        assert_eq!(ok.validate(), Ok(()));
+        let none = FuzzOpts {
+            seeds: 0,
+            ..ok.clone()
+        };
+        assert_eq!(none.validate(), Ok(()), "zero seeds runs nothing");
+        for bad in [
+            FuzzOpts {
+                max_ops: MAX_OPS + 1,
+                ..ok.clone()
+            },
+            FuzzOpts {
+                budget: 0,
+                ..ok.clone()
+            },
+            FuzzOpts {
+                trace_window: 0,
+                ..ok.clone()
+            },
+            FuzzOpts {
+                seed0: u64::MAX,
+                ..ok.clone()
+            },
+        ] {
+            let e = bad.validate().expect_err("invalid options validate");
+            assert_eq!(run_campaign(&bad).err(), Some(e.clone()));
+            assert_eq!(run_chaos_fuzz(&bad).err(), Some(e.clone()));
+            let stop = StopFlag::new();
+            let fuzz = run_campaign_supervised(&bad, &sup, &stop);
+            assert_eq!(fuzz.err(), Some(e.clone()));
+            let chaos = run_chaos_fuzz_supervised(&bad, &sup, &stop);
+            assert_eq!(chaos.err(), Some(e));
+        }
+        assert!(!journal.exists(), "a refused campaign opened its journal");
+    }
+
+    #[test]
     fn corpus_max_ops_beyond_the_cap_is_a_line_error() {
         let at_cap = format!("1 {MAX_OPS} safe\n");
         assert_eq!(parse_corpus(&at_cap).map(|e| e[0].max_ops), Ok(MAX_OPS));
@@ -1241,39 +1312,16 @@ mod tests {
     }
 
     #[test]
-    fn traced_rerun_matches_plain_and_captures_events() {
-        // The trace attached to a disagreement must come from an execution
-        // that behaves exactly like the one that disagreed: markers and the
-        // recorder may not perturb result, beacon, or violation count.
-        let prog = gen::generate(42, 12);
-        let (fprog, _fault) = inject::inject(&prog, FaultKind::HeapOverflow, 42);
-        for scheme in [FScheme::SgxBounds, FScheme::Asan, FScheme::Mpx] {
-            let plain = exec_tier(&fprog, scheme, ExecTier::default());
-            let (traced, events) = exec_traced(&fprog, scheme, 32);
-            assert_eq!(
-                format!("{:?}", plain.result),
-                format!("{:?}", traced.result),
-                "{}",
-                scheme.label()
-            );
-            assert_eq!(plain.beacon, traced.beacon, "{}", scheme.label());
-            assert_eq!(plain.violations, traced.violations, "{}", scheme.label());
-            assert!(!events.is_empty(), "{}: no events traced", scheme.label());
-            let (_, again) = exec_traced(&fprog, scheme, 32);
-            assert_eq!(events, again, "{}: trace not deterministic", scheme.label());
-        }
-    }
-
-    #[test]
     fn forensic_rerun_is_zero_perturbation_and_incidents_are_deterministic() {
         // exec_forensic carries a full ledger recorder and span mode, yet
         // must reproduce the plain run's observables exactly — otherwise the
         // incident describes a different execution than the one that failed.
         let prog = gen::generate(42, 12);
         let (fprog, fault) = inject::inject(&prog, FaultKind::HeapOverflow, 42);
-        for scheme in [FScheme::SgxBounds, FScheme::Asan] {
-            let plain = exec_tier(&fprog, scheme, ExecTier::default());
-            let (forensic, rec) = exec_forensic(&fprog, scheme, ExecTier::default(), 32);
+        let tier = ExecTier::Reference;
+        for scheme in [FScheme::SgxBounds, FScheme::Asan, FScheme::Mpx] {
+            let plain = exec(&fprog, scheme, tier, DEFAULT_BUDGET);
+            let (forensic, rec) = exec_forensic(&fprog, scheme, tier, DEFAULT_BUDGET, 32);
             assert_eq!(
                 format!("{:?}", plain.result),
                 format!("{:?}", forensic.result),
@@ -1283,6 +1331,15 @@ mod tests {
             assert_eq!(plain.beacon, forensic.beacon, "{}", scheme.label());
             assert_eq!(plain.violations, forensic.violations, "{}", scheme.label());
             assert!(!rec.ledger().objects().is_empty(), "{}", scheme.label());
+            let events = rec.trace().last_events(32);
+            assert!(!events.is_empty(), "{}: no events traced", scheme.label());
+            let (_, again) = exec_forensic(&fprog, scheme, tier, DEFAULT_BUDGET, 32);
+            assert_eq!(
+                events,
+                again.trace().last_events(32),
+                "{}: trace not deterministic",
+                scheme.label()
+            );
         }
         // Incidents assembled from the same seed are byte-identical across
         // reruns and tiers.
@@ -1339,7 +1396,8 @@ mod tests {
             max_ops: 12,
             shrink: false,
             ..FuzzOpts::default()
-        });
+        })
+        .expect("valid options");
         assert_eq!(report.programs, 6);
         assert!(report.passed(), "chaos failures:\n{}", report.render());
         assert!(
@@ -1357,7 +1415,8 @@ mod tests {
             max_ops: 10,
             shrink: true,
             ..FuzzOpts::default()
-        });
+        })
+        .expect("valid options");
         assert_eq!(report.programs, 18);
         assert!(
             report.disagreements.is_empty(),
@@ -1387,7 +1446,7 @@ mod tests {
             shrink: false,
             ..FuzzOpts::default()
         };
-        let serial = run_campaign(&opts);
+        let serial = run_campaign(&opts).expect("valid options");
         let sup = SuperOpts {
             workers: 3,
             quiet_panics: true,
@@ -1444,7 +1503,7 @@ mod tests {
             shrink: false,
             ..FuzzOpts::default()
         };
-        let serial = run_chaos_fuzz(&opts);
+        let serial = run_chaos_fuzz(&opts).expect("valid options");
         assert!(serial.passed(), "{}", serial.render());
         for workers in [1, 4] {
             let sup = SuperOpts {

@@ -7,9 +7,9 @@ use crate::inject::{Fault, FaultKind};
 use sgxbounds::SbConfig;
 use sgxs_audit::LedgerRecorder;
 use sgxs_baselines::{Hardening, ADDRESS_SPACE_CAP};
-use sgxs_mir::{verify, GlobalId, PolicySet, RecoveryPolicy, Trap, TrapClass, Vm, VmConfig};
+use sgxs_mir::{GlobalId, PolicySet, RecoveryPolicy, Trap, TrapClass, VmConfig};
 use sgxs_rt::AllocFaultPlan;
-use sgxs_sim::obs::{Recorder, TraceRecorder};
+use sgxs_sim::obs::Recorder;
 use sgxs_sim::{ExecTier, MachineConfig, Mode, Preset};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -117,62 +117,32 @@ pub const DEFAULT_BUDGET: u64 = 4_000_000;
 /// needs more traps, so a completed run never reports more.
 pub const OOM_RETRY_ATTEMPTS: u32 = 16;
 
-/// Builds, instruments, and runs `prog` under `scheme`.
-pub fn exec(prog: &Prog, scheme: FScheme) -> Exec {
-    exec_inner(
-        prog,
-        scheme,
-        None,
-        None,
-        ExecTier::default(),
-        false,
-        DEFAULT_BUDGET,
-    )
+/// Builds, instruments, and runs `prog` under `scheme` on `tier`, stopping
+/// it after `budget` interpreter instructions — the campaign watchdog
+/// (`repro fuzz --budget N`). The budget counts instructions, never
+/// wall-clock time, so the resulting trap (and every artifact derived from
+/// it) is bit-reproducible on any host. The compiled tier must reproduce
+/// the reference digest, beacon, and violation count bit-for-bit;
+/// `tests/tier_equivalence.rs` enforces this corpus-wide.
+pub fn exec(prog: &Prog, scheme: FScheme, tier: ExecTier, budget: u64) -> Exec {
+    catch_exec(|| exec_uncaught(prog, scheme, None, None, tier, budget))
 }
 
-/// Like [`exec`] but on an explicit execution tier. The compiled tier must
-/// reproduce the reference digest, beacon, violation count, and retry count
-/// bit-for-bit — `tests/tier_equivalence.rs` enforces this corpus-wide.
-pub fn exec_tier(prog: &Prog, scheme: FScheme, tier: ExecTier) -> Exec {
-    exec_inner(prog, scheme, None, None, tier, false, DEFAULT_BUDGET)
-}
-
-/// Like [`exec_tier`] with an explicit instruction budget — the campaign
-/// watchdog knob (`repro fuzz --budget N`). The budget is enforced in
-/// interpreter instructions, never wall-clock, so the resulting trap (and
-/// every artifact derived from it) is bit-reproducible on any host.
-pub fn exec_tier_budget(prog: &Prog, scheme: FScheme, tier: ExecTier, budget: u64) -> Exec {
-    exec_inner(prog, scheme, None, None, tier, false, budget)
-}
-
-/// Like [`exec`] but under environmental chaos, on an explicit execution
-/// tier: a fault plan seeded with `chaos_seed` makes the allocator fail
-/// intermittently, and the interpreter retries the injected OOMs with
-/// backoff. A correct scheme must still reproduce the clean native digest
-/// bit-for-bit — any divergence means a transient allocation failure
-/// corrupted results — and the recovery machinery, retry accounting
-/// included, must be tier-invariant.
-pub fn exec_chaos_tier(prog: &Prog, scheme: FScheme, chaos_seed: u64, tier: ExecTier) -> Exec {
-    exec_inner(
-        prog,
-        scheme,
-        None,
-        Some(chaos_seed),
-        tier,
-        false,
-        DEFAULT_BUDGET,
-    )
-}
-
-/// Like [`exec_chaos_tier`] with an explicit instruction budget.
-pub fn exec_chaos_tier_budget(
+/// Like [`exec`] but under environmental chaos: a fault plan seeded with
+/// `chaos_seed` makes the allocator fail intermittently, and the
+/// interpreter retries the injected OOMs with backoff. A correct scheme
+/// must still reproduce the clean native digest bit-for-bit — any
+/// divergence means a transient allocation failure corrupted results — and
+/// the recovery machinery, retry accounting included, must be
+/// tier-invariant.
+pub fn exec_chaos(
     prog: &Prog,
     scheme: FScheme,
     chaos_seed: u64,
     tier: ExecTier,
     budget: u64,
 ) -> Exec {
-    exec_inner(prog, scheme, None, Some(chaos_seed), tier, false, budget)
+    catch_exec(|| exec_uncaught(prog, scheme, None, Some(chaos_seed), tier, budget))
 }
 
 /// True when the run was stopped by the instruction-budget watchdog (the
@@ -189,63 +159,24 @@ pub fn is_oom_trap(e: &Exec) -> bool {
     matches!(e.result, Err(Trap::OutOfMemory { .. }))
 }
 
-/// Like [`exec`] but with the observability layer on; returns the run plus
-/// the last `last_k` rendered events (the context attached to
-/// disagreement reports).
-pub fn exec_traced(prog: &Prog, scheme: FScheme, last_k: usize) -> (Exec, Vec<String>) {
-    let rec = Rc::new(RefCell::new(TraceRecorder::new(last_k)));
-    let e = exec_inner(
-        prog,
-        scheme,
-        Some(rec.clone()),
-        None,
-        ExecTier::default(),
-        false,
-        DEFAULT_BUDGET,
-    );
-    let r = Rc::try_unwrap(rec)
-        .expect("machine dropped its recorder handle")
-        .into_inner();
-    (e, r.last_events(last_k))
-}
-
 /// Forensic re-run of a (dis)agreeing execution: attaches a
 /// [`LedgerRecorder`] (object provenance ledger + fault capture + trace
-/// ring of `ring_cap` events) with span mode on, on an explicit tier.
-/// Observability is zero-perturbation, so the returned [`Exec`] is
-/// bit-identical to the plain run — `tests/incident_forensics.rs` pins it.
+/// ring of `ring_cap` events) with span mode on. Observability is
+/// zero-perturbation, so the returned [`Exec`] is bit-identical to the
+/// plain [`exec`] — `tests/incident_forensics.rs` pins it.
 pub fn exec_forensic(
     prog: &Prog,
     scheme: FScheme,
     tier: ExecTier,
+    budget: u64,
     ring_cap: usize,
 ) -> (Exec, LedgerRecorder) {
     let rec = Rc::new(RefCell::new(LedgerRecorder::new(ring_cap)));
-    let e = exec_inner(
-        prog,
-        scheme,
-        Some(rec.clone()),
-        None,
-        tier,
-        true,
-        DEFAULT_BUDGET,
-    );
+    let e = catch_exec(|| exec_uncaught(prog, scheme, Some(rec.clone()), None, tier, budget));
     let r = Rc::try_unwrap(rec)
         .expect("machine dropped its recorder handle")
         .into_inner();
     (e, r)
-}
-
-fn exec_inner(
-    prog: &Prog,
-    scheme: FScheme,
-    rec: Option<Rc<RefCell<dyn Recorder>>>,
-    chaos_seed: Option<u64>,
-    tier: ExecTier,
-    spans: bool,
-    budget: u64,
-) -> Exec {
-    catch_exec(move || exec_uncaught(prog, scheme, rec, chaos_seed, tier, spans, budget))
 }
 
 /// Runs `f`, converting a panic anywhere in the scheme pipeline
@@ -277,30 +208,22 @@ fn exec_uncaught(
     rec: Option<Rc<RefCell<dyn Recorder>>>,
     chaos_seed: Option<u64>,
     tier: ExecTier,
-    spans: bool,
     budget: u64,
 ) -> Exec {
     let hardening = scheme.hardening();
+    let traced = rec.is_some();
     let mut module = gen::build(prog);
     hardening
-        .instrument(&mut module, rec.is_some())
+        .instrument(&mut module, traced)
         .expect("fuzz module instruments");
-    verify(&module).expect("instrumented fuzz module verifies");
 
     let mut machine_cfg = MachineConfig::preset(Preset::Tiny, Mode::Enclave);
     machine_cfg.tier = tier;
     let mut cfg = VmConfig::new(machine_cfg);
     cfg.max_instructions = budget;
-    let mut vm = Vm::new(&module, cfg);
-    vm.machine.set_recorder(rec);
-    if spans {
-        vm.machine.set_span_mode(true);
-    }
-    let rt = hardening.install(
-        &mut vm,
-        MachineConfig::scale_of(Preset::Tiny),
-        ADDRESS_SPACE_CAP,
-    );
+    let scale = MachineConfig::scale_of(Preset::Tiny);
+    let (mut vm, rt) = hardening.boot(&module, cfg, rec, scale, ADDRESS_SPACE_CAP);
+    vm.machine.set_span_mode(traced);
     if let Some(seed) = chaos_seed {
         // Chaos campaign mode: the allocator fails intermittently and the
         // interpreter rides the injected OOMs out with bounded retries.
@@ -314,9 +237,6 @@ fn exec_uncaught(
                 backoff: 1_000,
             },
         ));
-    }
-    if tier == ExecTier::Compiled {
-        sgxs_exec::attach(&mut vm);
     }
     let out = vm.run("main", &[]);
     // The beacon is always GlobalId(0) — gen::build creates it first.
@@ -494,11 +414,15 @@ mod tests {
     use crate::gen::generate;
     use crate::inject::{inject, ALL_KINDS};
 
+    fn run(prog: &Prog, scheme: FScheme) -> Exec {
+        exec(prog, scheme, ExecTier::Reference, DEFAULT_BUDGET)
+    }
+
     #[test]
     fn native_execution_is_deterministic() {
         let prog = generate(17, 20);
-        let a = exec(&prog, FScheme::Native);
-        let b = exec(&prog, FScheme::Native);
+        let a = run(&prog, FScheme::Native);
+        let b = run(&prog, FScheme::Native);
         assert_eq!(a.result, b.result);
         assert_eq!(a.beacon, b.beacon);
     }
@@ -506,9 +430,9 @@ mod tests {
     #[test]
     fn safe_program_passes_under_every_scheme() {
         let prog = generate(23, 20);
-        let native = exec(&prog, FScheme::Native).result.expect("native ok");
+        let native = run(&prog, FScheme::Native).result.expect("native ok");
         for s in ALL_SCHEMES {
-            let e = exec(&prog, s);
+            let e = run(&prog, s);
             let v = classify(None, native, &e);
             assert_eq!(v, Verdict::Pass, "{}: {:?}", s.label(), e.result);
         }
@@ -518,7 +442,7 @@ mod tests {
     fn sgxbounds_detects_heap_overflow_at_the_right_site() {
         let prog = generate(29, 12);
         let (fprog, fault) = inject(&prog, FaultKind::HeapOverflow, 1);
-        let e = exec(&fprog, FScheme::SgxBounds);
+        let e = run(&fprog, FScheme::SgxBounds);
         let v = classify(Some(&fault), 0, &e);
         assert_eq!(v, Verdict::Detected, "exec: {:?}", e);
     }
@@ -527,9 +451,9 @@ mod tests {
     fn intra_object_needs_narrowing() {
         let prog = generate(31, 12);
         let (fprog, fault) = inject(&prog, FaultKind::IntraObject, 2);
-        let plain = classify(Some(&fault), 0, &exec(&fprog, FScheme::SgxBounds));
+        let plain = classify(Some(&fault), 0, &run(&fprog, FScheme::SgxBounds));
         assert_eq!(plain, Verdict::Missed);
-        let narrow = classify(Some(&fault), 0, &exec(&fprog, FScheme::SgxBoundsNarrow));
+        let narrow = classify(Some(&fault), 0, &run(&fprog, FScheme::SgxBoundsNarrow));
         assert_eq!(narrow, Verdict::Detected);
     }
 
@@ -537,7 +461,7 @@ mod tests {
     fn boundless_tolerates_heap_overflow() {
         let prog = generate(37, 12);
         let (fprog, fault) = inject(&prog, FaultKind::HeapOverflow, 3);
-        let e = exec(&fprog, FScheme::SgxBoundsBoundless);
+        let e = run(&fprog, FScheme::SgxBoundsBoundless);
         let v = classify(Some(&fault), 0, &e);
         assert!(
             verdict_ok(
@@ -579,7 +503,7 @@ mod tests {
             for kind in ALL_KINDS {
                 let (fprog, fault) = inject(&prog, kind, seed);
                 for s in ALL_SCHEMES {
-                    let e = exec(&fprog, s);
+                    let e = run(&fprog, s);
                     let v = classify(Some(&fault), 0, &e);
                     assert!(
                         verdict_ok(s, Some(kind), &v),

@@ -4,7 +4,8 @@
 
 use crate::gen::{inst_count, Prog};
 use crate::inject::Fault;
-use crate::runner::{classify, exec, FScheme, Verdict};
+use crate::runner::{classify, exec, FScheme, Verdict, DEFAULT_BUDGET};
+use sgxs_sim::ExecTier;
 
 /// A minimized reproducer for one disagreement.
 #[derive(Debug, Clone)]
@@ -13,8 +14,6 @@ pub struct Repro {
     pub prog: Prog,
     /// The fault, with `at` adjusted to the reduced op list.
     pub fault: Option<Fault>,
-    /// The verdict the reproducer still triggers.
-    pub verdict: Verdict,
     /// MIR instruction count of the built reproducer.
     pub insts: usize,
 }
@@ -50,12 +49,13 @@ fn compose(
 
 /// True when the candidate still reproduces the disagreement verdict.
 fn still_fails(prog: &Prog, fault: Option<&Fault>, scheme: FScheme, want: &Verdict) -> bool {
-    let native = match exec(prog, FScheme::Native).result {
+    let run = |scheme| exec(prog, scheme, ExecTier::Reference, DEFAULT_BUDGET);
+    let native = match run(FScheme::Native).result {
         Ok(d) => d,
         // A native crash means the candidate changed behavior; reject it.
         Err(_) => return fault.is_some() && matches!(want, Verdict::Crash(_)),
     };
-    let v = classify(fault, native, &exec(prog, scheme));
+    let v = classify(fault, native, &run(scheme));
     v.label() == want.label()
 }
 
@@ -110,14 +110,7 @@ pub fn shrink(orig_safe: &Prog, fault: Option<&Fault>, scheme: FScheme, want: &V
 
     let (prog, fault) = compose(orig_safe, &keep, fault, lean);
     let insts = inst_count(&crate::gen::build(&prog));
-    let native = exec(&prog, FScheme::Native).result.unwrap_or_default();
-    let verdict = classify(fault.as_ref(), native, &exec(&prog, scheme));
-    Repro {
-        prog,
-        fault,
-        verdict,
-        insts,
-    }
+    Repro { prog, fault, insts }
 }
 
 #[cfg(test)]
@@ -133,7 +126,9 @@ mod tests {
         let prog = generate(51, 24);
         let (_, fault) = inject(&prog, FaultKind::MemcpyOverflow, 0);
         let repro = shrink(&prog, Some(&fault), FScheme::Mpx, &Verdict::Missed);
-        assert_eq!(repro.verdict.label(), "missed");
+        let kept = repro.fault.as_ref();
+        let want = Verdict::Missed;
+        assert!(still_fails(&repro.prog, kept, FScheme::Mpx, &want));
         assert!(
             repro.prog.ops.len() <= fault.ops.len() + 2,
             "kept too many safe ops: {:?}",
@@ -151,7 +146,9 @@ mod tests {
         let prog = generate(53, 24);
         let (_, fault) = inject(&prog, FaultKind::HeapOverflow, 1);
         let repro = shrink(&prog, Some(&fault), FScheme::SgxBounds, &Verdict::Detected);
-        assert_eq!(repro.verdict.label(), "detected");
+        let kept = repro.fault.as_ref();
+        let want = Verdict::Detected;
+        assert!(still_fails(&repro.prog, kept, FScheme::SgxBounds, &want));
         assert!(repro.insts <= 30, "{} insts", repro.insts);
     }
 }

@@ -18,7 +18,7 @@ use crate::lint::oob_demo;
 use crate::scheme::Scheme;
 use sgxs_audit::{IncidentDoc, IncidentMeta, LedgerRecorder, DEFAULT_TRACE_WINDOW};
 use sgxs_baselines::ADDRESS_SPACE_CAP;
-use sgxs_mir::{verify, Trap, Vm, VmConfig};
+use sgxs_mir::{Trap, VmConfig};
 use sgxs_obs::codec::Field;
 use sgxs_obs::read::parse_incident;
 use sgxs_sim::{ExecTier, MachineConfig, Mode, Preset};
@@ -34,22 +34,14 @@ fn forensic_demo_run(tier: ExecTier, window: usize) -> (Result<u64, Trap>, Ledge
     hardening
         .instrument(&mut module, true)
         .expect("demo instrumentation");
-    verify(&module).expect("instrumented demo module verifies");
 
     let mut machine_cfg = MachineConfig::preset(Preset::Tiny, Mode::Enclave);
     machine_cfg.tier = tier;
-    let mut vm = Vm::new(&module, VmConfig::new(machine_cfg));
     let rec = Rc::new(RefCell::new(LedgerRecorder::new(window)));
-    vm.machine.set_recorder(Some(rec.clone()));
+    let scale = MachineConfig::scale_of(Preset::Tiny);
+    let cfg = VmConfig::new(machine_cfg);
+    let (mut vm, _) = hardening.boot(&module, cfg, Some(rec.clone()), scale, ADDRESS_SPACE_CAP);
     vm.machine.set_span_mode(true);
-    if tier == ExecTier::Compiled {
-        sgxs_exec::attach(&mut vm);
-    }
-    hardening.install(
-        &mut vm,
-        MachineConfig::scale_of(Preset::Tiny),
-        ADDRESS_SPACE_CAP,
-    );
     let out = vm.run("main", &[]);
     drop(vm);
     let rec = Rc::try_unwrap(rec)

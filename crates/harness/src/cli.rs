@@ -46,7 +46,7 @@
 
 use crate::exp::{self, Effort, DEFAULT_SEED};
 use crate::profile::{profile_one, DEFAULT_RING, DEFAULT_TOP};
-use crate::scheme::{run_one, run_one_perturbed, set_default_tier, RunConfig, Scheme};
+use crate::scheme::{run_one, run_one_perturbed, RunConfig, Scheme};
 use sgxs_obs::codec::Field;
 use sgxs_obs::json::Json;
 use sgxs_obs::read::{metrics_from_json, parse_bench, parse_profile, BenchDoc, METRICS_SCHEMA};
@@ -268,14 +268,16 @@ pub fn run(args: &[String]) -> Result<i32, String> {
 }
 
 /// Runs the selected experiments and returns the full `sgxs-bench-v1`
-/// document. `print` controls the human tables; the JSON is always built.
+/// document. Every experiment derives its runs from `base`, which carries
+/// the preset, the execution tier and the input seed. `print` controls the
+/// human tables; the JSON is always built.
 pub fn run_suite(
-    preset: Preset,
+    base: &RunConfig,
     effort: Effort,
     wanted: &[String],
-    seed: u64,
     print: bool,
 ) -> Result<Json, String> {
+    let preset = base.preset;
     for w in wanted {
         if w != "all" && !EXPERIMENTS.contains(&w.as_str()) {
             return Err(format!("unknown experiment '{w}'\n{USAGE}"));
@@ -315,11 +317,11 @@ pub fn run_suite(
     let (steps, rpc) = if quick { (3, 24) } else { (5, 64) };
     // Fields run in the order written, which is the suite's order.
     let exps = exp::Experiments {
-        fig1: experiment!("fig1", exp::fig01::run(preset, steps, seed)),
-        fig7: experiment!("fig7", exp::fig07::run(preset, effort, seed)),
+        fig1: experiment!("fig1", exp::fig01::run(base, steps)),
+        fig7: experiment!("fig7", exp::fig07::run(base, effort)),
         // Table 3 is a second view of the Fig. 8 runs.
         fig8: (want("fig8") || want("table3")).then(|| {
-            let f8 = exp::fig08::run(preset, sizes, seed);
+            let f8 = exp::fig08::run(base, sizes);
             if print && want("fig8") {
                 println!("{f8}\n");
             }
@@ -328,13 +330,13 @@ pub fn run_suite(
             }
             f8
         }),
-        fig9: experiment!("fig9", exp::fig09::run(preset, effort, seed)),
-        fig10: experiment!("fig10", exp::fig10::run(preset, effort, seed)),
-        table4: experiment!("table4", exp::tab04::run(preset, seed)),
-        fig11: experiment!("fig11", exp::fig11::run(preset, effort, seed)),
-        fig12: experiment!("fig12", exp::fig12::run(preset, effort, seed)),
-        fig13: experiment!("fig13", exp::fig13::run(preset, clients, rpc, seed)),
-        cases: experiment!("cases", exp::cases::run(preset, seed)),
+        fig9: experiment!("fig9", exp::fig09::run(base, effort)),
+        fig10: experiment!("fig10", exp::fig10::run(base, effort)),
+        table4: experiment!("table4", exp::tab04::run(base)),
+        fig11: experiment!("fig11", exp::fig11::run(base, effort)),
+        fig12: experiment!("fig12", exp::fig12::run(base, effort)),
+        fig13: experiment!("fig13", exp::fig13::run(base, clients, rpc)),
+        cases: experiment!("cases", exp::cases::run(base)),
     };
     Ok(BenchDoc {
         preset: format!("{preset:?}"),
@@ -343,6 +345,15 @@ pub fn run_suite(
         host: None,
     }
     .put())
+}
+
+/// The base configuration of a suite run: `preset`'s defaults on `tier`,
+/// with inputs generated from `seed`.
+fn suite_base(preset: Preset, tier: ExecTier, seed: u64) -> RunConfig {
+    let mut base = RunConfig::new(preset);
+    base.tier = tier;
+    base.params.seed = seed;
+    base
 }
 
 /// The experiment suite (`repro fig7 --quick`, `repro all --json f`).
@@ -372,9 +383,8 @@ pub fn run_experiments(args: &[String]) -> Result<i32, String> {
     if wanted.is_empty() {
         return Err(USAGE.to_owned());
     }
-    set_default_tier(tier);
     let t0 = std::time::Instant::now();
-    let mut doc = run_suite(preset, effort, &wanted, seed, true)?;
+    let mut doc = run_suite(&suite_base(preset, tier, seed), effort, &wanted, true)?;
     let wall_ms = t0.elapsed().as_millis() as u64;
     if timed {
         // Host-side observation only: it lives outside `experiments`, so
@@ -512,13 +522,7 @@ pub fn run_fuzz(args: &[String]) -> Result<i32, String> {
             other => return Err(it.fail(format!("unknown argument '{other}'\n{USAGE}"))),
         }
     }
-    if opts.budget == 0 {
-        return Err(it.fail("--budget must be at least 1"));
-    }
-    check_seed_range(&it, opts.seed0, opts.seeds, "--seeds")?;
-    if opts.trace_window == 0 {
-        return Err(it.fail("--trace-window must be at least 1"));
-    }
+    opts.validate().map_err(|e| it.fail(e))?;
     let mut failed = false;
     if let Some(path) = &corpus {
         let text = std::fs::read_to_string(path)
@@ -526,7 +530,7 @@ pub fn run_fuzz(args: &[String]) -> Result<i32, String> {
         let entries = sgxs_fuzz::parse_corpus(&text).map_err(|e| it.fail(e))?;
         println!("replaying {} corpus entries from {path}", entries.len());
         for entry in &entries {
-            let bad = entry.replay_tier(opts.tier);
+            let bad = entry.replay(opts.tier);
             if bad.is_empty() {
                 continue;
             }
@@ -661,7 +665,6 @@ pub fn run_bench(args: &[String]) -> Result<i32, String> {
         return Err(it.fail("--replicates must be at least 1"));
     }
     check_seed_range(&it, seed0, replicates, "--replicates")?;
-    set_default_tier(tier);
     let rev = rev.unwrap_or_else(git_rev);
     let mut lines = String::new();
     for i in 0..replicates {
@@ -673,8 +676,9 @@ pub fn run_bench(args: &[String]) -> Result<i32, String> {
             tier.label()
         );
         let t0 = std::time::Instant::now();
+        let base = suite_base(preset, tier, seed);
         let mut doc =
-            run_suite(preset, effort, &["all".to_owned()], seed, false).map_err(|e| it.fail(e))?;
+            run_suite(&base, effort, &["all".to_owned()], false).map_err(|e| it.fail(e))?;
         let wall_ms = t0.elapsed().as_millis() as u64;
         // Recorded replicates always carry the host block: the wall-clock
         // win of the compiled tier becomes a committed artifact in
@@ -721,7 +725,7 @@ pub fn run_bench(args: &[String]) -> Result<i32, String> {
 pub fn run_tier(args: &[String]) -> Result<i32, String> {
     use sgxs_fuzz::gen::generate;
     use sgxs_fuzz::inject::{inject, FaultKind};
-    use sgxs_fuzz::runner::{exec_chaos_tier, exec_tier, Exec, ALL_SCHEMES};
+    use sgxs_fuzz::runner::{exec, exec_chaos, Exec, ALL_SCHEMES, DEFAULT_BUDGET};
 
     let mut it = Args::new("tier", args);
     match it.next_arg() {
@@ -756,6 +760,7 @@ pub fn run_tier(args: &[String]) -> Result<i32, String> {
     // Debug rendering covers every field, so equality of renderings is
     // equality of observables.
     let same = |a: &Exec, b: &Exec| format!("{a:?}") == format!("{b:?}");
+    let tiers = [ExecTier::Reference, ExecTier::Compiled];
 
     // 1. Fuzz corpus: safe program + one injected fault per seed, every
     //    scheme, both tiers.
@@ -764,8 +769,7 @@ pub fn run_tier(args: &[String]) -> Result<i32, String> {
         let (fprog, _fault) = inject(&prog, FaultKind::for_seed(seed), seed);
         for scheme in ALL_SCHEMES {
             for (tag, p) in [("safe", &prog), ("faulty", &fprog)] {
-                let r = exec_tier(p, scheme, ExecTier::Reference);
-                let c = exec_tier(p, scheme, ExecTier::Compiled);
+                let [r, c] = tiers.map(|tier| exec(p, scheme, tier, DEFAULT_BUDGET));
                 runs += 2;
                 if !same(&r, &c) {
                     diverged(format!(
@@ -787,8 +791,8 @@ pub fn run_tier(args: &[String]) -> Result<i32, String> {
         let prog = generate(seed, max_ops);
         let chaos_seed = seed.wrapping_mul(0xD6E8_FEB8_6659_FD93).wrapping_add(1);
         for scheme in ALL_SCHEMES {
-            let r = exec_chaos_tier(&prog, scheme, chaos_seed, ExecTier::Reference);
-            let c = exec_chaos_tier(&prog, scheme, chaos_seed, ExecTier::Compiled);
+            let [r, c] =
+                tiers.map(|tier| exec_chaos(&prog, scheme, chaos_seed, tier, DEFAULT_BUDGET));
             runs += 2;
             if !same(&r, &c) {
                 diverged(format!(
@@ -1115,7 +1119,8 @@ pub fn run_trace(args: &[String]) -> Result<i32, String> {
     };
     let schedule = sgxs_resil::ChaosSchedule::generate(seed, requests);
     let collector = Rc::new(RefCell::new(sgxs_metrics::SpanCollector::default()));
-    let rep = sgxs_resil::serve_traced(app, scheme, &policies, &schedule, tier, collector.clone());
+    let (rep, _) =
+        sgxs_resil::serve_traced(app, scheme, &policies, &schedule, tier, collector.clone());
     let c = collector.borrow();
     println!(
         "{} / {} / {policy} seed {seed}: {} spans ({} dropped), \

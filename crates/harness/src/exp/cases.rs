@@ -7,7 +7,6 @@ use crate::scheme::{run_one, RunConfig, Scheme};
 use sgxbounds::SbConfig;
 use sgxs_mir::Trap;
 use sgxs_obs::document;
-use sgxs_sim::Preset;
 use sgxs_workloads::apps::apache::Heartbleed;
 use sgxs_workloads::apps::memcached::MemcachedCve2011_4971;
 use sgxs_workloads::apps::nginx::NginxCve2013_2028;
@@ -59,9 +58,7 @@ fn verdict(case: &'static str, w: &dyn Workload, scheme: Scheme, rc: &RunConfig)
 }
 
 /// Runs every case under every scheme, plus SGXBounds+boundless.
-pub fn run(preset: Preset, seed: u64) -> Cases {
-    let mut rc = RunConfig::new(preset);
-    rc.params.seed = seed;
+pub fn run(rc: &RunConfig) -> Cases {
     let boundless = Scheme::SgxBoundsCustom(SbConfig {
         boundless: true,
         ..SbConfig::default()
@@ -75,7 +72,7 @@ pub fn run(preset: Preset, seed: u64) -> Cases {
     for (case, w) in cases {
         // The memcached hang reproduction deliberately spins; cap its budget
         // so `repro cases` stays fast.
-        let mut case_rc = rc;
+        let mut case_rc = *rc;
         if case == "memcached_cve" {
             case_rc.max_instructions = 150_000_000;
         }

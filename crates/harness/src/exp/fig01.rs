@@ -7,7 +7,6 @@ use super::{hardened_runs, PerScheme};
 use crate::report::{fmt_bytes, fmt_ratio, ratio, Table};
 use crate::scheme::{run_one, RunConfig, Scheme};
 use sgxs_obs::document;
-use sgxs_sim::Preset;
 use sgxs_workloads::apps::sqlite::{Sqlite, BYTES_PER_ROW};
 use std::fmt;
 
@@ -52,9 +51,7 @@ document! {
 }
 
 /// Runs the sweep. `steps` points, doubling row counts.
-pub fn run(preset: Preset, steps: usize, seed: u64) -> Fig1 {
-    let mut rc = RunConfig::new(preset);
-    rc.params.seed = seed;
+pub fn run(rc: &RunConfig, steps: usize) -> Fig1 {
     // Start around 1/16th of the enclave cap's row equivalent and double;
     // the later points push MPX's 4x bounds-table factor over the cap.
     let cap = rc.enclave_cap();
@@ -63,9 +60,9 @@ pub fn run(preset: Preset, steps: usize, seed: u64) -> Fig1 {
     for s in 0..steps {
         let rows = start_rows << s;
         let w = Sqlite::with_rows(rows);
-        let base = run_one(&w, Scheme::Baseline, &rc);
+        let base = run_one(&w, Scheme::Baseline, rc);
         assert!(base.ok(), "sqlite baseline failed: {:?}", base.result);
-        let runs = hardened_runs(&w, &rc);
+        let runs = hardened_runs(&w, rc);
         let mem = |i: usize| runs[i].as_ref().map(|m| m.peak_reserved);
         points.push(Point {
             rows,

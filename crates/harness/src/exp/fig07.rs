@@ -3,10 +3,11 @@
 
 use super::overheads::{self, Overheads};
 use super::Effort;
-use sgxs_sim::{Mode, Preset};
+use crate::scheme::RunConfig;
+use sgxs_sim::Mode;
 
 /// Runs the experiment.
-pub fn run(preset: Preset, effort: Effort, seed: u64) -> Overheads {
+pub fn run(base: &RunConfig, effort: Effort) -> Overheads {
     let workloads = sgxs_workloads::phoenix_parsec();
-    overheads::run(preset, effort, workloads, Mode::Enclave, 8, seed)
+    overheads::run(base, effort, workloads, Mode::Enclave, 8)
 }

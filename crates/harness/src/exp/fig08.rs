@@ -6,7 +6,6 @@ use super::columns;
 use crate::report::{fmt_bytes, fmt_ratio, ratio, Table};
 use crate::scheme::{run_one, Measured, RunConfig, Scheme};
 use sgxs_obs::document;
-use sgxs_sim::Preset;
 use sgxs_workloads::SizeClass;
 use std::fmt;
 
@@ -91,16 +90,15 @@ document! {
 }
 
 /// Runs the sweep over `sizes`.
-pub fn run(preset: Preset, sizes: &[SizeClass], seed: u64) -> Fig8 {
+pub fn run(base: &RunConfig, sizes: &[SizeClass]) -> Fig8 {
     let mut sweeps = Vec::new();
     for name in BENCHMARKS {
         let w = sgxs_workloads::by_name(name).expect("benchmark registered");
         let mut cells = Vec::new();
         for &size in sizes {
-            let mut rc = RunConfig::new(preset);
+            let mut rc = *base;
             rc.params.size = size;
             rc.params.threads = 8;
-            rc.params.seed = seed;
             let sgxb = run_one(w.as_ref(), Scheme::SgxBounds, &rc);
             assert!(sgxb.ok(), "{name} sgxbounds failed: {:?}", sgxb.result);
             let base = run_one(w.as_ref(), Scheme::Baseline, &rc);

@@ -6,7 +6,6 @@ use super::{columns, Effort};
 use crate::report::{ratio, ratio_row, Table};
 use crate::scheme::{run_one, RunConfig, Scheme};
 use sgxs_obs::document;
-use sgxs_sim::Preset;
 use std::fmt;
 
 columns! {
@@ -46,16 +45,15 @@ document! {
 }
 
 /// Runs the experiment.
-pub fn run(preset: Preset, effort: Effort, seed: u64) -> Fig9 {
+pub fn run(base: &RunConfig, effort: Effort) -> Fig9 {
     let mut rows = Vec::new();
     for w in sgxs_workloads::phoenix_parsec() {
         // In `Threads` column order: scheme-major, then thread count.
         let mut over = [None; 4];
         for (ti, threads) in [1u32, 4].into_iter().enumerate() {
-            let mut rc = RunConfig::new(preset);
+            let mut rc = *base;
             rc.params.size = effort.size();
             rc.params.threads = threads;
-            rc.params.seed = seed;
             let base = run_one(w.as_ref(), Scheme::Baseline, &rc);
             assert!(base.ok(), "{} baseline failed", w.name());
             for (si, scheme) in [Scheme::Asan, Scheme::SgxBounds].into_iter().enumerate() {

@@ -9,7 +9,6 @@ use crate::scheme::{run_one, run_one_obs, RunConfig, Scheme};
 use sgxbounds::SbConfig;
 use sgxs_obs::document;
 use sgxs_sim::obs::TraceRecorder;
-use sgxs_sim::Preset;
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
@@ -104,11 +103,10 @@ fn count_checks(w: &dyn sgxs_workloads::Workload, cfg: SbConfig, rc: &RunConfig)
 }
 
 /// Runs the ablation.
-pub fn run(preset: Preset, effort: Effort, seed: u64) -> Fig10 {
-    let mut rc = RunConfig::new(preset);
+pub fn run(base: &RunConfig, effort: Effort) -> Fig10 {
+    let mut rc = *base;
     rc.params.size = effort.size();
     rc.params.threads = 8;
-    rc.params.seed = seed;
     let mut rows = Vec::new();
     for w in sgxs_workloads::phoenix_parsec() {
         let base = run_one(w.as_ref(), Scheme::Baseline, &rc);

@@ -3,13 +3,14 @@
 
 use super::overheads::{self, Overheads};
 use super::Effort;
-use sgxs_sim::{Mode, Preset};
+use crate::scheme::RunConfig;
+use sgxs_sim::Mode;
 
 /// Runs SPEC (single-threaded) in the enclave.
-pub fn run(preset: Preset, effort: Effort, seed: u64) -> Overheads {
+pub fn run(base: &RunConfig, effort: Effort) -> Overheads {
     let workloads = sgxs_workloads::spec::all();
     Overheads {
         caption: Some("Figure 11: SPEC inside the enclave — overheads over native SGX".into()),
-        ..overheads::run(preset, effort, workloads, Mode::Enclave, 1, seed)
+        ..overheads::run(base, effort, workloads, Mode::Enclave, 1)
     }
 }

@@ -5,15 +5,16 @@
 
 use super::overheads::{self, Overheads};
 use super::Effort;
-use sgxs_sim::{Mode, Preset};
+use crate::scheme::RunConfig;
+use sgxs_sim::Mode;
 
 /// Runs SPEC (single-threaded) in native (non-enclave) mode.
-pub fn run(preset: Preset, effort: Effort, seed: u64) -> Overheads {
+pub fn run(base: &RunConfig, effort: Effort) -> Overheads {
     let workloads = sgxs_workloads::spec::all();
     Overheads {
         caption: Some(
             "Figure 12: SPEC outside the enclave — overheads over native execution".into(),
         ),
-        ..overheads::run(preset, effort, workloads, Mode::Native, 1, seed)
+        ..overheads::run(base, effort, workloads, Mode::Native, 1)
     }
 }

@@ -4,7 +4,7 @@
 use crate::report::{fmt_bytes, Table};
 use crate::scheme::{run_one, RunConfig, Scheme};
 use sgxs_obs::document;
-use sgxs_sim::{Mode, Preset};
+use sgxs_sim::Mode;
 use sgxs_workloads::apps::{apache::Apache, memcached::Memcached, nginx::Nginx};
 use sgxs_workloads::Workload;
 use std::fmt;
@@ -67,7 +67,7 @@ fn build_app(name: &str, clients: u32, requests: u64) -> Box<dyn Workload> {
 
 /// Runs the sweep over `client_steps`, issuing `req_per_client` requests
 /// per client.
-pub fn run(preset: Preset, client_steps: &[u32], req_per_client: u64, seed: u64) -> Fig13 {
+pub fn run(base: &RunConfig, client_steps: &[u32], req_per_client: u64) -> Fig13 {
     let mut apps = Vec::new();
     for name in ["memcached", "apache", "nginx"] {
         let mut samples = Vec::new();
@@ -82,9 +82,8 @@ pub fn run(preset: Preset, client_steps: &[u32], req_per_client: u64, seed: u64)
                 ("sgx", Scheme::Baseline, Mode::Enclave),
             ];
             for (label, scheme, mode) in baselines.into_iter().chain(hardened) {
-                let mut rc = RunConfig::new(preset);
+                let mut rc = *base;
                 rc.mode = mode;
-                rc.params.seed = seed;
                 let m = run_one(w.as_ref(), scheme, &rc);
                 let cycles = (m.ok() && m.wall_cycles > 0).then_some(m.wall_cycles as f64);
                 samples.push(Sample {

@@ -7,7 +7,7 @@ use super::{hardened_runs, Effort, PerScheme};
 use crate::report::{ratio, ratio_row, Table};
 use crate::scheme::{run_one, Measured, RunConfig, Scheme};
 use sgxs_obs::document;
-use sgxs_sim::{Mode, Preset};
+use sgxs_sim::Mode;
 use sgxs_workloads::Workload;
 use std::fmt;
 
@@ -45,18 +45,16 @@ document! {
 /// Runs every workload in `workloads` under the baseline and each
 /// hardened scheme, in `mode` with `threads` threads.
 pub fn run(
-    preset: Preset,
+    base: &RunConfig,
     effort: Effort,
     workloads: Vec<Box<dyn Workload>>,
     mode: Mode,
     threads: u32,
-    seed: u64,
 ) -> Overheads {
-    let mut rc = RunConfig::new(preset);
+    let mut rc = *base;
     rc.mode = mode;
     rc.params.size = effort.size();
     rc.params.threads = threads;
-    rc.params.seed = seed;
     let mut rows = Vec::new();
     for w in workloads {
         let base = run_one(w.as_ref(), Scheme::Baseline, &rc);

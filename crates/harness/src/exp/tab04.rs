@@ -2,12 +2,11 @@
 
 use crate::report::Table;
 use crate::scheme::{RunConfig, Scheme};
-use sgxs_baselines::Hardening;
-use sgxs_mir::{verify, Module, Trap, Vm, VmConfig};
+use sgxs_mir::{Module, Trap, VmConfig};
 use sgxs_obs::codec::Field;
 use sgxs_obs::document;
 use sgxs_obs::json::Json;
-use sgxs_sim::{ExecTier, MachineConfig, Preset};
+use sgxs_sim::MachineConfig;
 use sgxs_workloads::apps::ripe;
 use std::fmt;
 
@@ -89,28 +88,17 @@ document! {
     }
 }
 
-/// The hardened VM one attack runs in, on `rc.tier` as in
-/// [`crate::scheme::run_one`].
-fn attack_vm<'m>(module: &'m Module, hardening: &Hardening, rc: &RunConfig) -> Vm<'m> {
-    let mut machine_cfg = MachineConfig::preset(rc.preset, rc.mode);
-    machine_cfg.tier = rc.tier;
-    let mut cfg = VmConfig::new(machine_cfg);
-    cfg.max_instructions = 50_000_000;
-    let mut vm = Vm::new(module, cfg);
-    hardening.install(&mut vm, rc.scale(), rc.enclave_cap());
-    if rc.tier == ExecTier::Compiled {
-        sgxs_exec::attach(&mut vm);
-    }
-    vm
-}
-
+/// Runs one attack under `scheme` on `rc`'s machine and tier.
 fn run_attack(mut module: Module, scheme: Scheme, rc: &RunConfig) -> Outcome {
     let hardening = scheme.hardening();
     hardening
         .instrument(&mut module, false)
         .expect("attack module instruments");
-    verify(&module).expect("attack module verifies");
-    let mut vm = attack_vm(&module, &hardening, rc);
+    let mut machine_cfg = MachineConfig::preset(rc.preset, rc.mode);
+    machine_cfg.tier = rc.tier;
+    let mut cfg = VmConfig::new(machine_cfg);
+    cfg.max_instructions = 50_000_000;
+    let (mut vm, _) = hardening.boot(&module, cfg, None, rc.scale(), rc.enclave_cap());
     match vm.run("main", &[]).result {
         Err(Trap::SafetyViolation { .. }) => Outcome::Prevented,
         Ok(v) if v == ripe::SHELL_MAGIC => Outcome::Succeeded,
@@ -118,15 +106,13 @@ fn run_attack(mut module: Module, scheme: Scheme, rc: &RunConfig) -> Outcome {
     }
 }
 
-/// Runs the full matrix.
-pub fn run(preset: Preset, seed: u64) -> Tab4 {
-    let mut rc = RunConfig::new(preset);
-    rc.params.seed = seed;
+/// Runs the full matrix on `base`'s machine and tier.
+pub fn run(base: &RunConfig) -> Tab4 {
     let attacks: Vec<Attack> = ripe::all_attacks()
         .into_iter()
         .map(|cfg| {
             let [mpx, asan, sgxbounds] =
-                Scheme::all_hardened().map(|s| run_attack(ripe::build_attack(&cfg), s, &rc));
+                Scheme::all_hardened().map(|s| run_attack(ripe::build_attack(&cfg), s, base));
             Attack {
                 attack: cfg.label(),
                 mpx,
@@ -181,24 +167,5 @@ impl fmt::Display for Tab4 {
             format!("{}/16", p.sgxbounds),
         ]);
         write!(f, "{}", t.render())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn attacks_run_on_the_requested_tier() {
-        let hardening = Scheme::SgxBounds.hardening();
-        let mut module = ripe::build_attack(&ripe::all_attacks()[0]);
-        hardening.instrument(&mut module, false).unwrap();
-        for tier in [ExecTier::Reference, ExecTier::Compiled] {
-            let mut rc = RunConfig::new(Preset::Tiny);
-            rc.tier = tier;
-            let vm = attack_vm(&module, &hardening, &rc);
-            assert_eq!(vm.config().machine.tier, tier);
-            assert_eq!(vm.engine_installed(), tier == ExecTier::Compiled);
-        }
     }
 }

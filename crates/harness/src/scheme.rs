@@ -1,42 +1,15 @@
-//! Scheme-aware workload runner: build, instrument, install, stage, run,
+//! Scheme-aware workload runner: build, harden, boot, stage, run,
 //! measure.
 
 use sgxbounds::SbConfig;
 use sgxs_baselines::Hardening;
-use sgxs_mir::{verify, CheckSite, Trap, Vm, VmConfig};
+use sgxs_mir::{CheckSite, Trap, VmConfig};
 use sgxs_rt::Stager;
 use sgxs_sim::obs::Recorder;
 use sgxs_sim::{ExecTier, MachineConfig, Mode, Preset, Stats};
 use sgxs_workloads::{Params, Workload};
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Process-wide default execution tier. The CLI's `--tier` flag sets it
-/// once at startup, before any experiment runs; [`RunConfig::new`]
-/// snapshots it so every experiment module picks the flag up without
-/// threading a parameter through each figure. Simulated results are
-/// tier-invariant by construction (the compiled tier is pinned
-/// bit-identical), so this switch only changes host wall time.
-static DEFAULT_TIER: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-wide default execution tier (see [`default_tier`]).
-pub fn set_default_tier(tier: ExecTier) {
-    let v = match tier {
-        ExecTier::Reference => 0,
-        ExecTier::Compiled => 1,
-    };
-    DEFAULT_TIER.store(v, Ordering::Relaxed);
-}
-
-/// The process-wide default execution tier ([`ExecTier::Reference`] unless
-/// [`set_default_tier`] was called).
-pub fn default_tier() -> ExecTier {
-    match DEFAULT_TIER.load(Ordering::Relaxed) {
-        1 => ExecTier::Compiled,
-        _ => ExecTier::Reference,
-    }
-}
 
 /// Enclave virtual-memory budget at paper scale (the 4 GB 32-bit space the
 /// paper's §8 discussion assumes). Scaled presets divide it by the machine
@@ -132,12 +105,14 @@ pub struct RunConfig {
     pub epc_override: Option<u64>,
     /// Execution tier (the reference interpreter stays the default oracle;
     /// the compiled tier is bit-identical and only changes host wall time).
+    /// `repro --tier` sets it on the suite's base configuration, and every
+    /// experiment derives its runs from that base.
     pub tier: ExecTier,
 }
 
 impl RunConfig {
     /// Default experiment configuration for a preset (enclave mode, L size,
-    /// 8 threads).
+    /// 8 threads, reference tier).
     pub fn new(preset: Preset) -> Self {
         let scale = MachineConfig::scale_of(preset);
         RunConfig {
@@ -146,7 +121,7 @@ impl RunConfig {
             params: Params::new(scale),
             max_instructions: 4_000_000_000,
             epc_override: None,
-            tier: default_tier(),
+            tier: ExecTier::Reference,
         }
     }
 
@@ -183,9 +158,9 @@ pub fn run_one(workload: &dyn Workload, scheme: Scheme, rc: &RunConfig) -> Measu
     run_one_inner(workload, scheme, rc, None, false).measured
 }
 
-/// Negative control for the tier-equivalence oracle: runs on the compiled
-/// tier with the engine's deliberate single-cycle accounting fault enabled
-/// (ignoring `rc.tier`). A working oracle must see this run diverge from
+/// Negative control for the tier-equivalence oracle: boots on the reference
+/// tier, then installs the compiled engine with its deliberate single-cycle
+/// accounting fault enabled (ignoring `rc.tier`). A working oracle must see this run diverge from
 /// [`run_one`]; `repro tier check --perturb` and CI use it to prove the
 /// gate can fail.
 pub fn run_one_perturbed(workload: &dyn Workload, scheme: Scheme, rc: &RunConfig) -> Measured {
@@ -219,35 +194,28 @@ fn run_one_inner(
     if let Err(e) = hardening.instrument(&mut module, rec.is_some()) {
         panic!("{} under {}: {e}", workload.name(), scheme.label());
     }
-    if let Err(e) = verify(&module) {
-        panic!(
-            "{} under {}: ill-formed IR: {e}",
-            workload.name(),
-            scheme.label()
-        );
-    }
 
     let mut machine_cfg = MachineConfig::preset(rc.preset, rc.mode);
     if let Some(epc) = rc.epc_override {
         machine_cfg.epc_bytes = epc;
     }
-    machine_cfg.tier = rc.tier;
+    machine_cfg.tier = if perturb {
+        ExecTier::Reference
+    } else {
+        rc.tier
+    };
     let mut cfg = VmConfig::new(machine_cfg);
     cfg.max_instructions = rc.max_instructions;
     // Thread stacks scale with the machine (2 MB pthread default at paper
     // scale) so reserved-memory ratios stay comparable across presets.
     cfg.stack_size = ((2u64 << 20) / rc.scale()).max(32 << 10) as u32;
-    let mut vm = Vm::new(&module, cfg);
-    vm.machine.set_recorder(rec);
-    let rt = hardening.install(&mut vm, rc.scale(), rc.enclave_cap());
+    let (mut vm, rt) = hardening.boot(&module, cfg, rec, rc.scale(), rc.enclave_cap());
+    if perturb {
+        sgxs_exec::attach_perturbed(&mut vm);
+    }
 
     let mut st = Stager::new();
     let args = workload.stage(&mut vm, &mut st, &rc.params);
-    if perturb {
-        sgxs_exec::attach_perturbed(&mut vm);
-    } else if rc.tier == ExecTier::Compiled {
-        sgxs_exec::attach(&mut vm);
-    }
     let out = vm.run("main", &args);
     let measured = Measured {
         workload: workload.name().to_owned(),

@@ -22,7 +22,7 @@
 //! allow (`tier` for `--tier`, `workers` and `resume` for the supervisor
 //! flags, `rerun` otherwise); a unit test asks the command-line parser.
 //! `repro selfcheck` spawns this executable once per run, so no process
-//! state (the default tier, a panic) carries over, and keeps each run's
+//! state (a panic, say) carries over, and keeps each run's
 //! files, stdout and stderr under `target/selfcheck/<row>/<run>/`, minus a
 //! stopped run's once its law holds: they depend on the worker schedule.
 

@@ -684,7 +684,10 @@ mod tests {
         assert_eq!(doc.preset, "Tiny");
         assert_eq!(doc.effort, "Quick");
         for key in ["fig1", "fig7", "fig8", "table4", "cases"] {
-            assert!(doc.experiment(key).is_some(), "missing {key}");
+            assert!(
+                doc.experiments.iter().any(|(k, _)| k == key),
+                "missing {key}"
+            );
         }
         assert_eq!(
             doc.put().to_pretty(),

@@ -56,16 +56,6 @@ document! {
     }
 }
 
-impl BenchDoc {
-    /// The payload of one experiment, if present.
-    pub fn experiment(&self, id: &str) -> Option<&Json> {
-        self.experiments
-            .iter()
-            .find(|(k, _)| k == id)
-            .map(|(_, v)| v)
-    }
-}
-
 document! {
     /// One row of a per-check-site profile.
     #[derive(Debug, Clone)]

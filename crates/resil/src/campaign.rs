@@ -3,10 +3,10 @@
 
 use crate::chaos::{check_requests, ChaosSchedule};
 use crate::serve::{
-    abort_policy, boundless_policy, graceful_policy, retry_policy, serve_forensic, serve_tier,
+    abort_policy, boundless_policy, graceful_policy, retry_policy, serve_tier, serve_traced,
     AvailabilityReport, RScheme, ServerApp,
 };
-use sgxs_audit::{IncidentDoc, IncidentMeta, DEFAULT_TRACE_WINDOW};
+use sgxs_audit::{IncidentDoc, IncidentMeta, LedgerRecorder, DEFAULT_TRACE_WINDOW};
 use sgxs_metrics::{Hist, Registry};
 use sgxs_mir::PolicySet;
 use sgxs_obs::codec::Field;
@@ -17,7 +17,9 @@ use sgxs_sim::ExecTier;
 use sgxs_super::{
     supervise, Campaign, Coverage, Quarantined, Restored, StopFlag, SuperOpts, TaskError,
 };
+use std::cell::RefCell;
 use std::fmt::Write as _;
+use std::rc::Rc;
 
 /// Campaign configuration.
 #[derive(Debug, Clone)]
@@ -612,14 +614,18 @@ pub fn run_chaos_campaign_supervised(
 fn corruption_incident(opts: &CampaignOpts, combo: &Combo, seed: u64) -> IncidentDoc {
     let schedule = ChaosSchedule::generate(seed, opts.requests);
     let app = ServerApp::ALL[(seed % ServerApp::ALL.len() as u64) as usize];
-    let (rep, rec, first) = serve_forensic(
+    let rec = Rc::new(RefCell::new(LedgerRecorder::new(DEFAULT_TRACE_WINDOW)));
+    let (rep, first) = serve_traced(
         app,
         combo.scheme,
         &combo.policies,
         &schedule,
         opts.tier,
-        DEFAULT_TRACE_WINDOW,
+        rec.clone(),
     );
+    let rec = Rc::try_unwrap(rec)
+        .expect("server dropped its recorder handle")
+        .into_inner();
     let meta = IncidentMeta {
         origin: "chaos".into(),
         workload: format!("{}-seed-{seed}", app.label()),

@@ -32,7 +32,7 @@ pub use campaign::{
 };
 pub use chaos::{check_requests, ChaosEvent, ChaosKind, ChaosSchedule, MIN_REQUESTS};
 pub use serve::{
-    abort_policy, boundless_policy, graceful_policy, retry_policy, serve, serve_forensic,
-    serve_tier, serve_traced, AvailabilityReport, RScheme, ServerApp,
+    abort_policy, boundless_policy, graceful_policy, retry_policy, serve_tier, serve_traced,
+    AvailabilityReport, RScheme, ServerApp,
 };
 pub use sgxs_mir::{PolicySet, RecoveryPolicy, RecoveryStats, TrapClass};

@@ -1,6 +1,6 @@
 //! Request-level crash isolation for the server workloads.
 //!
-//! One [`serve`] call runs one server (nginx / apache / memcached
+//! One [`serve_tier`] call runs one server (nginx / apache / memcached
 //! per-request module from `sgxs-workloads`) under one protection scheme
 //! and one recovery [`PolicySet`] against one [`ChaosSchedule`]. Each
 //! request is a separate `vm.run("handle", ..)` invocation, so a trap is
@@ -22,9 +22,7 @@ use crate::chaos::{ChaosKind, ChaosSchedule};
 use sgxbounds::SbConfig;
 use sgxs_baselines::{Hardening, ADDRESS_SPACE_CAP};
 use sgxs_metrics::Hist;
-use sgxs_mir::{
-    verify, GlobalId, PolicySet, RecoveryPolicy, RecoveryStats, TrapClass, Vm, VmConfig,
-};
+use sgxs_mir::{GlobalId, PolicySet, RecoveryPolicy, RecoveryStats, TrapClass, VmConfig};
 use sgxs_obs::{Event, Recorder};
 use sgxs_rt::Stager;
 use sgxs_sim::{ExecTier, MachineConfig, Mode, Preset};
@@ -166,47 +164,14 @@ fn benign_len(r: u32) -> u64 {
     16 + (r as u64 * 37) % (BENIGN_MAX - 16)
 }
 
-/// Runs `app` under `scheme` with recovery `policies` against `schedule`.
+/// Runs `app` under `scheme` with recovery `policies` against `schedule`,
+/// on execution tier `tier`. Every field of the report — availability
+/// ledger, recovery counters, canary corruption, AEX penalties — must be
+/// identical across tiers; the chaos-campaign equivalence tests enforce
+/// this seed-for-seed.
 ///
 /// Panics if the server's `setup` entry fails — the chaos tier only
 /// injects faults from the first request onward.
-pub fn serve(
-    app: ServerApp,
-    scheme: RScheme,
-    policies: &PolicySet,
-    schedule: &ChaosSchedule,
-) -> AvailabilityReport {
-    serve_tier(app, scheme, policies, schedule, ExecTier::default())
-}
-
-/// Like [`serve_traced`] but with a full [`sgxs_audit::LedgerRecorder`]
-/// attached, for incident forensics. Returns the report, the recovered
-/// recorder (object ledger, span path, trace ring), and the plain address
-/// of the first corrupted canary byte, when the run corrupted any.
-///
-/// The report is identical to the untraced run's — same zero-perturbation
-/// contract as [`serve_traced`].
-pub fn serve_forensic(
-    app: ServerApp,
-    scheme: RScheme,
-    policies: &PolicySet,
-    schedule: &ChaosSchedule,
-    tier: ExecTier,
-    ring_cap: usize,
-) -> (AvailabilityReport, sgxs_audit::LedgerRecorder, Option<u32>) {
-    let rec = Rc::new(RefCell::new(sgxs_audit::LedgerRecorder::new(ring_cap)));
-    let (report, first_corrupted) =
-        serve_inner(app, scheme, policies, schedule, tier, Some(rec.clone()));
-    let rec = Rc::try_unwrap(rec)
-        .expect("server dropped its recorder handle")
-        .into_inner();
-    (report, rec, first_corrupted)
-}
-
-/// Like [`serve`] but on an explicit execution tier. Every field of the
-/// report — availability ledger, recovery counters, canary corruption,
-/// AEX penalties — must be identical across tiers; the chaos-campaign
-/// equivalence tests enforce this seed-for-seed.
 pub fn serve_tier(
     app: ServerApp,
     scheme: RScheme,
@@ -219,9 +184,12 @@ pub fn serve_tier(
 
 /// Like [`serve_tier`] but with an observability recorder attached for the
 /// whole run: span events (`serve` → `request` → `check`) and every other
-/// obs event flow into `rec`. Recording never charges a simulated cycle,
-/// so the returned report is identical to the untraced run's — the
-/// zero-perturbation pin in `tests/metrics_pin.rs` enforces this.
+/// obs event flow into `rec`. Returns the report and the plain address of
+/// the first corrupted canary byte, when the run corrupted any (the anchor
+/// of a corruption incident). Recording never charges a simulated cycle,
+/// so the report is identical to the untraced run's — the
+/// zero-perturbation pins in `tests/metrics_pin.rs` and
+/// `tests/incident_forensics.rs` enforce this.
 pub fn serve_traced(
     app: ServerApp,
     scheme: RScheme,
@@ -229,8 +197,8 @@ pub fn serve_traced(
     schedule: &ChaosSchedule,
     tier: ExecTier,
     rec: Rc<RefCell<dyn Recorder>>,
-) -> AvailabilityReport {
-    serve_inner(app, scheme, policies, schedule, tier, Some(rec)).0
+) -> (AvailabilityReport, Option<u32>) {
+    serve_inner(app, scheme, policies, schedule, tier, Some(rec))
 }
 
 fn serve_inner(
@@ -249,21 +217,14 @@ fn serve_inner(
     hardening
         .instrument(&mut module, rec.is_some())
         .expect("server instrumentation");
-    verify(&module).expect("server module verifies");
 
     let mut machine_cfg = MachineConfig::preset(Preset::Tiny, Mode::Enclave);
     machine_cfg.tier = tier;
     let mut cfg = VmConfig::new(machine_cfg);
     cfg.max_instructions = 500_000_000;
-    let mut vm = Vm::new(&module, cfg);
-    if tier == ExecTier::Compiled {
-        sgxs_exec::attach(&mut vm);
-    }
-    let rt = hardening.install(
-        &mut vm,
-        MachineConfig::scale_of(Preset::Tiny),
-        ADDRESS_SPACE_CAP,
-    );
+    // The recorder is attached only after setup (below), so boot gets none.
+    let scale = MachineConfig::scale_of(Preset::Tiny);
+    let (mut vm, rt) = hardening.boot(&module, cfg, None, scale, ADDRESS_SPACE_CAP);
     let (heap, sb_rt) = (rt.heap, rt.sgxbounds);
 
     // Stage the request input: INPUT_BYTES of seeded bytes, none zero (so
@@ -481,6 +442,15 @@ pub fn boundless_policy() -> PolicySet {
 mod tests {
     use super::*;
 
+    fn serve(
+        app: ServerApp,
+        scheme: RScheme,
+        policies: &PolicySet,
+        schedule: &ChaosSchedule,
+    ) -> AvailabilityReport {
+        serve_tier(app, scheme, policies, schedule, ExecTier::Reference)
+    }
+
     fn quiet_schedule(seed: u64, requests: u32) -> ChaosSchedule {
         // Attacks only — no environmental noise — for sharp assertions.
         let mut s = ChaosSchedule::generate(seed, requests);
@@ -590,12 +560,12 @@ mod tests {
             &sch,
         );
         let rec = Rc::new(RefCell::new(SpanCollector::default()));
-        let traced = serve_traced(
+        let (traced, _) = serve_traced(
             ServerApp::Nginx,
             RScheme::Boundless,
             &boundless_policy(),
             &sch,
-            ExecTier::default(),
+            ExecTier::Reference,
             rec.clone(),
         );
         // Recording must not change a single number in the report.

@@ -163,10 +163,11 @@ pub struct MachineConfig {
     pub epc_bytes: u64,
     /// Cycle costs.
     pub cost: CostModel,
-    /// Which execution tier the runner chose for this machine. Nothing
-    /// reads it to pick the dispatch loop: each runner selects the
-    /// compiled tier by calling `sgxs_exec::attach` on its VM. The choice
-    /// is cost-neutral; both tiers charge identical cycles.
+    /// Which execution tier runs on this machine. `Hardening::boot` (in
+    /// `sgxs-baselines`) reads it once, when it readies a VM, and attaches
+    /// the compiled engine for [`ExecTier::Compiled`]; the machine model
+    /// itself never looks at it. The choice is cost-neutral; both tiers
+    /// charge identical cycles.
     pub tier: ExecTier,
 }
 

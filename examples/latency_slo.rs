@@ -14,9 +14,10 @@
 
 use sgxs_metrics::Hist;
 use sgxs_resil::{
-    abort_policy, boundless_policy, graceful_policy, retry_policy, serve, ChaosSchedule, RScheme,
-    ServerApp,
+    abort_policy, boundless_policy, graceful_policy, retry_policy, serve_tier, ChaosSchedule,
+    RScheme, ServerApp,
 };
+use sgxs_sim::ExecTier;
 
 fn main() {
     const SEEDS: u64 = 8;
@@ -48,7 +49,13 @@ fn main() {
         let mut total = 0u64;
         for seed in 1..=SEEDS {
             let schedule = ChaosSchedule::generate(seed, REQUESTS);
-            let rep = serve(ServerApp::Memcached, scheme, &policies, &schedule);
+            let rep = serve_tier(
+                ServerApp::Memcached,
+                scheme,
+                &policies,
+                &schedule,
+                ExecTier::Reference,
+            );
             lat.merge(&rep.latency);
             answered += (rep.served + rep.degraded) as u64;
             total += rep.total as u64;

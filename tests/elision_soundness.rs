@@ -8,8 +8,15 @@
 //! remove checks that can never fire; if it ever removed a live one, the
 //! flow run would miss a trap (or change the beacon) and this diverges.
 
-use sgxs_fuzz::runner::{exec, FScheme};
+use sgxs_fuzz::gen::Prog;
+use sgxs_fuzz::runner::{exec, Exec, FScheme, DEFAULT_BUDGET};
 use sgxs_fuzz::{gen, inject, parse_corpus, CorpusEntry};
+use sgxs_sim::ExecTier;
+
+/// One execution on the reference tier under the default budget.
+fn run(prog: &Prog, scheme: FScheme) -> Exec {
+    exec(prog, scheme, ExecTier::Reference, DEFAULT_BUDGET)
+}
 
 fn corpus() -> Vec<CorpusEntry> {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus/fuzz_seeds.txt");
@@ -25,8 +32,8 @@ fn flow_elision_never_changes_observable_behaviour() {
             None => prog,
             Some(kind) => inject::inject(&prog, kind, entry.seed).0,
         };
-        let noopt = exec(&fprog, FScheme::SgxBoundsNoOpt);
-        let flow = exec(&fprog, FScheme::SgxBoundsFlow);
+        let noopt = run(&fprog, FScheme::SgxBoundsNoOpt);
+        let flow = run(&fprog, FScheme::SgxBoundsFlow);
         assert_eq!(
             noopt.result,
             flow.result,
@@ -52,8 +59,8 @@ fn flow_elision_never_changes_observable_behaviour() {
 fn flow_scheme_matches_native_digests_on_safe_programs() {
     for entry in corpus().iter().filter(|e| e.kind.is_none()) {
         let prog = gen::generate(entry.seed, entry.max_ops);
-        let native = exec(&prog, FScheme::Native);
-        let flow = exec(&prog, FScheme::SgxBoundsFlow);
+        let native = run(&prog, FScheme::Native);
+        let flow = run(&prog, FScheme::SgxBoundsFlow);
         assert_eq!(
             native.result, flow.result,
             "seed {}: hardened digest drifted from native",

@@ -5,9 +5,16 @@
 //! per-scheme detection model — deterministically, offline, on every
 //! `cargo test` run.
 
+use sgxs_fuzz::gen::Prog;
 use sgxs_fuzz::inject::ALL_KINDS;
-use sgxs_fuzz::runner::{exec, FScheme, Verdict};
+use sgxs_fuzz::runner::{exec, Exec, FScheme, Verdict, DEFAULT_BUDGET};
 use sgxs_fuzz::{gen, inject, oracle, parse_corpus, CorpusEntry};
+use sgxs_sim::ExecTier;
+
+/// One execution on the reference tier under the default budget.
+fn run(prog: &Prog, scheme: FScheme) -> Exec {
+    exec(prog, scheme, ExecTier::Reference, DEFAULT_BUDGET)
+}
 
 fn corpus() -> Vec<CorpusEntry> {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus/fuzz_seeds.txt");
@@ -32,7 +39,7 @@ fn corpus_covers_every_fault_kind_and_safe_programs() {
 #[test]
 fn every_corpus_entry_matches_the_detection_model() {
     for entry in corpus() {
-        let bad = entry.replay();
+        let bad = entry.replay(ExecTier::Reference);
         assert!(
             bad.is_empty(),
             "corpus entry '{}' disagrees: {:?}",
@@ -82,8 +89,8 @@ fn corpus_replay_is_deterministic() {
         FScheme::Asan,
         FScheme::Mpx,
     ] {
-        let a = exec(&fprog, scheme);
-        let b = exec(&fprog, scheme);
+        let a = run(&fprog, scheme);
+        let b = run(&fprog, scheme);
         assert_eq!(a.result, b.result, "{}", scheme.label());
         assert_eq!(a.beacon, b.beacon, "{}", scheme.label());
     }
@@ -99,13 +106,13 @@ fn intra_object_entries_separate_narrowing_from_the_rest() {
         }
         let prog = gen::generate(entry.seed, entry.max_ops);
         let (fprog, fault) = inject::inject(&prog, entry.kind.unwrap(), entry.seed);
-        let native = exec(&fprog, FScheme::Native).result.unwrap_or_default();
+        let native = run(&fprog, FScheme::Native).result.unwrap_or_default();
         let plain =
-            sgxs_fuzz::runner::classify(Some(&fault), native, &exec(&fprog, FScheme::SgxBounds));
+            sgxs_fuzz::runner::classify(Some(&fault), native, &run(&fprog, FScheme::SgxBounds));
         let narrow = sgxs_fuzz::runner::classify(
             Some(&fault),
             native,
-            &exec(&fprog, FScheme::SgxBoundsNarrow),
+            &run(&fprog, FScheme::SgxBoundsNarrow),
         );
         assert_eq!(plain, Verdict::Missed, "{}", entry.to_line());
         assert_eq!(narrow, Verdict::Detected, "{}", entry.to_line());

@@ -12,17 +12,19 @@
 //! 4. attaching the forensic ledger to a chaos server changes no field
 //!    of the availability report.
 
-use sgxs_audit::{IncidentMeta, DEFAULT_TRACE_WINDOW};
-use sgxs_fuzz::runner::{exec_forensic, exec_tier, FScheme};
+use sgxs_audit::{IncidentMeta, LedgerRecorder, DEFAULT_TRACE_WINDOW};
+use sgxs_fuzz::runner::{exec, exec_forensic, FScheme, DEFAULT_BUDGET};
 use sgxs_fuzz::{gen, inject, parse_corpus, CorpusEntry};
 use sgxs_harness::audit::pinned_demo_incident;
 use sgxs_obs::codec::Field;
 use sgxs_obs::read::{parse_chaos, parse_incident};
 use sgxs_resil::{
-    abort_policy, run_chaos_campaign, serve_forensic, serve_tier, CampaignOpts, ChaosSchedule,
+    abort_policy, run_chaos_campaign, serve_tier, serve_traced, CampaignOpts, ChaosSchedule,
     RScheme, ServerApp,
 };
 use sgxs_sim::ExecTier;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn corpus() -> Vec<CorpusEntry> {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus/fuzz_seeds.txt");
@@ -73,9 +75,14 @@ fn corpus_forensics_are_zero_perturbation_and_tier_pinned() {
         let (fprog, fault) = inject::inject(&prog, entry.kind.unwrap(), entry.seed);
         let mut pinned: Option<String> = None;
         for tier in [ExecTier::Reference, ExecTier::Compiled] {
-            let plain = exec_tier(&fprog, FScheme::SgxBounds, tier);
-            let (forensic, rec) =
-                exec_forensic(&fprog, FScheme::SgxBounds, tier, DEFAULT_TRACE_WINDOW);
+            let plain = exec(&fprog, FScheme::SgxBounds, tier, DEFAULT_BUDGET);
+            let (forensic, rec) = exec_forensic(
+                &fprog,
+                FScheme::SgxBounds,
+                tier,
+                DEFAULT_BUDGET,
+                DEFAULT_TRACE_WINDOW,
+            );
             assert_eq!(
                 format!("{plain:?}"),
                 format!("{forensic:?}"),
@@ -189,14 +196,16 @@ fn forensic_serve_is_report_identical() {
             &schedule,
             ExecTier::default(),
         );
-        let (forensic, _rec, _first) = serve_forensic(
+        let rec = Rc::new(RefCell::new(LedgerRecorder::new(DEFAULT_TRACE_WINDOW)));
+        let (forensic, _first) = serve_traced(
             ServerApp::Memcached,
             scheme,
             &policies,
             &schedule,
             ExecTier::default(),
-            DEFAULT_TRACE_WINDOW,
+            rec.clone(),
         );
+        Rc::try_unwrap(rec).expect("server dropped its recorder handle");
         assert_eq!(
             format!("{plain:?}"),
             format!("{forensic:?}"),

@@ -1,16 +1,14 @@
-//! The lint artifact is deterministic and zero-perturbation: rerunning
-//! `repro lint` byte-for-byte reproduces both the human text and the JSON
-//! document, and switching the execution tier changes nothing — linting
-//! is purely static, so the reference and compiled default tiers must
-//! produce identical bytes (`repro lint` takes no `--tier`; `repro
-//! selfcheck` reruns it at the command line).
+//! The lint artifact is deterministic: rerunning `repro lint`
+//! byte-for-byte reproduces both the human text and the JSON document.
+//! Linting is purely static, so it has no execution tier to vary (`repro
+//! lint` takes no `--tier`; `repro selfcheck` reruns it at the command
+//! line).
 
 use sgxs_harness::exp::DEFAULT_SEED;
 use sgxs_harness::lint::lint_modules;
-use sgxs_harness::scheme::set_default_tier;
 use sgxs_harness::RunConfig;
 use sgxs_mir::Module;
-use sgxs_sim::{ExecTier, Preset};
+use sgxs_sim::Preset;
 use sgxs_workloads::SizeClass;
 
 /// Builds every benchmark module exactly as `repro lint` does.
@@ -35,18 +33,13 @@ fn artifact(ipa: bool) -> (String, String) {
 }
 
 #[test]
-fn lint_output_is_byte_identical_across_reruns_and_tiers() {
+fn lint_output_is_byte_identical_across_reruns() {
     for ipa in [false, true] {
-        let reference = artifact(ipa);
+        let first = artifact(ipa);
         let rerun = artifact(ipa);
-        assert_eq!(reference, rerun, "lint artifact drifted between reruns");
-
-        set_default_tier(ExecTier::Compiled);
-        let compiled = artifact(ipa);
-        set_default_tier(ExecTier::Reference);
         assert_eq!(
-            reference, compiled,
-            "lint artifact diverged across execution tiers (ipa={ipa})"
+            first, rerun,
+            "lint artifact drifted between reruns (ipa={ipa})"
         );
     }
 }

@@ -9,7 +9,7 @@
 use sgxbounds::SbConfig;
 use sgxs_fuzz::gen;
 use sgxs_harness::cli::run_suite;
-use sgxs_harness::Effort;
+use sgxs_harness::{Effort, RunConfig};
 use sgxs_metrics::SpanCollector;
 use sgxs_mir::{verify, Vm, VmConfig};
 use sgxs_obs::json::Json;
@@ -129,7 +129,7 @@ fn traced_serve_is_report_identical_for_every_combo() {
             ExecTier::default(),
         );
         let collector = Rc::new(RefCell::new(SpanCollector::default()));
-        let traced = serve_traced(
+        let (traced, _) = serve_traced(
             ServerApp::Memcached,
             *scheme,
             policies,
@@ -194,14 +194,9 @@ fn committed_bench_baseline_regenerates_byte_identically() {
     let committed =
         std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/results/bench.json"))
             .expect("committed baseline readable");
-    let doc = run_suite(
-        Preset::Tiny,
-        Effort::Quick,
-        &["all".to_owned()],
-        sgxs_harness::exp::DEFAULT_SEED,
-        false,
-    )
-    .expect("suite runs");
+    let mut base = RunConfig::new(Preset::Tiny);
+    base.params.seed = sgxs_harness::exp::DEFAULT_SEED;
+    let doc = run_suite(&base, Effort::Quick, &["all".to_owned()], false).expect("suite runs");
     assert_eq!(
         doc.to_pretty(),
         committed,

@@ -12,9 +12,17 @@ use sgxs_workloads::SizeClass;
 
 const P: Preset = Preset::Tiny;
 
+/// The suite's base configuration at Tiny scale, seeded like the
+/// committed baseline.
+fn base() -> RunConfig {
+    let mut rc = RunConfig::new(P);
+    rc.params.seed = DEFAULT_SEED;
+    rc
+}
+
 #[test]
 fn fig7_overhead_ordering_matches_paper() {
-    let fig = exp::fig07::run(P, Effort::Quick, DEFAULT_SEED);
+    let fig = exp::fig07::run(&base(), Effort::Quick);
     let (asan, sgxb) = (
         fig.gmean_perf.asan.unwrap(),
         fig.gmean_perf.sgxbounds.unwrap(),
@@ -96,8 +104,8 @@ fn fig12_sgxbounds_loses_its_advantage_outside_the_enclave() {
     // crossover is partial: we assert that SGXBounds' relative lead over
     // ASan shrinks substantially once the EPC is out of the picture
     // (EXPERIMENTS.md discusses the deviation).
-    let inside = exp::fig11::run(P, Effort::Full, DEFAULT_SEED);
-    let outside = exp::fig12::run(P, Effort::Full, DEFAULT_SEED);
+    let inside = exp::fig11::run(&base(), Effort::Full);
+    let outside = exp::fig12::run(&base(), Effort::Full);
     let lead = |f: &Overheads| {
         let g = f.gmean_perf;
         // Overhead-above-baseline ratio: how much worse ASan is.
@@ -113,7 +121,7 @@ fn fig12_sgxbounds_loses_its_advantage_outside_the_enclave() {
 
 #[test]
 fn fig11_sgxbounds_wins_inside_the_enclave() {
-    let fig = exp::fig11::run(P, Effort::Quick, DEFAULT_SEED);
+    let fig = exp::fig11::run(&base(), Effort::Quick);
     let (asan, sgxb) = (fig.gmean_perf.asan, fig.gmean_perf.sgxbounds);
     assert!(
         sgxb.unwrap() < asan.unwrap(),
@@ -126,7 +134,7 @@ fn fig11_sgxbounds_wins_inside_the_enclave() {
 
 #[test]
 fn fig9_sgxbounds_overhead_does_not_grow_with_threads() {
-    let fig = exp::fig09::run(P, Effort::Quick, DEFAULT_SEED);
+    let fig = exp::fig09::run(&base(), Effort::Quick);
     let sb1 = fig.gmean.sgxbounds_1t.unwrap();
     let sb4 = fig.gmean.sgxbounds_4t.unwrap();
     assert!(
@@ -137,7 +145,7 @@ fn fig9_sgxbounds_overhead_does_not_grow_with_threads() {
 
 #[test]
 fn fig10_optimizations_never_hurt_and_sometimes_help() {
-    let fig = exp::fig10::run(P, Effort::Quick, DEFAULT_SEED);
+    let fig = exp::fig10::run(&base(), Effort::Quick);
     let none = fig.gmean.none.unwrap();
     let both = fig.gmean.both.unwrap();
     assert!(
@@ -162,7 +170,7 @@ fn fig10_check_counts_are_monotone_across_the_ablation() {
     // Each optimization tier may only remove dynamic checks, never add
     // them: none >= safe >= both >= flow per benchmark, and the flow tier
     // must be a strict improvement over `both` somewhere.
-    let fig = exp::fig10::run(P, Effort::Quick, DEFAULT_SEED);
+    let fig = exp::fig10::run(&base(), Effort::Quick);
     let mut flow_strictly_better = false;
     for r in &fig.rows {
         let Variants {
@@ -199,7 +207,7 @@ fn fig10_check_counts_are_monotone_across_the_ablation() {
 
 #[test]
 fn table4_matches_exactly() {
-    let t = exp::tab04::run(P, DEFAULT_SEED);
+    let t = exp::tab04::run(&base());
     let p = &t.prevented;
     assert_eq!(
         [p.mpx, p.asan, p.sgxbounds],
@@ -210,7 +218,7 @@ fn table4_matches_exactly() {
 
 #[test]
 fn fig1_sqlite_shapes() {
-    let fig = exp::fig01::run(P, 4, DEFAULT_SEED);
+    let fig = exp::fig01::run(&base(), 4);
     // MPX must crash somewhere in the sweep; SGXBounds never does and
     // keeps memory at baseline.
     let mpx_crashes = fig.points.iter().any(|p| p.perf_vs_sgx.mpx.is_none());
@@ -239,7 +247,7 @@ fn fig1_sqlite_shapes() {
 
 #[test]
 fn fig13_throughput_ordering_at_load() {
-    let fig = exp::fig13::run(P, &[4], 64, DEFAULT_SEED);
+    let fig = exp::fig13::run(&base(), &[4], 64);
     for app in &fig.apps {
         let tp = |scheme: &str| {
             app.samples

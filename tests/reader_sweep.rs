@@ -217,7 +217,8 @@ fn cases() -> Vec<(&'static str, String, Reader)> {
         max_ops: 8,
         demo_budget: Some(1),
         ..FuzzOpts::default()
-    });
+    })
+    .expect("valid options");
     fuzz.disagreements.push(Disagreement {
         seed: 0,
         kind: None,

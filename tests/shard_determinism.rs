@@ -43,7 +43,10 @@ fn sup(workers: usize) -> SuperOpts {
 #[test]
 fn fuzz_doc_is_byte_identical_across_worker_counts() {
     let opts = fuzz_opts(8);
-    let serial = run_campaign(&opts).to_json().to_pretty();
+    let serial = run_campaign(&opts)
+        .expect("valid options")
+        .to_json()
+        .to_pretty();
     for workers in WORKER_COUNTS {
         let out = run_campaign_supervised(&opts, &sup(workers), &StopFlag::new())
             .expect("supervised fuzz runs");
@@ -58,7 +61,7 @@ fn fuzz_doc_is_byte_identical_across_worker_counts() {
 #[test]
 fn chaos_fuzz_report_is_identical_across_worker_counts() {
     let opts = fuzz_opts(6);
-    let serial = run_chaos_fuzz(&opts).render();
+    let serial = run_chaos_fuzz(&opts).expect("valid options").render();
     for workers in WORKER_COUNTS {
         let out = run_chaos_fuzz_supervised(&opts, &sup(workers), &StopFlag::new())
             .expect("supervised chaos-fuzz runs");
@@ -97,7 +100,10 @@ fn interrupted_fuzz_campaign_resumes_to_the_uninterrupted_artifact() {
     let dir = std::env::temp_dir().join(format!("sgxs-resume-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let opts = fuzz_opts(8);
-    let uninterrupted = run_campaign(&opts).to_json().to_pretty();
+    let uninterrupted = run_campaign(&opts)
+        .expect("valid options")
+        .to_json()
+        .to_pretty();
     for stop_after in [1usize, 3, 6] {
         let journal = dir
             .join(format!("fuzz-{stop_after}.jsonl"))
@@ -254,7 +260,7 @@ proptest! {
             seed0,
             ..fuzz_opts(seeds)
         };
-        let serial = run_campaign(&opts).to_json().to_pretty();
+        let serial = run_campaign(&opts).expect("valid options").to_json().to_pretty();
         let out = run_campaign_supervised(&opts, &sup(workers), &StopFlag::new())
             .expect("supervised fuzz runs");
         prop_assert_eq!(

@@ -6,7 +6,7 @@
 //! repository-level acceptance gates.
 
 use sgxbounds::SbConfig;
-use sgxs_fuzz::runner::{exec_chaos_tier, exec_tier, ALL_SCHEMES};
+use sgxs_fuzz::runner::{exec, exec_chaos, ALL_SCHEMES, DEFAULT_BUDGET};
 use sgxs_fuzz::{gen, inject, parse_corpus, CorpusEntry};
 use sgxs_mir::{verify, Vm, VmConfig};
 use sgxs_resil::{run_chaos_campaign, CampaignOpts};
@@ -34,8 +34,8 @@ fn corpus_is_bit_identical_across_tiers() {
             Some(kind) => inject::inject(&prog, kind, entry.seed).0,
         };
         for scheme in ALL_SCHEMES {
-            let r = exec_tier(&prog, scheme, ExecTier::Reference);
-            let c = exec_tier(&prog, scheme, ExecTier::Compiled);
+            let r = exec(&prog, scheme, ExecTier::Reference, DEFAULT_BUDGET);
+            let c = exec(&prog, scheme, ExecTier::Compiled, DEFAULT_BUDGET);
             assert_eq!(
                 format!("{r:?}"),
                 format!("{c:?}"),
@@ -102,8 +102,20 @@ fn chaos_mode_is_bit_identical_across_tiers() {
         let prog = gen::generate(seed, 12);
         let chaos_seed = seed.wrapping_mul(0xD6E8_FEB8_6659_FD93).wrapping_add(1);
         for scheme in ALL_SCHEMES {
-            let r = exec_chaos_tier(&prog, scheme, chaos_seed, ExecTier::Reference);
-            let c = exec_chaos_tier(&prog, scheme, chaos_seed, ExecTier::Compiled);
+            let r = exec_chaos(
+                &prog,
+                scheme,
+                chaos_seed,
+                ExecTier::Reference,
+                DEFAULT_BUDGET,
+            );
+            let c = exec_chaos(
+                &prog,
+                scheme,
+                chaos_seed,
+                ExecTier::Compiled,
+                DEFAULT_BUDGET,
+            );
             assert_eq!(
                 format!("{r:?}"),
                 format!("{c:?}"),
