@@ -4,7 +4,9 @@
 //! reference interpreter's inner instruction loop. Everything that could
 //! drift — scheduling, intrinsic dispatch, call-frame construction, return
 //! bookkeeping, recovery — is delegated back to the VM through its engine
-//! entry points, so both tiers share one implementation of the cold paths.
+//! entry points, so both tiers share one implementation of the cold paths;
+//! each op's value and the site-marker protocol come from the same
+//! `sgxs-mir` definitions the reference calls.
 //!
 //! Bit-identity invariants replicated here (see DESIGN.md §10):
 //!
@@ -16,7 +18,8 @@
 //!   anything that can observe it — memory accesses (EPC events timestamp
 //!   with it), event emission, intrinsics, calls/returns, traps, and
 //!   quantum exit — so every observable read sees the exact value.
-//! - Cycle charges per op match the reference exactly, including the
+//! - Cycle charges per op match the reference exactly (arithmetic ones are
+//!   baked from the ops' shared `cycles`), including the
 //!   zero-cost `ReadLocal`/`WriteLocal` and the charge-after-success rule
 //!   for trapping ops (a trapped op retires in the instruction counter but
 //!   charges nothing).
@@ -28,8 +31,7 @@
 
 use crate::lower::{FuncCode, Op};
 use sgxs_mir::interp::func_of_code_addr;
-use sgxs_mir::{BinOp, CastKind, CmpOp, FBinOp, FCmpOp, Frame, QuantumEngine, Reg, Trap, Vm};
-use sgxs_sim::obs::Event;
+use sgxs_mir::{gep_addr, note_site, BinOp, CmpOp, Frame, QuantumEngine, Reg, Trap, Vm};
 use sgxs_sim::CostModel;
 
 /// Inline-cache entry for one `CallIndirect` site: the last validated
@@ -84,119 +86,37 @@ impl CompiledEngine {
     }
 }
 
+/// `x <op> y` for an [`Op::Bin`]. Lowering sends every division to
+/// [`Op::DivRem`], so a division here is a lowering bug, not a trap.
 #[inline(always)]
-fn bin_val(op: BinOp, x: u64, y: u64) -> u64 {
-    match op {
-        BinOp::Add => x.wrapping_add(y),
-        BinOp::Sub => x.wrapping_sub(y),
-        BinOp::Mul => x.wrapping_mul(y),
-        BinOp::And => x & y,
-        BinOp::Or => x | y,
-        BinOp::Xor => x ^ y,
-        BinOp::Shl => x.wrapping_shl(y as u32),
-        BinOp::LShr => x.wrapping_shr(y as u32),
-        BinOp::AShr => ((x as i64).wrapping_shr(y as u32)) as u64,
-        // Division is lowered to Op::DivRem, never Op::Bin.
-        BinOp::UDiv | BinOp::SDiv | BinOp::URem | BinOp::SRem => unreachable!("div in Op::Bin"),
-    }
-}
-
-#[inline(always)]
-fn cmp_val(op: CmpOp, x: u64, y: u64) -> u64 {
-    let v = match op {
-        CmpOp::Eq => x == y,
-        CmpOp::Ne => x != y,
-        CmpOp::ULt => x < y,
-        CmpOp::ULe => x <= y,
-        CmpOp::UGt => x > y,
-        CmpOp::UGe => x >= y,
-        CmpOp::SLt => (x as i64) < y as i64,
-        CmpOp::SLe => (x as i64) <= y as i64,
-        CmpOp::SGt => (x as i64) > y as i64,
-        CmpOp::SGe => (x as i64) >= y as i64,
-    };
-    v as u64
-}
-
-#[inline(always)]
-fn fbin_val(op: FBinOp, xb: u64, yb: u64) -> u64 {
-    let x = f64::from_bits(xb);
-    let y = f64::from_bits(yb);
-    let v = match op {
-        FBinOp::Add => x + y,
-        FBinOp::Sub => x - y,
-        FBinOp::Mul => x * y,
-        FBinOp::Div => x / y,
-        FBinOp::Min => x.min(y),
-        FBinOp::Max => x.max(y),
-    };
-    v.to_bits()
-}
-
-#[inline(always)]
-fn fcmp_val(op: FCmpOp, xb: u64, yb: u64) -> u64 {
-    let x = f64::from_bits(xb);
-    let y = f64::from_bits(yb);
-    let v = match op {
-        FCmpOp::Eq => x == y,
-        FCmpOp::Ne => x != y,
-        FCmpOp::Lt => x < y,
-        FCmpOp::Le => x <= y,
-        FCmpOp::Gt => x > y,
-        FCmpOp::Ge => x >= y,
-    };
-    v as u64
-}
-
-#[inline(always)]
-fn cast_val(kind: CastKind, x: u64) -> u64 {
-    match kind {
-        CastKind::Sext(8) => (x as i8) as i64 as u64,
-        CastKind::Sext(16) => (x as i16) as i64 as u64,
-        CastKind::Sext(32) => (x as i32) as i64 as u64,
-        CastKind::Sext(_) => x,
-        CastKind::Trunc(n) => {
-            if n >= 64 {
-                x
-            } else {
-                x & ((1u64 << n) - 1)
-            }
-        }
-        CastKind::SiToF => ((x as i64) as f64).to_bits(),
-        CastKind::UiToF => (x as f64).to_bits(),
-        CastKind::FToSi => (f64::from_bits(x) as i64) as u64,
-        CastKind::Bitcast => x,
-        CastKind::FAbs => f64::from_bits(x).abs().to_bits(),
-        CastKind::FSqrt => f64::from_bits(x).sqrt().to_bits(),
+fn pure_bin(op: BinOp, x: u64, y: u64) -> u64 {
+    match op.eval(x, y) {
+        Some(v) if !op.is_division() => v,
+        _ => unreachable!("division in Op::Bin"),
     }
 }
 
 /// Executes one trap-free register-only op (a fused-run constituent)
-/// without touching counters. Semantics shared with the main dispatch via
-/// the `*_val` helpers above.
+/// without touching counters, through the same shared definitions as the
+/// main dispatch.
 #[inline(always)]
 fn exec_pure(op: &Op, frame: &mut Frame) {
     let regs = &mut frame.regs;
     match op {
         Op::Bin { op, dst, a, b, .. } => {
-            let v = bin_val(*op, regs[*a as usize], regs[*b as usize]);
-            regs[*dst as usize] = v;
+            regs[*dst as usize] = pure_bin(*op, regs[*a as usize], regs[*b as usize]);
         }
         Op::Cmp { op, dst, a, b } => {
-            let v = cmp_val(*op, regs[*a as usize], regs[*b as usize]);
-            regs[*dst as usize] = v;
+            regs[*dst as usize] = op.eval(regs[*a as usize], regs[*b as usize]) as u64;
         }
         Op::FBin { op, dst, a, b, .. } => {
-            let v = fbin_val(*op, regs[*a as usize], regs[*b as usize]);
-            regs[*dst as usize] = v;
+            regs[*dst as usize] = op.eval(regs[*a as usize], regs[*b as usize]);
         }
         Op::FCmp { op, dst, a, b } => {
-            let v = fcmp_val(*op, regs[*a as usize], regs[*b as usize]);
-            regs[*dst as usize] = v;
+            regs[*dst as usize] = op.eval(regs[*a as usize], regs[*b as usize]) as u64;
         }
         Op::Cast { kind, dst, src, .. } => {
-            let v = cast_val(*kind, regs[*src as usize]);
-            regs[*dst as usize] = v;
+            regs[*dst as usize] = kind.eval(regs[*src as usize]);
         }
         Op::Select { dst, cond, t, f } => {
             let i = if regs[*cond as usize] != 0 { *t } else { *f };
@@ -209,10 +129,8 @@ fn exec_pure(op: &Op, frame: &mut Frame) {
             scale,
             disp,
         } => {
-            let v = regs[*base as usize]
-                .wrapping_add(regs[*index as usize].wrapping_mul(*scale as u64))
-                .wrapping_add(*disp as u64);
-            regs[*dst as usize] = v;
+            regs[*dst as usize] =
+                gep_addr(regs[*base as usize], regs[*index as usize], *scale, *disp);
         }
         Op::ReadLocal { dst, local } => {
             regs[*dst as usize] = frame.locals[*local as usize];
@@ -343,29 +261,12 @@ impl QuantumEngine for CompiledEngine {
                 }
                 match &code.ops[pc] {
                     // Site markers: transparent, consumed outside the
-                    // counted stream (identical to the reference prelude).
-                    Op::Site { site, begin } => {
+                    // counted stream by the reference's own handler (the
+                    // counters are synced first, since events read them).
+                    Op::Site { site, marker } => {
                         if machine.obs_enabled() {
                             sync!();
-                            if *begin {
-                                *obs_site = Some((*site, *cycles));
-                                if machine.spans_enabled() {
-                                    machine.emit(Event::SpanBegin {
-                                        name: "check",
-                                        arg: *site as u64,
-                                    });
-                                }
-                            } else if let Some((begin_site, at)) = obs_site.take() {
-                                machine.emit(Event::CheckExec {
-                                    site: begin_site,
-                                    cycles: cycles.saturating_sub(at),
-                                });
-                                // Emission order pinned to the interpreter:
-                                // CheckExec first, then the span close.
-                                if machine.spans_enabled() {
-                                    machine.emit(Event::SpanEnd { name: "check" });
-                                }
-                            }
+                            note_site(machine, obs_site, *cycles, *site, *marker);
                         }
                     }
                     Op::Fused { len, cyc } => {
@@ -471,7 +372,7 @@ impl QuantumEngine for CompiledEngine {
                         if left >= 8 {
                             // The whole check runs straight-line: the
                             // lowering pattern pinned each constituent's
-                            // opcode, so the semantics are hardcoded here
+                            // opcode, so each runs as that constant op
                             // (destructuring only re-checks the shape) and
                             // no per-op dispatch happens. Values are
                             // re-read from the register file between steps,
@@ -531,13 +432,13 @@ impl QuantumEngine for CompiledEngine {
                             };
                             let r = &mut frame.regs;
                             // and: lower bound from the tagged pointer.
-                            r[d0 as usize] = r[a0 as usize] & r[b0 as usize];
+                            r[d0 as usize] = pure_bin(BinOp::And, r[a0 as usize], r[b0 as usize]);
                             // lshr: upper-bound pointer from the tag.
-                            r[d1 as usize] = r[a1 as usize].wrapping_shr(r[b1 as usize] as u32);
+                            r[d1 as usize] = pure_bin(BinOp::LShr, r[a1 as usize], r[b1 as usize]);
                             // add: end of the access.
-                            r[d2 as usize] = r[a2 as usize].wrapping_add(r[b2 as usize]);
+                            r[d2 as usize] = pure_bin(BinOp::Add, r[a2 as usize], r[b2 as usize]);
                             // cmp.ugt: past the upper bound?
-                            r[d3 as usize] = (r[a3 as usize] > r[b3 as usize]) as u64;
+                            r[d3 as usize] = CmpOp::UGt.eval(r[a3 as usize], r[b3 as usize]) as u64;
                             done += 5;
                             cyc_acc += cyc_pre;
                             left -= 8;
@@ -558,9 +459,9 @@ impl QuantumEngine for CompiledEngine {
                             }
                             let r = &mut frame.regs;
                             // cmp.ult: before the lower bound?
-                            r[d5 as usize] = (r[a5 as usize] < r[b5 as usize]) as u64;
+                            r[d5 as usize] = CmpOp::ULt.eval(r[a5 as usize], r[b5 as usize]) as u64;
                             // or: combined verdict.
-                            r[d6 as usize] = r[a6 as usize] | r[b6 as usize];
+                            r[d6 as usize] = pure_bin(BinOp::Or, r[a6 as usize], r[b6 as usize]);
                             done += 3;
                             brs += 1;
                             cyc_acc += cyc_post;
@@ -571,47 +472,36 @@ impl QuantumEngine for CompiledEngine {
                     }
                     Op::Bin { op, dst, a, b, cyc } => {
                         ct!();
-                        let x = frame.regs[*a as usize];
-                        let y = frame.regs[*b as usize];
-                        frame.regs[*dst as usize] = bin_val(*op, x, y);
+                        let v = pure_bin(*op, frame.regs[*a as usize], frame.regs[*b as usize]);
+                        frame.regs[*dst as usize] = v;
                         cyc_acc += cyc;
                     }
-                    Op::DivRem { op, dst, a, b } => {
+                    Op::DivRem { op, dst, a, b, cyc } => {
                         ct!();
-                        let x = frame.regs[*a as usize];
-                        let y = frame.regs[*b as usize];
-                        if y == 0 {
+                        let (x, y) = (frame.regs[*a as usize], frame.regs[*b as usize]);
+                        let Some(v) = op.eval(x, y) else {
                             flush!(pc);
                             return Err(Trap::DivByZero);
-                        }
-                        frame.regs[*dst as usize] = match op {
-                            BinOp::UDiv => x / y,
-                            BinOp::SDiv => (x as i64).wrapping_div(y as i64) as u64,
-                            BinOp::URem => x % y,
-                            BinOp::SRem => (x as i64).wrapping_rem(y as i64) as u64,
-                            _ => unreachable!("non-division in Op::DivRem"),
                         };
-                        cyc_acc += cost.div;
+                        frame.regs[*dst as usize] = v;
+                        cyc_acc += cyc;
                     }
                     Op::Cmp { op, dst, a, b } => {
                         ct!();
-                        let x = frame.regs[*a as usize];
-                        let y = frame.regs[*b as usize];
-                        frame.regs[*dst as usize] = cmp_val(*op, x, y);
+                        let v = op.eval(frame.regs[*a as usize], frame.regs[*b as usize]);
+                        frame.regs[*dst as usize] = v as u64;
                         cyc_acc += cost.alu;
                     }
                     Op::FBin { op, dst, a, b, cyc } => {
                         ct!();
-                        let x = frame.regs[*a as usize];
-                        let y = frame.regs[*b as usize];
-                        frame.regs[*dst as usize] = fbin_val(*op, x, y);
+                        let v = op.eval(frame.regs[*a as usize], frame.regs[*b as usize]);
+                        frame.regs[*dst as usize] = v;
                         cyc_acc += cyc;
                     }
                     Op::FCmp { op, dst, a, b } => {
                         ct!();
-                        let x = frame.regs[*a as usize];
-                        let y = frame.regs[*b as usize];
-                        frame.regs[*dst as usize] = fcmp_val(*op, x, y);
+                        let v = op.eval(frame.regs[*a as usize], frame.regs[*b as usize]);
+                        frame.regs[*dst as usize] = v as u64;
                         cyc_acc += cost.fsimple;
                     }
                     Op::Cast {
@@ -621,8 +511,7 @@ impl QuantumEngine for CompiledEngine {
                         cyc,
                     } => {
                         ct!();
-                        let x = frame.regs[*src as usize];
-                        frame.regs[*dst as usize] = cast_val(*kind, x);
+                        frame.regs[*dst as usize] = kind.eval(frame.regs[*src as usize]);
                         cyc_acc += cyc;
                     }
                     Op::Select { dst, cond, t, f } => {
@@ -642,9 +531,7 @@ impl QuantumEngine for CompiledEngine {
                         ct!();
                         let b = frame.regs[*base as usize];
                         let i = frame.regs[*index as usize];
-                        frame.regs[*dst as usize] = b
-                            .wrapping_add(i.wrapping_mul(*scale as u64))
-                            .wrapping_add(*disp as u64);
+                        frame.regs[*dst as usize] = gep_addr(b, i, *scale, *disp);
                         cyc_acc += cost.gep;
                     }
                     Op::Load { dst, addr, width } => {
@@ -693,15 +580,7 @@ impl QuantumEngine for CompiledEngine {
                                 return Err(Trap::Mem(e));
                             }
                         };
-                        let new = match op {
-                            BinOp::Add => old.wrapping_add(v),
-                            BinOp::Sub => old.wrapping_sub(v),
-                            BinOp::And => old & v,
-                            BinOp::Or => old | v,
-                            BinOp::Xor => old ^ v,
-                            _ => v, // Exchange semantics for other ops.
-                        };
-                        let c2 = match machine.store(core, a, *width, new) {
+                        let c2 = match machine.store(core, a, *width, op.rmw(old, v)) {
                             Ok(c) => c,
                             Err(e) => {
                                 flush!(pc);

@@ -12,6 +12,14 @@
 //! passes emit (`gep → extract-bounds → compare` chains) — then executes it
 //! with a flat dispatch loop ([`engine::CompiledEngine`]).
 //!
+//! What each op computes and charges is not this crate's: both tiers call
+//! the definitions beside the op declarations in `sgxs-mir`
+//! (`BinOp::eval`/`rmw`, `CmpOp::eval`, `FBinOp::eval`, `FCmpOp::eval`,
+//! `CastKind::eval`, `gep_addr`, the `cycles` of `BinOp`, `FBinOp` and
+//! `CastKind`) and its `note_site` for check-site markers. This crate owns
+//! only dispatch: lowering, fusion, inline caches, counter batching and
+//! quantum refill.
+//!
 //! **The tier is pinned bit-identical to the reference interpreter**: same
 //! digests, same named stats counters, same cycle charges, same obs events
 //! in the same order, same trap and recovery behavior (DESIGN.md §10

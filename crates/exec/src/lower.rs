@@ -76,6 +76,8 @@ pub enum Op {
         a: u32,
         /// Divisor.
         b: u32,
+        /// Baked cycle charge (`div`).
+        cyc: u64,
     },
     /// Integer comparison producing 0/1.
     Cmp {
@@ -253,8 +255,8 @@ pub enum Op {
     Site {
         /// Check-site id.
         site: u32,
-        /// True for `Begin`, false for `End`.
-        begin: bool,
+        /// Which end of the check sequence it delimits.
+        marker: SiteMarker,
     },
     /// Superinstruction header: the next `len` ops are a trap-free
     /// register-only run, executed with one dispatch and one batched
@@ -394,8 +396,9 @@ impl Pool {
 
 /// Cycle charge of a trap-free register-only op, or `None` if the op can
 /// trap, touch memory, transfer control, or emit events — the fusion
-/// boundary. Mirrors the reference interpreter's per-instruction charges.
-fn pure_cyc(op: &Op, cost: &CostModel) -> Option<u64> {
+/// boundary. The charges are the reference interpreter's (`Bin`, `FBin`
+/// and `Cast` carry theirs from the ops' shared `cycles`).
+fn fusable(op: &Op, cost: &CostModel) -> Option<u64> {
     match op {
         Op::Bin { cyc, .. } | Op::FBin { cyc, .. } | Op::Cast { cyc, .. } => Some(*cyc),
         Op::Cmp { .. } | Op::Select { .. } => Some(cost.alu),
@@ -404,30 +407,6 @@ fn pure_cyc(op: &Op, cost: &CostModel) -> Option<u64> {
         Op::ReadLocal { .. } | Op::WriteLocal { .. } => Some(0),
         Op::SlotAddr { .. } | Op::Addr { .. } => Some(cost.alu),
         _ => None,
-    }
-}
-
-fn bin_cyc(op: BinOp, cost: &CostModel) -> u64 {
-    match op {
-        BinOp::Mul => cost.mul,
-        BinOp::UDiv | BinOp::SDiv | BinOp::URem | BinOp::SRem => cost.div,
-        _ => cost.alu,
-    }
-}
-
-fn fbin_cyc(op: FBinOp, cost: &CostModel) -> u64 {
-    match op {
-        FBinOp::Mul => cost.fmul,
-        FBinOp::Div => cost.fdiv,
-        _ => cost.fsimple,
-    }
-}
-
-fn cast_cyc(kind: CastKind, cost: &CostModel) -> u64 {
-    match kind {
-        CastKind::FSqrt => cost.fdiv,
-        CastKind::SiToF | CastKind::UiToF | CastKind::FToSi | CastKind::FAbs => cost.fsimple,
-        _ => cost.alu,
     }
 }
 
@@ -560,11 +539,11 @@ fn fuse_block(ops: &[Op], cost: &CostModel) -> Vec<(Op, u32)> {
         if i + 8 <= n && is_sbcheck(&ops[i..i + 8]) {
             let cyc_pre: u64 = ops[i..i + 4]
                 .iter()
-                .map(|o| pure_cyc(o, cost).expect("pre-load check ops are pure"))
+                .map(|o| fusable(o, cost).expect("pre-load check ops are pure"))
                 .sum();
             let cyc_post: u64 = ops[i + 5..i + 7]
                 .iter()
-                .map(|o| pure_cyc(o, cost).expect("post-load check ops are pure"))
+                .map(|o| fusable(o, cost).expect("post-load check ops are pure"))
                 .sum::<u64>()
                 + cost.branch;
             out.push((Op::SbCheck { cyc_pre, cyc_post }, i as u32));
@@ -578,7 +557,7 @@ fn fuse_block(ops: &[Op], cost: &CostModel) -> Vec<(Op, u32)> {
         let mut j = i;
         let mut run_cyc = 0u64;
         while j < n {
-            match pure_cyc(&ops[j], cost) {
+            match fusable(&ops[j], cost) {
                 Some(c) => {
                     run_cyc += c;
                     j += 1;
@@ -641,20 +620,19 @@ fn lower_inst(
     pool: &mut Pool,
 ) -> Op {
     match inst {
-        Inst::Bin { op, dst, a, b } => match op {
-            BinOp::UDiv | BinOp::SDiv | BinOp::URem | BinOp::SRem => Op::DivRem {
-                op: *op,
-                dst: dst.0,
-                a: pool.src(*a),
-                b: pool.src(*b),
-            },
-            _ => Op::Bin {
-                op: *op,
-                dst: dst.0,
-                a: pool.src(*a),
-                b: pool.src(*b),
-                cyc: bin_cyc(*op, cost),
-            },
+        Inst::Bin { op, dst, a, b } if op.is_division() => Op::DivRem {
+            op: *op,
+            dst: dst.0,
+            a: pool.src(*a),
+            b: pool.src(*b),
+            cyc: op.cycles(cost),
+        },
+        Inst::Bin { op, dst, a, b } => Op::Bin {
+            op: *op,
+            dst: dst.0,
+            a: pool.src(*a),
+            b: pool.src(*b),
+            cyc: op.cycles(cost),
         },
         Inst::Cmp { op, dst, a, b } => Op::Cmp {
             op: *op,
@@ -667,7 +645,7 @@ fn lower_inst(
             dst: dst.0,
             a: pool.src(*a),
             b: pool.src(*b),
-            cyc: fbin_cyc(*op, cost),
+            cyc: op.cycles(cost),
         },
         Inst::FCmp { op, dst, a, b } => Op::FCmp {
             op: *op,
@@ -679,7 +657,7 @@ fn lower_inst(
             kind: *kind,
             dst: dst.0,
             src: pool.src(*src),
-            cyc: cast_cyc(*kind, cost),
+            cyc: kind.cycles(cost),
         },
         Inst::Select { dst, cond, t, f } => Op::Select {
             dst: dst.0,
@@ -785,7 +763,7 @@ fn lower_inst(
         },
         Inst::Site { site, marker } => Op::Site {
             site: *site,
-            begin: matches!(marker, SiteMarker::Begin),
+            marker: *marker,
         },
     }
 }

@@ -3,10 +3,14 @@
 //! instruction/branch counters, memory peaks, output, and the complete
 //! observability event stream (digest + count). The corpus-wide and
 //! chaos-campaign oracles live in the repository-level test suite; these
-//! are the fast, always-on versions.
+//! are the fast, always-on versions. The op table pins every MIR op's
+//! shared value and charge on both tiers, edge operands and traps included.
 
 use sgxbounds::SbConfig;
-use sgxs_mir::{verify, RunOutcome, Vm, VmConfig};
+use sgxs_mir::{
+    verify, BinOp, CastKind, CmpOp, FBinOp, FCmpOp, FuncBuilder, Module, ModuleBuilder, RunOutcome,
+    Trap, Ty, Vm, VmConfig,
+};
 use sgxs_rt::{install_base, AllocOpts, Stager};
 use sgxs_sim::obs::TraceRecorder;
 use sgxs_sim::{MachineConfig, Mode, Preset, Stats};
@@ -169,4 +173,220 @@ fn perturbed_engine_is_caught() {
     };
     assert_eq!(run(0), run(1), "clean compiled tier must agree");
     assert_ne!(run(0), run(2), "perturbed tier must diverge");
+}
+
+/// Integer operands for the op table: zero, small values, shift amounts
+/// at and past the width, and the signed and unsigned extremes.
+const INTS: [u64; 9] = [
+    0,
+    1,
+    7,
+    64,
+    65,
+    0x8000_0000_0000_00ff,
+    i64::MIN as u64,
+    i64::MAX as u64,
+    u64::MAX,
+];
+
+/// Bit patterns of the f64 operands: signed zeros, ordinary and huge
+/// values, NaN and both infinities.
+fn floats() -> [u64; 8] {
+    [
+        0.0,
+        -0.0,
+        1.5,
+        -2.25,
+        1e300,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ]
+    .map(f64::to_bits)
+}
+
+const BIN_OPS: [BinOp; 13] = [
+    BinOp::Add,
+    BinOp::Sub,
+    BinOp::Mul,
+    BinOp::UDiv,
+    BinOp::SDiv,
+    BinOp::URem,
+    BinOp::SRem,
+    BinOp::And,
+    BinOp::Or,
+    BinOp::Xor,
+    BinOp::Shl,
+    BinOp::LShr,
+    BinOp::AShr,
+];
+
+const DIV_OPS: [BinOp; 4] = [BinOp::UDiv, BinOp::SDiv, BinOp::URem, BinOp::SRem];
+
+/// One register-only op of the table, with immediate operands.
+#[derive(Clone, Copy)]
+enum Pure {
+    Bin(BinOp, u64, u64),
+    Cmp(CmpOp, u64, u64),
+    FBin(FBinOp, u64, u64),
+    FCmp(FCmpOp, u64, u64),
+    Cast(CastKind, u64),
+}
+
+/// Every `BinOp` (divisions on nonzero divisors, so `i64::MIN / -1`
+/// appears), `CmpOp`, `FBinOp`, `FCmpOp` and `CastKind` over the edge
+/// operands, including a `Sext` of an unlisted width, `Trunc(64)` and
+/// wider, and `FToSi` of NaN and the infinities.
+fn op_table() -> Vec<Pure> {
+    use sgxs_mir::CastKind::*;
+    let pairs = |vals: &[u64]| -> Vec<(u64, u64)> {
+        vals.iter()
+            .flat_map(|&x| vals.iter().map(move |&y| (x, y)))
+            .collect()
+    };
+    let (ints, fl) = (pairs(&INTS), pairs(&floats()));
+    let mut t = Vec::new();
+    for op in BIN_OPS {
+        let nonzero = ints
+            .iter()
+            .filter(|(_, y)| !DIV_OPS.contains(&op) || *y != 0);
+        t.extend(nonzero.map(|&(x, y)| Pure::Bin(op, x, y)));
+    }
+    use CmpOp::*;
+    for op in [Eq, Ne, ULt, ULe, UGt, UGe, SLt, SLe, SGt, SGe] {
+        t.extend(ints.iter().map(|&(x, y)| Pure::Cmp(op, x, y)));
+    }
+    for op in [
+        FBinOp::Add,
+        FBinOp::Sub,
+        FBinOp::Mul,
+        FBinOp::Div,
+        FBinOp::Min,
+        FBinOp::Max,
+    ] {
+        t.extend(fl.iter().map(|&(x, y)| Pure::FBin(op, x, y)));
+    }
+    for op in [
+        FCmpOp::Eq,
+        FCmpOp::Ne,
+        FCmpOp::Lt,
+        FCmpOp::Le,
+        FCmpOp::Gt,
+        FCmpOp::Ge,
+    ] {
+        t.extend(fl.iter().map(|&(x, y)| Pure::FCmp(op, x, y)));
+    }
+    let casts = [
+        Sext(8),
+        Sext(16),
+        Sext(32),
+        Sext(24),
+        Trunc(1),
+        Trunc(8),
+        Trunc(32),
+        Trunc(63),
+        Trunc(64),
+        Trunc(200),
+        SiToF,
+        UiToF,
+        FToSi,
+        Bitcast,
+        FAbs,
+        FSqrt,
+    ];
+    for kind in casts {
+        t.extend(INTS.iter().chain(&floats()).map(|&x| Pure::Cast(kind, x)));
+    }
+    t
+}
+
+fn emit(fb: &mut FuncBuilder<'_>, p: Pure) -> sgxs_mir::Reg {
+    match p {
+        Pure::Bin(op, x, y) => fb.bin(op, x, y),
+        Pure::Cmp(op, x, y) => fb.cmp(op, x, y),
+        Pure::FBin(op, x, y) => fb.fbin(op, x, y),
+        Pure::FCmp(op, x, y) => fb.fcmp(op, x, y),
+        Pure::Cast(kind, x) => fb.cast(kind, x),
+    }
+}
+
+/// Runs `module`'s `main` on one tier with a trace recorder attached.
+fn run_main(module: &Module, compiled: bool) -> Key {
+    verify(module).expect("module verifies");
+    let cfg = VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave));
+    let mut vm = Vm::new(module, cfg);
+    let rec = Rc::new(RefCell::new(TraceRecorder::new(64)));
+    vm.machine.set_recorder(Some(rec.clone()));
+    if compiled {
+        sgxs_exec::attach(&mut vm);
+    }
+    let out = vm.run("main", &[]);
+    key(&out, &rec)
+}
+
+/// Every op's value and charge agree across tiers, whether the op runs
+/// inside a fused run (batches of pure ops, some of which straddle a
+/// quantum boundary) or dispatched alone (one op per print).
+#[test]
+fn every_op_is_bit_identical_across_tiers() {
+    let table = op_table();
+    let mut mb = ModuleBuilder::new("ops");
+    mb.func("main", &[], Some(Ty::I64), |fb| {
+        for batch in table.chunks(24) {
+            let regs: Vec<_> = batch.iter().map(|&p| emit(fb, p)).collect();
+            for r in regs {
+                fb.intr_void("print_i64", &[r.into()]);
+            }
+        }
+        for &p in &table {
+            let r = emit(fb, p);
+            fb.intr_void("print_i64", &[r.into()]);
+        }
+        // Every read-modify-write op, the non-combining ones exchanging,
+        // at two widths; then a compare-and-swap hit and miss.
+        let cell = fb.slot("cell", 8);
+        let p = fb.slot_addr(cell);
+        for ty in [Ty::I64, Ty::I32] {
+            for op in BIN_OPS {
+                fb.store(Ty::I64, p, 0xF0F0_F0F0_1234_5678u64);
+                let old = fb.atomic_rmw(op, ty, p, 0x0FF0_0000_FFFF_0003u64);
+                let new = fb.load(Ty::I64, p);
+                fb.intr_void("print_i64", &[old.into()]);
+                fb.intr_void("print_i64", &[new.into()]);
+            }
+        }
+        fb.store(Ty::I64, p, 10u64);
+        let hit = fb.atomic_cas(Ty::I64, p, 10u64, 20u64);
+        let miss = fb.atomic_cas(Ty::I64, p, 10u64, 30u64);
+        let now = fb.load(Ty::I64, p);
+        for r in [hit, miss, now] {
+            fb.intr_void("print_i64", &[r.into()]);
+        }
+        fb.ret(Some(0u64.into()));
+    });
+    let module = mb.finish();
+    let reference = run_main(&module, false);
+    assert_eq!(reference.0, Ok(0));
+    assert_eq!(reference.6.len(), 2 * table.len() + 4 * BIN_OPS.len() + 3);
+    assert_eq!(reference, run_main(&module, true));
+}
+
+/// A zero divisor traps every division op with `DivByZero` on both tiers,
+/// after the same instructions and cycles.
+#[test]
+fn division_by_zero_traps_identically_across_tiers() {
+    for op in DIV_OPS {
+        let mut mb = ModuleBuilder::new("div0");
+        mb.func("main", &[], Some(Ty::I64), |fb| {
+            let x = fb.add(40u64, 2u64);
+            let y = fb.mul(x, 3u64);
+            fb.intr_void("print_i64", &[y.into()]);
+            let q = fb.bin(op, y, 0u64);
+            fb.ret(Some(q.into()));
+        });
+        let module = mb.finish();
+        let reference = run_main(&module, false);
+        assert_eq!(reference.0, Err(Trap::DivByZero.to_string()), "{op:?}");
+        assert_eq!(reference, run_main(&module, true), "{op:?}");
+    }
 }

@@ -65,9 +65,11 @@ pub struct FuzzOpts {
     /// Trace-ring window of the forensic re-run attached to each
     /// disagreement (`repro fuzz --trace-window N`).
     pub trace_window: usize,
-    /// Instruction-budget watchdog per execution, in simulated cycles. A
-    /// run that exhausts it is not a verdict: the whole seed is reported as
-    /// a `budget` failure and quarantined (`repro fuzz --budget N`).
+    /// Instruction-budget watchdog per execution, in retired instructions
+    /// (`VmConfig::max_instructions`). A run that exhausts it is not a
+    /// verdict: the whole seed is reported as a `budget` failure and
+    /// quarantined, and a corpus entry fails its replay
+    /// (`repro fuzz --budget N`).
     pub budget: u64,
     /// Demo hook: this seed panics at the top of its run, exercising the
     /// supervisor's panic isolation end to end (`--demo-panic SEED`).
@@ -493,7 +495,7 @@ impl Report {
 /// A run that exhausts the instruction budget is not a verdict — the whole
 /// seed comes back as [`TaskError::Budget`], and the supervisor
 /// quarantines it without retrying (a deterministic seed re-run against
-/// the same budget burns the same cycles and fails the same way).
+/// the same budget retires the same instructions and fails the same way).
 pub fn run_seed_report(opts: &FuzzOpts, seed: u64) -> Result<Report, TaskError> {
     if opts.demo_panic == Some(seed) {
         panic!("demo: injected panicking seed {seed}");
@@ -1172,11 +1174,22 @@ impl CorpusEntry {
         })
     }
 
-    /// Replays the entry under every scheme on `tier`; returns the
-    /// disagreements (empty = the entry conforms to the detection model).
-    /// `repro fuzz --corpus F --tier compiled` replays the regression
-    /// corpus on the compiled tier and expects the same clean verdicts.
-    pub fn replay(&self, tier: ExecTier) -> Vec<(FScheme, Verdict)> {
+    /// Replays the entry under every scheme on `tier`, each run under
+    /// `budget` instructions; returns the disagreements (empty = the entry
+    /// conforms to the detection model). A run that exhausts the budget is
+    /// not a verdict: the replay fails with the [`SeedFailure::Budget`] a
+    /// campaign quarantines such a seed with. `repro fuzz --corpus F --tier
+    /// compiled` replays the regression corpus on the compiled tier and
+    /// expects the same clean verdicts.
+    pub fn replay(
+        &self,
+        tier: ExecTier,
+        budget: u64,
+    ) -> Result<Vec<(FScheme, Verdict)>, SeedFailure> {
+        let over = SeedFailure::Budget {
+            spent: budget,
+            budget,
+        };
         let prog = gen::generate(self.seed, self.max_ops);
         let (prog, fault) = match self.kind {
             None => (prog, None),
@@ -1185,21 +1198,23 @@ impl CorpusEntry {
                 (fprog, Some(fault))
             }
         };
-        let native_digest = exec(&prog, FScheme::Native, tier, DEFAULT_BUDGET)
-            .result
-            .unwrap_or_default();
+        let native = exec(&prog, FScheme::Native, tier, budget);
+        if is_budget_trap(&native) {
+            return Err(over);
+        }
+        let native_digest = native.result.unwrap_or_default();
         let mut bad = Vec::new();
         for scheme in ALL_SCHEMES {
-            let v = classify(
-                fault.as_ref(),
-                native_digest,
-                &exec(&prog, scheme, tier, DEFAULT_BUDGET),
-            );
+            let e = exec(&prog, scheme, tier, budget);
+            if is_budget_trap(&e) {
+                return Err(over);
+            }
+            let v = classify(fault.as_ref(), native_digest, &e);
             if !verdict_ok(scheme, self.kind, &v) {
                 bad.push((scheme, v));
             }
         }
-        bad
+        Ok(bad)
     }
 }
 
@@ -1297,6 +1312,25 @@ mod tests {
             assert_eq!(chaos.err(), Some(e));
         }
         assert!(!journal.exists(), "a refused campaign opened its journal");
+    }
+
+    #[test]
+    fn corpus_replay_over_budget_is_no_verdict() {
+        let entry = CorpusEntry {
+            seed: 3,
+            max_ops: 20,
+            kind: None,
+        };
+        assert_eq!(
+            entry.replay(ExecTier::Reference, DEFAULT_BUDGET),
+            Ok(vec![])
+        );
+        let over = entry.replay(ExecTier::Reference, DEMO_BUDGET);
+        let want = SeedFailure::Budget {
+            spent: DEMO_BUDGET,
+            budget: DEMO_BUDGET,
+        };
+        assert_eq!(over, Err(want));
     }
 
     #[test]

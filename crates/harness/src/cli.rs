@@ -135,8 +135,7 @@ impl<'a> Args<'a> {
 
 /// The value of `flag`, at most `cap`. Caps `--max-ops` at
 /// [`sgxs_fuzz::MAX_OPS`] (the generator allocates every op up front, so
-/// a larger value would abort the process) and `--workers` at
-/// [`MAX_WORKERS`].
+/// a larger value would abort the process).
 fn capped(it: &mut Args<'_>, flag: &str, cap: usize) -> Result<usize, String> {
     let n: u64 = it.parse(flag)?;
     match usize::try_from(n) {
@@ -144,10 +143,6 @@ fn capped(it: &mut Args<'_>, flag: &str, cap: usize) -> Result<usize, String> {
         _ => Err(it.fail(format!("{flag} {n} exceeds the cap {cap}"))),
     }
 }
-
-/// The most `--workers` a campaign accepts: each worker is an OS thread,
-/// and the selfcheck, the tests and CI never ask for more than 4.
-pub const MAX_WORKERS: usize = 64;
 
 /// Exit code for a campaign ended early by a graceful stop: distinct
 /// from both success (0) and a gate failure (1) so wrappers can tell a
@@ -180,7 +175,7 @@ impl SupFlags {
     /// Consumes one supervisor flag; `Ok(false)` means `a` is not ours.
     fn flag(&mut self, a: &str, it: &mut Args<'_>) -> Result<bool, String> {
         match a {
-            "--workers" => self.sup.workers = capped(it, "--workers", MAX_WORKERS)?,
+            "--workers" => self.sup.workers = it.parse("--workers")?,
             "--journal" => self.sup.journal = Some(it.value("--journal")?),
             "--resume" => {
                 self.sup.journal = Some(it.value("--resume")?);
@@ -523,6 +518,7 @@ pub fn run_fuzz(args: &[String]) -> Result<i32, String> {
         }
     }
     opts.validate().map_err(|e| it.fail(e))?;
+    sup.sup.validate().map_err(|e| it.fail(e))?;
     let mut failed = false;
     if let Some(path) = &corpus {
         let text = std::fs::read_to_string(path)
@@ -530,10 +526,16 @@ pub fn run_fuzz(args: &[String]) -> Result<i32, String> {
         let entries = sgxs_fuzz::parse_corpus(&text).map_err(|e| it.fail(e))?;
         println!("replaying {} corpus entries from {path}", entries.len());
         for entry in &entries {
-            let bad = entry.replay(opts.tier);
-            if bad.is_empty() {
-                continue;
-            }
+            let bad = match entry.replay(opts.tier, opts.budget) {
+                Ok(bad) if bad.is_empty() => continue,
+                Ok(bad) => bad,
+                Err(f) => {
+                    failed = true;
+                    let line = entry.to_line();
+                    println!("  corpus entry '{line}': {}: {}", f.class(), f.detail());
+                    continue;
+                }
+            };
             failed = true;
             for (scheme, v) in bad {
                 println!(
@@ -948,17 +950,6 @@ pub fn run_compare(args: &[String]) -> Result<i32, String> {
             other => return Err(it.fail(format!("unknown argument '{other}'\n{USAGE}"))),
         }
     }
-    // The gate flags a metric only when its shift exceeds
-    // `max(threshold, noise_mult * noise_floor)`: a NaN, infinite or
-    // negative value would switch the gate off or make it meaningless.
-    for (flag, v) in [
-        ("--threshold", opts.rel_threshold),
-        ("--noise-mult", opts.noise_mult),
-    ] {
-        if !(v.is_finite() && v >= 0.0) {
-            return Err(it.fail(format!("{flag} must be finite and >= 0, got {v}")));
-        }
-    }
     let [base_path, new_path] = paths.as_slice() else {
         return Err(it.fail(format!(
             "expected exactly two inputs (got {})\n{USAGE}",
@@ -967,7 +958,7 @@ pub fn run_compare(args: &[String]) -> Result<i32, String> {
     };
     let (base_label, base) = load_side(&it, base_path, base_rev.as_deref(), preset.as_deref())?;
     let (new_label, new) = load_side(&it, new_path, new_rev.as_deref(), preset.as_deref())?;
-    let report = compare(&base_label, &base, &new_label, &new, opts);
+    let report = compare(&base_label, &base, &new_label, &new, opts).map_err(|e| it.fail(e))?;
     print!("{}", report.render(top));
     if let Some(path) = &json {
         write_file(path, &report.to_json().to_pretty()).map_err(|e| it.fail(e))?;

@@ -738,7 +738,7 @@ fn requests_below_the_schedule_minimum_exit_2() {
 #[test]
 fn workers_above_the_cap_exit_2_before_any_thread_starts() {
     // `--seeds 1` keeps even a regression to one worker thread.
-    let over = (cli::MAX_WORKERS + 1).to_string();
+    let over = (sgxs_super::MAX_WORKERS + 1).to_string();
     let max = u64::MAX.to_string();
     for cmd in [
         &["fuzz"][..],
@@ -754,4 +754,18 @@ fn workers_above_the_cap_exit_2_before_any_thread_starts() {
     }
     let (code, _) = repro(&["fuzz", "--seeds", "1", "--workers", &over]);
     assert_eq!(code, 2);
+}
+
+#[test]
+fn corpus_replay_over_budget_fails_naming_the_budget() {
+    // An entry whose run exhausts `--budget` is no verdict, so the replay
+    // cannot call the corpus clean.
+    let corpus = format!(
+        "{}/../../tests/corpus/fuzz_seeds.txt",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let (code, stdout) = repro(&["fuzz", "--corpus", &corpus, "--seeds", "0", "--budget", "1"]);
+    assert_eq!(code, 1, "{stdout}");
+    assert!(!stdout.contains("corpus clean"), "{stdout}");
+    assert!(stdout.contains("1-instruction budget"), "{stdout}");
 }

@@ -25,9 +25,7 @@ pub use trap::{AccessKind, Trap};
 
 use recovery::{RecoveryAction, RecoveryCtl};
 
-use crate::ir::{
-    BinOp, CastKind, CmpOp, FBinOp, FCmpOp, FuncId, Inst, Module, Operand, Reg, SiteMarker, Term,
-};
+use crate::ir::{gep_addr, FuncId, Inst, Module, Operand, Reg, SiteMarker, Term};
 use sgxs_sim::obs::Event;
 use sgxs_sim::{Machine, MachineConfig, Stats};
 use std::collections::HashMap;
@@ -240,6 +238,48 @@ impl RunOutcome {
     }
 }
 
+/// Handles a transparent [`Inst::Site`] marker of a thread whose open
+/// check site is `open` and whose cycle count is `cycles`: `Begin`
+/// snapshots the count and opens a `check` span; `End` emits a
+/// `CheckExec` event for the open site (not its own) with the cycles since
+/// that site's `Begin`, then closes the span, so those cycles attribute to
+/// the still-open span. An `End` with no open site is dropped. Does
+/// nothing unless an enabled recorder is installed. Both tiers call this,
+/// so `repro profile`'s app-versus-check split has one protocol.
+pub fn note_site(
+    machine: &mut Machine,
+    open: &mut Option<(u32, u64)>,
+    cycles: u64,
+    site: u32,
+    marker: SiteMarker,
+) {
+    if !machine.obs_enabled() {
+        return;
+    }
+    match marker {
+        SiteMarker::Begin => {
+            *open = Some((site, cycles));
+            if machine.spans_enabled() {
+                machine.emit(Event::SpanBegin {
+                    name: "check",
+                    arg: site as u64,
+                });
+            }
+        }
+        SiteMarker::End => {
+            if let Some((begin_site, at)) = open.take() {
+                machine.emit(Event::CheckExec {
+                    site: begin_site,
+                    cycles: cycles.saturating_sub(at),
+                });
+                if machine.spans_enabled() {
+                    machine.emit(Event::SpanEnd { name: "check" });
+                }
+            }
+        }
+    }
+}
+
 /// An alternative per-quantum execution strategy for the VM.
 ///
 /// The scheduler, recovery loop, intrinsic handlers, and machine model stay
@@ -262,8 +302,8 @@ pub struct HotRefs<'a> {
     pub frame: &'a mut Frame,
     /// The executing thread's cycle counter.
     pub cycles: &'a mut u64,
-    /// The thread's open check site, `(site, cycles at Begin)`; engines must
-    /// replicate [`SiteMarker`] handling against this exactly.
+    /// The thread's open check site, `(site, cycles at Begin)`; engines
+    /// hand it to [`note_site`].
     pub obs_site: &'a mut Option<(u32, u64)>,
     /// The core the thread is pinned to (selects the private caches).
     pub core: usize,
@@ -650,9 +690,10 @@ impl<'m> Vm<'m> {
             // instruction, charge a cycle, or occupy a quantum slot —
             // instrumented runs keep bit-identical counters and scheduling.
             while let Some(&Inst::Site { site, marker }) = block.insts.get(ip) {
-                self.note_site(tid, site, marker);
+                let t = &mut self.threads[tid];
+                note_site(&mut self.machine, &mut t.obs_site, t.cycles, site, marker);
                 ip += 1;
-                self.threads[tid].frames.last_mut().expect("has frame").ip = ip as u32;
+                t.frames.last_mut().expect("has frame").ip = ip as u32;
             }
             self.machine.stats.instructions += 1;
             if ip < block.insts.len() {
@@ -677,7 +718,10 @@ impl<'m> Vm<'m> {
     // execution tier needs: the per-instruction hot state, and entry
     // points into the cold paths (calls, returns, intrinsics) that stay
     // shared with the reference interpreter so their semantics cannot
-    // drift between tiers.
+    // drift between tiers. What each op computes and charges is shared
+    // too: the `eval`/`cycles` methods beside the op declarations in
+    // `ir`, `gep_addr`, and [`note_site`] for site markers. An engine
+    // owns only its dispatch.
 
     /// Borrows the per-instruction hot state of thread `tid`.
     ///
@@ -775,44 +819,6 @@ impl<'m> Vm<'m> {
         self.exec_intrinsic(tid, intrinsic, args)
     }
 
-    /// Handles a transparent site marker: `Begin` snapshots the thread's
-    /// cycle count, `End` emits a `CheckExec` event with the cycle delta.
-    /// Does nothing unless an enabled recorder is installed.
-    fn note_site(&mut self, tid: usize, site: u32, marker: SiteMarker) {
-        if !self.machine.obs_enabled() {
-            return;
-        }
-        match marker {
-            SiteMarker::Begin => {
-                self.threads[tid].obs_site = Some((site, self.threads[tid].cycles));
-                if self.machine.spans_enabled() {
-                    self.machine.emit(Event::SpanBegin {
-                        name: "check",
-                        arg: site as u64,
-                    });
-                }
-            }
-            SiteMarker::End => {
-                // Attribute to the Begin marker's site (tolerating an
-                // unmatched End, which simply drops on the floor).
-                if let Some((begin_site, at)) = self.threads[tid].obs_site.take() {
-                    let cycles = self.threads[tid].cycles.saturating_sub(at);
-                    self.machine.emit(Event::CheckExec {
-                        site: begin_site,
-                        cycles,
-                    });
-                    // The check span closes *after* its CheckExec so the
-                    // cycles attribute to the still-open span. The
-                    // compiled tier replicates this order exactly.
-                    if self.machine.spans_enabled() {
-                        self.machine.emit(Event::SpanEnd { name: "check" });
-                    }
-                }
-                let _ = site;
-            }
-        }
-    }
-
     #[inline]
     fn val(frame: &Frame, op: Operand) -> u64 {
         match op {
@@ -832,133 +838,29 @@ impl<'m> Vm<'m> {
         match inst {
             Inst::Bin { op, dst, a, b } => {
                 let f = frame!();
-                let x = Self::val(f, *a);
-                let y = Self::val(f, *b);
-                let v = match op {
-                    BinOp::Add => x.wrapping_add(y),
-                    BinOp::Sub => x.wrapping_sub(y),
-                    BinOp::Mul => x.wrapping_mul(y),
-                    BinOp::UDiv => {
-                        if y == 0 {
-                            return Err(Trap::DivByZero);
-                        }
-                        x / y
-                    }
-                    BinOp::SDiv => {
-                        if y == 0 {
-                            return Err(Trap::DivByZero);
-                        }
-                        (x as i64).wrapping_div(y as i64) as u64
-                    }
-                    BinOp::URem => {
-                        if y == 0 {
-                            return Err(Trap::DivByZero);
-                        }
-                        x % y
-                    }
-                    BinOp::SRem => {
-                        if y == 0 {
-                            return Err(Trap::DivByZero);
-                        }
-                        (x as i64).wrapping_rem(y as i64) as u64
-                    }
-                    BinOp::And => x & y,
-                    BinOp::Or => x | y,
-                    BinOp::Xor => x ^ y,
-                    BinOp::Shl => x.wrapping_shl(y as u32),
-                    BinOp::LShr => x.wrapping_shr(y as u32),
-                    BinOp::AShr => ((x as i64).wrapping_shr(y as u32)) as u64,
-                };
-                f.regs[dst.0 as usize] = v;
-                self.threads[tid].cycles += match op {
-                    BinOp::Mul => cost.mul,
-                    BinOp::UDiv | BinOp::SDiv | BinOp::URem | BinOp::SRem => cost.div,
-                    _ => cost.alu,
-                };
+                let v = op.eval(Self::val(f, *a), Self::val(f, *b));
+                f.regs[dst.0 as usize] = v.ok_or(Trap::DivByZero)?;
+                self.threads[tid].cycles += op.cycles(&cost);
             }
             Inst::Cmp { op, dst, a, b } => {
                 let f = frame!();
-                let x = Self::val(f, *a);
-                let y = Self::val(f, *b);
-                let v = match op {
-                    CmpOp::Eq => x == y,
-                    CmpOp::Ne => x != y,
-                    CmpOp::ULt => x < y,
-                    CmpOp::ULe => x <= y,
-                    CmpOp::UGt => x > y,
-                    CmpOp::UGe => x >= y,
-                    CmpOp::SLt => (x as i64) < y as i64,
-                    CmpOp::SLe => (x as i64) <= y as i64,
-                    CmpOp::SGt => (x as i64) > y as i64,
-                    CmpOp::SGe => (x as i64) >= y as i64,
-                };
-                f.regs[dst.0 as usize] = v as u64;
+                f.regs[dst.0 as usize] = op.eval(Self::val(f, *a), Self::val(f, *b)) as u64;
                 self.threads[tid].cycles += cost.alu;
             }
             Inst::FBin { op, dst, a, b } => {
                 let f = frame!();
-                let x = f64::from_bits(Self::val(f, *a));
-                let y = f64::from_bits(Self::val(f, *b));
-                let v = match op {
-                    FBinOp::Add => x + y,
-                    FBinOp::Sub => x - y,
-                    FBinOp::Mul => x * y,
-                    FBinOp::Div => x / y,
-                    FBinOp::Min => x.min(y),
-                    FBinOp::Max => x.max(y),
-                };
-                f.regs[dst.0 as usize] = v.to_bits();
-                self.threads[tid].cycles += match op {
-                    FBinOp::Mul => cost.fmul,
-                    FBinOp::Div => cost.fdiv,
-                    _ => cost.fsimple,
-                };
+                f.regs[dst.0 as usize] = op.eval(Self::val(f, *a), Self::val(f, *b));
+                self.threads[tid].cycles += op.cycles(&cost);
             }
             Inst::FCmp { op, dst, a, b } => {
                 let f = frame!();
-                let x = f64::from_bits(Self::val(f, *a));
-                let y = f64::from_bits(Self::val(f, *b));
-                let v = match op {
-                    FCmpOp::Eq => x == y,
-                    FCmpOp::Ne => x != y,
-                    FCmpOp::Lt => x < y,
-                    FCmpOp::Le => x <= y,
-                    FCmpOp::Gt => x > y,
-                    FCmpOp::Ge => x >= y,
-                };
-                f.regs[dst.0 as usize] = v as u64;
+                f.regs[dst.0 as usize] = op.eval(Self::val(f, *a), Self::val(f, *b)) as u64;
                 self.threads[tid].cycles += cost.fsimple;
             }
             Inst::Cast { kind, dst, src } => {
                 let f = frame!();
-                let x = Self::val(f, *src);
-                let v = match kind {
-                    CastKind::Sext(8) => (x as i8) as i64 as u64,
-                    CastKind::Sext(16) => (x as i16) as i64 as u64,
-                    CastKind::Sext(32) => (x as i32) as i64 as u64,
-                    CastKind::Sext(_) => x,
-                    CastKind::Trunc(n) => {
-                        if *n >= 64 {
-                            x
-                        } else {
-                            x & ((1u64 << n) - 1)
-                        }
-                    }
-                    CastKind::SiToF => ((x as i64) as f64).to_bits(),
-                    CastKind::UiToF => (x as f64).to_bits(),
-                    CastKind::FToSi => (f64::from_bits(x) as i64) as u64,
-                    CastKind::Bitcast => x,
-                    CastKind::FAbs => f64::from_bits(x).abs().to_bits(),
-                    CastKind::FSqrt => f64::from_bits(x).sqrt().to_bits(),
-                };
-                f.regs[dst.0 as usize] = v;
-                self.threads[tid].cycles += match kind {
-                    CastKind::FSqrt => cost.fdiv,
-                    CastKind::SiToF | CastKind::UiToF | CastKind::FToSi | CastKind::FAbs => {
-                        cost.fsimple
-                    }
-                    _ => cost.alu,
-                };
+                f.regs[dst.0 as usize] = kind.eval(Self::val(f, *src));
+                self.threads[tid].cycles += kind.cycles(&cost);
             }
             Inst::Select {
                 dst,
@@ -985,11 +887,7 @@ impl<'m> Vm<'m> {
                 ..
             } => {
                 let f = frame!();
-                let b = Self::val(f, *base);
-                let i = Self::val(f, *index);
-                let v = b
-                    .wrapping_add(i.wrapping_mul(*scale as u64))
-                    .wrapping_add(*disp as u64);
+                let v = gep_addr(Self::val(f, *base), Self::val(f, *index), *scale, *disp);
                 f.regs[dst.0 as usize] = v;
                 self.threads[tid].cycles += cost.gep;
             }
@@ -1026,17 +924,9 @@ impl<'m> Vm<'m> {
                 let v = Self::val(f, *val);
                 let core = self.threads[tid].core;
                 let (old, c1) = self.machine.load(core, a, ty.width()).map_err(Trap::Mem)?;
-                let new = match op {
-                    BinOp::Add => old.wrapping_add(v),
-                    BinOp::Sub => old.wrapping_sub(v),
-                    BinOp::And => old & v,
-                    BinOp::Or => old | v,
-                    BinOp::Xor => old ^ v,
-                    _ => v, // Exchange semantics for other ops.
-                };
                 let c2 = self
                     .machine
-                    .store(core, a, ty.width(), new)
+                    .store(core, a, ty.width(), op.rmw(old, v))
                     .map_err(Trap::Mem)?;
                 let f = frame!();
                 f.regs[dst.0 as usize] = old;

@@ -15,6 +15,7 @@
 //!   memory cost, which keeps the IR phi-free and easy to instrument.
 
 use crate::ty::Ty;
+use sgxs_sim::CostModel;
 
 /// Index of a function in a [`Module`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -96,6 +97,62 @@ pub enum BinOp {
     AShr,
 }
 
+// Each op's value and cycle charge, defined once beside its declaration:
+// both execution tiers call these, so they cannot drift apart.
+
+impl BinOp {
+    /// `x <op> y`, or `None` for a division by zero (the VM traps with
+    /// [`Trap::DivByZero`](crate::Trap::DivByZero)). Shifts take the
+    /// amount modulo 64 and `i64::MIN / -1` wraps.
+    #[inline(always)]
+    pub fn eval(self, x: u64, y: u64) -> Option<u64> {
+        Some(match self {
+            BinOp::Add => x.wrapping_add(y),
+            BinOp::Sub => x.wrapping_sub(y),
+            BinOp::Mul => x.wrapping_mul(y),
+            BinOp::UDiv => x.checked_div(y)?,
+            BinOp::URem => x.checked_rem(y)?,
+            BinOp::SDiv | BinOp::SRem if y == 0 => return None,
+            BinOp::SDiv => (x as i64).wrapping_div(y as i64) as u64,
+            BinOp::SRem => (x as i64).wrapping_rem(y as i64) as u64,
+            BinOp::And => x & y,
+            BinOp::Or => x | y,
+            BinOp::Xor => x ^ y,
+            BinOp::Shl => x.wrapping_shl(y as u32),
+            BinOp::LShr => x.wrapping_shr(y as u32),
+            BinOp::AShr => (x as i64).wrapping_shr(y as u32) as u64,
+        })
+    }
+
+    /// The value an [`Inst::AtomicRmw`] with this op stores over `old`:
+    /// add, sub, and, or and xor combine; every other op exchanges.
+    #[inline(always)]
+    pub fn rmw(self, old: u64, v: u64) -> u64 {
+        match self {
+            BinOp::Add | BinOp::Sub | BinOp::And | BinOp::Or | BinOp::Xor => {
+                self.eval(old, v).expect("combining ops never divide")
+            }
+            _ => v,
+        }
+    }
+
+    /// Whether the op divides, and so can trap on a zero divisor.
+    #[inline(always)]
+    pub fn is_division(self) -> bool {
+        matches!(self, BinOp::UDiv | BinOp::SDiv | BinOp::URem | BinOp::SRem)
+    }
+
+    /// Cycles one execution charges.
+    #[inline(always)]
+    pub fn cycles(self, cost: &CostModel) -> u64 {
+        match self {
+            BinOp::Mul => cost.mul,
+            _ if self.is_division() => cost.div,
+            _ => cost.alu,
+        }
+    }
+}
+
 /// Integer comparison predicates (result is 0 or 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmpOp {
@@ -121,6 +178,25 @@ pub enum CmpOp {
     SGe,
 }
 
+impl CmpOp {
+    /// Whether `x <pred> y` holds.
+    #[inline(always)]
+    pub fn eval(self, x: u64, y: u64) -> bool {
+        match self {
+            CmpOp::Eq => x == y,
+            CmpOp::Ne => x != y,
+            CmpOp::ULt => x < y,
+            CmpOp::ULe => x <= y,
+            CmpOp::UGt => x > y,
+            CmpOp::UGe => x >= y,
+            CmpOp::SLt => (x as i64) < y as i64,
+            CmpOp::SLe => (x as i64) <= y as i64,
+            CmpOp::SGt => (x as i64) > y as i64,
+            CmpOp::SGe => (x as i64) >= y as i64,
+        }
+    }
+}
+
 /// Floating-point binary operations (operands are bit-cast f64).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FBinOp {
@@ -138,6 +214,33 @@ pub enum FBinOp {
     Max,
 }
 
+impl FBinOp {
+    /// `x <op> y` on the bit patterns of two f64 values.
+    #[inline(always)]
+    pub fn eval(self, x: u64, y: u64) -> u64 {
+        let (x, y) = (f64::from_bits(x), f64::from_bits(y));
+        let v = match self {
+            FBinOp::Add => x + y,
+            FBinOp::Sub => x - y,
+            FBinOp::Mul => x * y,
+            FBinOp::Div => x / y,
+            FBinOp::Min => x.min(y),
+            FBinOp::Max => x.max(y),
+        };
+        v.to_bits()
+    }
+
+    /// Cycles one execution charges.
+    #[inline(always)]
+    pub fn cycles(self, cost: &CostModel) -> u64 {
+        match self {
+            FBinOp::Mul => cost.fmul,
+            FBinOp::Div => cost.fdiv,
+            _ => cost.fsimple,
+        }
+    }
+}
+
 /// Floating-point comparison predicates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FCmpOp {
@@ -153,6 +256,23 @@ pub enum FCmpOp {
     Gt,
     /// Greater-or-equal.
     Ge,
+}
+
+impl FCmpOp {
+    /// Whether `x <pred> y` holds for the f64 values with these bit
+    /// patterns (every predicate but `Ne` is false on a NaN).
+    #[inline(always)]
+    pub fn eval(self, x: u64, y: u64) -> bool {
+        let (x, y) = (f64::from_bits(x), f64::from_bits(y));
+        match self {
+            FCmpOp::Eq => x == y,
+            FCmpOp::Ne => x != y,
+            FCmpOp::Lt => x < y,
+            FCmpOp::Le => x <= y,
+            FCmpOp::Gt => x > y,
+            FCmpOp::Ge => x >= y,
+        }
+    }
 }
 
 /// Value conversions. Variant payloads are bit widths.
@@ -176,6 +296,37 @@ pub enum CastKind {
     FAbs,
     /// f64 square root.
     FSqrt,
+}
+
+impl CastKind {
+    /// The converted value of `x`. A `Sext` of any other width and a
+    /// `Trunc` of 64 bits or more leave `x` unchanged.
+    #[inline(always)]
+    pub fn eval(self, x: u64) -> u64 {
+        match self {
+            CastKind::Sext(8) => (x as i8) as i64 as u64,
+            CastKind::Sext(16) => (x as i16) as i64 as u64,
+            CastKind::Sext(32) => (x as i32) as i64 as u64,
+            CastKind::Sext(_) | CastKind::Bitcast => x,
+            CastKind::Trunc(n) if n >= 64 => x,
+            CastKind::Trunc(n) => x & ((1u64 << n) - 1),
+            CastKind::SiToF => ((x as i64) as f64).to_bits(),
+            CastKind::UiToF => (x as f64).to_bits(),
+            CastKind::FToSi => (f64::from_bits(x) as i64) as u64,
+            CastKind::FAbs => f64::from_bits(x).abs().to_bits(),
+            CastKind::FSqrt => f64::from_bits(x).sqrt().to_bits(),
+        }
+    }
+
+    /// Cycles one execution charges.
+    #[inline(always)]
+    pub fn cycles(self, cost: &CostModel) -> u64 {
+        match self {
+            CastKind::FSqrt => cost.fdiv,
+            CastKind::SiToF | CastKind::UiToF | CastKind::FToSi | CastKind::FAbs => cost.fsimple,
+            _ => cost.alu,
+        }
+    }
 }
 
 /// Flags attached to memory accesses, consumed by instrumentation passes.
@@ -328,6 +479,14 @@ pub enum Inst {
     /// passes only emit them when site markers are requested, and `site`
     /// indexes [`Module::check_sites`]. [`crate::rewrite`] places them.
     Site { site: u32, marker: SiteMarker },
+}
+
+/// The address an [`Inst::Gep`] computes: `base + index * scale + disp`,
+/// wrapping.
+#[inline(always)]
+pub fn gep_addr(base: u64, index: u64, scale: u32, disp: i64) -> u64 {
+    base.wrapping_add(index.wrapping_mul(scale as u64))
+        .wrapping_add(disp as u64)
 }
 
 /// Which end of a check sequence a [`Inst::Site`] marker delimits.

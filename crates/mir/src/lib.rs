@@ -23,13 +23,13 @@ pub mod verify;
 
 pub use builder::{FuncBuilder, ModuleBuilder};
 pub use interp::{
-    AccessKind, Env, Frame, HotRefs, IntrinsicCtx, PolicySet, QuantumEngine, RecoveryPolicy,
-    RecoveryStats, RunOutcome, Trap, TrapClass, Vm, VmConfig,
+    note_site, AccessKind, Env, Frame, HotRefs, IntrinsicCtx, PolicySet, QuantumEngine,
+    RecoveryPolicy, RecoveryStats, RunOutcome, Trap, TrapClass, Vm, VmConfig,
 };
 pub use ir::{
-    AccessAttrs, BinOp, Block, BlockId, CastKind, CheckSite, CmpOp, FBinOp, FCmpOp, FuncId,
-    Function, Global, GlobalId, Inst, IntrinsicId, LocalId, Module, Operand, Reg, SiteMarker,
-    SlotId, StackSlot, Term,
+    gep_addr, AccessAttrs, BinOp, Block, BlockId, CastKind, CheckSite, CmpOp, FBinOp, FCmpOp,
+    FuncId, Function, Global, GlobalId, Inst, IntrinsicId, LocalId, Module, Operand, Reg,
+    SiteMarker, SlotId, StackSlot, Term,
 };
 pub use rewrite::{Access, AccessOp, BlockOrder, Guard, Next, Rewriter};
 pub use ty::Ty;

@@ -76,6 +76,34 @@ impl Default for CompareOpts {
     }
 }
 
+impl CompareOpts {
+    /// Checks the options [`compare`] refuses. The gate flags a metric only
+    /// when its shift exceeds `max(rel_threshold, noise_mult *
+    /// noise_floor)`, so a NaN, infinite or negative value of either would
+    /// switch the gate off or make it meaningless; the bootstrap needs at
+    /// least one resample and a miss probability strictly between 0 and 1.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, v) in [
+            ("rel_threshold", self.rel_threshold),
+            ("noise_mult", self.noise_mult),
+        ] {
+            if !(v.is_finite() && v >= 0.0) {
+                return Err(format!("{name} must be finite and >= 0, got {v}"));
+            }
+        }
+        if self.boot_iters == 0 {
+            Err("boot_iters must be at least 1".to_owned())
+        } else if !(self.alpha > 0.0 && self.alpha < 1.0) {
+            Err(format!(
+                "alpha must lie strictly between 0 and 1, got {}",
+                self.alpha
+            ))
+        } else {
+            Ok(())
+        }
+    }
+}
+
 /// One compared metric.
 #[derive(Debug, Clone)]
 pub struct MetricCompare {
@@ -141,14 +169,16 @@ fn experiments_of(side: &[Vec<Metric>]) -> Vec<String> {
 }
 
 /// Compares two replicate sets. Each side is a list of replicates, each
-/// replicate a flattened metric list.
+/// replicate a flattened metric list. Refuses options that fail
+/// [`CompareOpts::validate`].
 pub fn compare(
     base_label: &str,
     base: &[Vec<Metric>],
     new_label: &str,
     new: &[Vec<Metric>],
     opts: CompareOpts,
-) -> CompareReport {
+) -> Result<CompareReport, String> {
+    opts.validate()?;
     let base_exps = experiments_of(base);
     let new_exps = experiments_of(new);
 
@@ -179,13 +209,13 @@ pub fn compare(
         metrics.push(judge(&path, direction, &a, &b, &opts, &mut max_noise_floor));
     }
 
-    CompareReport {
+    Ok(CompareReport {
         base_label: base_label.to_owned(),
         new_label: new_label.to_owned(),
         opts,
         metrics,
         max_noise_floor,
-    }
+    })
 }
 
 fn judge(
@@ -434,9 +464,62 @@ mod tests {
     const PERF: &str = "fig7.gmean_perf.sgxbounds";
 
     #[test]
+    fn invalid_options_are_refused() {
+        let a = reps(PERF, &[1.0]);
+        let ok = CompareOpts::default();
+        let edge = CompareOpts {
+            rel_threshold: 0.0,
+            noise_mult: 0.0,
+            boot_iters: 1,
+            alpha: 0.5,
+            ..ok
+        };
+        assert_eq!(edge.validate(), Ok(()));
+        for bad in [
+            CompareOpts {
+                rel_threshold: f64::NAN,
+                ..ok
+            },
+            CompareOpts {
+                rel_threshold: f64::INFINITY,
+                ..ok
+            },
+            CompareOpts {
+                rel_threshold: -0.1,
+                ..ok
+            },
+            CompareOpts {
+                noise_mult: f64::NAN,
+                ..ok
+            },
+            CompareOpts {
+                noise_mult: f64::INFINITY,
+                ..ok
+            },
+            CompareOpts {
+                noise_mult: -1.0,
+                ..ok
+            },
+            CompareOpts {
+                boot_iters: 0,
+                ..ok
+            },
+            CompareOpts { alpha: 0.0, ..ok },
+            CompareOpts { alpha: 1.0, ..ok },
+            CompareOpts {
+                alpha: f64::NAN,
+                ..ok
+            },
+        ] {
+            let e = bad.validate().expect_err("invalid options validate");
+            assert_eq!(compare("a", &a, "b", &a, bad).err(), Some(e), "{bad:?}");
+        }
+    }
+
+    #[test]
     fn identical_sides_do_not_regress() {
         let a = reps(PERF, &[1.17, 1.171, 1.169]);
-        let r = compare("a", &a, "b", &a, CompareOpts::default());
+        let r = compare("a", &a, "b", &a, CompareOpts::default()).unwrap();
         assert_eq!(r.count(Verdict::Regressed), 0);
         assert!(!r.gate_failed());
         assert_eq!(r.metrics[0].verdict, Verdict::Unchanged);
@@ -446,7 +529,7 @@ mod tests {
     fn thirty_percent_shift_regresses() {
         let a = reps(PERF, &[1.17, 1.171, 1.169]);
         let b = reps(PERF, &[1.52, 1.521, 1.519]);
-        let r = compare("a", &a, "b", &b, CompareOpts::default());
+        let r = compare("a", &a, "b", &b, CompareOpts::default()).unwrap();
         assert!(r.gate_failed());
         let m = &r.metrics[0];
         assert_eq!(m.verdict, Verdict::Regressed);
@@ -476,8 +559,10 @@ mod tests {
         let a = reps(p, &[100.0, 101.0]);
         let drop = reps(p, &[60.0, 61.0]);
         let gain = reps(p, &[140.0, 141.0]);
-        assert!(compare("a", &a, "b", &drop, CompareOpts::default()).gate_failed());
-        let r = compare("a", &a, "b", &gain, CompareOpts::default());
+        assert!(compare("a", &a, "b", &drop, CompareOpts::default())
+            .unwrap()
+            .gate_failed());
+        let r = compare("a", &a, "b", &gain, CompareOpts::default()).unwrap();
         assert_eq!(r.metrics[0].verdict, Verdict::Improved);
     }
 
@@ -487,7 +572,7 @@ mod tests {
         // regress even though it beats the 10% base threshold.
         let a = reps(PERF, &[1.0, 1.2, 0.8]);
         let b = reps(PERF, &[1.12, 1.35, 0.9]);
-        let r = compare("a", &a, "b", &b, CompareOpts::default());
+        let r = compare("a", &a, "b", &b, CompareOpts::default()).unwrap();
         let m = &r.metrics[0];
         assert!(m.threshold > 0.10, "threshold widened: {}", m.threshold);
         assert_eq!(m.verdict, Verdict::Unchanged);
@@ -496,8 +581,16 @@ mod tests {
     #[test]
     fn single_replicates_gate_on_threshold_alone() {
         let a = reps(PERF, &[1.0]);
-        assert!(compare("a", &a, "b", &reps(PERF, &[1.3]), CompareOpts::default()).gate_failed());
-        assert!(!compare("a", &a, "b", &reps(PERF, &[1.05]), CompareOpts::default()).gate_failed());
+        assert!(
+            compare("a", &a, "b", &reps(PERF, &[1.3]), CompareOpts::default())
+                .unwrap()
+                .gate_failed()
+        );
+        assert!(
+            !compare("a", &a, "b", &reps(PERF, &[1.05]), CompareOpts::default())
+                .unwrap()
+                .gate_failed()
+        );
     }
 
     #[test]
@@ -517,10 +610,10 @@ mod tests {
         };
         let a = both(PERF, 1.17, Some(("fig7.rows.kmeans.perf.mpx", 18.8)));
         let b = both(PERF, 1.17, None);
-        let r = compare("a", &a, "b", &b, CompareOpts::default());
+        let r = compare("a", &a, "b", &b, CompareOpts::default()).unwrap();
         assert!(r.gate_failed(), "lost mpx measurement must gate");
         // The reverse direction: a metric appearing is not a regression.
-        let r = compare("a", &b, "b", &a, CompareOpts::default());
+        let r = compare("a", &b, "b", &a, CompareOpts::default()).unwrap();
         assert!(!r.gate_failed());
         assert_eq!(r.count(Verdict::Incomparable), 1);
     }
@@ -529,7 +622,7 @@ mod tests {
     fn disjoint_experiments_are_skipped_not_flagged() {
         let a = reps(PERF, &[1.17]);
         let b = reps("fig9.rows.kmeans.sgxbounds_4t", &[1.1]);
-        let r = compare("a", &a, "b", &b, CompareOpts::default());
+        let r = compare("a", &a, "b", &b, CompareOpts::default()).unwrap();
         assert!(r.metrics.is_empty());
         assert!(!r.gate_failed());
     }
@@ -539,7 +632,7 @@ mod tests {
         let p = "fig1.points.0.rows";
         let a = reps(p, &[100.0]);
         let b = reps(p, &[900.0]);
-        let r = compare("a", &a, "b", &b, CompareOpts::default());
+        let r = compare("a", &a, "b", &b, CompareOpts::default()).unwrap();
         assert!(!r.gate_failed());
         assert_eq!(r.metrics[0].verdict, Verdict::Unchanged);
     }
@@ -548,8 +641,8 @@ mod tests {
     fn report_is_deterministic() {
         let a = reps(PERF, &[1.0, 1.1, 0.9]);
         let b = reps(PERF, &[1.2, 1.3, 1.1]);
-        let r1 = compare("a", &a, "b", &b, CompareOpts::default());
-        let r2 = compare("a", &a, "b", &b, CompareOpts::default());
+        let r1 = compare("a", &a, "b", &b, CompareOpts::default()).unwrap();
+        let r2 = compare("a", &a, "b", &b, CompareOpts::default()).unwrap();
         assert_eq!(r1.to_json().to_pretty(), r2.to_json().to_pretty());
     }
 }

@@ -42,6 +42,26 @@ fn violation_trap(addr: u64, size: u32, is_store: bool) -> Trap {
     }
 }
 
+/// The one refusal path of the checking libc wrappers: count the
+/// violation, then trap in fail-stop mode, or return the 0 error indicator
+/// in boundless mode so the application can drop the request (paper §5.1).
+#[derive(Clone)]
+struct Refusal {
+    violations: Rc<RefCell<u64>>,
+    fail_stop: bool,
+}
+
+impl Refusal {
+    fn refuse(&self, addr: u64, size: u32, is_store: bool) -> Result<Option<u64>, Trap> {
+        *self.violations.borrow_mut() += 1;
+        if self.fail_stop {
+            Err(violation_trap(addr, size, is_store))
+        } else {
+            Ok(Some(0)) // EINVAL-style refusal.
+        }
+    }
+}
+
 /// Reads the lower bound stored at the upper-bound address (charged).
 fn load_lb(ctx: &mut IntrinsicCtx<'_>, ub: u32) -> Result<u32, Trap> {
     Ok(ctx.load(ub as u64, 4)? as u32)
@@ -282,61 +302,32 @@ pub fn install_sgxbounds(
     // ---- checking libc wrappers (paper §3.2 "Function calls") ------------
     //
     // On violation these do NOT fall back to boundless redirection; they
-    // return an error indicator so applications can drop offending requests
+    // refuse (see `Refusal`) so applications can drop offending requests
     // (paper §5.1). In fail-stop mode they trap like any other violation.
 
-    let fail_stop = !cfg.boundless;
-    let vio = violations.clone();
-    vm.register_intrinsic("sb_memcpy", move |ctx, args| {
-        let (dt, st, n) = (args[0], args[1], args[2] as u32);
-        let d = check_range(ctx, dt, n)?;
-        let s = check_range(ctx, st, n)?;
-        match (d, s) {
-            (Some(d), Some(s)) => {
-                sgxs_rt::libc::memcpy(ctx, d, s, n)?;
-                Ok(Some(dt))
-            }
-            _ => {
-                *vio.borrow_mut() += 1;
-                if fail_stop {
-                    Err(violation_trap(
-                        if d.is_none() { dt } else { st },
-                        n,
-                        d.is_none(),
-                    ))
-                } else {
-                    Ok(Some(0)) // EINVAL-style refusal.
+    let refusal = Refusal {
+        violations: violations.clone(),
+        fail_stop: !cfg.boundless,
+    };
+    // memmove is memcpy: the simulated copy is exact for overlapping
+    // ranges too.
+    for name in ["sb_memcpy", "sb_memmove"] {
+        let no = refusal.clone();
+        vm.register_intrinsic(name, move |ctx, args| {
+            let (dt, st, n) = (args[0], args[1], args[2] as u32);
+            let d = check_range(ctx, dt, n)?;
+            let s = check_range(ctx, st, n)?;
+            match (d, s) {
+                (Some(d), Some(s)) => {
+                    sgxs_rt::libc::memcpy(ctx, d, s, n)?;
+                    Ok(Some(dt))
                 }
+                _ => no.refuse(if d.is_none() { dt } else { st }, n, d.is_none()),
             }
-        }
-    });
+        });
+    }
 
-    let vio = violations.clone();
-    vm.register_intrinsic("sb_memmove", move |ctx, args| {
-        let (dt, st, n) = (args[0], args[1], args[2] as u32);
-        let d = check_range(ctx, dt, n)?;
-        let s = check_range(ctx, st, n)?;
-        match (d, s) {
-            (Some(d), Some(s)) => {
-                sgxs_rt::libc::memcpy(ctx, d, s, n)?;
-                Ok(Some(dt))
-            }
-            _ => {
-                *vio.borrow_mut() += 1;
-                if fail_stop {
-                    Err(violation_trap(
-                        if d.is_none() { dt } else { st },
-                        n,
-                        d.is_none(),
-                    ))
-                } else {
-                    Ok(Some(0))
-                }
-            }
-        }
-    });
-
-    let vio = violations.clone();
+    let no = refusal.clone();
     vm.register_intrinsic("sb_memset", move |ctx, args| {
         let (dt, c, n) = (args[0], args[1] as u8, args[2] as u32);
         match check_range(ctx, dt, n)? {
@@ -344,36 +335,22 @@ pub fn install_sgxbounds(
                 sgxs_rt::libc::memset(ctx, d, c, n)?;
                 Ok(Some(dt))
             }
-            None => {
-                *vio.borrow_mut() += 1;
-                if fail_stop {
-                    Err(violation_trap(dt, n, true))
-                } else {
-                    Ok(Some(0))
-                }
-            }
+            None => no.refuse(dt, n, true),
         }
     });
 
-    let vio = violations.clone();
+    let no = refusal.clone();
     vm.register_intrinsic("sb_memcmp", move |ctx, args| {
         let (at, bt, n) = (args[0], args[1], args[2] as u32);
         let a = check_range(ctx, at, n)?;
         let b = check_range(ctx, bt, n)?;
         match (a, b) {
             (Some(a), Some(b)) => Ok(Some(sgxs_rt::libc::memcmp(ctx, a, b, n)?)),
-            _ => {
-                *vio.borrow_mut() += 1;
-                if fail_stop {
-                    Err(violation_trap(if a.is_none() { at } else { bt }, n, false))
-                } else {
-                    Ok(Some(0))
-                }
-            }
+            _ => no.refuse(if a.is_none() { at } else { bt }, n, false),
         }
     });
 
-    let vio = violations.clone();
+    let no = refusal.clone();
     vm.register_intrinsic("sb_strlen", move |ctx, args| {
         let t = args[0];
         let p = tagged::ptr_of(t);
@@ -382,18 +359,11 @@ pub fn install_sgxbounds(
         // (the string plus terminator must fit the referent object).
         match check_range(ctx, t, len + 1)? {
             Some(_) => Ok(Some(len as u64)),
-            None => {
-                *vio.borrow_mut() += 1;
-                if fail_stop {
-                    Err(violation_trap(t, len + 1, false))
-                } else {
-                    Ok(Some(0))
-                }
-            }
+            None => no.refuse(t, len + 1, false),
         }
     });
 
-    let vio = violations.clone();
+    let no = refusal.clone();
     vm.register_intrinsic("sb_strcpy", move |ctx, args| {
         let (dt, st) = (args[0], args[1]);
         let sp = tagged::ptr_of(st);
@@ -405,22 +375,11 @@ pub fn install_sgxbounds(
                 sgxs_rt::libc::memcpy(ctx, d, s, len + 1)?;
                 Ok(Some(dt))
             }
-            _ => {
-                *vio.borrow_mut() += 1;
-                if fail_stop {
-                    Err(violation_trap(
-                        if d.is_none() { dt } else { st },
-                        len + 1,
-                        d.is_none(),
-                    ))
-                } else {
-                    Ok(Some(0))
-                }
-            }
+            _ => no.refuse(if d.is_none() { dt } else { st }, len + 1, d.is_none()),
         }
     });
 
-    let vio = violations.clone();
+    let no = refusal.clone();
     vm.register_intrinsic("sb_strcmp", move |ctx, args| {
         let (at, bt) = (args[0], args[1]);
         let la = sgxs_rt::libc::strlen(ctx, tagged::ptr_of(at))?;
@@ -429,18 +388,11 @@ pub fn install_sgxbounds(
         let b = check_range(ctx, bt, lb + 1)?;
         match (a, b) {
             (Some(a), Some(b)) => Ok(Some(sgxs_rt::libc::memcmp(ctx, a, b, la.min(lb) + 1)?)),
-            _ => {
-                *vio.borrow_mut() += 1;
-                if fail_stop {
-                    Err(violation_trap(if a.is_none() { at } else { bt }, 1, false))
-                } else {
-                    Ok(Some(0))
-                }
-            }
+            _ => no.refuse(if a.is_none() { at } else { bt }, 1, false),
         }
     });
 
-    let vio = violations.clone();
+    let no = refusal.clone();
     vm.register_intrinsic("sb_strncpy", move |ctx, args| {
         let (dt, st, n) = (args[0], args[1], args[2] as u32);
         // strncpy writes exactly n bytes to dst; reads len+1 from src.
@@ -452,22 +404,11 @@ pub fn install_sgxbounds(
                 sgxs_rt::libc::strncpy(ctx, d, s, n)?;
                 Ok(Some(dt))
             }
-            _ => {
-                *vio.borrow_mut() += 1;
-                if fail_stop {
-                    Err(violation_trap(
-                        if d.is_none() { dt } else { st },
-                        n,
-                        d.is_none(),
-                    ))
-                } else {
-                    Ok(Some(0))
-                }
-            }
+            _ => no.refuse(if d.is_none() { dt } else { st }, n, d.is_none()),
         }
     });
 
-    let vio = violations.clone();
+    let no = refusal.clone();
     vm.register_intrinsic("sb_strcat", move |ctx, args| {
         let (dt, st) = (args[0], args[1]);
         let dlen = sgxs_rt::libc::strlen(ctx, tagged::ptr_of(dt))?;
@@ -479,22 +420,15 @@ pub fn install_sgxbounds(
                 sgxs_rt::libc::memcpy(ctx, d + dlen, s, slen + 1)?;
                 Ok(Some(dt))
             }
-            _ => {
-                *vio.borrow_mut() += 1;
-                if fail_stop {
-                    Err(violation_trap(
-                        if d.is_none() { dt } else { st },
-                        dlen + slen + 1,
-                        d.is_none(),
-                    ))
-                } else {
-                    Ok(Some(0))
-                }
-            }
+            _ => no.refuse(
+                if d.is_none() { dt } else { st },
+                dlen + slen + 1,
+                d.is_none(),
+            ),
         }
     });
 
-    let vio = violations.clone();
+    let no = refusal.clone();
     vm.register_intrinsic("sb_strchr", move |ctx, args| {
         let (t, byte) = (args[0], args[1] as u8);
         let p = tagged::ptr_of(t);
@@ -510,31 +444,17 @@ pub fn install_sgxbounds(
                     Ok(Some(tagged::with_ptr(t, found as u64)))
                 }
             }
-            None => {
-                *vio.borrow_mut() += 1;
-                if fail_stop {
-                    Err(violation_trap(t, len + 1, false))
-                } else {
-                    Ok(Some(0))
-                }
-            }
+            None => no.refuse(t, len + 1, false),
         }
     });
 
-    let vio = violations.clone();
+    let no = refusal;
     vm.register_intrinsic("sb_fmt_u64", move |ctx, args| {
         let (dt, val) = (args[0], args[1]);
         let digits = val.to_string().len() as u32 + 1;
         match check_range(ctx, dt, digits)? {
             Some(d) => Ok(Some(sgxs_rt::libc::fmt_u64(ctx, d, val)? as u64)),
-            None => {
-                *vio.borrow_mut() += 1;
-                if fail_stop {
-                    Err(violation_trap(dt, digits, true))
-                } else {
-                    Ok(Some(0))
-                }
-            }
+            None => no.refuse(dt, digits, true),
         }
     });
 

@@ -13,7 +13,7 @@
 //!   isolation and a cooperative [`StopFlag`] for graceful stops;
 //! * [`supervise`] — the robustness ladder on top: failure taxonomy
 //!   ([`SeedFailure`]: panic / budget / transient), the deterministic
-//!   cycle-budget watchdog contract, a bounded retry ladder for
+//!   instruction-budget watchdog contract, a bounded retry ladder for
 //!   transients, quarantine, and explicit coverage accounting;
 //! * [`journal`] — the `sgxs-campaign-v1` append-only checkpoint so an
 //!   interrupted campaign resumes exactly where it stopped.
@@ -23,7 +23,8 @@
 //! in seed order after the pool drains — so `--workers N` produces
 //! byte-identical artifacts for every `N`, and a resumed campaign's
 //! artifact is byte-identical to an uninterrupted one. Wall-clock time
-//! never feeds a verdict; the watchdog is an interpreter cycle cap.
+//! never feeds a verdict; the watchdog caps retired instructions
+//! (`VmConfig::max_instructions`).
 
 pub mod journal;
 pub mod pool;
@@ -33,5 +34,5 @@ pub use journal::{done_line, fingerprint, quarantined_line, JournalHeader, Journ
 pub use pool::{panic_message, resolve_workers, run_indexed, ItemState, StopFlag};
 pub use supervise::{
     supervise, Campaign, CampaignRun, Coverage, Quarantined, Restored, SeedFailure, SuperOpts,
-    TaskError, MAX_ATTEMPTS,
+    TaskError, MAX_ATTEMPTS, MAX_WORKERS,
 };

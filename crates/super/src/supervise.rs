@@ -9,9 +9,9 @@
 //!   [`SeedFailure::Panic`] carrying the payload message — the worker and
 //!   the rest of the campaign survive;
 //! * a **budget** failure ([`TaskError::Budget`] — the deterministic
-//!   interpreter-cycle watchdog, never wall-clock) is quarantined
+//!   instruction-budget watchdog, never wall-clock) is quarantined
 //!   immediately: re-running a deterministic seed against the same budget
-//!   would burn the same cycles and fail the same way;
+//!   would retire the same instructions and fail the same way;
 //! * a **transient** failure ([`TaskError::Transient`] — injected alloc
 //!   faults and their kin) is retried at once, up to [`MAX_ATTEMPTS`]
 //!   attempts in all, then quarantined as [`SeedFailure::Transient`].
@@ -39,9 +39,9 @@ pub enum TaskError {
     /// A transiently-injected fault (e.g. an exhausted allocation-fault
     /// retry ladder inside the VM). The supervisor retries these.
     Transient(String),
-    /// The deterministic cycle-budget watchdog fired. Never retried.
+    /// The deterministic instruction-budget watchdog fired. Never retried.
     Budget {
-        /// Cycles the seed had spent when the watchdog fired.
+        /// Instructions the seed had retired when the watchdog fired.
         spent: u64,
         /// The budget it exceeded.
         budget: u64,
@@ -56,9 +56,9 @@ pub enum SeedFailure {
         /// Rendered panic payload.
         message: String,
     },
-    /// The cycle-budget watchdog fired.
+    /// The instruction-budget watchdog fired.
     Budget {
-        /// Cycles spent when it fired.
+        /// Instructions retired when it fired.
         spent: u64,
         /// The exceeded budget.
         budget: u64,
@@ -87,7 +87,7 @@ impl SeedFailure {
         match self {
             SeedFailure::Panic { message } => message.clone(),
             SeedFailure::Budget { spent, budget } => {
-                format!("spent {spent} cycles of a {budget}-cycle budget")
+                format!("spent {spent} instructions of a {budget}-instruction budget")
             }
             SeedFailure::Transient { attempts, last } => {
                 format!("{attempts} attempts exhausted; last: {last}")
@@ -136,10 +136,15 @@ pub trait Campaign: Sync {
 /// Attempts the retry ladder gives a seed that keeps failing transiently.
 pub const MAX_ATTEMPTS: u32 = 3;
 
+/// The most workers a campaign accepts: each worker is an OS thread, and
+/// the selfcheck, the tests and CI never ask for more than 4.
+pub const MAX_WORKERS: usize = 64;
+
 /// Supervisor knobs.
 #[derive(Debug, Clone)]
 pub struct SuperOpts {
-    /// Worker threads (0 = auto: host parallelism capped at 8).
+    /// Worker threads (0 = auto: host parallelism capped at 8), at most
+    /// [`MAX_WORKERS`].
     pub workers: usize,
     /// Journal path; `None` runs unjournaled.
     pub journal: Option<String>,
@@ -160,6 +165,24 @@ impl Default for SuperOpts {
             resume: false,
             stop_after: None,
             quiet_panics: false,
+        }
+    }
+}
+
+impl SuperOpts {
+    /// Checks the options [`supervise`] refuses before it opens a journal
+    /// or starts a thread: `workers` at most [`MAX_WORKERS`], and `resume`
+    /// only with a `journal`.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.workers > MAX_WORKERS {
+            Err(format!(
+                "workers {} exceeds the cap {MAX_WORKERS}",
+                self.workers
+            ))
+        } else if self.resume && self.journal.is_none() {
+            Err("resume requires a journal path".to_owned())
+        } else {
+            Ok(())
         }
     }
 }
@@ -254,6 +277,7 @@ pub fn supervise<C: Campaign>(
     opts: &SuperOpts,
     stop: &StopFlag,
 ) -> Result<CampaignRun<C::Out>, String> {
+    opts.validate()?;
     let header = JournalHeader {
         campaign: campaign.name().to_owned(),
         fingerprint: fingerprint(&campaign.fingerprint()),
@@ -298,8 +322,7 @@ pub fn supervise<C: Campaign>(
             Some(w)
         }
         (Some(path), false) => Some(JournalWriter::create(path, &header)?),
-        (None, true) => return Err("--resume requires a journal path".to_owned()),
-        (None, false) => None,
+        (None, _) => None,
     };
 
     let settled: std::collections::BTreeSet<u64> = outcomes
@@ -641,5 +664,72 @@ mod tests {
         };
         let err = supervise(&mock, 0, 1, &o, &StopFlag::new()).expect_err("must refuse");
         assert!(err.contains("journal path"), "{err}");
+    }
+
+    #[test]
+    fn validate_refuses_each_broken_rule() {
+        assert_eq!(SuperOpts::default().validate(), Ok(()));
+        let at_cap = SuperOpts {
+            workers: MAX_WORKERS,
+            ..SuperOpts::default()
+        };
+        assert_eq!(at_cap.validate(), Ok(()));
+        let over = SuperOpts {
+            workers: MAX_WORKERS + 1,
+            ..SuperOpts::default()
+        };
+        let e = over.validate().expect_err("workers above the cap");
+        assert!(e.contains("exceeds the cap"), "{e}");
+        let resume = SuperOpts {
+            resume: true,
+            ..SuperOpts::default()
+        };
+        let e = resume.validate().expect_err("resume without a journal");
+        assert!(e.contains("journal path"), "{e}");
+    }
+
+    /// Counts the seeds it runs.
+    struct Counted(AtomicUsize);
+
+    impl Campaign for Counted {
+        type Out = u64;
+
+        fn name(&self) -> &'static str {
+            "counted"
+        }
+
+        fn fingerprint(&self) -> String {
+            String::new()
+        }
+
+        fn run_seed(&self, seed: u64, _attempt: u32) -> Result<u64, TaskError> {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            Ok(seed)
+        }
+
+        fn checkpoint(&self, out: &u64) -> Json {
+            (*out).into()
+        }
+
+        fn restore(&self, _seed: u64, _payload: &Json) -> Result<Restored<u64>, String> {
+            Ok(Restored::Rerun)
+        }
+    }
+
+    #[test]
+    fn workers_above_the_cap_are_refused_before_the_journal_or_any_thread() {
+        // One seed: a regression could start at most one thread.
+        let path = tmp("over-cap");
+        let _ = std::fs::remove_file(&path);
+        let o = SuperOpts {
+            workers: MAX_WORKERS + 1,
+            journal: Some(path.clone()),
+            ..opts()
+        };
+        let counted = Counted(AtomicUsize::new(0));
+        let err = supervise(&counted, 0, 1, &o, &StopFlag::new()).expect_err("must refuse");
+        assert!(err.contains("exceeds the cap"), "{err}");
+        assert!(!std::path::Path::new(&path).exists(), "journal opened");
+        assert_eq!(counted.0.load(Ordering::SeqCst), 0, "a seed ran");
     }
 }

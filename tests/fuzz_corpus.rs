@@ -39,7 +39,9 @@ fn corpus_covers_every_fault_kind_and_safe_programs() {
 #[test]
 fn every_corpus_entry_matches_the_detection_model() {
     for entry in corpus() {
-        let bad = entry.replay(ExecTier::Reference);
+        let bad = entry
+            .replay(ExecTier::Reference, DEFAULT_BUDGET)
+            .unwrap_or_else(|f| panic!("corpus entry '{}': {}", entry.to_line(), f.detail()));
         assert!(
             bad.is_empty(),
             "corpus entry '{}' disagrees: {:?}",

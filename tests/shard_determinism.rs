@@ -217,7 +217,7 @@ fn demo_failures_are_quarantined_with_accurate_coverage_and_resume() {
         assert_eq!(classes, [(panic, "panic"), (budget, "budget")]);
         let want = format!("injected panicking seed {}", panic.unwrap());
         assert!(rep.quarantine[0].detail.contains(&want));
-        assert!(rep.quarantine[1].detail.contains("cycle budget"));
+        assert!(rep.quarantine[1].detail.contains("instruction budget"));
         let text = std::fs::read_to_string(&journal).expect("journal written");
         let entries = sgxs_obs::read::parse_journal(&text)
             .expect("journal parses")
