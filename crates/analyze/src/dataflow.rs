@@ -59,8 +59,7 @@ pub fn solve<A: Analysis>(a: &A, f: &Function) -> Vec<Option<A::State>> {
             .clone()
             .expect("pending => has state");
         a.transfer_block(f, b, &mut st);
-        for s in cfg::successors(f, b) {
-            let mut edge_st = st.clone();
+        let mut propagate = |s: BlockId, mut edge_st: A::State| {
             a.refine_edge(f, b, s, &mut edge_st);
             let si = s.0 as usize;
             let changed = match &mut in_states[si] {
@@ -76,6 +75,13 @@ pub fn solve<A: Analysis>(a: &A, f: &Function) -> Vec<Option<A::State>> {
             if changed {
                 pending.insert(rpo_pos[si]);
             }
+        };
+        // Every edge but the last gets a copy; the last takes the state.
+        if let Some((&last, rest)) = cfg::successors(f, b).split_last() {
+            for &s in rest {
+                propagate(s, st.clone());
+            }
+            propagate(last, st);
         }
     }
     in_states
@@ -84,21 +90,21 @@ pub fn solve<A: Analysis>(a: &A, f: &Function) -> Vec<Option<A::State>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::factmap::FactMap;
     use crate::interval::Interval;
     use sgxs_mir::builder::ModuleBuilder;
     use sgxs_mir::ir::{Inst, Operand, Term};
     use sgxs_mir::ty::Ty;
-    use std::collections::HashMap;
 
     /// A toy constant-range analysis over registers, no refinement: enough
     /// to exercise join, widening, and unreachable blocks.
     struct Ranges;
 
     impl Analysis for Ranges {
-        type State = HashMap<u32, Interval>;
+        type State = FactMap<u32, Interval>;
 
         fn entry_state(&self, _f: &Function) -> Self::State {
-            HashMap::new()
+            FactMap::default()
         }
 
         fn transfer_block(&self, f: &Function, b: BlockId, st: &mut Self::State) {
@@ -109,24 +115,22 @@ mod tests {
                         Operand::Reg(r) => st.get(&r.0).copied().unwrap_or(Interval::TOP),
                     };
                     let v = ev(a, st).add(&ev(b, st));
-                    st.insert(dst.0, v);
+                    // Absent is ⊤: the state never stores it.
+                    if v.is_top() {
+                        st.remove(&dst.0);
+                    } else {
+                        st.set(dst.0, v);
+                    }
                 }
             }
         }
 
         fn join(&self, into: &mut Self::State, other: &Self::State, widen: bool) -> bool {
-            let mut changed = false;
-            into.retain(|k, v| {
-                let o = other.get(k).copied().unwrap_or(Interval::TOP);
-                let j = v.join(&o);
+            into.join_with(other, |v, o| {
+                let j = v.join(o.unwrap_or(&Interval::TOP));
                 let j = if widen { j.widen_from(v) } else { j };
-                if j != *v {
-                    *v = j;
-                    changed = true;
-                }
-                !j.is_top()
-            });
-            changed
+                (!j.is_top()).then_some(j)
+            })
         }
     }
 

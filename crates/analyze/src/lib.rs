@@ -9,7 +9,9 @@
 //!   precise) and whose range arithmetic is overflow-checked (collapses to
 //!   ⊤ instead of wrapping a bound).
 //! - [`dataflow`]: a generic forward worklist engine over the MIR CFG with
-//!   per-edge refinement and join-count-triggered widening.
+//!   per-edge refinement and join-count-triggered widening. The client
+//!   states keep their per-register and per-local facts in a key-sorted
+//!   vector map, joined by one merge walk (`factmap`).
 //! - [`prov`]: the value-range + pointer-provenance analysis. Pointers are
 //!   `(referent, offset interval, inbounds)`; provenance flows through
 //!   blocks, joins, geps, copies, and cross-block locals, and branch
@@ -32,6 +34,7 @@
 //!   `tests/lint_validation.rs` and `tests/temporal_lint.rs`.
 
 pub mod dataflow;
+mod factmap;
 pub mod interval;
 pub mod ipa;
 pub mod lint;

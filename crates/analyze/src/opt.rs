@@ -17,11 +17,11 @@
 //! accessible `[base, base+size)` range) and preserve them.
 
 use crate::dataflow::{self, Analysis};
+use crate::factmap::FactMap;
 use crate::ipa::Summaries;
 use crate::prov::{facts_for, preserves_heap, Class};
 use sgxs_mir::ir::{def_of, BinOp, BlockId, Function, Inst, Module, Operand, Reg};
 use sgxs_mir::rewrite::Access;
-use std::collections::HashMap;
 
 /// Marks every access the flow-sensitive analysis proves in-bounds.
 /// Returns how many accesses were newly marked.
@@ -59,25 +59,26 @@ pub fn mark_safe_flow_with(m: &mut Module, summaries: Option<&Summaries>) -> usi
 }
 
 /// A value whose bounds have been established: a register or a local.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Key {
     R(u32),
     L(u32),
 }
 
 /// Must-availability state: values with established bounds (mapped to the
-/// widest established width) plus register→local value aliases.
+/// widest established width) plus register→local value aliases. An
+/// absent key has no fact.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct Avail {
-    facts: HashMap<Key, u64>,
+    facts: FactMap<Key, u64>,
     /// `reg -> local` when the register provably holds the local's value.
-    alias: HashMap<u32, u32>,
+    alias: FactMap<u32, u32>,
 }
 
 impl Avail {
     fn gen(&mut self, key: Key, w: u64) {
-        let slot = self.facts.entry(key).or_insert(0);
-        *slot = (*slot).max(w);
+        let w = self.facts.get(&key).map_or(w, |old| (*old).max(w));
+        self.facts.set(key, w);
     }
 
     fn kill_reg(&mut self, r: Reg) {
@@ -117,7 +118,7 @@ impl AvailAnalysis<'_> {
                 if let Some(w) = st.facts.get(&Key::L(local.0)).copied() {
                     st.gen(Key::R(dst.0), w);
                 }
-                st.alias.insert(dst.0, local.0);
+                st.alias.set(dst.0, local.0);
             }
             Inst::WriteLocal { local, val } => {
                 st.facts.remove(&Key::L(local.0));
@@ -127,7 +128,7 @@ impl AvailAnalysis<'_> {
                     if let Some(w) = st.facts.get(&Key::R(x.0)).copied() {
                         st.gen(Key::L(local.0), w);
                     }
-                    st.alias.insert(x.0, local.0);
+                    st.alias.set(x.0, local.0);
                 }
             }
             // Value-preserving forms keep availability: `bitcast`, `x ^ 0`,
@@ -144,7 +145,7 @@ impl AvailAnalysis<'_> {
                     st.gen(Key::R(dst.0), w);
                 }
                 if let Some(l) = alias {
-                    st.alias.insert(dst.0, l);
+                    st.alias.set(dst.0, l);
                 }
             }
             Inst::Bin {
@@ -160,7 +161,7 @@ impl AvailAnalysis<'_> {
                     st.gen(Key::R(dst.0), w);
                 }
                 if let Some(l) = alias {
-                    st.alias.insert(dst.0, l);
+                    st.alias.set(dst.0, l);
                 }
             }
             Inst::Call { dst, func, .. } => {
@@ -218,20 +219,13 @@ impl Analysis for AvailAnalysis<'_> {
         // Must-analysis: keep only facts established on every path, at the
         // smallest established width. Facts only shrink, so this
         // terminates without widening.
-        let before = (into.facts.len(), into.alias.len());
-        let mut changed = false;
-        into.facts.retain(|k, w| match other.facts.get(k) {
-            Some(ow) => {
-                if *ow < *w {
-                    *w = *ow;
-                    changed = true;
-                }
-                true
-            }
-            None => false,
-        });
-        into.alias.retain(|r, l| other.alias.get(r) == Some(l));
-        changed || before != (into.facts.len(), into.alias.len())
+        let facts = into
+            .facts
+            .join_with(&other.facts, |w, o| o.map(|ow| (*ow).min(*w)));
+        let alias = into
+            .alias
+            .join_with(&other.alias, |l, o| (o == Some(l)).then_some(*l));
+        facts || alias
     }
 }
 

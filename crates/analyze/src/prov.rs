@@ -24,6 +24,7 @@
 //! per-block analysis already trusts them.
 
 use crate::dataflow::{self, Analysis};
+use crate::factmap::FactMap;
 use crate::interval::Interval;
 use crate::ipa::{CallGraph, FuncSummary, RetSummary, Summaries};
 use sgxs_mir::ir::{
@@ -32,7 +33,7 @@ use sgxs_mir::ir::{
 };
 use sgxs_mir::ty::Ty;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// What an abstract pointer refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,8 +175,8 @@ pub enum SiteLive {
 /// set (for interprocedural summaries).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PState {
-    regs: HashMap<u32, AbsVal>,
-    locals: HashMap<u32, AbsVal>,
+    regs: FactMap<u32, AbsVal>,
+    locals: FactMap<u32, AbsVal>,
     /// Per allocation site: liveness on this path (absent = not yet
     /// allocated).
     pub(crate) heap: BTreeMap<u32, SiteLive>,
@@ -203,7 +204,7 @@ impl PState {
         if v == AbsVal::TOP {
             self.regs.remove(&r.0);
         } else {
-            self.regs.insert(r.0, v);
+            self.regs.set(r.0, v);
         }
     }
 
@@ -215,7 +216,7 @@ impl PState {
         if v == AbsVal::TOP {
             self.locals.remove(&l.0);
         } else {
-            self.locals.insert(l.0, v);
+            self.locals.set(l.0, v);
         }
     }
 
@@ -316,8 +317,10 @@ pub(crate) fn frees_first_arg(name: &str) -> bool {
 pub struct ProvAnalysis<'a> {
     m: &'a Module,
     fi: usize,
-    /// Allocation/narrowing instructions numbered in block order.
-    sites: HashMap<(u32, u32), u32>,
+    /// Positions `(block, inst)` of the allocation/narrowing
+    /// instructions in block order: a site's number is its index, so the
+    /// list is sorted.
+    sites: Vec<(u32, u32)>,
     /// Interprocedural summaries, when running call-graph-aware.
     ipa: Option<(&'a CallGraph, &'a [FuncSummary])>,
 }
@@ -339,7 +342,7 @@ impl<'a> ProvAnalysis<'a> {
         fi: usize,
         ipa: Option<(&'a CallGraph, &'a [FuncSummary])>,
     ) -> Self {
-        let mut sites = HashMap::new();
+        let mut sites = Vec::new();
         for (bi, blk) in m.funcs[fi].blocks.iter().enumerate() {
             for (ii, inst) in blk.insts.iter().enumerate() {
                 let numbered = match inst {
@@ -355,7 +358,7 @@ impl<'a> ProvAnalysis<'a> {
                     _ => false,
                 };
                 if numbered {
-                    sites.insert((bi as u32, ii as u32), sites.len() as u32);
+                    sites.push((bi as u32, ii as u32));
                 }
             }
         }
@@ -378,10 +381,12 @@ impl<'a> ProvAnalysis<'a> {
 
     /// Position of a numbered allocation/narrowing site.
     pub(crate) fn site_pos(&self, site: u32) -> Option<(u32, u32)> {
-        self.sites
-            .iter()
-            .find(|(_, s)| **s == site)
-            .map(|(pos, _)| *pos)
+        self.sites.get(site as usize).copied()
+    }
+
+    /// Number of the allocation/narrowing site at `(bi, ii)`, if it is one.
+    fn site_at(&self, bi: u32, ii: u32) -> Option<u32> {
+        self.sites.binary_search(&(bi, ii)).ok().map(|i| i as u32)
     }
 
     pub(crate) fn eval(&self, op: &Operand, st: &PState) -> AbsVal {
@@ -595,7 +600,7 @@ impl<'a> ProvAnalysis<'a> {
                         _ => st.kill_heap(),
                     }
                 }
-                let site = self.sites.get(&(bi, ii)).copied();
+                let site = self.site_at(bi, ii);
                 let out = match name {
                     "malloc" => self
                         .exact_arg(args, 0, st)
@@ -764,17 +769,14 @@ impl<'a> ProvAnalysis<'a> {
                 off: *off,
                 inb: false,
             },
-            RetSummary::FreshAlloc { size, escaped } => match self.sites.get(&(bi, ii)) {
+            RetSummary::FreshAlloc { size, escaped } => match self.site_at(bi, ii) {
                 Some(site) => {
-                    st.heap.insert(*site, SiteLive::Live(*size));
+                    st.heap.insert(site, SiteLive::Live(*size));
                     if *escaped {
-                        st.escaped.insert(*site);
+                        st.escaped.insert(site);
                     }
                     AbsVal::Ptr {
-                        referent: Referent::Alloc {
-                            site: *site,
-                            size: *size,
-                        },
+                        referent: Referent::Alloc { site, size: *size },
                         off: Interval::exact(0),
                         inb: false,
                     }
@@ -967,22 +969,14 @@ impl Analysis for ProvAnalysis<'_> {
     }
 
     fn join(&self, into: &mut PState, other: &PState, widen: bool) -> bool {
-        let mut changed = false;
-        let join_map = |into: &mut HashMap<u32, AbsVal>, other: &HashMap<u32, AbsVal>| {
-            let mut c = false;
-            into.retain(|k, v| {
-                let o = other.get(k).copied().unwrap_or(AbsVal::TOP);
-                let j = join_val(v, &o, widen);
-                if j != *v {
-                    *v = j;
-                    c = true;
-                }
-                j != AbsVal::TOP
-            });
-            c
+        // An absent value is ⊤, which absorbs: only keys present in both
+        // states can survive, and a join that reaches ⊤ drops the key.
+        let join_entry = |v: &AbsVal, o: Option<&AbsVal>| {
+            let j = join_val(v, o.unwrap_or(&AbsVal::TOP), widen);
+            (j != AbsVal::TOP).then_some(j)
         };
-        changed |= join_map(&mut into.regs, &other.regs);
-        changed |= join_map(&mut into.locals, &other.locals);
+        let mut changed = into.regs.join_with(&other.regs, join_entry);
+        changed |= into.locals.join_with(&other.locals, join_entry);
         // Site liveness: equal states agree, anything else (including a
         // site allocated on only one path) joins to Top.
         for (k, ov) in &other.heap {
@@ -1318,4 +1312,135 @@ pub(crate) fn facts_of(analysis: &ProvAnalysis<'_>, states: &[Option<PState>]) -
         });
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use sgxs_mir::builder::ModuleBuilder;
+    use std::collections::HashMap;
+
+    /// The register and local join of the hash-map states, kept as the
+    /// reference for the merge walk that replaced it.
+    fn retain_join(
+        into: &mut HashMap<u32, AbsVal>,
+        other: &HashMap<u32, AbsVal>,
+        widen: bool,
+    ) -> bool {
+        let mut c = false;
+        into.retain(|k, v| {
+            let o = other.get(k).copied().unwrap_or(AbsVal::TOP);
+            let j = join_val(v, &o, widen);
+            if j != *v {
+                *v = j;
+                c = true;
+            }
+            j != AbsVal::TOP
+        });
+        c
+    }
+
+    /// Intervals from a small range, so that joins often meet equal values.
+    fn interval() -> impl Strategy<Value = Interval> {
+        (0u64..4, 0u64..4, 0u8..6).prop_map(|(lo, w, t)| {
+            if t == 0 {
+                Interval::TOP
+            } else {
+                Interval::range(lo, lo + w)
+            }
+        })
+    }
+
+    fn referent() -> impl Strategy<Value = Referent> {
+        (0u32..2, 0u8..4).prop_map(|(id, kind)| match kind {
+            0 => Referent::Slot { id, size: 16 },
+            1 => Referent::Global { id, size: 16 },
+            2 => Referent::Alloc { site: id, size: 16 },
+            _ => Referent::Narrow { site: id, size: 8 },
+        })
+    }
+
+    fn abs_val() -> impl Strategy<Value = AbsVal> {
+        prop_oneof![
+            interval().prop_map(AbsVal::Num),
+            (referent(), interval(), any::<bool>()).prop_map(|(referent, off, inb)| AbsVal::Ptr {
+                referent,
+                off,
+                inb
+            }),
+            (0u32..2, interval()).prop_map(|(index, off)| AbsVal::Arg { index, off }),
+            (0u32..2).prop_map(|func| AbsVal::Code { func }),
+        ]
+    }
+
+    fn entries() -> impl Strategy<Value = Vec<(u32, AbsVal)>> {
+        prop::collection::vec((0u32..12, abs_val()), 0..10)
+    }
+
+    /// Writes `regs` and `locals` through the state's own setters, and the
+    /// same pairs into one hash map each by the same rule (⊤ removes).
+    fn build(
+        regs: &[(u32, AbsVal)],
+        locals: &[(u32, AbsVal)],
+    ) -> (PState, [HashMap<u32, AbsVal>; 2]) {
+        let mut st = PState::default();
+        let mut model = [HashMap::new(), HashMap::new()];
+        for (k, v) in regs {
+            st.set_reg(Reg(*k), *v);
+        }
+        for (k, v) in locals {
+            st.set_local(LocalId(*k), *v);
+        }
+        for (map, pairs) in model.iter_mut().zip([regs, locals]) {
+            for (k, v) in pairs {
+                if *v == AbsVal::TOP {
+                    map.remove(k);
+                } else {
+                    map.insert(*k, *v);
+                }
+            }
+        }
+        (st, model)
+    }
+
+    fn fact_map(m: &HashMap<u32, AbsVal>) -> FactMap<u32, AbsVal> {
+        let mut fm = FactMap::default();
+        for (k, v) in m {
+            fm.set(*k, *v);
+        }
+        fm
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn merge_walk_join_equals_the_retain_join(
+            into_regs in entries(),
+            into_locals in entries(),
+            other_regs in entries(),
+            other_locals in entries(),
+            widen in any::<bool>(),
+        ) {
+            let mut mb = ModuleBuilder::new("t");
+            mb.func("f", &[], None, |fb| fb.ret(None));
+            let m = mb.finish();
+            let analysis = ProvAnalysis::new(&m, 0);
+            let (mut into, mut want) = build(&into_regs, &into_locals);
+            let (other, other_model) = build(&other_regs, &other_locals);
+            let changed = analysis.join(&mut into, &other, widen);
+            let want_changed = retain_join(&mut want[0], &other_model[0], widen)
+                | retain_join(&mut want[1], &other_model[1], widen);
+            prop_assert_eq!(changed, want_changed);
+            prop_assert_eq!(&into.regs, &fact_map(&want[0]));
+            prop_assert_eq!(&into.locals, &fact_map(&want[1]));
+            for st in [&into, &other] {
+                for k in 0..12 {
+                    prop_assert_ne!(st.regs.get(&k), Some(&AbsVal::TOP), "{:?}", st);
+                    prop_assert_ne!(st.locals.get(&k), Some(&AbsVal::TOP), "{:?}", st);
+                }
+            }
+        }
+    }
 }

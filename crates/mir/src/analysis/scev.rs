@@ -8,10 +8,8 @@
 //! simply not optimized, mirroring the paper's observation that their
 //! implementation only handles simple loops (§6.5).
 
-use super::cfg::predecessors;
 use super::loops::{find_loops, NaturalLoop};
 use crate::ir::{BinOp, BlockId, CmpOp, Function, Inst, LocalId, Operand, Reg, Term};
-use std::collections::HashMap;
 
 /// A recognized `for (i = start; i < end; i += step)` loop.
 #[derive(Debug, Clone)]
@@ -48,37 +46,47 @@ pub struct AffineAccess {
     pub width: u8,
 }
 
-/// Definition sites of every register.
-fn def_sites(f: &Function) -> HashMap<Reg, Vec<(BlockId, usize)>> {
-    let mut map: HashMap<Reg, Vec<(BlockId, usize)>> = HashMap::new();
+/// The unique definition site `(block, index)` of every register, indexed
+/// by register. A register that no instruction defines and one that
+/// several instructions define read the same: neither has a unique site.
+struct DefSites(Vec<Option<(BlockId, usize)>>);
+
+fn def_sites(f: &Function) -> DefSites {
+    let n = f.reg_tys.len();
+    let (mut site, mut seen) = (vec![None; n], vec![false; n]);
     for (bi, b) in f.blocks.iter().enumerate() {
         for (ii, inst) in b.insts.iter().enumerate() {
-            if let Some(d) = crate::ir::def_of(inst) {
-                map.entry(d).or_default().push((BlockId(bi as u32), ii));
+            if let Some(Reg(r)) = crate::ir::def_of(inst) {
+                let r = r as usize;
+                if r >= site.len() {
+                    site.resize(r + 1, None);
+                    seen.resize(r + 1, false);
+                }
+                site[r] = (!seen[r]).then_some((BlockId(bi as u32), ii));
+                seen[r] = true;
             }
         }
     }
-    map
+    DefSites(site)
+}
+
+impl DefSites {
+    /// The one instruction that defines `r`, if exactly one does.
+    fn unique(&self, r: Reg) -> Option<(BlockId, usize)> {
+        self.0.get(r.0 as usize).copied().flatten()
+    }
 }
 
 /// True if `op` is loop-invariant: an immediate, a parameter, or a register
 /// defined exactly once outside the loop.
-fn invariant(
-    op: Operand,
-    f: &Function,
-    lp: &NaturalLoop,
-    defs: &HashMap<Reg, Vec<(BlockId, usize)>>,
-) -> bool {
+fn invariant(op: Operand, f: &Function, lp: &NaturalLoop, defs: &DefSites) -> bool {
     match op {
         Operand::Imm(_) => true,
         Operand::Reg(r) => {
             if (r.0 as usize) < f.params.len() {
                 return true;
             }
-            match defs.get(&r) {
-                Some(sites) if sites.len() == 1 => !lp.contains(sites[0].0),
-                _ => false,
-            }
+            defs.unique(r).is_some_and(|(b, _)| !lp.contains(b))
         }
     }
 }
@@ -86,7 +94,6 @@ fn invariant(
 /// Finds counted loops in `f`.
 pub fn counted_loops(f: &Function) -> Vec<CountedLoop> {
     let defs = def_sites(f);
-    let preds = predecessors(f);
     let mut out = Vec::new();
     'next_loop: for lp in find_loops(f) {
         let Some(preheader) = lp.preheader else {
@@ -187,7 +194,6 @@ pub fn counted_loops(f: &Function) -> Vec<CountedLoop> {
         }) else {
             continue;
         };
-        let _ = &preds; // Predecessors retained for future multi-latch support.
         out.push(CountedLoop {
             lp,
             induction,
@@ -225,11 +231,12 @@ pub fn affine_accesses(f: &Function, cl: &CountedLoop) -> Vec<AffineAccess> {
             };
             let Operand::Reg(a) = addr else { continue };
             // The address must come from a single gep in the loop.
-            let Some(sites) = defs.get(&a) else { continue };
-            if sites.len() != 1 || !cl.lp.contains(sites[0].0) {
+            let Some((db, di)) = defs.unique(a) else {
+                continue;
+            };
+            if !cl.lp.contains(db) {
                 continue;
             }
-            let (db, di) = sites[0];
             let Inst::Gep {
                 base,
                 index: Operand::Reg(ir),
@@ -310,6 +317,45 @@ mod tests {
         assert_eq!(cls.len(), 1);
         let accs = affine_accesses(&m.funcs[0], &cls[0]);
         assert!(accs.is_empty(), "variant base must not be affine");
+    }
+
+    #[test]
+    fn register_defined_before_and_inside_the_loop_is_neither_base_nor_address() {
+        // Two affine stores: `base[i]` with `base` defined before the loop,
+        // and `p[i]` through the in-loop gep `addr`.
+        let (mut base, mut addr) = (Reg(0), Reg(0));
+        let mut mb = ModuleBuilder::new("t");
+        mb.func("f", &[Ty::Ptr], None, |fb| {
+            let p = fb.param(0);
+            base = fb.gep(p, 0u64, 1, 8);
+            fb.count_loop(0u64, 8u64, |fb, i| {
+                let a = fb.gep(base, i, 8, 0);
+                fb.store(Ty::I64, a, 0u64);
+                addr = fb.gep(p, i, 8, 0);
+                fb.store(Ty::I64, addr, 0u64);
+            });
+            fb.ret(None);
+        });
+        let mut m = mb.finish();
+        let cls = counted_loops(&m.funcs[0]);
+        assert_eq!(affine_accesses(&m.funcs[0], &cls[0]).len(), 2);
+        // Give each register a second definition: `base` inside the loop
+        // body (block 2), `addr` in the preheader (block 0). Keeping only
+        // the first definition would still call `base` invariant; keeping
+        // only the last would still call `addr` the loop's gep.
+        let f = &mut m.funcs[0];
+        let redef = |dst| Inst::Bin {
+            op: BinOp::Add,
+            dst,
+            a: Operand::Reg(Reg(0)),
+            b: Operand::Imm(8),
+        };
+        f.blocks[2].insts.insert(0, redef(base));
+        f.blocks[0].insts.push(redef(addr));
+        let cls = counted_loops(f);
+        assert_eq!(cls.len(), 1, "the loop shape is untouched");
+        let accs = affine_accesses(f, &cls[0]);
+        assert!(accs.is_empty(), "twice-defined registers matched: {accs:?}");
     }
 
     #[test]

@@ -15,6 +15,10 @@
 //!   the pinned constant. A pass refactor that claims "no behaviour
 //!   change" proves it here; a deliberate change to a pass re-pins the
 //!   constants it moves and says why.
+//! * **same facts**: an FNV-1a digest over the `Debug` form of
+//!   `sgxs_analyze::summarize` (call graph, summaries and per-function
+//!   facts) of every uninstrumented module must equal [`PINNED_FACTS`],
+//!   so a fact that moves without moving the emitted IR still fails.
 //! * **site protocol**: with markers on, every registered site has
 //!   exactly one `Begin` and one `End` marker, both inside the function
 //!   the site names, and — for every kind but the hoisted `sb_hoist`
@@ -72,6 +76,9 @@ const PINNED: [(&str, u64, u64); 34] = [
     ("asan", 0x0273064bd1be9632, 0xd68e34167dc61c03),
     ("mpx", 0xa43ad9eee008090b, 0x7a85f7d4c3af4409),
 ];
+
+/// Digest of `summarize(m)`'s `Debug` form over the sweep's modules.
+const PINNED_FACTS: u64 = 0x78be867f135771aa;
 
 /// One hardening configuration of the sweep.
 #[derive(Clone, Copy)]
@@ -265,6 +272,25 @@ fn every_pass_emits_the_pinned_ir() {
         bad.is_empty(),
         "instrumented IR changed:\n{}\n\ncomputed table:\n{computed}",
         bad.join("\n")
+    );
+}
+
+#[test]
+fn every_module_summarizes_to_the_pinned_facts() {
+    let mut all = Fnv::new();
+    let mut per_module = Vec::new();
+    for m in &sweep_modules() {
+        let mut one = Fnv::new();
+        write!(one, "{:?}", sgxs_analyze::summarize(m)).unwrap();
+        write!(all, "{:016x}", one.0).unwrap();
+        per_module.push(format!("{}={:#018x}", m.name, one.0));
+    }
+    assert_eq!(
+        all.0,
+        PINNED_FACTS,
+        "facts changed: digest {:#018x}; per module: {}",
+        all.0,
+        per_module.join(" ")
     );
 }
 
