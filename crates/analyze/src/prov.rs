@@ -313,6 +313,18 @@ pub(crate) fn frees_first_arg(name: &str) -> bool {
     matches!(name, "free" | "munmap" | "realloc")
 }
 
+/// The compare a block's two-way branch tests, found once per function
+/// for `refine_edge`, which reads it on every visit of either edge.
+#[derive(Clone, Copy)]
+struct BranchCmp {
+    /// The branch's taken target.
+    t: BlockId,
+    op: CmpOp,
+    /// The compared operands, each with the local it was read from and
+    /// still equals at the end of the block, if any.
+    args: [(Operand, Option<LocalId>); 2],
+}
+
 /// The dataflow problem: provenance + ranges for one function.
 pub struct ProvAnalysis<'a> {
     m: &'a Module,
@@ -321,6 +333,9 @@ pub struct ProvAnalysis<'a> {
     /// instructions in block order: a site's number is its index, so the
     /// list is sorted.
     sites: Vec<(u32, u32)>,
+    /// Per block, the compare its two-way branch tests, if the condition
+    /// is a register whose last definition in the block is a compare.
+    branch_cmps: Vec<Option<BranchCmp>>,
     /// Interprocedural summaries, when running call-graph-aware.
     ipa: Option<(&'a CallGraph, &'a [FuncSummary])>,
 }
@@ -343,8 +358,37 @@ impl<'a> ProvAnalysis<'a> {
         ipa: Option<(&'a CallGraph, &'a [FuncSummary])>,
     ) -> Self {
         let mut sites = Vec::new();
+        let mut branch_cmps = Vec::with_capacity(m.funcs[fi].blocks.len());
         for (bi, blk) in m.funcs[fi].blocks.iter().enumerate() {
+            let cond = match &blk.term {
+                Term::Br {
+                    cond: Operand::Reg(c),
+                    t,
+                    f,
+                } if t != f => Some((*c, *t)),
+                _ => None,
+            };
+            // The condition's last definition, and the registers that
+            // still equal the local they were last read from.
+            let mut cmp = None;
+            let mut read_from: Vec<(Reg, LocalId)> = Vec::new();
             for (ii, inst) in blk.insts.iter().enumerate() {
+                if let Some((c, _)) = cond {
+                    let def = def_of(inst);
+                    if def == Some(c) {
+                        cmp = match inst {
+                            Inst::Cmp { op, a, b, .. } => Some((*op, *a, *b)),
+                            _ => None,
+                        };
+                    }
+                    match inst {
+                        Inst::WriteLocal { local, .. } => read_from.retain(|(_, l)| l != local),
+                        _ => read_from.retain(|(r, _)| Some(*r) != def),
+                    }
+                    if let Inst::ReadLocal { dst, local } = inst {
+                        read_from.push((*dst, *local));
+                    }
+                }
                 let numbered = match inst {
                     Inst::CallIntrinsic { intrinsic, .. } => {
                         let name = m.intrinsics[intrinsic.0 as usize].as_str();
@@ -361,8 +405,23 @@ impl<'a> ProvAnalysis<'a> {
                     sites.push((bi as u32, ii as u32));
                 }
             }
+            let alias = |o: Operand| match o {
+                Operand::Reg(r) => read_from.iter().find(|(x, _)| *x == r).map(|(_, l)| *l),
+                Operand::Imm(_) => None,
+            };
+            branch_cmps.push(cond.zip(cmp).map(|((_, t), (op, a, b))| BranchCmp {
+                t,
+                op,
+                args: [(a, alias(a)), (b, alias(b))],
+            }));
         }
-        ProvAnalysis { m, fi, sites, ipa }
+        ProvAnalysis {
+            m,
+            fi,
+            sites,
+            branch_cmps,
+            ipa,
+        }
     }
 
     pub(crate) fn func(&self) -> &Function {
@@ -839,33 +898,20 @@ impl<'a> ProvAnalysis<'a> {
         AbsVal::Num(iv)
     }
 
-    /// Meets `target`'s numeric value (register and, when the register was
-    /// read from a local still holding the same value, that local too) with
-    /// `constraint`.
+    /// Meets `target`'s numeric value (register and `alias`, the local the
+    /// register was read from and still equals, if any) with `constraint`.
     fn apply_constraint(
         &self,
-        blk: &sgxs_mir::ir::Block,
-        target: &Operand,
+        (target, alias): (Operand, Option<LocalId>),
         constraint: Option<Interval>,
         st: &mut PState,
     ) {
         let (Some(c), Operand::Reg(r)) = (constraint, target) else {
             return;
         };
-        if let AbsVal::Num(iv) = st.reg(*r) {
+        if let AbsVal::Num(iv) = st.reg(r) {
             if let Some(m) = iv.meet(&c) {
-                st.set_reg(*r, AbsVal::Num(m));
-            }
-        }
-        // Find the local the register's value came from: its last def must
-        // be a ReadLocal whose local is not rewritten afterwards.
-        let mut alias: Option<LocalId> = None;
-        for inst in &blk.insts {
-            match inst {
-                Inst::ReadLocal { dst, local } if dst == r => alias = Some(*local),
-                Inst::WriteLocal { local, .. } if Some(*local) == alias => alias = None,
-                other if def_of(other) == Some(*r) => alias = None,
-                _ => {}
+                st.set_reg(r, AbsVal::Num(m));
             }
         }
         if let Some(l) = alias {
@@ -924,31 +970,19 @@ impl Analysis for ProvAnalysis<'_> {
         }
     }
 
-    fn refine_edge(&self, f: &Function, from: BlockId, to: BlockId, st: &mut PState) {
-        let blk = &f.blocks[from.0 as usize];
-        let Term::Br { cond, t, f: fb } = &blk.term else {
+    fn refine_edge(&self, _f: &Function, from: BlockId, to: BlockId, st: &mut PState) {
+        let Some(BranchCmp {
+            t,
+            op,
+            args: [a, b],
+        }) = self.branch_cmps[from.0 as usize]
+        else {
             return;
         };
-        if t == fb {
-            return;
-        }
-        let Operand::Reg(c) = cond else { return };
-        // Last definition of the condition register must be a compare.
-        let mut cmp = None;
-        for inst in &blk.insts {
-            if def_of(inst) == Some(*c) {
-                cmp = match inst {
-                    Inst::Cmp { op, a, b, .. } => Some((*op, *a, *b)),
-                    _ => None,
-                };
-            }
-        }
-        let Some((op, a, b)) = cmp else { return };
-        let taken = to == *t;
         // Normalize to the predicate that holds on this edge.
-        let eff = if taken { op } else { negate(op) };
-        let av = self.eval_num(&a, st);
-        let bv = self.eval_num(&b, st);
+        let eff = if to == t { op } else { negate(op) };
+        let av = self.eval_num(&a.0, st);
+        let bv = self.eval_num(&b.0, st);
         let (ca, cb) = match eff {
             CmpOp::ULt => (
                 bv.hi.checked_sub(1).and_then(at_most),
@@ -964,8 +998,8 @@ impl Analysis for ProvAnalysis<'_> {
             // Ne and the signed predicates refine nothing.
             _ => (None, None),
         };
-        self.apply_constraint(blk, &a, ca, st);
-        self.apply_constraint(blk, &b, cb, st);
+        self.apply_constraint(a, ca, st);
+        self.apply_constraint(b, cb, st);
     }
 
     fn join(&self, into: &mut PState, other: &PState, widen: bool) -> bool {

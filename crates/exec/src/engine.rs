@@ -18,21 +18,19 @@
 //!   anything that can observe it — memory accesses (EPC events timestamp
 //!   with it), event emission, intrinsics, calls/returns, traps, and
 //!   quantum exit — so every observable read sees the exact value.
-//! - Cycle charges per op match the reference exactly (arithmetic ones are
-//!   baked from the ops' shared `cycles`), including the
-//!   zero-cost `ReadLocal`/`WriteLocal` and the charge-after-success rule
-//!   for trapping ops (a trapped op retires in the instruction counter but
-//!   charges nothing).
+//! - Each op pays the charge lowering baked from `Inst::cycles` or
+//!   `Term::cycles`, the reference's own source, under the same
+//!   charge-after-success rule: a trapped op retires in the instruction
+//!   counter but charges nothing, and a call pays before its frame push.
 //! - On any trap or block, the exact `(block, ip)` of the responsible op is
 //!   written back to the frame, so retries and wakeups re-enter exactly
 //!   where the reference would.
 //! - Fused runs execute only when the whole run fits in the remaining
 //!   quantum; otherwise each op runs individually.
 
-use crate::lower::{FuncCode, Op};
+use crate::lower::{FuncCode, Op, OpKind};
 use sgxs_mir::interp::func_of_code_addr;
 use sgxs_mir::{gep_addr, note_site, BinOp, CmpOp, Frame, QuantumEngine, Reg, Trap, Vm};
-use sgxs_sim::CostModel;
 
 /// Inline-cache entry for one `CallIndirect` site: the last validated
 /// target address and the function index it resolved to. Code addresses
@@ -50,32 +48,18 @@ pub struct CompiledEngine {
     arity: Box<[u32]>,
     ics: Vec<IC>,
     argbuf: Vec<u64>,
-    /// Cost model snapshot (fixed for the VM's lifetime, like the charges
-    /// already baked into the lowered ops).
-    cost: CostModel,
     /// Scheduling quantum snapshot.
     quantum: u32,
-    /// Test hook: charge one bogus cycle on the next executed op. Used by
-    /// the negative tier-equivalence test to prove the oracle trips.
-    pub(crate) perturb: bool,
 }
 
 impl CompiledEngine {
-    pub(crate) fn new(
-        funcs: Vec<FuncCode>,
-        arity: Vec<u32>,
-        ic_count: u32,
-        cost: CostModel,
-        quantum: u32,
-    ) -> Self {
+    pub(crate) fn new(funcs: Vec<FuncCode>, arity: Vec<u32>, ic_count: u32, quantum: u32) -> Self {
         CompiledEngine {
             funcs: funcs.into_boxed_slice(),
             arity: arity.into_boxed_slice(),
             ics: vec![IC { target: 0, func: 0 }; ic_count as usize],
             argbuf: Vec::new(),
-            cost,
             quantum,
-            perturb: false,
         }
     }
 
@@ -86,13 +70,13 @@ impl CompiledEngine {
     }
 }
 
-/// `x <op> y` for an [`Op::Bin`]. Lowering sends every division to
-/// [`Op::DivRem`], so a division here is a lowering bug, not a trap.
+/// `x <op> y` for an [`OpKind::Bin`]. Lowering sends every division to
+/// [`OpKind::DivRem`], so a division here is a lowering bug, not a trap.
 #[inline(always)]
 fn pure_bin(op: BinOp, x: u64, y: u64) -> u64 {
     match op.eval(x, y) {
         Some(v) if !op.is_division() => v,
-        _ => unreachable!("division in Op::Bin"),
+        _ => unreachable!("division in OpKind::Bin"),
     }
 }
 
@@ -102,27 +86,27 @@ fn pure_bin(op: BinOp, x: u64, y: u64) -> u64 {
 #[inline(always)]
 fn exec_pure(op: &Op, frame: &mut Frame) {
     let regs = &mut frame.regs;
-    match op {
-        Op::Bin { op, dst, a, b, .. } => {
+    match &op.kind {
+        OpKind::Bin { op, dst, a, b } => {
             regs[*dst as usize] = pure_bin(*op, regs[*a as usize], regs[*b as usize]);
         }
-        Op::Cmp { op, dst, a, b } => {
+        OpKind::Cmp { op, dst, a, b } => {
             regs[*dst as usize] = op.eval(regs[*a as usize], regs[*b as usize]) as u64;
         }
-        Op::FBin { op, dst, a, b, .. } => {
+        OpKind::FBin { op, dst, a, b } => {
             regs[*dst as usize] = op.eval(regs[*a as usize], regs[*b as usize]);
         }
-        Op::FCmp { op, dst, a, b } => {
+        OpKind::FCmp { op, dst, a, b } => {
             regs[*dst as usize] = op.eval(regs[*a as usize], regs[*b as usize]) as u64;
         }
-        Op::Cast { kind, dst, src, .. } => {
+        OpKind::Cast { kind, dst, src } => {
             regs[*dst as usize] = kind.eval(regs[*src as usize]);
         }
-        Op::Select { dst, cond, t, f } => {
+        OpKind::Select { dst, cond, t, f } => {
             let i = if regs[*cond as usize] != 0 { *t } else { *f };
             regs[*dst as usize] = regs[i as usize];
         }
-        Op::Gep {
+        OpKind::Gep {
             dst,
             base,
             index,
@@ -132,16 +116,16 @@ fn exec_pure(op: &Op, frame: &mut Frame) {
             regs[*dst as usize] =
                 gep_addr(regs[*base as usize], regs[*index as usize], *scale, *disp);
         }
-        Op::ReadLocal { dst, local } => {
+        OpKind::ReadLocal { dst, local } => {
             regs[*dst as usize] = frame.locals[*local as usize];
         }
-        Op::WriteLocal { local, val } => {
+        OpKind::WriteLocal { local, val } => {
             frame.locals[*local as usize] = regs[*val as usize];
         }
-        Op::SlotAddr { dst, slot } => {
+        OpKind::SlotAddr { dst, slot } => {
             regs[*dst as usize] = frame.slots[*slot as usize] as u64;
         }
-        Op::Addr { dst, imm } => {
+        OpKind::Addr { dst, imm } => {
             regs[*dst as usize] = *imm;
         }
         _ => unreachable!("non-pure op in fused run"),
@@ -151,16 +135,16 @@ fn exec_pure(op: &Op, frame: &mut Frame) {
 /// What the inner loop hands back to the outer (vm-borrow-free) loop.
 enum Pending {
     /// Push a frame for `func`; args are in the scratch buffer, the
-    /// caller's ip is already advanced and the call cost charged.
+    /// caller's ip is already advanced and the call charged.
     Call { func: u32, ret_dst: Option<Reg> },
     /// Run intrinsic `idx`; the frame's ip points *at* the CallIntrinsic op
-    /// located at `pc`.
+    /// located at `pc`, which charges on success.
     Intrinsic {
         idx: u32,
         dst: Option<u32>,
         pc: usize,
     },
-    /// Pop the frame, returning `val`.
+    /// Pop the frame, returning `val` (the return already charged).
     Ret { val: u64 },
 }
 
@@ -171,11 +155,8 @@ impl QuantumEngine for CompiledEngine {
             arity,
             ics,
             argbuf,
-            cost,
             quantum,
-            perturb,
         } = self;
-        let cost = *cost;
         let quantum = *quantum;
         let max_insts = vm.config().max_instructions;
         let mut left = quantum;
@@ -192,11 +173,6 @@ impl QuantumEngine for CompiledEngine {
             let core = hot.core;
             let code = &funcs[frame.func];
             let mut pc = code.pc_of(frame.block, frame.ip);
-            if *perturb {
-                // Deliberate single-cycle accounting fault (test hook).
-                *perturb = false;
-                *cycles += 1;
-            }
             // Retired ops, branches, and cycle charges accumulated in
             // locals; synced to the machine counters and the thread's cycle
             // clock before anything that can observe them.
@@ -259,17 +235,20 @@ impl QuantumEngine for CompiledEngine {
                         left -= 1;
                     }};
                 }
-                match &code.ops[pc] {
+                // `cyc` is the op's own charge; header arms rebind it to
+                // their run's.
+                let Op { kind, cyc } = &code.ops[pc];
+                match kind {
                     // Site markers: transparent, consumed outside the
                     // counted stream by the reference's own handler (the
                     // counters are synced first, since events read them).
-                    Op::Site { site, marker } => {
+                    OpKind::Site { site, marker } => {
                         if machine.obs_enabled() {
                             sync!();
                             note_site(machine, obs_site, *cycles, *site, *marker);
                         }
                     }
-                    Op::Fused { len, cyc } => {
+                    OpKind::Fused { len, cyc } => {
                         if left >= *len {
                             for op in &code.ops[pc + 1..pc + 1 + *len as usize] {
                                 exec_pure(op, frame);
@@ -282,7 +261,7 @@ impl QuantumEngine for CompiledEngine {
                         }
                         // Does not fit: step the constituents one at a time.
                     }
-                    Op::FusedLoad { len, cyc } => {
+                    OpKind::FusedLoad { len, cyc } => {
                         if left > *len {
                             for op in &code.ops[pc + 1..pc + 1 + *len as usize] {
                                 exec_pure(op, frame);
@@ -291,7 +270,8 @@ impl QuantumEngine for CompiledEngine {
                             cyc_acc += cyc;
                             left -= *len + 1;
                             let lpc = pc + 1 + *len as usize;
-                            let Op::Load { dst, addr, width } = &code.ops[lpc] else {
+                            let load = &code.ops[lpc];
+                            let OpKind::Load { dst, addr, width } = &load.kind else {
                                 unreachable!("FusedLoad not followed by a load")
                             };
                             let a = frame.regs[*addr as usize];
@@ -299,7 +279,7 @@ impl QuantumEngine for CompiledEngine {
                             match machine.load(core, a, *width) {
                                 Ok((v, c)) => {
                                     frame.regs[*dst as usize] = v;
-                                    cyc_acc += c;
+                                    cyc_acc += c + load.cyc;
                                 }
                                 Err(e) => {
                                     flush!(lpc);
@@ -310,7 +290,7 @@ impl QuantumEngine for CompiledEngine {
                             continue;
                         }
                     }
-                    Op::FusedStore { len, cyc } => {
+                    OpKind::FusedStore { len, cyc } => {
                         if left > *len {
                             for op in &code.ops[pc + 1..pc + 1 + *len as usize] {
                                 exec_pure(op, frame);
@@ -319,14 +299,15 @@ impl QuantumEngine for CompiledEngine {
                             cyc_acc += cyc;
                             left -= *len + 1;
                             let spc = pc + 1 + *len as usize;
-                            let Op::Store { addr, val, width } = &code.ops[spc] else {
+                            let store = &code.ops[spc];
+                            let OpKind::Store { addr, val, width } = &store.kind else {
                                 unreachable!("FusedStore not followed by a store")
                             };
                             let a = frame.regs[*addr as usize];
                             let v = frame.regs[*val as usize];
                             sync!();
                             match machine.store(core, a, *width, v) {
-                                Ok(c) => cyc_acc += c,
+                                Ok(c) => cyc_acc += c + store.cyc,
                                 Err(e) => {
                                     flush!(spc);
                                     return Err(Trap::Mem(e));
@@ -336,7 +317,7 @@ impl QuantumEngine for CompiledEngine {
                             continue;
                         }
                     }
-                    Op::FusedBr { len, cyc } => {
+                    OpKind::FusedBr { len, cyc } => {
                         if left > *len {
                             for op in &code.ops[pc + 1..pc + 1 + *len as usize] {
                                 exec_pure(op, frame);
@@ -345,7 +326,8 @@ impl QuantumEngine for CompiledEngine {
                             brs += 1;
                             cyc_acc += cyc;
                             left -= *len + 1;
-                            let Op::Br { cond, t, f } = &code.ops[pc + 1 + *len as usize] else {
+                            let OpKind::Br { cond, t, f } = &code.ops[pc + 1 + *len as usize].kind
+                            else {
                                 unreachable!("FusedBr not followed by a branch")
                             };
                             let c = frame.regs[*cond as usize];
@@ -353,7 +335,7 @@ impl QuantumEngine for CompiledEngine {
                             continue;
                         }
                     }
-                    Op::FusedJmp { len, cyc } => {
+                    OpKind::FusedJmp { len, cyc } => {
                         if left > *len {
                             for op in &code.ops[pc + 1..pc + 1 + *len as usize] {
                                 exec_pure(op, frame);
@@ -361,14 +343,15 @@ impl QuantumEngine for CompiledEngine {
                             done += *len as u64 + 1;
                             cyc_acc += cyc;
                             left -= *len + 1;
-                            let Op::Jmp { target } = &code.ops[pc + 1 + *len as usize] else {
+                            let OpKind::Jmp { target } = &code.ops[pc + 1 + *len as usize].kind
+                            else {
                                 unreachable!("FusedJmp not followed by a jump")
                             };
                             pc = *target as usize;
                             continue;
                         }
                     }
-                    Op::SbCheck { cyc_pre, cyc_post } => {
+                    OpKind::SbCheck { cyc_pre, cyc_post } => {
                         if left >= 8 {
                             // The whole check runs straight-line: the
                             // lowering pattern pinned each constituent's
@@ -379,53 +362,53 @@ impl QuantumEngine for CompiledEngine {
                             // so operand aliasing behaves exactly as
                             // per-op execution.
                             let (
-                                &Op::Bin {
+                                &OpKind::Bin {
                                     dst: d0,
                                     a: a0,
                                     b: b0,
                                     ..
                                 },
-                                &Op::Bin {
+                                &OpKind::Bin {
                                     dst: d1,
                                     a: a1,
                                     b: b1,
                                     ..
                                 },
-                                &Op::Bin {
+                                &OpKind::Bin {
                                     dst: d2,
                                     a: a2,
                                     b: b2,
                                     ..
                                 },
-                                &Op::Cmp {
+                                &OpKind::Cmp {
                                     dst: d3,
                                     a: a3,
                                     b: b3,
                                     ..
                                 },
-                                &Op::Load { dst, addr, width },
-                                &Op::Cmp {
+                                &OpKind::Load { dst, addr, width },
+                                &OpKind::Cmp {
                                     dst: d5,
                                     a: a5,
                                     b: b5,
                                     ..
                                 },
-                                &Op::Bin {
+                                &OpKind::Bin {
                                     dst: d6,
                                     a: a6,
                                     b: b6,
                                     ..
                                 },
-                                &Op::Br { cond, t, f },
+                                &OpKind::Br { cond, t, f },
                             ) = (
-                                &code.ops[pc + 1],
-                                &code.ops[pc + 2],
-                                &code.ops[pc + 3],
-                                &code.ops[pc + 4],
-                                &code.ops[pc + 5],
-                                &code.ops[pc + 6],
-                                &code.ops[pc + 7],
-                                &code.ops[pc + 8],
+                                &code.ops[pc + 1].kind,
+                                &code.ops[pc + 2].kind,
+                                &code.ops[pc + 3].kind,
+                                &code.ops[pc + 4].kind,
+                                &code.ops[pc + 5].kind,
+                                &code.ops[pc + 6].kind,
+                                &code.ops[pc + 7].kind,
+                                &code.ops[pc + 8].kind,
                             )
                             else {
                                 unreachable!("SbCheck constituents out of shape")
@@ -470,13 +453,13 @@ impl QuantumEngine for CompiledEngine {
                             continue;
                         }
                     }
-                    Op::Bin { op, dst, a, b, cyc } => {
+                    OpKind::Bin { op, dst, a, b } => {
                         ct!();
                         let v = pure_bin(*op, frame.regs[*a as usize], frame.regs[*b as usize]);
                         frame.regs[*dst as usize] = v;
                         cyc_acc += cyc;
                     }
-                    Op::DivRem { op, dst, a, b, cyc } => {
+                    OpKind::DivRem { op, dst, a, b } => {
                         ct!();
                         let (x, y) = (frame.regs[*a as usize], frame.regs[*b as usize]);
                         let Some(v) = op.eval(x, y) else {
@@ -486,42 +469,37 @@ impl QuantumEngine for CompiledEngine {
                         frame.regs[*dst as usize] = v;
                         cyc_acc += cyc;
                     }
-                    Op::Cmp { op, dst, a, b } => {
+                    OpKind::Cmp { op, dst, a, b } => {
                         ct!();
                         let v = op.eval(frame.regs[*a as usize], frame.regs[*b as usize]);
                         frame.regs[*dst as usize] = v as u64;
-                        cyc_acc += cost.alu;
+                        cyc_acc += cyc;
                     }
-                    Op::FBin { op, dst, a, b, cyc } => {
+                    OpKind::FBin { op, dst, a, b } => {
                         ct!();
                         let v = op.eval(frame.regs[*a as usize], frame.regs[*b as usize]);
                         frame.regs[*dst as usize] = v;
                         cyc_acc += cyc;
                     }
-                    Op::FCmp { op, dst, a, b } => {
+                    OpKind::FCmp { op, dst, a, b } => {
                         ct!();
                         let v = op.eval(frame.regs[*a as usize], frame.regs[*b as usize]);
                         frame.regs[*dst as usize] = v as u64;
-                        cyc_acc += cost.fsimple;
+                        cyc_acc += cyc;
                     }
-                    Op::Cast {
-                        kind,
-                        dst,
-                        src,
-                        cyc,
-                    } => {
+                    OpKind::Cast { kind, dst, src } => {
                         ct!();
                         frame.regs[*dst as usize] = kind.eval(frame.regs[*src as usize]);
                         cyc_acc += cyc;
                     }
-                    Op::Select { dst, cond, t, f } => {
+                    OpKind::Select { dst, cond, t, f } => {
                         ct!();
                         let c = frame.regs[*cond as usize];
                         let i = if c != 0 { *t } else { *f };
                         frame.regs[*dst as usize] = frame.regs[i as usize];
-                        cyc_acc += cost.alu;
+                        cyc_acc += cyc;
                     }
-                    Op::Gep {
+                    OpKind::Gep {
                         dst,
                         base,
                         index,
@@ -532,16 +510,16 @@ impl QuantumEngine for CompiledEngine {
                         let b = frame.regs[*base as usize];
                         let i = frame.regs[*index as usize];
                         frame.regs[*dst as usize] = gep_addr(b, i, *scale, *disp);
-                        cyc_acc += cost.gep;
+                        cyc_acc += cyc;
                     }
-                    Op::Load { dst, addr, width } => {
+                    OpKind::Load { dst, addr, width } => {
                         ct!();
                         let a = frame.regs[*addr as usize];
                         sync!();
                         match machine.load(core, a, *width) {
                             Ok((v, c)) => {
                                 frame.regs[*dst as usize] = v;
-                                cyc_acc += c;
+                                cyc_acc += c + cyc;
                             }
                             Err(e) => {
                                 flush!(pc);
@@ -549,20 +527,20 @@ impl QuantumEngine for CompiledEngine {
                             }
                         }
                     }
-                    Op::Store { addr, val, width } => {
+                    OpKind::Store { addr, val, width } => {
                         ct!();
                         let a = frame.regs[*addr as usize];
                         let v = frame.regs[*val as usize];
                         sync!();
                         match machine.store(core, a, *width, v) {
-                            Ok(c) => cyc_acc += c,
+                            Ok(c) => cyc_acc += c + cyc,
                             Err(e) => {
                                 flush!(pc);
                                 return Err(Trap::Mem(e));
                             }
                         }
                     }
-                    Op::AtomicRmw {
+                    OpKind::AtomicRmw {
                         op,
                         dst,
                         addr,
@@ -588,9 +566,9 @@ impl QuantumEngine for CompiledEngine {
                             }
                         };
                         frame.regs[*dst as usize] = old;
-                        cyc_acc += c1 + c2 + cost.atomic_extra;
+                        cyc_acc += c1 + c2 + cyc;
                     }
-                    Op::AtomicCas {
+                    OpKind::AtomicCas {
                         dst,
                         addr,
                         expected,
@@ -620,41 +598,43 @@ impl QuantumEngine for CompiledEngine {
                             };
                         }
                         frame.regs[*dst as usize] = old;
-                        cyc_acc += c1 + c2 + cost.atomic_extra;
+                        cyc_acc += c1 + c2 + cyc;
                     }
-                    Op::ReadLocal { dst, local } => {
+                    OpKind::ReadLocal { dst, local } => {
                         ct!();
                         frame.regs[*dst as usize] = frame.locals[*local as usize];
+                        cyc_acc += cyc;
                     }
-                    Op::WriteLocal { local, val } => {
+                    OpKind::WriteLocal { local, val } => {
                         ct!();
                         frame.locals[*local as usize] = frame.regs[*val as usize];
+                        cyc_acc += cyc;
                     }
-                    Op::SlotAddr { dst, slot } => {
+                    OpKind::SlotAddr { dst, slot } => {
                         ct!();
                         frame.regs[*dst as usize] = frame.slots[*slot as usize] as u64;
-                        cyc_acc += cost.alu;
+                        cyc_acc += cyc;
                     }
-                    Op::Addr { dst, imm } => {
+                    OpKind::Addr { dst, imm } => {
                         ct!();
                         frame.regs[*dst as usize] = *imm;
-                        cyc_acc += cost.alu;
+                        cyc_acc += cyc;
                     }
-                    Op::Call { dst, func, args } => {
+                    OpKind::Call { dst, func, args } => {
                         ct!();
                         argbuf.clear();
-                        argbuf.extend(args.iter().map(|a| frame.regs[*a as usize]));
+                        argbuf.extend(code.args(*args).iter().map(|a| frame.regs[*a as usize]));
                         let (b, i) = code.loc[pc];
                         frame.block = b;
                         frame.ip = i + 1; // Return past the call.
-                        cyc_acc += cost.call;
+                        cyc_acc += cyc;
                         sync!();
                         break Pending::Call {
                             func: *func,
                             ret_dst: dst.map(Reg),
                         };
                     }
-                    Op::CallIndirect {
+                    OpKind::CallIndirect {
                         dst,
                         target,
                         args,
@@ -672,7 +652,7 @@ impl QuantumEngine for CompiledEngine {
                                 flush!(pc);
                                 return Err(Trap::BadIndirectCall { target: t });
                             };
-                            if arity[fid.0 as usize] as usize != args.len() {
+                            if arity[fid.0 as usize] != args.len {
                                 flush!(pc);
                                 return Err(Trap::BadIndirectCall { target: t });
                             }
@@ -683,25 +663,25 @@ impl QuantumEngine for CompiledEngine {
                             fid.0
                         };
                         argbuf.clear();
-                        argbuf.extend(args.iter().map(|a| frame.regs[*a as usize]));
+                        argbuf.extend(code.args(*args).iter().map(|a| frame.regs[*a as usize]));
                         let (b, i) = code.loc[pc];
                         frame.block = b;
                         frame.ip = i + 1;
-                        cyc_acc += cost.call + cost.branch;
+                        cyc_acc += cyc;
                         sync!();
                         break Pending::Call {
                             func,
                             ret_dst: dst.map(Reg),
                         };
                     }
-                    Op::CallIntrinsic {
+                    OpKind::CallIntrinsic {
                         dst,
                         intrinsic,
                         args,
                     } => {
                         ct!();
                         argbuf.clear();
-                        argbuf.extend(args.iter().map(|a| frame.regs[*a as usize]));
+                        argbuf.extend(code.args(*args).iter().map(|a| frame.regs[*a as usize]));
                         // ip stays *at* the op: a blocked thread retries it
                         // on wake, a retryable trap re-executes it.
                         flush!(pc);
@@ -711,27 +691,29 @@ impl QuantumEngine for CompiledEngine {
                             pc,
                         };
                     }
-                    Op::Jmp { target } => {
+                    OpKind::Jmp { target } => {
                         ct!();
-                        cyc_acc += cost.branch;
+                        cyc_acc += cyc;
                         pc = *target as usize;
                         continue;
                     }
-                    Op::Br { cond, t, f } => {
+                    OpKind::Br { cond, t, f } => {
                         ct!();
                         let c = frame.regs[*cond as usize];
                         pc = if c != 0 { *t } else { *f } as usize;
                         brs += 1;
-                        cyc_acc += cost.branch;
+                        cyc_acc += cyc;
                         continue;
                     }
-                    Op::Ret { val } => {
+                    OpKind::Ret { val } => {
                         ct!();
                         let v = val.map(|s| frame.regs[s as usize]).unwrap_or(0);
+                        // The return pays before its frame pops.
+                        cyc_acc += cyc;
                         sync!();
                         break Pending::Ret { val: v };
                     }
-                    Op::Unreachable => {
+                    OpKind::Unreachable => {
                         // Retires like any op (`left` is dead: we trap out).
                         done += 1;
                         flush!(pc);
@@ -755,7 +737,9 @@ impl QuantumEngine for CompiledEngine {
                     if let (Some(d), Some(v)) = (dst, res) {
                         hot.frame.regs[d as usize] = v;
                     }
-                    let (b, i) = funcs[hot.frame.func].loc[pc];
+                    let code = &funcs[hot.frame.func];
+                    *hot.cycles += code.ops[pc].cyc;
+                    let (b, i) = code.loc[pc];
                     hot.frame.block = b;
                     hot.frame.ip = i + 1;
                     if vm.engine_exited() {

@@ -7,9 +7,11 @@
 //! shared value and charge on both tiers, edge operands and traps included.
 
 use sgxbounds::SbConfig;
+use sgxs_exec::CompiledEngine;
+use sgxs_mir::interp::code_addr;
 use sgxs_mir::{
-    verify, BinOp, CastKind, CmpOp, FBinOp, FCmpOp, FuncBuilder, Module, ModuleBuilder, RunOutcome,
-    Trap, Ty, Vm, VmConfig,
+    verify, BinOp, CastKind, CmpOp, FBinOp, FCmpOp, FuncBuilder, FuncId, GlobalId, LocalId, Module,
+    ModuleBuilder, QuantumEngine, RunOutcome, SlotId, Trap, Ty, Vm, VmConfig,
 };
 use sgxs_rt::{install_base, AllocOpts, Stager};
 use sgxs_sim::obs::TraceRecorder;
@@ -149,7 +151,25 @@ fn traps_are_bit_identical_across_tiers() {
     assert_eq!(reference, run(true));
 }
 
-/// The deliberate perturbation hook diverges — the oracle can fail.
+/// The compiled engine with a one-cycle accounting fault: it charges one
+/// extra cycle before its first quantum.
+struct OffByOne {
+    engine: CompiledEngine,
+    charged: bool,
+}
+
+impl QuantumEngine for OffByOne {
+    fn run_quantum(&mut self, vm: &mut Vm<'_>, tid: usize) -> Result<(), Trap> {
+        if !self.charged {
+            self.charged = true;
+            *vm.engine_hot(tid).cycles += 1;
+        }
+        self.engine.run_quantum(vm, tid)
+    }
+}
+
+/// A one-cycle accounting fault in the compiled tier diverges — the oracle
+/// can fail.
 #[test]
 fn perturbed_engine_is_caught() {
     let p = Params::new(MachineConfig::scale_of(Preset::Tiny));
@@ -166,7 +186,14 @@ fn perturbed_engine_is_caught() {
         let args = w.stage(&mut vm, &mut st, &p);
         match mode {
             1 => sgxs_exec::attach(&mut vm),
-            2 => sgxs_exec::attach_perturbed(&mut vm),
+            2 => {
+                let engine = sgxs_exec::compile(&vm);
+                vm.set_frame_consts(engine.const_pools());
+                vm.set_engine(Box::new(OffByOne {
+                    engine,
+                    charged: false,
+                }));
+            }
             _ => {}
         }
         vm.run("main", &args).wall_cycles
@@ -231,6 +258,22 @@ enum Pure {
     FBin(FBinOp, u64, u64),
     FCmp(FCmpOp, u64, u64),
     Cast(CastKind, u64),
+    Select(u64, u64, u64),
+    Gep(u64, u64, u32, i64),
+    SlotAddr,
+    GlobalAddr,
+    FuncAddr,
+    /// `WriteLocal` of the value, then `ReadLocal` of it back.
+    Local(u64),
+}
+
+/// The slot, global, function and local the address and local ops of the
+/// table name.
+struct Names {
+    slot: SlotId,
+    global: GlobalId,
+    func: FuncId,
+    local: LocalId,
 }
 
 /// Every `BinOp` (divisions on nonzero divisors, so `i64::MIN / -1`
@@ -297,16 +340,33 @@ fn op_table() -> Vec<Pure> {
     for kind in casts {
         t.extend(INTS.iter().chain(&floats()).map(|&x| Pure::Cast(kind, x)));
     }
+    for c in [0, 1, u64::MAX] {
+        t.extend(INTS.iter().map(|&x| Pure::Select(c, x, !x)));
+    }
+    for (scale, disp) in [(1, 0), (1, -8), (8, i64::MAX), (4096, i64::MIN)] {
+        t.extend(ints.iter().map(|&(x, y)| Pure::Gep(x, y, scale, disp)));
+    }
+    t.extend([Pure::SlotAddr, Pure::GlobalAddr, Pure::FuncAddr]);
+    t.extend(INTS.iter().map(|&x| Pure::Local(x)));
     t
 }
 
-fn emit(fb: &mut FuncBuilder<'_>, p: Pure) -> sgxs_mir::Reg {
+fn emit(fb: &mut FuncBuilder<'_>, names: &Names, p: Pure) -> sgxs_mir::Reg {
     match p {
         Pure::Bin(op, x, y) => fb.bin(op, x, y),
         Pure::Cmp(op, x, y) => fb.cmp(op, x, y),
         Pure::FBin(op, x, y) => fb.fbin(op, x, y),
         Pure::FCmp(op, x, y) => fb.fcmp(op, x, y),
         Pure::Cast(kind, x) => fb.cast(kind, x),
+        Pure::Select(c, x, y) => fb.select(c, x, y),
+        Pure::Gep(base, index, scale, disp) => fb.gep(base, index, scale, disp),
+        Pure::SlotAddr => fb.slot_addr(names.slot),
+        Pure::GlobalAddr => fb.global_addr(names.global),
+        Pure::FuncAddr => fb.func_addr(names.func),
+        Pure::Local(x) => {
+            fb.set(names.local, x);
+            fb.get(names.local)
+        }
     }
 }
 
@@ -324,24 +384,65 @@ fn run_main(module: &Module, compiled: bool) -> Key {
     key(&out, &rec)
 }
 
+/// The reference run of the op table: simulated wall and CPU cycles, as
+/// computed before the charges moved into `Inst::cycles`/`Term::cycles`.
+/// Both tiers take every charge from those two functions, so a change to
+/// one moves both tiers at once and only this pin can see it.
+const OP_TABLE_CYCLES: (u64, u64) = (36_367, 36_367);
+
+fn print(fb: &mut FuncBuilder<'_>, v: impl Into<sgxs_mir::Operand>) {
+    fb.intr_void("print_i64", &[v.into()]);
+}
+
 /// Every op's value and charge agree across tiers, whether the op runs
 /// inside a fused run (batches of pure ops, some of which straddle a
-/// quantum boundary) or dispatched alone (one op per print).
+/// quantum boundary) or dispatched alone (one op per print). Calls (never
+/// fused) run between fused runs and alone, and their returns with and
+/// without a value; branches and jumps run fused behind a pure op and
+/// alone, each branch both taken and not.
 #[test]
 fn every_op_is_bit_identical_across_tiers() {
     let table = op_table();
     let mut mb = ModuleBuilder::new("ops");
+    let global = mb.global("g", 16, &[1, 2, 3]);
+    let callee = mb.func("triple_inc", &[Ty::I64], Some(Ty::I64), |fb| {
+        let x = fb.param(0);
+        let y = fb.mul(x, 3u64);
+        let z = fb.add(y, 1u64);
+        fb.ret(Some(z.into()));
+    });
+    let sink = mb.func("sink", &[Ty::I64], None, |fb| {
+        let x = fb.param(0);
+        print(fb, x);
+        fb.ret(None);
+    });
+    let mut printed = 0usize;
     mb.func("main", &[], Some(Ty::I64), |fb| {
+        let names = Names {
+            slot: fb.slot("s", 16),
+            global,
+            func: callee,
+            local: fb.local(Ty::I64),
+        };
         for batch in table.chunks(24) {
-            let regs: Vec<_> = batch.iter().map(|&p| emit(fb, p)).collect();
+            let regs: Vec<_> = batch.iter().map(|&p| emit(fb, &names, p)).collect();
             for r in regs {
-                fb.intr_void("print_i64", &[r.into()]);
+                print(fb, r);
             }
         }
         for &p in &table {
-            let r = emit(fb, p);
-            fb.intr_void("print_i64", &[r.into()]);
+            let r = emit(fb, &names, p);
+            print(fb, r);
         }
+        printed += 2 * table.len();
+        // `WriteLocal` and `ReadLocal` each alone.
+        for x in INTS {
+            fb.set(names.local, x);
+            print(fb, x);
+            let r = fb.get(names.local);
+            print(fb, r);
+        }
+        printed += 2 * INTS.len();
         // Every read-modify-write op, the non-combining ones exchanging,
         // at two widths; then a compare-and-swap hit and miss.
         let cell = fb.slot("cell", 8);
@@ -351,8 +452,8 @@ fn every_op_is_bit_identical_across_tiers() {
                 fb.store(Ty::I64, p, 0xF0F0_F0F0_1234_5678u64);
                 let old = fb.atomic_rmw(op, ty, p, 0x0FF0_0000_FFFF_0003u64);
                 let new = fb.load(Ty::I64, p);
-                fb.intr_void("print_i64", &[old.into()]);
-                fb.intr_void("print_i64", &[new.into()]);
+                print(fb, old);
+                print(fb, new);
             }
         }
         fb.store(Ty::I64, p, 10u64);
@@ -360,15 +461,72 @@ fn every_op_is_bit_identical_across_tiers() {
         let miss = fb.atomic_cas(Ty::I64, p, 10u64, 30u64);
         let now = fb.load(Ty::I64, p);
         for r in [hit, miss, now] {
-            fb.intr_void("print_i64", &[r.into()]);
+            print(fb, r);
         }
+        printed += 4 * BIN_OPS.len() + 3;
+        // Direct and indirect calls with their returns: the argument from
+        // a pure run and the result into one, then alone on immediates;
+        // an indirect call through `FuncAddr` and through a code address.
+        for x in [0, 7, u64::MAX] {
+            let a = fb.add(x, 0u64);
+            let r = fb.call(callee, &[a.into()]).expect("returns a value");
+            let r = fb.add(r, 0u64);
+            print(fb, r);
+            let r = fb.call(callee, &[x.into()]).expect("returns a value");
+            print(fb, r);
+            let f = fb.func_addr(callee);
+            let r = fb.call_indirect(f, &[x.into()], Some(Ty::I64));
+            print(fb, r.expect("returns a value"));
+            let r = fb.call_indirect(code_addr(callee), &[x.into()], Some(Ty::I64));
+            print(fb, r.expect("returns a value"));
+            fb.call(sink, &[x.into()]);
+            fb.call_indirect(code_addr(sink), &[x.into()], None);
+        }
+        printed += 3 * 6;
+        // One indirect call site run three times: an inline-cache miss,
+        // then hits.
+        fb.count_loop(0u64, 3u64, |fb, i| {
+            let r = fb.call_indirect(code_addr(callee), &[i.into()], Some(Ty::I64));
+            print(fb, r.expect("returns a value"));
+        });
+        printed += 3;
+        // Branches taken and not, each fused behind a compare and alone
+        // on an immediate; each arm prints which way it went and jumps
+        // to the join fused behind an add, or alone.
+        for cond in [0, 1, u64::MAX] {
+            for fused in [true, false] {
+                let (t, f, join) = (fb.block(), fb.block(), fb.block());
+                print(fb, cond);
+                if fused {
+                    let c = fb.cmp(CmpOp::Ne, cond, 0u64);
+                    fb.br(c, t, f);
+                } else {
+                    fb.br(cond, t, f);
+                }
+                for (b, way) in [(t, 1u64), (f, 2)] {
+                    fb.switch_to(b);
+                    print(fb, way);
+                    if fused {
+                        fb.add(way, 0u64);
+                    }
+                    fb.jmp(join);
+                }
+                fb.switch_to(join);
+            }
+        }
+        printed += 3 * 2 * 2;
         fb.ret(Some(0u64.into()));
     });
     let module = mb.finish();
     let reference = run_main(&module, false);
     assert_eq!(reference.0, Ok(0));
-    assert_eq!(reference.6.len(), 2 * table.len() + 4 * BIN_OPS.len() + 3);
+    assert_eq!(reference.6.len(), printed);
     assert_eq!(reference, run_main(&module, true));
+    assert_eq!(
+        (reference.1, reference.2),
+        OP_TABLE_CYCLES,
+        "the op table's charges moved (wall, cpu cycles)"
+    );
 }
 
 /// A zero divisor traps every division op with `DivByZero` on both tiers,

@@ -46,7 +46,7 @@
 
 use crate::exp::{self, Effort, DEFAULT_SEED};
 use crate::profile::{profile_one, DEFAULT_RING, DEFAULT_TOP};
-use crate::scheme::{run_one, run_one_perturbed, RunConfig, Scheme};
+use crate::scheme::{RunConfig, Scheme};
 use sgxs_obs::codec::Field;
 use sgxs_obs::json::Json;
 use sgxs_obs::read::{metrics_from_json, parse_bench, parse_profile, BenchDoc, METRICS_SCHEMA};
@@ -79,7 +79,6 @@ pub const USAGE: &str =
      [--rev REV] [--tier T] [--out FILE]\n       \
      repro compare <BASE> <NEW> [--gate] [--top N] [--threshold F] [--noise-mult F] \
      [--rev R] [--base-rev R] [--preset P] [--json FILE]\n       \
-     repro tier check [--seeds N] [--seed0 N] [--max-ops N] [--chaos-seeds N] [--perturb]\n       \
      repro render <profile.json> [--top N] [--folded FILE] [--svg FILE]\n       \
      repro metrics [--seeds N] [--seed0 N] [--requests N] [--tier T] [--workers N] \
      [--journal FILE] [--resume FILE] [--stop-after N] [--quarantine] [--demo-panic SEED] \
@@ -252,7 +251,6 @@ pub fn run(args: &[String]) -> Result<i32, String> {
         Some("audit") => crate::audit::run_audit(&args[1..]),
         Some("profile") => run_profile(&args[1..]),
         Some("bench") => run_bench(&args[1..]),
-        Some("tier") => run_tier(&args[1..]),
         Some("compare") => run_compare(&args[1..]),
         Some("render") => run_render(&args[1..]),
         Some("metrics") => run_metrics(&args[1..]),
@@ -714,158 +712,6 @@ pub fn run_bench(args: &[String]) -> Result<i32, String> {
         seed0 + replicates - 1
     );
     Ok(0)
-}
-
-/// `repro tier check`: the tier-equivalence oracle as a command. Runs the
-/// fuzz corpus (safe + injected programs, every scheme), a slice of the
-/// chaos-fuzz mode, and a workload sample on both tiers and diffs every
-/// observable — digest/trap, progress beacon, violation and retry
-/// counters, simulated cycles, and the full named stats block. Exits 1 on
-/// any divergence. `--perturb` is the negative control: it enables the
-/// compiled engine's deliberate single-cycle accounting fault and requires
-/// the oracle to *catch* it (exit 1 if the perturbed run slips through).
-pub fn run_tier(args: &[String]) -> Result<i32, String> {
-    use sgxs_fuzz::gen::generate;
-    use sgxs_fuzz::inject::{inject, FaultKind};
-    use sgxs_fuzz::runner::{exec, exec_chaos, Exec, ALL_SCHEMES, DEFAULT_BUDGET};
-
-    let mut it = Args::new("tier", args);
-    match it.next_arg() {
-        Some("check") => {}
-        _ => return Err(it.fail(format!("expected 'tier check ...'\n{USAGE}"))),
-    }
-    let mut seeds: u64 = 40;
-    let mut seed0: u64 = 0;
-    let mut max_ops: usize = 16;
-    let mut chaos_seeds: u64 = 8;
-    let mut perturb = false;
-    while let Some(a) = it.next_arg() {
-        match a {
-            "--seeds" => seeds = it.parse("--seeds")?,
-            "--seed0" => seed0 = it.parse("--seed0")?,
-            "--max-ops" => max_ops = capped(&mut it, "--max-ops", sgxs_fuzz::MAX_OPS)?,
-            "--chaos-seeds" => chaos_seeds = it.parse("--chaos-seeds")?,
-            "--perturb" => perturb = true,
-            other => return Err(it.fail(format!("unknown argument '{other}'\n{USAGE}"))),
-        }
-    }
-    check_seed_range(&it, seed0, seeds, "--seeds")?;
-    check_seed_range(&it, seed0, chaos_seeds, "--chaos-seeds")?;
-
-    let mut divergences = 0u64;
-    let mut runs = 0u64;
-    let mut diverged = |what: String| {
-        divergences += 1;
-        println!("DIVERGENCE {what}");
-    };
-    // Exec has no PartialEq on purpose (Trap payloads carry strings); the
-    // Debug rendering covers every field, so equality of renderings is
-    // equality of observables.
-    let same = |a: &Exec, b: &Exec| format!("{a:?}") == format!("{b:?}");
-    let tiers = [ExecTier::Reference, ExecTier::Compiled];
-
-    // 1. Fuzz corpus: safe program + one injected fault per seed, every
-    //    scheme, both tiers.
-    for seed in seed0..seed0 + seeds {
-        let prog = generate(seed, max_ops);
-        let (fprog, _fault) = inject(&prog, FaultKind::for_seed(seed), seed);
-        for scheme in ALL_SCHEMES {
-            for (tag, p) in [("safe", &prog), ("faulty", &fprog)] {
-                let [r, c] = tiers.map(|tier| exec(p, scheme, tier, DEFAULT_BUDGET));
-                runs += 2;
-                if !same(&r, &c) {
-                    diverged(format!(
-                        "corpus seed {seed} {tag} under {}: reference {r:?} vs compiled {c:?}",
-                        scheme.label()
-                    ));
-                }
-            }
-        }
-    }
-    println!(
-        "corpus: {seeds} seeds x {} schemes x 2 programs checked",
-        ALL_SCHEMES.len()
-    );
-
-    // 2. Chaos slice: allocator fault injection + OOM retry, both tiers
-    //    (retry accounting must be tier-invariant too).
-    for seed in seed0..seed0 + chaos_seeds {
-        let prog = generate(seed, max_ops);
-        let chaos_seed = seed.wrapping_mul(0xD6E8_FEB8_6659_FD93).wrapping_add(1);
-        for scheme in ALL_SCHEMES {
-            let [r, c] =
-                tiers.map(|tier| exec_chaos(&prog, scheme, chaos_seed, tier, DEFAULT_BUDGET));
-            runs += 2;
-            if !same(&r, &c) {
-                diverged(format!(
-                    "chaos seed {seed} under {}: reference {r:?} vs compiled {c:?}",
-                    scheme.label()
-                ));
-            }
-        }
-    }
-    println!(
-        "chaos: {chaos_seeds} seeds x {} schemes checked",
-        ALL_SCHEMES.len()
-    );
-
-    // 3. Workload sample: full Measured diff (result, cycles, peaks, stats)
-    //    for a representative workload x scheme grid.
-    let mut rc = RunConfig::new(Preset::Tiny);
-    rc.params.size = SizeClass::XS;
-    rc.params.threads = 2;
-    for name in ["histogram", "kmeans", "string_match"] {
-        let w = sgxs_workloads::by_name(name).expect("workload exists");
-        for scheme in [
-            Scheme::Baseline,
-            Scheme::SgxBounds,
-            Scheme::Asan,
-            Scheme::Mpx,
-        ] {
-            let mut rr = rc;
-            rr.tier = ExecTier::Reference;
-            let r = run_one(w.as_ref(), scheme, &rr);
-            let mut cc = rc;
-            cc.tier = ExecTier::Compiled;
-            let c = run_one(w.as_ref(), scheme, &cc);
-            runs += 2;
-            if format!("{r:?}") != format!("{c:?}") {
-                diverged(format!(
-                    "workload {name} under {}: reference {r:?} vs compiled {c:?}",
-                    scheme.label()
-                ));
-            }
-        }
-    }
-    println!("workloads: 3 workloads x 4 schemes checked");
-
-    // 4. Negative control: the deliberately perturbed engine must diverge,
-    //    or the oracle is vacuous.
-    if perturb {
-        let w = sgxs_workloads::by_name("histogram").expect("workload exists");
-        let mut rr = rc;
-        rr.tier = ExecTier::Reference;
-        let r = run_one(w.as_ref(), Scheme::SgxBounds, &rr);
-        let p = run_one_perturbed(w.as_ref(), Scheme::SgxBounds, &rc);
-        runs += 2;
-        if format!("{r:?}") == format!("{p:?}") {
-            diverged(
-                "negative control failed: the perturbed compiled engine was \
-                 indistinguishable from the reference — the oracle cannot fail"
-                    .to_owned(),
-            );
-        } else {
-            println!("perturb: negative control diverged as required (gate can fail)");
-        }
-    }
-
-    if divergences == 0 {
-        println!("tier check passed: {runs} runs, tiers bit-identical");
-        Ok(0)
-    } else {
-        println!("tier check FAILED: {divergences} divergence(s) over {runs} runs");
-        Ok(1)
-    }
 }
 
 /// Loads one comparison side: a `sgxs-bench-v1` or `sgxs-metrics-v1`

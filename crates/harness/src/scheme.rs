@@ -155,16 +155,7 @@ pub struct ObsRun {
 
 /// Builds, hardens, and runs `workload` under `scheme`.
 pub fn run_one(workload: &dyn Workload, scheme: Scheme, rc: &RunConfig) -> Measured {
-    run_one_inner(workload, scheme, rc, None, false).measured
-}
-
-/// Negative control for the tier-equivalence oracle: boots on the reference
-/// tier, then installs the compiled engine with its deliberate single-cycle
-/// accounting fault enabled (ignoring `rc.tier`). A working oracle must see this run diverge from
-/// [`run_one`]; `repro tier check --perturb` and CI use it to prove the
-/// gate can fail.
-pub fn run_one_perturbed(workload: &dyn Workload, scheme: Scheme, rc: &RunConfig) -> Measured {
-    run_one_inner(workload, scheme, rc, None, true).measured
+    run_one_inner(workload, scheme, rc, None).measured
 }
 
 /// Like [`run_one`] but with the observability layer on: the instrumentation
@@ -179,7 +170,7 @@ pub fn run_one_obs(
     rc: &RunConfig,
     rec: Rc<RefCell<dyn Recorder>>,
 ) -> ObsRun {
-    run_one_inner(workload, scheme, rc, Some(rec), false)
+    run_one_inner(workload, scheme, rc, Some(rec))
 }
 
 fn run_one_inner(
@@ -187,7 +178,6 @@ fn run_one_inner(
     scheme: Scheme,
     rc: &RunConfig,
     rec: Option<Rc<RefCell<dyn Recorder>>>,
-    perturb: bool,
 ) -> ObsRun {
     let hardening = scheme.hardening();
     let mut module = workload.build(&rc.params);
@@ -199,20 +189,13 @@ fn run_one_inner(
     if let Some(epc) = rc.epc_override {
         machine_cfg.epc_bytes = epc;
     }
-    machine_cfg.tier = if perturb {
-        ExecTier::Reference
-    } else {
-        rc.tier
-    };
+    machine_cfg.tier = rc.tier;
     let mut cfg = VmConfig::new(machine_cfg);
     cfg.max_instructions = rc.max_instructions;
     // Thread stacks scale with the machine (2 MB pthread default at paper
     // scale) so reserved-memory ratios stay comparable across presets.
     cfg.stack_size = ((2u64 << 20) / rc.scale()).max(32 << 10) as u32;
     let (mut vm, rt) = hardening.boot(&module, cfg, rec, rc.scale(), rc.enclave_cap());
-    if perturb {
-        sgxs_exec::attach_perturbed(&mut vm);
-    }
 
     let mut st = Stager::new();
     let args = workload.stage(&mut vm, &mut st, &rc.params);

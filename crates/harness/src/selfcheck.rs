@@ -130,7 +130,6 @@ pub(crate) const ROWS: &[Row] = &[
     row("lint-ipa-plain", "lint --ipa --json {doc.json}", 0, LINT, &[Rerun, SameAs("lint-ipa")]),
     row("lint-uaf", "lint --demo-uaf --ipa --ascii --json {doc.json}", 1, LINT, &[Rerun]),
     row("lint-oob", "lint --demo-oob --incident {doc.json}", 1, INCIDENT, &[Rerun, SameAs("audit")]),
-    row("tier-check", "tier check --perturb", 0, None, &[Rerun]),
     row("bench", "all --quick --tiny --json {doc.json}", 0, BENCH, &[Committed("results/bench.json"), Tier, Gate]),
 ];
 

@@ -181,6 +181,12 @@ fn usage_errors_are_errors_not_exits() {
     let e = cli::run(&args(&["lint", "--tier", "compiled"])).unwrap_err();
     assert!(e.contains("unknown argument '--tier'"), "{e}");
 
+    // `--tier` takes only the two labels it prints, and the tier oracle
+    // lives in the tests, not in a `tier` command.
+    let e = cli::run(&args(&["fig1", "--tier", "ref"])).unwrap_err();
+    assert!(e.contains("unknown tier 'ref'"), "{e}");
+    assert!(cli::run(&args(&["tier", "check"])).is_err());
+
     // Unknown scheme labels are rejected by both label lookups.
     assert!(cli::run(&args(&["profile", "string_match", "--scheme", "native"])).is_err());
     assert!(cli::run(&args(&["trace", "export", "--scheme", "asan"])).is_err());
@@ -221,12 +227,7 @@ fn usage_errors_are_errors_not_exits() {
     // A seed range whose end overflows u64 would run no seed at all (or a
     // wrapped range) and still report success.
     let max = u64::MAX.to_string();
-    for cmd in [
-        &["fuzz"][..],
-        &["chaos"][..],
-        &["metrics"][..],
-        &["tier", "check"][..],
-    ] {
+    for cmd in [&["fuzz"][..], &["chaos"][..], &["metrics"][..]] {
         let mut argv = cmd.to_vec();
         argv.extend(["--seeds", "2", "--seed0", &max]);
         assert!(
@@ -237,12 +238,9 @@ fn usage_errors_are_errors_not_exits() {
 
     // A --max-ops beyond the generator's cap would abort the process on
     // its first allocation instead of failing cleanly.
-    for cmd in [&["fuzz"][..], &["tier", "check"][..]] {
-        let mut argv = cmd.to_vec();
-        argv.extend(["--seeds", "1", "--max-ops", &max]);
-        let e = cli::run(&args(&argv)).expect_err("oversized --max-ops accepted");
-        assert!(e.contains("exceeds the cap"), "{argv:?}: {e}");
-    }
+    let argv = ["fuzz", "--seeds", "1", "--max-ops", &max];
+    let e = cli::run(&args(&argv)).expect_err("oversized --max-ops accepted");
+    assert!(e.contains("exceeds the cap"), "{argv:?}: {e}");
     let dir = scratch("maxops");
     let corpus = dir.join("corpus.txt");
     std::fs::write(&corpus, "1 18446744073709551615 safe\n").unwrap();

@@ -719,9 +719,9 @@ impl<'m> Vm<'m> {
     // points into the cold paths (calls, returns, intrinsics) that stay
     // shared with the reference interpreter so their semantics cannot
     // drift between tiers. What each op computes and charges is shared
-    // too: the `eval`/`cycles` methods beside the op declarations in
-    // `ir`, `gep_addr`, and [`note_site`] for site markers. An engine
-    // owns only its dispatch.
+    // too: the `eval` methods beside the op declarations in `ir`,
+    // `Inst::cycles` and `Term::cycles`, `gep_addr`, and [`note_site`] for
+    // site markers. An engine owns only its dispatch.
 
     /// Borrows the per-instruction hot state of thread `tid`.
     ///
@@ -782,9 +782,10 @@ impl<'m> Vm<'m> {
 
     /// Pushes a frame for a call to `func` (index into `module.funcs`).
     ///
-    /// The caller's `ip` must already be advanced past the call and the
-    /// call cost charged, exactly as the reference interpreter does before
-    /// `make_frame` — a stack overflow then traps with that state intact.
+    /// The caller's `ip` must already be advanced past the call and its
+    /// `Inst::cycles` charged, exactly as the reference interpreter does
+    /// before `make_frame` — a stack overflow then traps with that state
+    /// intact.
     pub fn engine_call(
         &mut self,
         tid: usize,
@@ -798,8 +799,10 @@ impl<'m> Vm<'m> {
     }
 
     /// Pops the top frame returning `val`: restores the caller's stack
-    /// pointer, charges the call cost, writes the caller's return register
-    /// or — for the last frame — parks the thread and wakes its joiners.
+    /// pointer, writes the caller's return register or — for the last
+    /// frame — parks the thread and wakes its joiners. The return's
+    /// `Term::cycles` must already be charged, as the reference interpreter
+    /// does before it pops.
     pub fn engine_ret(&mut self, tid: usize, val: u64) {
         self.do_ret(tid, val);
     }
@@ -828,7 +831,8 @@ impl<'m> Vm<'m> {
     }
 
     fn exec_inst(&mut self, tid: usize, inst: &Inst) -> Result<(), Trap> {
-        let cost = self.cfg.machine.cost;
+        // Paid after the arm succeeds: a trapping instruction charges nothing.
+        let charge = inst.cycles(&self.cfg.machine.cost);
         // Most instructions only need the top frame; split the borrow.
         macro_rules! frame {
             () => {
@@ -840,27 +844,22 @@ impl<'m> Vm<'m> {
                 let f = frame!();
                 let v = op.eval(Self::val(f, *a), Self::val(f, *b));
                 f.regs[dst.0 as usize] = v.ok_or(Trap::DivByZero)?;
-                self.threads[tid].cycles += op.cycles(&cost);
             }
             Inst::Cmp { op, dst, a, b } => {
                 let f = frame!();
                 f.regs[dst.0 as usize] = op.eval(Self::val(f, *a), Self::val(f, *b)) as u64;
-                self.threads[tid].cycles += cost.alu;
             }
             Inst::FBin { op, dst, a, b } => {
                 let f = frame!();
                 f.regs[dst.0 as usize] = op.eval(Self::val(f, *a), Self::val(f, *b));
-                self.threads[tid].cycles += op.cycles(&cost);
             }
             Inst::FCmp { op, dst, a, b } => {
                 let f = frame!();
                 f.regs[dst.0 as usize] = op.eval(Self::val(f, *a), Self::val(f, *b)) as u64;
-                self.threads[tid].cycles += cost.fsimple;
             }
             Inst::Cast { kind, dst, src } => {
                 let f = frame!();
                 f.regs[dst.0 as usize] = kind.eval(Self::val(f, *src));
-                self.threads[tid].cycles += kind.cycles(&cost);
             }
             Inst::Select {
                 dst,
@@ -876,7 +875,6 @@ impl<'m> Vm<'m> {
                     Self::val(f, *fo)
                 };
                 f.regs[dst.0 as usize] = v;
-                self.threads[tid].cycles += cost.alu;
             }
             Inst::Gep {
                 dst,
@@ -889,7 +887,6 @@ impl<'m> Vm<'m> {
                 let f = frame!();
                 let v = gep_addr(Self::val(f, *base), Self::val(f, *index), *scale, *disp);
                 f.regs[dst.0 as usize] = v;
-                self.threads[tid].cycles += cost.gep;
             }
             Inst::Load { dst, addr, ty, .. } => {
                 let f = frame!();
@@ -930,7 +927,7 @@ impl<'m> Vm<'m> {
                     .map_err(Trap::Mem)?;
                 let f = frame!();
                 f.regs[dst.0 as usize] = old;
-                self.threads[tid].cycles += c1 + c2 + cost.atomic_extra;
+                self.threads[tid].cycles += c1 + c2;
             }
             Inst::AtomicCas {
                 dst,
@@ -955,7 +952,7 @@ impl<'m> Vm<'m> {
                 }
                 let f = frame!();
                 f.regs[dst.0 as usize] = old;
-                self.threads[tid].cycles += c1 + c2 + cost.atomic_extra;
+                self.threads[tid].cycles += c1 + c2;
             }
             Inst::ReadLocal { dst, local } => {
                 let f = frame!();
@@ -969,24 +966,21 @@ impl<'m> Vm<'m> {
             Inst::SlotAddr { dst, slot } => {
                 let f = frame!();
                 f.regs[dst.0 as usize] = f.slots[slot.0 as usize] as u64;
-                self.threads[tid].cycles += cost.alu;
             }
             Inst::GlobalAddr { dst, global } => {
                 let a = self.globals_addr[global.0 as usize] as u64;
                 let f = frame!();
                 f.regs[dst.0 as usize] = a;
-                self.threads[tid].cycles += cost.alu;
             }
             Inst::FuncAddr { dst, func } => {
                 let f = frame!();
                 f.regs[dst.0 as usize] = code_addr(*func);
-                self.threads[tid].cycles += cost.alu;
             }
             Inst::Call { dst, func, args } => {
                 let f = frame!();
                 let argv: Vec<u64> = args.iter().map(|a| Self::val(f, *a)).collect();
                 f.ip += 1; // Return past the call.
-                self.threads[tid].cycles += cost.call;
+                self.threads[tid].cycles += charge;
                 let new = self.make_frame(tid, func.0 as usize, &argv, *dst)?;
                 self.threads[tid].frames.push(new);
                 return Ok(()); // ip already advanced.
@@ -1004,7 +998,7 @@ impl<'m> Vm<'m> {
                 let f = frame!();
                 let argv: Vec<u64> = args.iter().map(|a| Self::val(f, *a)).collect();
                 f.ip += 1;
-                self.threads[tid].cycles += cost.call + cost.branch;
+                self.threads[tid].cycles += charge;
                 let new = self.make_frame(tid, fid.0 as usize, &argv, *dst)?;
                 self.threads[tid].frames.push(new);
                 return Ok(());
@@ -1018,22 +1012,21 @@ impl<'m> Vm<'m> {
                 let argv: Vec<u64> = args.iter().map(|a| Self::val(f, *a)).collect();
                 let res = self.exec_intrinsic(tid, intrinsic.0 as usize, &argv)?;
                 // The intrinsic may have blocked the thread (mutex/join); in
-                // that case do not advance ip — retry on wake.
+                // that case do not advance ip or charge — retry on wake.
                 if self.threads[tid].state != ThreadState::Runnable {
                     return Ok(());
                 }
-                let f = frame!();
                 if let (Some(d), Some(v)) = (dst, res) {
-                    f.regs[d.0 as usize] = v;
+                    frame!().regs[d.0 as usize] = v;
                 }
-                f.ip += 1;
-                return Ok(());
             }
             // Site markers are consumed by `run_quantum` before the counted
             // step; reaching one here is an interpreter bug.
             Inst::Site { .. } => unreachable!("site markers never retire"),
         }
-        frame!().ip += 1;
+        let t = &mut self.threads[tid];
+        t.cycles += charge;
+        t.frames.last_mut().expect("has frame").ip += 1;
         Ok(())
     }
 
@@ -1179,13 +1172,14 @@ impl<'m> Vm<'m> {
     }
 
     fn exec_term(&mut self, tid: usize, term: &Term) -> Result<(), Trap> {
-        let cost = self.cfg.machine.cost;
+        // Only `Unreachable` traps, and it charges nothing; a return pays
+        // before its frame pops.
+        self.threads[tid].cycles += term.cycles(&self.cfg.machine.cost);
         match term {
             Term::Jmp(b) => {
                 let f = self.threads[tid].frames.last_mut().expect("has frame");
                 f.block = b.0;
                 f.ip = 0;
-                self.threads[tid].cycles += cost.branch;
             }
             Term::Br { cond, t, f: fb } => {
                 let f = self.threads[tid].frames.last_mut().expect("has frame");
@@ -1193,7 +1187,6 @@ impl<'m> Vm<'m> {
                 f.block = if c != 0 { t.0 } else { fb.0 };
                 f.ip = 0;
                 self.machine.stats.branches += 1;
-                self.threads[tid].cycles += cost.branch;
             }
             Term::Ret(v) => {
                 let f = self.threads[tid].frames.last().expect("has frame");
@@ -1206,10 +1199,8 @@ impl<'m> Vm<'m> {
     }
 
     fn do_ret(&mut self, tid: usize, val: u64) {
-        let cost = self.cfg.machine.cost;
         let frame = self.threads[tid].frames.pop().expect("has frame");
         self.threads[tid].sp = frame.saved_sp;
-        self.threads[tid].cycles += cost.call;
         match self.threads[tid].frames.last_mut() {
             Some(caller) => {
                 if let Some(d) = frame.ret_dst {

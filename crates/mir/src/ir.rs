@@ -97,8 +97,9 @@ pub enum BinOp {
     AShr,
 }
 
-// Each op's value and cycle charge, defined once beside its declaration:
-// both execution tiers call these, so they cannot drift apart.
+// Each op's value and cycle charge, defined once beside its declaration
+// (`Inst::cycles` and `Term::cycles` below take the arithmetic charges
+// from here): both execution tiers call these, so they cannot drift apart.
 
 impl BinOp {
     /// `x <op> y`, or `None` for a division by zero (the VM traps with
@@ -481,6 +482,39 @@ pub enum Inst {
     Site { site: u32, marker: SiteMarker },
 }
 
+impl Inst {
+    /// The fixed cycles one execution charges, paid only once the
+    /// instruction has succeeded (a trapping or blocked one charges
+    /// nothing) and, for a call, before the callee's frame is pushed. A
+    /// memory access adds what the machine prices it at, and an intrinsic
+    /// call what its handler charges; a local is a register, and a site
+    /// marker retires nothing.
+    #[inline(always)]
+    pub fn cycles(&self, cost: &CostModel) -> u64 {
+        match self {
+            Inst::Bin { op, .. } => op.cycles(cost),
+            Inst::FBin { op, .. } => op.cycles(cost),
+            Inst::Cast { kind, .. } => kind.cycles(cost),
+            Inst::Cmp { .. }
+            | Inst::Select { .. }
+            | Inst::SlotAddr { .. }
+            | Inst::GlobalAddr { .. }
+            | Inst::FuncAddr { .. } => cost.alu,
+            Inst::FCmp { .. } => cost.fsimple,
+            Inst::Gep { .. } => cost.gep,
+            Inst::AtomicRmw { .. } | Inst::AtomicCas { .. } => cost.atomic_extra,
+            Inst::Call { .. } => cost.call,
+            Inst::CallIndirect { .. } => cost.call + cost.branch,
+            Inst::Load { .. }
+            | Inst::Store { .. }
+            | Inst::ReadLocal { .. }
+            | Inst::WriteLocal { .. }
+            | Inst::CallIntrinsic { .. }
+            | Inst::Site { .. } => 0,
+        }
+    }
+}
+
 /// The address an [`Inst::Gep`] computes: `base + index * scale + disp`,
 /// wrapping.
 #[inline(always)]
@@ -529,6 +563,19 @@ pub enum Term {
     Ret(Option<Operand>),
     /// Must never execute (traps if reached).
     Unreachable,
+}
+
+impl Term {
+    /// The fixed cycles one execution charges. A return pays before its
+    /// frame pops; `Unreachable` traps and charges nothing.
+    #[inline(always)]
+    pub fn cycles(&self, cost: &CostModel) -> u64 {
+        match self {
+            Term::Jmp(_) | Term::Br { .. } => cost.branch,
+            Term::Ret(_) => cost.call,
+            Term::Unreachable => 0,
+        }
+    }
 }
 
 /// A basic block.

@@ -129,13 +129,11 @@ impl ExecTier {
         }
     }
 
-    /// Parses a CLI spelling (`reference`/`ref`/`interp`, `compiled`/`exec`).
+    /// Parses a tier's [`label`](Self::label), its only spelling.
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "reference" | "ref" | "interp" | "interpreter" => Some(ExecTier::Reference),
-            "compiled" | "exec" | "fast" => Some(ExecTier::Compiled),
-            _ => None,
-        }
+        [ExecTier::Reference, ExecTier::Compiled]
+            .into_iter()
+            .find(|t| t.label() == s)
     }
 }
 
@@ -220,6 +218,16 @@ mod tests {
                 (ratio - 11.75).abs() < 0.5,
                 "preset {p:?} ratio {ratio} drifted from paper's ~11.75"
             );
+        }
+    }
+
+    #[test]
+    fn a_tier_parses_from_its_label_alone() {
+        for t in [ExecTier::Reference, ExecTier::Compiled] {
+            assert_eq!(ExecTier::parse(t.label()), Some(t));
+        }
+        for other in ["ref", "interp", "exec", "fast", "Compiled", ""] {
+            assert_eq!(ExecTier::parse(other), None, "{other:?}");
         }
     }
 
