@@ -84,7 +84,8 @@ impl Hardening {
     /// the machine's events through `rec` (before install, so the
     /// runtimes' setup is recorded too), installs the runtimes as
     /// [`Hardening::install`] does, and attaches the compiled engine when
-    /// `cfg.machine.tier` is [`ExecTier::Compiled`]. This is the one place
+    /// `cfg.machine.tier` is [`ExecTier::Compiled`] (it lowers the module
+    /// once the run has paid `sgxs_exec::RENT`). This is the one place
     /// a run's tier is read. Span mode stays off; a caller that wants spans
     /// turns them on.
     pub fn boot<'m>(
@@ -212,23 +213,37 @@ mod tests {
             h.instrument(&mut m, false)
                 .expect("instruments and verifies");
             for n in [10, 11] {
-                let outs = [ExecTier::Reference, ExecTier::Compiled].map(|tier| {
+                let run = |tier, lower_after: Option<u64>| {
                     let (mut vm, _) = h.boot(&m, tiny(tier), None, scale, ADDRESS_SPACE_CAP);
                     assert_eq!(
                         vm.engine_installed(),
                         tier == ExecTier::Compiled,
                         "{h:?} on {tier:?}"
                     );
+                    if let Some(k) = lower_after {
+                        sgxs_exec::attach_after(&mut vm, k);
+                    }
                     vm.run("main", &[n])
-                });
-                let [r, c] = &outs;
-                assert_eq!(
-                    format!("{:?}", r.result),
-                    format!("{:?}", c.result),
-                    "{h:?} n={n}"
-                );
-                assert_eq!(r.wall_cycles, c.wall_cycles, "{h:?} n={n}");
-                assert_eq!(r.stats, c.stats, "{h:?} n={n}");
+                };
+                let r = run(ExecTier::Reference, None);
+                // The attached engine never lowers a run this short (its
+                // rent stays unpaid), so the comparison also forces the
+                // lowering before the first quantum and after one.
+                for (tier, lower_after) in [
+                    (ExecTier::Compiled, None),
+                    (ExecTier::Reference, Some(0)),
+                    (ExecTier::Reference, Some(1)),
+                ] {
+                    let c = run(tier, lower_after);
+                    let what = format!("{h:?} n={n} on {tier:?}, lowered after {lower_after:?}");
+                    assert_eq!(
+                        format!("{:?}", r.result),
+                        format!("{:?}", c.result),
+                        "{what}"
+                    );
+                    assert_eq!(r.wall_cycles, c.wall_cycles, "{what}");
+                    assert_eq!(r.stats, c.stats, "{what}");
+                }
             }
         }
     }

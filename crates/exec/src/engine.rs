@@ -41,7 +41,9 @@ struct IC {
     func: u32,
 }
 
-/// The pre-lowered fast execution tier (install with [`crate::attach`]).
+/// The pre-lowered fast execution tier (built by [`crate::compile`]). On
+/// its first quantum it installs its frame constant pools into the VM,
+/// live frames included, so it can take over a VM mid-run.
 pub struct CompiledEngine {
     funcs: Box<[FuncCode]>,
     /// Per-function parameter count, for indirect-call validation.
@@ -50,6 +52,8 @@ pub struct CompiledEngine {
     argbuf: Vec<u64>,
     /// Scheduling quantum snapshot.
     quantum: u32,
+    /// Whether the VM's frames carry this engine's constant pools.
+    pools_installed: bool,
 }
 
 impl CompiledEngine {
@@ -60,13 +64,15 @@ impl CompiledEngine {
             ics: vec![IC { target: 0, func: 0 }; ic_count as usize],
             argbuf: Vec::new(),
             quantum,
+            pools_installed: false,
         }
     }
 
-    /// The per-function frame constant pools (install with
-    /// `Vm::set_frame_consts`).
-    pub fn const_pools(&self) -> Vec<Box<[u64]>> {
-        self.funcs.iter().map(|f| f.consts.clone()).collect()
+    #[cold]
+    #[inline(never)]
+    fn install_pools(&mut self, vm: &mut Vm<'_>) {
+        vm.set_frame_consts(self.funcs.iter().map(|f| f.consts.clone()).collect());
+        self.pools_installed = true;
     }
 }
 
@@ -150,12 +156,16 @@ enum Pending {
 
 impl QuantumEngine for CompiledEngine {
     fn run_quantum(&mut self, vm: &mut Vm<'_>, tid: usize) -> Result<(), Trap> {
+        if !self.pools_installed {
+            self.install_pools(vm);
+        }
         let CompiledEngine {
             funcs,
             arity,
             ics,
             argbuf,
             quantum,
+            ..
         } = self;
         let quantum = *quantum;
         let max_insts = vm.config().max_instructions;

@@ -1,13 +1,18 @@
 //! In-crate equivalence pins: the compiled tier must be bit-identical to
 //! the reference interpreter on real workloads — results, cycles,
 //! instruction/branch counters, memory peaks, output, and the complete
-//! observability event stream (digest + count). The corpus-wide and
-//! chaos-campaign oracles live in the repository-level test suite; these
-//! are the fast, always-on versions. The op table pins every MIR op's
-//! shared value and charge on both tiers, edge operands and traps included.
+//! observability event stream (digest + count). Every pin lowers before
+//! the first quantum (`attach_after(vm, 0)`): under the default rent most
+//! of these programs would never leave the interpreter, and the pin would
+//! compare the reference with itself. The stress test lowers at every
+//! quantum boundary of one run instead. The corpus-wide and chaos-campaign
+//! oracles live in the repository-level test suite; these are the fast,
+//! always-on versions. The op table pins every MIR op's shared value and
+//! charge on both tiers, edge operands and traps included.
 
 use sgxbounds::SbConfig;
-use sgxs_exec::CompiledEngine;
+use sgxs_exec::lower::{lower_func, OpKind};
+use sgxs_exec::{CompiledEngine, FuncCode};
 use sgxs_mir::interp::code_addr;
 use sgxs_mir::{
     verify, BinOp, CastKind, CmpOp, FBinOp, FCmpOp, FuncBuilder, FuncId, GlobalId, LocalId, Module,
@@ -69,7 +74,7 @@ fn workloads_are_bit_identical_across_tiers() {
             let mut st = Stager::new();
             let args = w.stage(&mut vm, &mut st, &p);
             if compiled {
-                sgxs_exec::attach(&mut vm);
+                sgxs_exec::attach_after(&mut vm, 0);
             }
             let out = vm.run("main", &args);
             key(&out, &rec)
@@ -95,7 +100,7 @@ fn server_requests_are_bit_identical_across_tiers() {
         let heap = install_base(&mut vm, AllocOpts::default());
         sgxbounds::install_sgxbounds(&mut vm, heap, &SbConfig::default(), None);
         if compiled {
-            sgxs_exec::attach(&mut vm);
+            sgxs_exec::attach_after(&mut vm, 0);
         }
         let input: Vec<u8> = (0..INPUT_BYTES).map(|i| (i % 251 + 1) as u8).collect();
         let mut st = Stager::new();
@@ -138,7 +143,7 @@ fn traps_are_bit_identical_across_tiers() {
         let mut st = Stager::new();
         let args = w.stage(&mut vm, &mut st, &p);
         if compiled {
-            sgxs_exec::attach(&mut vm);
+            sgxs_exec::attach_after(&mut vm, 0);
         }
         let out = vm.run("main", &args);
         key(&out, &rec)
@@ -185,12 +190,10 @@ fn perturbed_engine_is_caught() {
         let mut st = Stager::new();
         let args = w.stage(&mut vm, &mut st, &p);
         match mode {
-            1 => sgxs_exec::attach(&mut vm),
+            1 => sgxs_exec::attach_after(&mut vm, 0),
             2 => {
-                let engine = sgxs_exec::compile(&vm);
-                vm.set_frame_consts(engine.const_pools());
                 vm.set_engine(Box::new(OffByOne {
-                    engine,
+                    engine: sgxs_exec::compile(&vm),
                     charged: false,
                 }));
             }
@@ -370,7 +373,8 @@ fn emit(fb: &mut FuncBuilder<'_>, names: &Names, p: Pure) -> sgxs_mir::Reg {
     }
 }
 
-/// Runs `module`'s `main` on one tier with a trace recorder attached.
+/// Runs `module`'s `main` with a trace recorder attached, on the
+/// reference tier or lowered before its first quantum.
 fn run_main(module: &Module, compiled: bool) -> Key {
     verify(module).expect("module verifies");
     let cfg = VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave));
@@ -378,7 +382,7 @@ fn run_main(module: &Module, compiled: bool) -> Key {
     let rec = Rc::new(RefCell::new(TraceRecorder::new(64)));
     vm.machine.set_recorder(Some(rec.clone()));
     if compiled {
-        sgxs_exec::attach(&mut vm);
+        sgxs_exec::attach_after(&mut vm, 0);
     }
     let out = vm.run("main", &[]);
     key(&out, &rec)
@@ -546,5 +550,222 @@ fn division_by_zero_traps_identically_across_tiers() {
         let reference = run_main(&module, false);
         assert_eq!(reference.0, Err(Trap::DivByZero.to_string()), "{op:?}");
         assert_eq!(reference, run_main(&module, true), "{op:?}");
+    }
+}
+
+/// Recursion depth of the switch-point stress module.
+const STRESS_DEPTH: u64 = 12;
+
+/// The switch-point stress module. `main` takes a mutex, spawns `locker`
+/// (which blocks on that mutex) and `joiner` (which joins `locker`), then
+/// recurses [`STRESS_DEPTH`] deep through `rec`, whose body is a long pure
+/// run and a bounds-checked store, before it releases the mutex and joins.
+/// The global `state` holds the live `rec` frame count and each waiting
+/// thread's flag: `[depth, locker waiting, joiner waiting]`.
+fn stress_module() -> Module {
+    let mut mb = ModuleBuilder::new("stress");
+    let state = mb.global("state", 24, &[0; 24]);
+    let buf = mb.global("buf", 64, &[0; 64]);
+    let mutex = mb.global("mutex", 8, &[0; 8]);
+    let locker = mb.func("locker", &[Ty::I64], Some(Ty::I64), |fb| {
+        let s = fb.global_addr(state);
+        let flag = fb.gep(s, 1u64, 8, 0);
+        let m = fb.global_addr(mutex);
+        fb.store(Ty::I64, flag, 1u64);
+        fb.intr_void("mutex_lock", &[m.into()]);
+        fb.store(Ty::I64, flag, 0u64);
+        fb.intr_void("mutex_unlock", &[m.into()]);
+        let x = fb.param(0);
+        fb.ret(Some(x.into()));
+    });
+    let joiner = mb.func("joiner", &[Ty::I64], Some(Ty::I64), |fb| {
+        let s = fb.global_addr(state);
+        let flag = fb.gep(s, 2u64, 8, 0);
+        fb.store(Ty::I64, flag, 1u64);
+        let r = fb.intr("join", &[fb.param(0).into()]);
+        fb.store(Ty::I64, flag, 0u64);
+        let r = fb.add(r, 1u64);
+        fb.ret(Some(r.into()));
+    });
+    let rec = mb.declare("rec", &[Ty::I64], Some(Ty::I64));
+    mb.define(rec, |fb| {
+        let n = fb.param(0);
+        let s = fb.global_addr(state);
+        let d = fb.load(Ty::I64, s);
+        let d = fb.add(d, 1u64);
+        fb.store(Ty::I64, s, d);
+        let mut x = n;
+        for k in 0..12u64 {
+            let y = fb.mul(x, 2 * k + 3);
+            let y = fb.xor(y, k << 7);
+            x = fb.add(y, n);
+        }
+        let i = fb.and(n, 7u64);
+        let b = fb.global_addr(buf);
+        let p = fb.gep(b, i, 8, 0);
+        fb.store(Ty::I64, p, x);
+        let res = fb.local(Ty::I64);
+        let leaf = fb.cmp(CmpOp::Eq, n, 0u64);
+        fb.if_else(
+            leaf,
+            |fb| fb.set(res, x),
+            |fb| {
+                let m = fb.sub(n, 1u64);
+                let r = fb.call(rec, &[m.into()]).expect("returns a value");
+                let r = fb.add(r, x);
+                fb.set(res, r);
+            },
+        );
+        let d = fb.load(Ty::I64, s);
+        let d = fb.sub(d, 1u64);
+        fb.store(Ty::I64, s, d);
+        let r = fb.get(res);
+        fb.ret(Some(r.into()));
+    });
+    mb.func("main", &[], Some(Ty::I64), |fb| {
+        let m = fb.global_addr(mutex);
+        fb.intr_void("mutex_lock", &[m.into()]);
+        let lf = fb.func_addr(locker);
+        let t1 = fb.intr("spawn", &[lf.into(), 5u64.into()]);
+        let jf = fb.func_addr(joiner);
+        let t2 = fb.intr("spawn", &[jf.into(), t1.into()]);
+        let r = fb
+            .call(rec, &[STRESS_DEPTH.into()])
+            .expect("returns a value");
+        print(fb, r);
+        fb.intr_void("mutex_unlock", &[m.into()]);
+        let j = fb.intr("join", &[t2.into()]);
+        print(fb, j);
+        let v = fb.xor(r, j);
+        fb.ret(Some(v.into()));
+    });
+    let mut module = mb.finish();
+    let cfg = SbConfig {
+        site_markers: true,
+        ..SbConfig::default()
+    };
+    sgxbounds::instrument(&mut module, &cfg).expect("instrumentation");
+    verify(&module).expect("module verifies");
+    module
+}
+
+/// Whether coordinate `(block, ip)` of `code` lies inside a fused run,
+/// past its first constituent, where only per-op stepping can resume.
+fn inside_fused_run(code: &FuncCode, block: u32, ip: u32) -> bool {
+    let pc = code.pc_of(block, ip);
+    code.ops.iter().enumerate().any(|(h, op)| {
+        let span = match op.kind {
+            OpKind::Fused { len, .. } => len as usize,
+            OpKind::FusedLoad { len, .. }
+            | OpKind::FusedStore { len, .. }
+            | OpKind::FusedBr { len, .. }
+            | OpKind::FusedJmp { len, .. } => len as usize + 1,
+            OpKind::SbCheck { .. } => 8,
+            _ => return false,
+        };
+        h + 1 < pc && pc <= h + span
+    })
+}
+
+/// Reference quanta that count every quantum and every boundary at which
+/// the stress module is where its switch must be tested: thread 0 stopped
+/// inside a fused run with at least three live `rec` frames, `locker`
+/// blocked on the mutex and `joiner` blocked in `join` (each waiting on
+/// its `CallIntrinsic`, which re-executes on wake).
+struct StressProbe {
+    code: Vec<FuncCode>,
+    state: u32,
+    quanta: Rc<RefCell<(u64, u64)>>,
+}
+
+impl QuantumEngine for StressProbe {
+    fn run_quantum(&mut self, vm: &mut Vm<'_>, tid: usize) -> Result<(), Trap> {
+        let r = vm.interpret_quantum(tid);
+        let mut state = [0u8; 24];
+        vm.machine.mem.read_bytes(self.state, &mut state);
+        let word = |i: usize| u64::from_le_bytes(state[8 * i..8 * i + 8].try_into().unwrap());
+        let waiting = |flag: usize, t: usize| word(flag) == 1 && !vm.engine_runnable(t);
+        let hit = tid == 0
+            && r.is_ok()
+            && word(0) >= 3
+            && waiting(1, 1)
+            && waiting(2, 2)
+            && vm.engine_runnable(0)
+            && {
+                let frame = vm.engine_hot(0).frame;
+                inside_fused_run(&self.code[frame.func], frame.block, frame.ip)
+            };
+        let mut q = self.quanta.borrow_mut();
+        q.0 += 1;
+        q.1 += hit as u64;
+        r
+    }
+}
+
+/// How [`run_stress`] runs the stress module.
+enum StressRun {
+    /// On the reference tier.
+    Reference,
+    /// On the reference tier under [`StressProbe`].
+    Probe,
+    /// Lowered after this many quanta.
+    LowerAfter(u64),
+}
+
+/// Runs the stress module with its site markers recorded; returns its
+/// observables and, under [`StressRun::Probe`], the probe's counts.
+fn run_stress(module: &Module, how: StressRun) -> (Key, (u64, u64)) {
+    let cfg = VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave));
+    let mut vm = Vm::new(module, cfg);
+    let rec = Rc::new(RefCell::new(TraceRecorder::new(256)));
+    vm.machine.set_recorder(Some(rec.clone()));
+    let heap = install_base(&mut vm, AllocOpts::default());
+    sgxbounds::install_sgxbounds(&mut vm, heap, &SbConfig::default(), None);
+    let quanta = Rc::new(RefCell::new((0, 0)));
+    match how {
+        StressRun::Reference => {}
+        StressRun::Probe => {
+            let cost = vm.config().machine.cost;
+            let mut ics = 0;
+            let globals = |g: u32| vm.global_addr(GlobalId(g));
+            let code = (module.funcs.iter())
+                .map(|f| lower_func(f, &globals, &cost, &mut ics))
+                .collect();
+            let state = module.globals.iter().position(|g| g.name == "state");
+            let state = vm.global_addr(GlobalId(state.expect("state global") as u32));
+            vm.set_engine(Box::new(StressProbe {
+                code,
+                state,
+                quanta: quanta.clone(),
+            }));
+        }
+        StressRun::LowerAfter(k) => sgxs_exec::attach_after(&mut vm, k),
+    }
+    let out = vm.run("main", &[]);
+    let counts = *quanta.borrow();
+    (key(&out, &rec), counts)
+}
+
+/// Law (c) under stress: lowering at any quantum boundary of a run — with
+/// recursive frames live, one thread blocked on a mutex and one joining
+/// (each with its `CallIntrinsic` pending), thread 0 stopped inside a fused
+/// run, and site markers on — changes no observable. Every switch point
+/// from 0 to the run's last quantum is tried.
+#[test]
+fn every_switch_point_is_bit_identical_under_stress() {
+    let module = stress_module();
+    let (reference, _) = run_stress(&module, StressRun::Reference);
+    assert!(reference.0.is_ok(), "stress run failed: {:?}", reference.0);
+    assert_eq!(reference.6.len(), 2);
+    assert!(reference.8 > 0, "site markers recorded no events");
+    let (probed, (quanta, hits)) = run_stress(&module, StressRun::Probe);
+    assert_eq!(probed, reference, "the probe must not perturb the run");
+    assert!(
+        hits > 0,
+        "no boundary of {quanta} quanta met every condition"
+    );
+    for k in 0..=quanta {
+        let (compiled, _) = run_stress(&module, StressRun::LowerAfter(k));
+        assert_eq!(compiled, reference, "switch after {k} of {quanta} quanta");
     }
 }

@@ -1245,6 +1245,10 @@ pub fn parse_corpus(text: &str) -> Result<Vec<CorpusEntry>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sgxs_audit::LedgerRecorder;
+    use sgxs_sim::obs::Recorder;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     #[test]
     fn corpus_lines_round_trip() {
@@ -1412,8 +1416,30 @@ mod tests {
             &compiled,
         );
         // The artifact is byte-identical across execution tiers — the
-        // `tier: pinned` claim every incident carries.
+        // `tier: pinned` claim every incident carries. The production boot
+        // never lowers a program this short, so the forensic run is also
+        // repeated with the compiled tier forced to lower after k quanta.
         assert_eq!(a.put().to_compact(), c.put().to_compact());
+        let window = opts.trace_window;
+        let incident = |rec: &LedgerRecorder| {
+            let doc = sgxs_audit::assemble(IncidentMeta::default(), rec, window);
+            doc.put().to_compact()
+        };
+        let (_, rec) = exec_forensic(&fprog, FScheme::SgxBounds, tier, opts.budget, window);
+        let reference = incident(&rec);
+        let hardening = FScheme::SgxBounds.hardening();
+        let mut module = gen::build(&fprog);
+        hardening.instrument(&mut module, true).unwrap();
+        for k in [0, 1, 7] {
+            let rec = Rc::new(RefCell::new(LedgerRecorder::new(window)));
+            let traced = Some(rec.clone() as Rc<RefCell<dyn Recorder>>);
+            let (mut vm, rt) = runner::boot(&hardening, &module, traced, tier, opts.budget);
+            sgxs_exec::attach_after(&mut vm, k);
+            runner::run_booted(&mut vm, &rt, None);
+            drop((vm, rt));
+            let rec = Rc::try_unwrap(rec).expect("recorder released").into_inner();
+            assert_eq!(incident(&rec), reference, "lowered after {k} quanta");
+        }
         assert_eq!(a.tier, "pinned");
         assert!(
             a.truth.is_some(),

@@ -6,8 +6,10 @@ use crate::gen::{self, Prog};
 use crate::inject::{Fault, FaultKind};
 use sgxbounds::SbConfig;
 use sgxs_audit::LedgerRecorder;
-use sgxs_baselines::{Hardening, ADDRESS_SPACE_CAP};
-use sgxs_mir::{GlobalId, PolicySet, RecoveryPolicy, Trap, TrapClass, VmConfig};
+use sgxs_baselines::{Hardening, Installed, ADDRESS_SPACE_CAP};
+use sgxs_mir::{
+    GlobalId, Module, PolicySet, RecoveryPolicy, RunOutcome, Trap, TrapClass, Vm, VmConfig,
+};
 use sgxs_rt::AllocFaultPlan;
 use sgxs_sim::obs::Recorder;
 use sgxs_sim::{ExecTier, MachineConfig, Mode, Preset};
@@ -211,22 +213,42 @@ fn exec_uncaught(
     budget: u64,
 ) -> Exec {
     let hardening = scheme.hardening();
-    let traced = rec.is_some();
     let mut module = gen::build(prog);
     hardening
-        .instrument(&mut module, traced)
+        .instrument(&mut module, rec.is_some())
         .expect("fuzz module instruments");
+    let (mut vm, rt) = boot(&hardening, &module, rec, tier, budget);
+    run_booted(&mut vm, &rt, chaos_seed).1
+}
 
+/// Boots `module` (a generated program, hardened by `hardening`) on the
+/// campaign's machine: the Tiny preset in enclave mode on `tier`, stopped
+/// after `budget` instructions, with `rec` recording and span mode on
+/// when it does.
+pub fn boot<'m>(
+    hardening: &Hardening,
+    module: &'m Module,
+    rec: Option<Rc<RefCell<dyn Recorder>>>,
+    tier: ExecTier,
+    budget: u64,
+) -> (Vm<'m>, Installed) {
+    let traced = rec.is_some();
     let mut machine_cfg = MachineConfig::preset(Preset::Tiny, Mode::Enclave);
     machine_cfg.tier = tier;
     let mut cfg = VmConfig::new(machine_cfg);
     cfg.max_instructions = budget;
     let scale = MachineConfig::scale_of(Preset::Tiny);
-    let (mut vm, rt) = hardening.boot(&module, cfg, rec, scale, ADDRESS_SPACE_CAP);
+    let (mut vm, rt) = hardening.boot(module, cfg, rec, scale, ADDRESS_SPACE_CAP);
     vm.machine.set_span_mode(traced);
+    (vm, rt)
+}
+
+/// Runs `main` on a VM from [`boot`] and returns its full outcome and what
+/// the campaign compares of it. With `chaos_seed` the run is in chaos
+/// mode: the allocator fails intermittently and the VM rides the injected
+/// OOMs out with bounded retries.
+pub fn run_booted(vm: &mut Vm<'_>, rt: &Installed, chaos_seed: Option<u64>) -> (RunOutcome, Exec) {
     if let Some(seed) = chaos_seed {
-        // Chaos campaign mode: the allocator fails intermittently and the
-        // interpreter rides the injected OOMs out with bounded retries.
         rt.heap
             .borrow_mut()
             .set_fault_plan(Some(AllocFaultPlan::new(seed, 96).with_budget(6)));
@@ -243,12 +265,13 @@ fn exec_uncaught(
     let baddr = vm.global_addr(GlobalId(0));
     let mut buf = [0u8; 8];
     vm.machine.mem.read_bytes(baddr, &mut buf);
-    Exec {
-        result: out.result,
+    let exec = Exec {
+        result: out.result.clone(),
         beacon: u64::from_le_bytes(buf),
-        violations: rt.sgxbounds.map(|sb| *sb.violations.borrow()).unwrap_or(0),
+        violations: (rt.sgxbounds.as_ref()).map_or(0, |sb| *sb.violations.borrow()),
         retries: vm.recovery_stats().attempts,
-    }
+    };
+    (out, exec)
 }
 
 /// Classification of one run against ground truth.

@@ -4,9 +4,11 @@
 //! under SGXBounds with a full [`LedgerRecorder`] attached, assembles the
 //! detection into a `sgxs-incident-v1` artifact, and *proves* the
 //! cross-tier pin before emitting anything: the forensic run executes on
-//! both the reference interpreter and the compiled tier, and the two
-//! serialized documents must be byte-identical. The emitted artifact then
-//! carries `tier: pinned` as a checked claim, and CI byte-diffs reruns.
+//! both the reference interpreter and the compiled tier (lowered before
+//! its first quantum, since the demo is far too short to pay the rent
+//! after which a compiled run lowers), and the two serialized documents
+//! must be byte-identical. The emitted artifact then carries `tier:
+//! pinned` as a checked claim, and CI byte-diffs reruns.
 //!
 //! The artifact is self-validated through
 //! [`sgxs_obs::read::parse_incident`] (schema tag, id recompute,
@@ -21,26 +23,31 @@ use sgxs_baselines::ADDRESS_SPACE_CAP;
 use sgxs_mir::{Trap, VmConfig};
 use sgxs_obs::codec::Field;
 use sgxs_obs::read::parse_incident;
-use sgxs_sim::{ExecTier, MachineConfig, Mode, Preset};
+use sgxs_sim::{MachineConfig, Mode, Preset};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Runs the demo OOB module under default SGXBounds on `tier` with a
-/// ledger recorder attached; returns the outcome and the recovered
-/// recorder.
-fn forensic_demo_run(tier: ExecTier, window: usize) -> (Result<u64, Trap>, LedgerRecorder) {
+/// Runs the demo OOB module under default SGXBounds with a ledger
+/// recorder attached, on the reference tier or, for `Some(k)`, on the
+/// compiled tier lowered after `k` quanta; returns the outcome and the
+/// recovered recorder.
+fn forensic_demo_run(
+    lower_after: Option<u64>,
+    window: usize,
+) -> (Result<u64, Trap>, LedgerRecorder) {
     let hardening = Scheme::SgxBounds.hardening();
     let mut module = oob_demo();
     hardening
         .instrument(&mut module, true)
         .expect("demo instrumentation");
 
-    let mut machine_cfg = MachineConfig::preset(Preset::Tiny, Mode::Enclave);
-    machine_cfg.tier = tier;
     let rec = Rc::new(RefCell::new(LedgerRecorder::new(window)));
     let scale = MachineConfig::scale_of(Preset::Tiny);
-    let cfg = VmConfig::new(machine_cfg);
+    let cfg = VmConfig::new(MachineConfig::preset(Preset::Tiny, Mode::Enclave));
     let (mut vm, _) = hardening.boot(&module, cfg, Some(rec.clone()), scale, ADDRESS_SPACE_CAP);
+    if let Some(k) = lower_after {
+        sgxs_exec::attach_after(&mut vm, k);
+    }
     vm.machine.set_span_mode(true);
     let out = vm.run("main", &[]);
     drop(vm);
@@ -50,12 +57,13 @@ fn forensic_demo_run(tier: ExecTier, window: usize) -> (Result<u64, Trap>, Ledge
     (out.result, rec)
 }
 
-/// Assembles the demo incident from one tier's forensic run. The
-/// derivation chain comes from the static lint over the same module, so
-/// the artifact joins the dynamic trap with the analysis that already
-/// proved the access out of bounds.
-fn demo_incident(tier: ExecTier, window: usize) -> IncidentDoc {
-    let (result, rec) = forensic_demo_run(tier, window);
+/// Assembles the demo incident from one forensic run
+/// ([`forensic_demo_run`] with `lower_after`). The derivation chain comes
+/// from the static lint over the same module, so the artifact joins the
+/// dynamic trap with the analysis that already proved the access out of
+/// bounds.
+fn demo_incident(lower_after: Option<u64>, window: usize) -> IncidentDoc {
+    let (result, rec) = forensic_demo_run(lower_after, window);
     let verdict = if result.is_ok() { "missed" } else { "detected" };
     let mut demo = oob_demo();
     let lint = sgxs_analyze::lint_module(&mut demo);
@@ -82,11 +90,12 @@ fn demo_incident(tier: ExecTier, window: usize) -> IncidentDoc {
 }
 
 /// The cross-tier-pinned demo incident: assembled independently on the
-/// reference and compiled tiers, byte-compared, and returned only when the
-/// two documents are identical.
+/// reference tier and on the compiled tier lowered before the first
+/// quantum, byte-compared, and returned only when the two documents are
+/// identical.
 pub fn pinned_demo_incident(window: usize) -> Result<IncidentDoc, String> {
-    let r = demo_incident(ExecTier::Reference, window);
-    let c = demo_incident(ExecTier::Compiled, window);
+    let r = demo_incident(None, window);
+    let c = demo_incident(Some(0), window);
     let (rj, cj) = (r.put().to_compact(), c.put().to_compact());
     if rj != cj {
         return Err(format!(

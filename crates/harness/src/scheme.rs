@@ -130,6 +130,23 @@ impl RunConfig {
         MachineConfig::scale_of(self.preset)
     }
 
+    /// The VM configuration a run under this configuration boots with:
+    /// the preset's machine in `mode` with the EPC override and the tier,
+    /// the instruction budget, and thread stacks scaled with the machine
+    /// (the 2 MB pthread default at paper scale, so reserved-memory ratios
+    /// stay comparable across presets).
+    pub fn vm_config(&self) -> VmConfig {
+        let mut machine_cfg = MachineConfig::preset(self.preset, self.mode);
+        if let Some(epc) = self.epc_override {
+            machine_cfg.epc_bytes = epc;
+        }
+        machine_cfg.tier = self.tier;
+        let mut cfg = VmConfig::new(machine_cfg);
+        cfg.max_instructions = self.max_instructions;
+        cfg.stack_size = ((2u64 << 20) / self.scale()).max(32 << 10) as u32;
+        cfg
+    }
+
     /// The scaled enclave reservation cap.
     pub fn enclave_cap(&self) -> u64 {
         match self.mode {
@@ -185,17 +202,7 @@ fn run_one_inner(
         panic!("{} under {}: {e}", workload.name(), scheme.label());
     }
 
-    let mut machine_cfg = MachineConfig::preset(rc.preset, rc.mode);
-    if let Some(epc) = rc.epc_override {
-        machine_cfg.epc_bytes = epc;
-    }
-    machine_cfg.tier = rc.tier;
-    let mut cfg = VmConfig::new(machine_cfg);
-    cfg.max_instructions = rc.max_instructions;
-    // Thread stacks scale with the machine (2 MB pthread default at paper
-    // scale) so reserved-memory ratios stay comparable across presets.
-    cfg.stack_size = ((2u64 << 20) / rc.scale()).max(32 << 10) as u32;
-    let (mut vm, rt) = hardening.boot(&module, cfg, rec, rc.scale(), rc.enclave_cap());
+    let (mut vm, rt) = hardening.boot(&module, rc.vm_config(), rec, rc.scale(), rc.enclave_cap());
 
     let mut st = Stager::new();
     let args = workload.stage(&mut vm, &mut st, &rc.params);

@@ -284,10 +284,14 @@ pub fn note_site(
 ///
 /// The scheduler, recovery loop, intrinsic handlers, and machine model stay
 /// in the VM; an engine only replaces the instruction-dispatch inner loop
-/// ([`Vm::run_quantum`]'s job): run up to `quantum` counted instructions of
-/// thread `tid`, with semantics, cycle charges, counters, and event ordering
-/// bit-identical to the reference interpreter. `sgxs-exec` provides the
-/// pre-lowered fast tier; installing nothing keeps the reference oracle.
+/// ([`Vm::interpret_quantum`]'s job): run up to `quantum` counted
+/// instructions of thread `tid`, with semantics, cycle charges, counters,
+/// and event ordering bit-identical to the reference interpreter. Every
+/// quantum ends with the architectural `(block, ip)` written back, so an
+/// engine may hand any quantum to [`Vm::interpret_quantum`] and take the
+/// next one back: `sgxs-exec` interprets a module that way until it has
+/// run long enough to pay for lowering, then runs it pre-lowered.
+/// Installing nothing keeps the reference oracle.
 pub trait QuantumEngine {
     /// Executes one scheduling quantum of thread `tid`.
     fn run_quantum(&mut self, vm: &mut Vm<'_>, tid: usize) -> Result<(), Trap>;
@@ -386,16 +390,23 @@ impl<'m> Vm<'m> {
 
     /// Installs per-function constant pools that [`Vm`] appends to
     /// `Frame::regs` after the architectural registers when building
-    /// frames. A compiled engine uses the extra slots as pre-interned
-    /// immediates; the reference dispatch never indexes past the
-    /// architectural registers, so behaviour is identical either way.
-    /// `consts` must have one entry per module function.
+    /// frames, and appends each function's pool to every live frame of
+    /// that function on every thread (replacing any pool a frame already
+    /// carries), so an engine may install them mid-run. A compiled engine
+    /// uses the extra slots as pre-interned immediates; the reference
+    /// dispatch never indexes past the architectural registers, so
+    /// behaviour is identical either way. `consts` must have one entry per
+    /// module function.
     pub fn set_frame_consts(&mut self, consts: Vec<Box<[u64]>>) {
         assert_eq!(
             consts.len(),
             self.module.funcs.len(),
             "one constant pool per function"
         );
+        for frame in self.threads.iter_mut().flat_map(|t| &mut t.frames) {
+            let nregs = self.module.funcs[frame.func].reg_tys.len();
+            frame.regs = [&frame.regs[..nregs], &consts[frame.func]].concat().into();
+        }
         self.frame_consts = Some(consts.into_boxed_slice());
     }
 
@@ -590,7 +601,7 @@ impl<'m> Vm<'m> {
                     self.engine = Some(e);
                     r
                 }
-                None => self.run_quantum(tid),
+                None => self.interpret_quantum(tid),
             };
             if let Err(trap) = step {
                 match self.consult_recovery(&trap, tid) {
@@ -672,7 +683,23 @@ impl<'m> Vm<'m> {
         }
     }
 
-    fn run_quantum(&mut self, tid: usize) -> Result<(), Trap> {
+    // ---- Engine support -------------------------------------------------
+    //
+    // The accessors below are the complete surface an alternative
+    // execution tier needs: the per-instruction hot state, one reference
+    // quantum, and entry points into the cold paths (calls, returns,
+    // intrinsics) that stay shared with the reference interpreter so their
+    // semantics cannot drift between tiers. What each op computes and
+    // charges is shared too: the `eval` methods beside the op declarations
+    // in `ir`, `Inst::cycles` and `Term::cycles`, `gep_addr`, and
+    // [`note_site`] for site markers. An engine owns only its dispatch.
+
+    /// Executes one scheduling quantum of thread `tid` on the reference
+    /// interpreter: up to `quantum` counted instructions, leaving the
+    /// frame's `(block, ip)` at the next instruction. This is the VM's own
+    /// dispatch when no engine is installed, and an engine may run any
+    /// quantum through it (the thread must have a frame).
+    pub fn interpret_quantum(&mut self, tid: usize) -> Result<(), Trap> {
         let module = self.module;
         for _ in 0..self.cfg.quantum {
             if self.threads[tid].state != ThreadState::Runnable {
@@ -711,17 +738,6 @@ impl<'m> Vm<'m> {
         }
         Ok(())
     }
-
-    // ---- Engine support -------------------------------------------------
-    //
-    // The accessors below are the complete surface an alternative
-    // execution tier needs: the per-instruction hot state, and entry
-    // points into the cold paths (calls, returns, intrinsics) that stay
-    // shared with the reference interpreter so their semantics cannot
-    // drift between tiers. What each op computes and charges is shared
-    // too: the `eval` methods beside the op declarations in `ir`,
-    // `Inst::cycles` and `Term::cycles`, `gep_addr`, and [`note_site`] for
-    // site markers. An engine owns only its dispatch.
 
     /// Borrows the per-instruction hot state of thread `tid`.
     ///
@@ -1020,8 +1036,8 @@ impl<'m> Vm<'m> {
                     frame!().regs[d.0 as usize] = v;
                 }
             }
-            // Site markers are consumed by `run_quantum` before the counted
-            // step; reaching one here is an interpreter bug.
+            // Site markers are consumed by `interpret_quantum` before the
+            // counted step; reaching one here is an interpreter bug.
             Inst::Site { .. } => unreachable!("site markers never retire"),
         }
         let t = &mut self.threads[tid];

@@ -116,7 +116,13 @@ pub enum ExecTier {
     /// The tree-walking reference interpreter in `sgxs-mir` (the oracle).
     #[default]
     Reference,
-    /// The pre-lowered fast tier in `sgxs-exec`.
+    /// The pre-lowered fast tier in `sgxs-exec`: a VM starts on the
+    /// reference interpreter and lowers its module once, at a quantum
+    /// boundary, after interpreting `sgxs_exec::RENT` instructions per op
+    /// of the module (so a short run, like a fuzz program's, stays on the
+    /// interpreter).
+    /// Counted in quanta, never by a clock, so the switch point is
+    /// reproducible and bit-identical on either side.
     Compiled,
 }
 
@@ -163,9 +169,10 @@ pub struct MachineConfig {
     pub cost: CostModel,
     /// Which execution tier runs on this machine. `Hardening::boot` (in
     /// `sgxs-baselines`) reads it once, when it readies a VM, and attaches
-    /// the compiled engine for [`ExecTier::Compiled`]; the machine model
-    /// itself never looks at it. The choice is cost-neutral; both tiers
-    /// charge identical cycles.
+    /// the compiled engine for [`ExecTier::Compiled`], which interprets
+    /// until the module's rent is paid and then lowers it; the machine
+    /// model itself never looks at it. The choice is cost-neutral; both
+    /// tiers charge identical cycles at every switch point.
     pub tier: ExecTier,
 }
 

@@ -5,7 +5,8 @@
 //! 1. the `repro audit` demo artifact round-trips through the validating
 //!    reader and renders through its text view and its SVG view;
 //! 2. corpus-wide, a forensic re-run perturbs nothing measured and the
-//!    assembled incident is byte-identical across execution tiers;
+//!    assembled incident is byte-identical across execution tiers, the
+//!    compiled tier lowered at forced switch points included;
 //! 3. a chaos campaign with `--demo-corruption` embeds validating
 //!    incidents in its `sgxs-chaos-v1` document, byte-stable across
 //!    tiers and reruns;
@@ -13,7 +14,8 @@
 //!    of the availability report.
 
 use sgxs_audit::{IncidentMeta, LedgerRecorder, DEFAULT_TRACE_WINDOW};
-use sgxs_fuzz::runner::{exec, exec_forensic, FScheme, DEFAULT_BUDGET};
+use sgxs_fuzz::gen::Prog;
+use sgxs_fuzz::runner::{self, exec, exec_forensic, Exec, FScheme, DEFAULT_BUDGET};
 use sgxs_fuzz::{gen, inject, parse_corpus, CorpusEntry};
 use sgxs_harness::audit::pinned_demo_incident;
 use sgxs_obs::codec::Field;
@@ -22,6 +24,7 @@ use sgxs_resil::{
     abort_policy, run_chaos_campaign, serve_tier, serve_traced, CampaignOpts, ChaosSchedule,
     RScheme, ServerApp,
 };
+use sgxs_sim::obs::Recorder;
 use sgxs_sim::ExecTier;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -62,10 +65,42 @@ fn demo_incident_round_trips_and_renders() {
     assert!(svg.contains("fault"), "svg view marks the fault");
 }
 
+/// The switch points the forensic pin forces: lowered before the first
+/// quantum, after one quantum and after seven.
+const SWITCH_POINTS: [u64; 3] = [0, 1, 7];
+
+/// [`exec_forensic`] under SGXBounds with the compiled tier set to lower
+/// after `k` quanta: the runner's boot on the reference tier (ledger
+/// recorder attached, span mode on), then `sgxs_exec::attach_after`. The
+/// production boot lowers a fuzz module only once its rent is paid, which
+/// none of the corpus programs reaches.
+fn exec_forensic_at(prog: &Prog, k: u64) -> (Exec, LedgerRecorder) {
+    let hardening = FScheme::SgxBounds.hardening();
+    let mut module = gen::build(prog);
+    hardening
+        .instrument(&mut module, true)
+        .expect("fuzz module instruments");
+    let rec = Rc::new(RefCell::new(LedgerRecorder::new(DEFAULT_TRACE_WINDOW)));
+    let traced = Some(rec.clone() as Rc<RefCell<dyn Recorder>>);
+    let (mut vm, rt) = runner::boot(
+        &hardening,
+        &module,
+        traced,
+        ExecTier::Reference,
+        DEFAULT_BUDGET,
+    );
+    sgxs_exec::attach_after(&mut vm, k);
+    let (_, exec) = runner::run_booted(&mut vm, &rt, None);
+    drop((vm, rt));
+    let rec = Rc::try_unwrap(rec).expect("machine dropped its recorder handle");
+    (exec, rec.into_inner())
+}
+
 /// Corpus-wide: the forensic re-run of every faulted corpus entry is
 /// zero-perturbation (the plain and recorded executions are bit-identical)
 /// and the assembled incident validates and is byte-identical across the
-/// reference and compiled tiers.
+/// reference and compiled tiers: the production boot on each tier, and
+/// the compiled tier lowered at every forced switch point.
 #[test]
 fn corpus_forensics_are_zero_perturbation_and_tier_pinned() {
     let faulted: Vec<CorpusEntry> = corpus().into_iter().filter(|e| e.kind.is_some()).collect();
@@ -73,22 +108,35 @@ fn corpus_forensics_are_zero_perturbation_and_tier_pinned() {
     for entry in &faulted {
         let prog = gen::generate(entry.seed, entry.max_ops);
         let (fprog, fault) = inject::inject(&prog, entry.kind.unwrap(), entry.seed);
+        let plain = exec(
+            &fprog,
+            FScheme::SgxBounds,
+            ExecTier::Reference,
+            DEFAULT_BUDGET,
+        );
+        let runs = [ExecTier::Reference, ExecTier::Compiled]
+            .map(|tier| {
+                let run = exec_forensic(
+                    &fprog,
+                    FScheme::SgxBounds,
+                    tier,
+                    DEFAULT_BUDGET,
+                    DEFAULT_TRACE_WINDOW,
+                );
+                (tier.label().to_owned(), run)
+            })
+            .into_iter()
+            .chain(SWITCH_POINTS.map(|k| {
+                let run = exec_forensic_at(&fprog, k);
+                (format!("compiled, lowered after {k} quanta"), run)
+            }));
         let mut pinned: Option<String> = None;
-        for tier in [ExecTier::Reference, ExecTier::Compiled] {
-            let plain = exec(&fprog, FScheme::SgxBounds, tier, DEFAULT_BUDGET);
-            let (forensic, rec) = exec_forensic(
-                &fprog,
-                FScheme::SgxBounds,
-                tier,
-                DEFAULT_BUDGET,
-                DEFAULT_TRACE_WINDOW,
-            );
+        for (tier, (forensic, rec)) in runs {
             assert_eq!(
                 format!("{plain:?}"),
                 format!("{forensic:?}"),
-                "entry '{}' on {}: the ledger perturbed the execution",
+                "entry '{}' on {tier}: the ledger perturbed the execution",
                 entry.to_line(),
-                tier.label()
             );
             let meta = IncidentMeta {
                 origin: "fuzz".into(),
@@ -112,7 +160,7 @@ fn corpus_forensics_are_zero_perturbation_and_tier_pinned() {
                 Some(reference) => assert_eq!(
                     reference,
                     &compact,
-                    "entry '{}': forensics diverged across tiers",
+                    "entry '{}': forensics on {tier} diverged from the reference",
                     entry.to_line()
                 ),
             }

@@ -2,24 +2,97 @@
 //! must be bit-identical to the reference interpreter over the fixed
 //! fuzz-regression corpus and a generated seed window, the
 //! environmental-chaos mode, a full chaos campaign, and a workload sample
-//! under four schemes — the same way sb-flow was pinned to sb-noopt. The
-//! fast in-crate pins live in `crates/exec/tests/equivalence.rs`; these
-//! are the repository-level acceptance gates.
+//! under four schemes — the same way sb-flow was pinned to sb-noopt. Law
+//! (c) holds the corpus, the chaos slice and the workload sample to the
+//! reference at every switch point: lowered before the first quantum,
+//! after one and after seven (forced through [`switch_at`]), and at the
+//! default rent (the production boot). The fast in-crate pins live in
+//! `crates/exec/tests/equivalence.rs`; these are the repository-level
+//! acceptance gates.
 
 use sgxbounds::SbConfig;
+use sgxs_baselines::Hardening;
 use sgxs_exec::CompiledEngine;
+use sgxs_fuzz::gen::Prog;
 use sgxs_fuzz::inject::FaultKind;
-use sgxs_fuzz::runner::{exec, exec_chaos, ALL_SCHEMES, DEFAULT_BUDGET};
+use sgxs_fuzz::runner::{self, exec, exec_chaos, ALL_SCHEMES, DEFAULT_BUDGET};
 use sgxs_fuzz::{gen, inject, parse_corpus, CorpusEntry};
 use sgxs_harness::{run_one, RunConfig, Scheme};
-use sgxs_mir::{verify, QuantumEngine, Trap, Vm, VmConfig};
+use sgxs_mir::{verify, Module, QuantumEngine, Trap, Vm, VmConfig};
 use sgxs_resil::{run_chaos_campaign, CampaignOpts};
-use sgxs_rt::{install_base, AllocOpts};
+use sgxs_rt::{install_base, AllocOpts, Stager};
 use sgxs_sim::obs::TraceRecorder;
 use sgxs_sim::{ExecTier, MachineConfig, Mode, Preset};
 use sgxs_workloads::SizeClass;
 use std::cell::RefCell;
 use std::rc::Rc;
+
+/// The switch points law (c) forces: lowered before the first quantum,
+/// after one quantum and after seven.
+const SWITCH_POINTS: [u64; 3] = [0, 1, 7];
+
+/// The test-side tier of law (c): a VM booted on the reference tier gets,
+/// for `Some(k)`, the compiled tier set to lower after `k` quanta. The
+/// production boot lowers only once a module's rent is paid, which a fuzz
+/// program almost never reaches.
+fn switch_at(vm: &mut Vm<'_>, switch: Option<u64>) {
+    if let Some(k) = switch {
+        sgxs_exec::attach_after(vm, k);
+    }
+}
+
+/// Runs the fuzz module `module`, hardened by `hardening`, as the fuzz
+/// runner does (in chaos mode with `chaos_seed`), with the tier set by
+/// [`switch_at`]. Returns every observable: the run's outcome (result,
+/// cycles, stats, peaks, output) and the runner's beacon, violation and
+/// retry counts.
+fn run_fuzz_module(
+    module: &Module,
+    hardening: &Hardening,
+    chaos_seed: Option<u64>,
+    switch: Option<u64>,
+) -> String {
+    let (mut vm, rt) = runner::boot(hardening, module, None, ExecTier::Reference, DEFAULT_BUDGET);
+    switch_at(&mut vm, switch);
+    let (out, exec) = runner::run_booted(&mut vm, &rt, chaos_seed);
+    format!("{out:?} {exec:?}")
+}
+
+/// Law (c) for one fuzz program under every scheme: the production boot
+/// agrees across tiers (the default rent), and the reference run agrees
+/// with every forced switch point. Returns the OOM retries the reference
+/// runs took.
+fn assert_switch_points_agree(prog: &Prog, chaos_seed: Option<u64>, what: &str) -> u64 {
+    let mut retries = 0;
+    for scheme in ALL_SCHEMES {
+        let [r, c] = [ExecTier::Reference, ExecTier::Compiled].map(|tier| match chaos_seed {
+            None => exec(prog, scheme, tier, DEFAULT_BUDGET),
+            Some(seed) => exec_chaos(prog, scheme, seed, tier, DEFAULT_BUDGET),
+        });
+        assert_eq!(
+            format!("{r:?}"),
+            format!("{c:?}"),
+            "{what} under {} diverged across tiers",
+            scheme.label()
+        );
+        retries += r.retries;
+        let hardening = scheme.hardening();
+        let mut module = gen::build(prog);
+        hardening
+            .instrument(&mut module, false)
+            .expect("fuzz module instruments");
+        let reference = run_fuzz_module(&module, &hardening, chaos_seed, None);
+        for k in SWITCH_POINTS {
+            assert_eq!(
+                run_fuzz_module(&module, &hardening, chaos_seed, Some(k)),
+                reference,
+                "{what} under {} diverged when lowered after {k} quanta",
+                scheme.label()
+            );
+        }
+    }
+    retries
+}
 
 fn corpus() -> Vec<CorpusEntry> {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus/fuzz_seeds.txt");
@@ -41,7 +114,8 @@ fn seed_window() -> impl Iterator<Item = CorpusEntry> {
 
 /// Every corpus entry and every entry of the seed window — safe and
 /// injected, all eight schemes — produces the same digest/trap, progress
-/// beacon, violation count, and retry count on both tiers.
+/// beacon, violation count, and retry count on both tiers, and the same
+/// full observables at every forced switch point.
 #[test]
 fn corpus_is_bit_identical_across_tiers() {
     for entry in corpus().into_iter().chain(seed_window()) {
@@ -50,17 +124,8 @@ fn corpus_is_bit_identical_across_tiers() {
             None => prog,
             Some(kind) => inject::inject(&prog, kind, entry.seed).0,
         };
-        for scheme in ALL_SCHEMES {
-            let r = exec(&prog, scheme, ExecTier::Reference, DEFAULT_BUDGET);
-            let c = exec(&prog, scheme, ExecTier::Compiled, DEFAULT_BUDGET);
-            assert_eq!(
-                format!("{r:?}"),
-                format!("{c:?}"),
-                "corpus entry '{}' under {} diverged across tiers",
-                entry.to_line(),
-                scheme.label()
-            );
-        }
+        let what = format!("corpus entry '{}'", entry.to_line());
+        assert_switch_points_agree(&prog, None, &what);
     }
 }
 
@@ -87,7 +152,7 @@ fn corpus_stats_cycles_and_obs_events_are_identical() {
             let heap = install_base(&mut vm, AllocOpts::default());
             sgxbounds::install_sgxbounds(&mut vm, heap, &SbConfig::default(), None);
             if compiled {
-                sgxs_exec::attach(&mut vm);
+                sgxs_exec::attach_after(&mut vm, 0);
             }
             let out = vm.run("main", &[]);
             let (digest, events) = (rec.borrow().digest(), rec.borrow().events());
@@ -112,39 +177,21 @@ fn corpus_stats_cycles_and_obs_events_are_identical() {
 }
 
 /// Chaos mode (allocator fault injection + OOM retry with backoff) is
-/// tier-invariant, including the retry accounting: seeds 300..312 at 12
-/// ops and 0..8 at 16.
+/// tier-invariant at every switch point, including the retry accounting:
+/// seeds 300..312 at 12 ops and 0..8 at 16.
 #[test]
 fn chaos_mode_is_bit_identical_across_tiers() {
     let seeds = (300..312u64)
         .map(|s| (s, 12))
         .chain((0..8).map(|s| (s, 16)));
+    let mut retries = 0;
     for (seed, max_ops) in seeds {
         let prog = gen::generate(seed, max_ops);
         let chaos_seed = seed.wrapping_mul(0xD6E8_FEB8_6659_FD93).wrapping_add(1);
-        for scheme in ALL_SCHEMES {
-            let r = exec_chaos(
-                &prog,
-                scheme,
-                chaos_seed,
-                ExecTier::Reference,
-                DEFAULT_BUDGET,
-            );
-            let c = exec_chaos(
-                &prog,
-                scheme,
-                chaos_seed,
-                ExecTier::Compiled,
-                DEFAULT_BUDGET,
-            );
-            assert_eq!(
-                format!("{r:?}"),
-                format!("{c:?}"),
-                "chaos seed {seed} under {} diverged across tiers",
-                scheme.label()
-            );
-        }
+        retries +=
+            assert_switch_points_agree(&prog, Some(chaos_seed), &format!("chaos seed {seed}"));
     }
+    assert!(retries > 0, "the chaos slice must exercise OOM retries");
 }
 
 /// A chaos *campaign* — every scheme/policy combo over seeded attack
@@ -171,10 +218,31 @@ fn chaos_campaign_document_is_byte_identical_across_tiers() {
     assert_eq!(ref_json, cmp_json, "campaign JSON diverged across tiers");
 }
 
+/// Runs workload `name` under `scheme` as `run_one` does, with the tier
+/// set by [`switch_at`]; returns the run's outcome (result, cycles, stats,
+/// peaks, output) and the MPX bounds-table count.
+fn run_workload(name: &str, scheme: Scheme, rc: &RunConfig, switch: Option<u64>) -> String {
+    let w = sgxs_workloads::by_name(name).expect("workload exists");
+    let hardening = scheme.hardening();
+    let mut module = w.build(&rc.params);
+    hardening
+        .instrument(&mut module, false)
+        .expect("workload instruments");
+    let mut cfg = rc.vm_config();
+    cfg.machine.tier = ExecTier::Reference;
+    let (mut vm, rt) = hardening.boot(&module, cfg, None, rc.scale(), rc.enclave_cap());
+    switch_at(&mut vm, switch);
+    let args = w.stage(&mut vm, &mut Stager::new(), &rc.params);
+    let out = vm.run("main", &args);
+    let bts = rt.mpx.map(|r| r.tables.borrow().bt_count());
+    format!("{out:?} mpx_bts {bts:?}")
+}
+
 /// A workload sample — histogram, kmeans and string_match (Tiny, XS, two
 /// threads) under sgx, sgxbounds, asan and mpx — gives the same full
-/// `Measured` on both tiers: result, cycles, memory peaks, every named
-/// stats counter and the MPX bounds-table count.
+/// `Measured` on both tiers (result, cycles, memory peaks, every named
+/// stats counter and the MPX bounds-table count), and the same full
+/// outcome at every forced switch point.
 #[test]
 fn workload_sample_is_bit_identical_across_tiers() {
     let mut rc = RunConfig::new(Preset::Tiny);
@@ -196,6 +264,15 @@ fn workload_sample_is_bit_identical_across_tiers() {
                 "workload {name} under {} diverged across tiers",
                 scheme.label()
             );
+            let reference = run_workload(name, scheme, &rc, None);
+            for k in SWITCH_POINTS {
+                assert_eq!(
+                    run_workload(name, scheme, &rc, Some(k)),
+                    reference,
+                    "workload {name} under {} diverged when lowered after {k} quanta",
+                    scheme.label()
+                );
+            }
         }
     }
 }
@@ -233,12 +310,10 @@ fn perturbed_engine_diverges_on_corpus_programs() {
         let heap = install_base(&mut vm, AllocOpts::default());
         sgxbounds::install_sgxbounds(&mut vm, heap, &SbConfig::default(), None);
         match mode {
-            1 => sgxs_exec::attach(&mut vm),
+            1 => sgxs_exec::attach_after(&mut vm, 0),
             2 => {
-                let engine = sgxs_exec::compile(&vm);
-                vm.set_frame_consts(engine.const_pools());
                 vm.set_engine(Box::new(OffByOne {
-                    engine,
+                    engine: sgxs_exec::compile(&vm),
                     charged: false,
                 }));
             }
